@@ -63,14 +63,10 @@ from .spectra import (
     ProfileKind,
     SpectralProfile,
     correlation_class,
-    envelope_magnitude_plus,
-    g_minus,
-    g_plus,
-    jsa_value,
 )
 from .validation import run_suite
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AnalyticBackend",
@@ -103,17 +99,13 @@ __all__ = [
     "convergence_report",
     "correlation_class",
     "detect_structures",
-    "envelope_magnitude_plus",
     "envelopes_analytic",
     "envelopes_numeric",
     "evaluate",
     "expand",
     "fit_gaussian_sigma",
-    "g_minus",
-    "g_plus",
     "generate_figures",
     "integrate_R",
-    "jsa_value",
     "load_config",
     "make_spectrum",
     "parse_config",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -154,10 +153,10 @@ def evaluate(model: AnalyticModel, js: JointSpectrum, taus):
     for term in model.terms:
         value = float(term.coeff)
         if not combo_is_zero(term.plus_arg):
-            arg = sum(float(c) * np.asarray(t) for c, t in zip(term.plus_arg, taus) if c)
+            arg = combo_dot(term.plus_arg, taus)
             value = value * np.cos(js.pump_frequency * arg) * js.plus.corr(arg)
         if not combo_is_zero(term.minus_arg):
-            arg = sum(float(c) * np.asarray(t) for c, t in zip(term.minus_arg, taus) if c)
+            arg = combo_dot(term.minus_arg, taus)
             value = value * js.minus.corr(arg)
         total = total + value
     return total
@@ -230,15 +229,15 @@ def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
     missing = set(range(model.n_delays)) - {swept} - set(fixed)
     if missing:
         raise ValueError(f"fixed delays missing indices {sorted(missing)}")
+    # The swept delay at 0.0 adds an exact zero, leaving the fixed part.
+    at_origin = [0.0 if i == swept else fixed[i] for i in range(model.n_delays)]
     kept = []
     for term in model.terms:
         if term.is_constant:
             kept.append((term.coeff, term.plus_arg, term.minus_arg))
             continue
-        p_fix = sum(float(c) * fixed[i] for i, c in enumerate(term.plus_arg)
-                    if c and i != swept)
-        m_fix = sum(float(c) * fixed[i] for i, c in enumerate(term.minus_arg)
-                    if c and i != swept)
+        p_fix = combo_dot(term.plus_arg, at_origin)
+        m_fix = combo_dot(term.minus_arg, at_origin)
         p_slope = float(term.plus_arg[swept])
         m_slope = float(term.minus_arg[swept])
         peak = abs(float(term.coeff)) * _max_abs_corr_product(

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spectra import JointSpectrum, jsa_value
+from .spectra import JointSpectrum
 
 __all__ = [
     "DelayCombo",
@@ -65,9 +65,14 @@ def combo_is_zero(a: DelayCombo) -> bool:
     return all(x == 0 for x in a)
 
 
-def combo_dot(a: DelayCombo, taus) -> float:
-    """Numeric value of the combination at concrete delays."""
-    return float(sum(float(c) * t for c, t in zip(a, taus, strict=True) if c))
+def combo_dot(combo: DelayCombo, taus):
+    """Numeric value of the combination at concrete delays.
+
+    Each delay may be a scalar or an array; the result broadcasts over
+    them.  This is the one place a combination becomes a number.
+    """
+    return sum(float(c) * np.asarray(t)
+               for c, t in zip(combo, taus, strict=True) if c)
 
 
 @dataclass(frozen=True)
@@ -250,7 +255,7 @@ def coincidence_density(tm: TransferMatrix, js: JointSpectrum,
     half_pump = js.pump_frequency / 2.0
     w_plus = (omega_s - half_pump) + (omega_i - half_pump)
     w_minus = (omega_s - half_pump) - (omega_i - half_pump)
-    f = jsa_value(js, w_plus, w_minus)
+    f = js.plus.amplitude(w_plus) * js.minus.amplitude(w_minus)
     f_swapped = int(js.symmetry) * f
     amp = (
         f * tm.A.evaluate(omega_s, taus) * tm.D.evaluate(omega_i, taus)

@@ -1,8 +1,9 @@
 """Command-line surface: experiment configs in, derivations/CSV/SVG out.
 
 Exit codes: 0 success; 1 validation invariant failure; 2 config parse
-failure; 3 cross-backend disagreement above tolerance; 4 missing or
-undersampled carrier; 5 I/O failure.
+failure, including a bad sweep section or a sweep window too short to
+reconstruct from; 3 cross-backend disagreement above tolerance; 4 missing
+or undersampled carrier; 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -13,17 +14,18 @@ import sys
 
 import numpy as np
 
-from . import analytic, figures, validation
-from .analytic import asymptotic_prune, evaluate, expand, render_latex, render_text
-from .cascade import compose
+from . import figures, validation
+from .analytic import asymptotic_prune, expand, render_latex, render_text
+from .cascade import combo_is_zero, compose
 from .config import ConfigError, ExperimentConfig, load_config
 from .interferogram import (
     AnalyticBackend,
     QuadratureBackend,
+    SweepWindowError,
+    UndersampledCarrierError,
     envelopes_analytic,
     envelopes_numeric,
     fit_gaussian_sigma,
-    read_trace_csv,
     reconstruct_spectra,
     sweep,
     write_trace_csv,
@@ -134,7 +136,7 @@ def cmd_reconstruct(args) -> int:
     tm, model = _model(config)
     if config.sweep is None:
         raise ConfigError("config has no sweep section")
-    if all(_carrier_free(term) for term in model.terms):
+    if all(combo_is_zero(term.plus_arg) for term in model.terms):
         sys.stderr.write("error: cascade has no carrier to demodulate\n")
         return EXIT_CARRIER
     trace = sweep(AnalyticBackend(model, config.spectrum), config.sweep)
@@ -168,10 +170,6 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _carrier_free(term) -> bool:
-    return all(c == 0 for c in term.plus_arg)
-
-
 def cmd_validate(args) -> int:
     results = validation.run_suite(corrupt=args.negative_control)
     for name, passed, detail in results:
@@ -200,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="biphoton-cascade",
         description="Simulate and derive cascaded two-photon interferometers.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; no stochastic code paths yet")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, backend=False):
@@ -253,14 +249,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, SweepWindowError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except ValueError as exc:
-        if "carrier" in str(exc):
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_CARRIER
-        raise
+    except UndersampledCarrierError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CARRIER
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO

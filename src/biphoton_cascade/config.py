@@ -20,7 +20,7 @@ Lines starting with '#' are comments.  Custom topologies replace
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cascade import CascadeConfig
@@ -44,8 +44,6 @@ class ExperimentConfig:
     backend: str = "analytic"
     grid: Optional[GridSpec] = None
     prune_threshold: Optional[float] = None
-    preset: Optional[str] = None
-    outputs: tuple = ("csv",)
 
 
 def _parse_lines(text: str) -> dict:
@@ -81,11 +79,11 @@ def _get_int(values: dict, key: str, default=None) -> Optional[int]:
         raise ConfigError(f"{key}: not an integer: {values[key]!r}") from None
 
 
-def _parse_cascade(values: dict) -> tuple:
+def _parse_cascade(values: dict) -> CascadeConfig:
     preset = values.get("cascade.preset")
     if preset is not None:
         try:
-            return preset_cascade(preset), preset
+            return preset_cascade(preset)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     stages = values.get("cascade.stages")
@@ -106,7 +104,7 @@ def _parse_cascade(values: dict) -> tuple:
         n_delays = max((l for l in labels if l is not None), default=-1) + 1
     input_delay = _get_int(values, "cascade.input_delay")
     try:
-        return CascadeConfig.from_labels(labels, n_delays, input_delay), None
+        return CascadeConfig.from_labels(labels, n_delays, input_delay)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -138,6 +136,10 @@ def _parse_sweep(values: dict, n_delays: int) -> Optional[SweepSpec]:
     if "sweep.swept" not in values:
         return None
     swept = _get_int(values, "sweep.swept")
+    if not 0 <= swept < n_delays:
+        raise ConfigError(
+            f"sweep.swept: delay {swept} out of range for {n_delays} delays"
+        )
     fixed = {}
     for key, value in values.items():
         if key.startswith("sweep.fixed."):
@@ -145,6 +147,12 @@ def _parse_sweep(values: dict, n_delays: int) -> Optional[SweepSpec]:
                 fixed[int(key.rsplit(".", 1)[1])] = float(value)
             except ValueError:
                 raise ConfigError(f"{key}: not a number: {value!r}") from None
+    expected = set(range(n_delays)) - {swept}
+    if set(fixed) != expected:
+        raise ConfigError(
+            f"sweep.fixed: indices {sorted(fixed)}, expected {sorted(expected)} "
+            f"(delay {swept} is swept)"
+        )
     try:
         return SweepSpec(
             fixed=fixed,
@@ -177,15 +185,12 @@ def _parse_grid(values: dict) -> Optional[GridSpec]:
 
 def parse_config(text: str) -> ExperimentConfig:
     values = _parse_lines(text)
-    cascade, preset = _parse_cascade(values)
+    cascade = _parse_cascade(values)
     spectrum = _parse_spectrum(values)
     sweep = _parse_sweep(values, cascade.n_delays)
     backend = values.get("backend", "analytic")
     if backend not in ("analytic", "quadrature", "both"):
         raise ConfigError(f"backend: {backend!r} is not analytic/quadrature/both")
-    outputs = tuple(
-        token.strip() for token in values.get("outputs", "csv").split(",")
-    )
     return ExperimentConfig(
         cascade=cascade,
         spectrum=spectrum,
@@ -193,8 +198,6 @@ def parse_config(text: str) -> ExperimentConfig:
         backend=backend,
         grid=_parse_grid(values),
         prune_threshold=_get_float(values, "prune.threshold"),
-        preset=preset,
-        outputs=outputs,
     )
 
 

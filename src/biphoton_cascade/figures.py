@@ -10,9 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
-from .analytic import AnalyticModel, expand
+from .analytic import expand
 from .cascade import compose
 from .interferogram import (
     AnalyticBackend,

@@ -10,20 +10,21 @@ visibilities.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import curve_fit
 
 from . import analytic
 from .analytic import AnalyticModel
-from .cascade import TransferMatrix, combo_is_zero
+from .cascade import TransferMatrix, combo_dot, combo_is_zero
 from .quadrature import GridSpec, integrate_R, suggested_grid
 from .spectra import JointSpectrum
 
 __all__ = [
+    "UndersampledCarrierError",
+    "SweepWindowError",
     "SweepSpec",
     "Trace",
     "EnvelopePair",
@@ -38,6 +39,14 @@ __all__ = [
     "write_trace_csv",
     "read_trace_csv",
 ]
+
+
+class UndersampledCarrierError(ValueError):
+    """Trace samples the pump carrier too coarsely to demodulate."""
+
+
+class SweepWindowError(ValueError):
+    """Sweep window ends before the envelopes have decayed."""
 
 
 @dataclass(frozen=True)
@@ -136,9 +145,12 @@ class QuadratureBackend:
 def sweep(backend, spec: SweepSpec) -> Trace:
     """Uniformly sample the normalized coincidence along one delay."""
     taus = spec.delay_vectors(backend.n_delays)
+    grid = taus[spec.swept]
     values = np.asarray(backend.response(taus), dtype=float)
+    if values.shape != grid.shape:  # no term depends on the swept delay
+        values = np.full(grid.shape, values)
     meta = {"fixed": dict(spec.fixed), "swept": spec.swept}
-    return Trace(spec.grid(), values, meta)
+    return Trace(grid, values, meta)
 
 
 def envelopes_analytic(model: AnalyticModel, js: JointSpectrum,
@@ -156,14 +168,12 @@ def envelopes_analytic(model: AnalyticModel, js: JointSpectrum,
     for term in model.terms:
         value = float(term.coeff) * np.ones_like(grid)
         if not combo_is_zero(term.minus_arg):
-            arg = sum(float(c) * np.asarray(t)
-                      for c, t in zip(term.minus_arg, taus) if c)
+            arg = combo_dot(term.minus_arg, taus)
             value = value * js.minus.corr(arg)
         if combo_is_zero(term.plus_arg):
             base = base + value
         else:
-            arg = sum(float(c) * np.asarray(t)
-                      for c, t in zip(term.plus_arg, taus) if c)
+            arg = combo_dot(term.plus_arg, taus)
             swing = swing + np.abs(value * js.plus.corr(arg))
     meta = {"fixed": dict(spec.fixed), "swept": spec.swept}
     return EnvelopePair(
@@ -182,7 +192,7 @@ def envelopes_numeric(trace: Trace, carrier_freq: float) -> EnvelopePair:
     step = trace.taus[1] - trace.taus[0]
     samples_per_period = 2.0 * np.pi / (carrier_freq * step)
     if samples_per_period <= 4.0:
-        raise ValueError(
+        raise UndersampledCarrierError(
             f"undersampled carrier: {samples_per_period:.2f} samples per "
             "period (need > 4)"
         )
@@ -243,7 +253,7 @@ def reconstruct_spectra(env: EnvelopePair, satellite_delay: Optional[float] = No
     dip = 2.0 - s_minus
     edge = max(abs(dip[0]), abs(dip[-1]), abs(s_plus[0]), abs(s_plus[-1]))
     if edge > 1e-3:
-        raise ValueError(
+        raise SweepWindowError(
             f"sweep window too short: envelope edge value {edge:.2e} > 1e-3"
         )
     if satellite_delay is None:

@@ -10,17 +10,17 @@ inverse.
 Everything downstream is written in terms of two normalized correlation
 functions of the marginal intensities:
 
-* ``g_minus(tau)`` -- slow envelope set by the difference-frequency
-  linewidth,
-* ``g_plus(tau)`` -- the same for the sum frequency, carrying the pump
-  oscillation ``cos(pump_frequency * tau)``.
+* ``g_minus(tau) = minus.corr(tau)`` -- slow envelope set by the
+  difference-frequency linewidth,
+* ``g_plus(tau) = cos(pump_frequency * tau) * plus.corr(tau)`` -- the same
+  for the sum frequency, carrying the pump oscillation (the carrier is
+  applied by ``analytic.evaluate``).
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,6 @@ __all__ = [
     "CorrelationClass",
     "SpectralProfile",
     "JointSpectrum",
-    "jsa_value",
-    "g_minus",
-    "g_plus",
-    "envelope_magnitude_plus",
     "correlation_class",
 ]
 
@@ -131,31 +127,6 @@ class JointSpectrum:
                 f"linewidths (needs >= {guard}); full-line integrals would "
                 "pick up negative-frequency contamination"
             )
-
-
-def jsa_value(js: JointSpectrum, omega_plus, omega_minus):
-    """Joint amplitude at collective detunings (W_plus, W_minus)."""
-    return js.plus.amplitude(omega_plus) * js.minus.amplitude(omega_minus)
-
-
-def g_minus(js: JointSpectrum, tau):
-    """Difference-frequency correlation, normalized FT of F(W_minus)."""
-    return js.minus.corr(tau)
-
-
-def g_plus(js: JointSpectrum, tau):
-    """Sum-frequency correlation including the pump carrier.
-
-    ``cos(pump_frequency * tau)`` times the carrier-free magnitude; this is
-    the convention every closed-form coincidence expression is written in.
-    """
-    tau = np.asarray(tau, dtype=float)
-    return np.cos(js.pump_frequency * tau) * js.plus.corr(tau)
-
-
-def envelope_magnitude_plus(js: JointSpectrum, tau):
-    """Carrier-free magnitude of the sum-frequency correlation."""
-    return np.abs(js.plus.corr(tau))
 
 
 _RATIO_TOL = 1e-9

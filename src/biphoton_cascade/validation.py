@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import analytic, presets
+from . import presets
 from .analytic import antisymmetric_equivalence_check, evaluate, expand, swap_rule
 from .cascade import compose
 from .interferogram import SweepSpec, AnalyticBackend, envelopes_analytic, sweep

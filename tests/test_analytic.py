@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biphoton_cascade.analytic import (
     CosTerm,
@@ -21,8 +23,14 @@ from biphoton_cascade.analytic import (
     render_text,
     swap_rule,
 )
-from biphoton_cascade.cascade import compose
-from biphoton_cascade.presets import make_spectrum, preset_cascade
+from biphoton_cascade.cascade import CascadeConfig, compose
+from biphoton_cascade.interferogram import (
+    AnalyticBackend,
+    SweepSpec,
+    envelopes_analytic,
+    sweep,
+)
+from biphoton_cascade.presets import CLASS_SIGMAS, make_spectrum, preset_cascade
 from biphoton_cascade.spectra import ExchangeSymmetry
 
 F = Fraction
@@ -242,19 +250,58 @@ def test_evaluate_limits():
         pytest.approx(1.0, abs=1e-12)
 
 
-def test_evaluate_matches_term_by_term_sum():
-    js = make_spectrum(0.7, 1.2)
-    model = model_for("two_param_11")
-    taus = [1.3, -0.4]
+def term_by_term(model, js, taus):
+    """R_N summed term by term, each argument a dot product of all delays."""
+    delays = np.stack(np.broadcast_arrays(*taus))
     total = 0.0
     for t in model.terms:
-        p = float(t.plus_arg[0]) * taus[0] + float(t.plus_arg[1]) * taus[1]
-        m = float(t.minus_arg[0]) * taus[0] + float(t.minus_arg[1]) * taus[1]
+        p = np.array([float(c) for c in t.plus_arg]) @ delays
+        m = np.array([float(c) for c in t.minus_arg]) @ delays
         carrier = np.cos(js.pump_frequency * p) * js.plus.corr(p) \
             if any(t.plus_arg) else 1.0
         envelope = js.minus.corr(m) if any(t.minus_arg) else 1.0
-        total += float(t.coeff) * carrier * envelope
-    assert evaluate(model, js, taus) == pytest.approx(total, abs=1e-12)
+        total = total + float(t.coeff) * carrier * envelope
+    return total
+
+
+@st.composite
+def cascades(draw):
+    n_delays = draw(st.integers(1, 3))
+    label = st.none() | st.integers(0, n_delays - 1)
+    labels = draw(st.lists(label, min_size=1, max_size=5))
+    return CascadeConfig.from_labels(labels, n_delays)
+
+
+@given(
+    cascade=cascades(),
+    symmetry=st.sampled_from(ExchangeSymmetry),
+    class_name=st.sampled_from(sorted(CLASS_SIGMAS)),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_evaluate_matches_term_by_term_sum(cascade, symmetry, class_name, data):
+    try:
+        model = expand(compose(cascade), symmetry)
+    except ValueError:
+        assume(False)  # zero large-delay baseline: nothing to normalize by
+    js = make_spectrum(*CLASS_SIGMAS[class_name], symmetry)
+    n = cascade.n_delays
+    delay = st.floats(-15.0, 15.0, allow_nan=False)
+    taus = [data.draw(delay) for _ in range(n)]
+    assert evaluate(model, js, taus) == pytest.approx(
+        term_by_term(model, js, taus), abs=1e-12
+    )
+    swept = data.draw(st.integers(0, n - 1))
+    spec = SweepSpec(fixed={i: t for i, t in enumerate(taus) if i != swept},
+                     swept=swept, start=-15.0, stop=15.0, samples=301)
+    trace = sweep(AnalyticBackend(model, js), spec)
+    np.testing.assert_allclose(
+        trace.values, term_by_term(model, js, spec.delay_vectors(n)),
+        rtol=0, atol=1e-12,
+    )
+    env = envelopes_analytic(model, js, spec)
+    assert np.all(trace.values <= env.upper.values + 1e-9)
+    assert np.all(trace.values >= env.lower.values - 1e-9)
 
 
 def test_render_text_single_delay():

@@ -2,13 +2,16 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biphoton_cascade
 from biphoton_cascade import cli
 from biphoton_cascade.config import ConfigError, parse_config
 from biphoton_cascade.interferogram import read_trace_csv
+from biphoton_cascade.presets import preset_cascade
 from biphoton_cascade.quadrature import Rule
 
 BASE_CONFIG = """\
@@ -38,7 +41,7 @@ sweep.samples = 4096
 
 def test_parse_config_happy_path():
     config = parse_config(BASE_CONFIG)
-    assert config.preset == "noon"
+    assert config.cascade == preset_cascade("noon")
     assert config.backend == "analytic"
     assert config.sweep.samples == 801
     assert config.spectrum.pump_frequency == 20.0
@@ -71,6 +74,10 @@ def test_parse_config_grid_section():
         "cascade.preset = homi\nsweep.swept = x\n",
         "cascade.stages = 0, q\n",
         "spectrum.sigma_plus = 1.0\n",  # no cascade at all
+        "cascade.preset = homi\nsweep.swept = 3\n",  # swept out of range
+        "cascade.preset = homi\nsweep.swept = 0\nsweep.fixed.3 = 1.0\n",
+        "cascade.preset = homi\nsweep.swept = 0\nsweep.fixed.0 = 1.0\n",
+        "cascade.preset = two_param_11\nsweep.swept = 1\n",  # fixed.0 missing
     ],
 )
 def test_parse_config_rejects_malformed(text):
@@ -165,6 +172,21 @@ def test_reconstruct_undersampled_carrier(tmp_path):
                      "--out", str(tmp_path / "x.csv")]) == 4
 
 
+def test_reconstruct_short_window_is_config_error(tmp_path):
+    short = TWO_PARAM_CONFIG.replace("sweep.start = -260", "sweep.start = -5") \
+        .replace("sweep.stop = 260", "sweep.stop = 5")
+    path = write(tmp_path, "short.cfg", short)
+    result = subprocess.run(
+        [sys.executable, "-m", "biphoton_cascade.cli", "reconstruct",
+         "--config", path, "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert "sweep window too short" in result.stderr
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     assert cli.main(["derive", "--config", str(tmp_path / "nope.cfg")]) == 5
 
@@ -222,3 +244,11 @@ def test_binary_entry_point_runs(tmp_path):
         capture_output=True, text=True,
     )
     assert result.returncode == 5
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        version = tomllib.load(handle)["project"]["version"]
+    assert biphoton_cascade.__version__ == version

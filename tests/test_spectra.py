@@ -1,4 +1,8 @@
-"""Spectral profiles and correlation functions against independent oracles."""
+"""Spectral profiles and correlation functions against independent oracles.
+
+The correlation functions g+ and g- are read off the one-delay closed
+forms: ``homi`` gives R = 1 - g-(t1) and ``noon`` gives R = 1 + g+(t1).
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from biphoton_cascade.analytic import evaluate, expand
+from biphoton_cascade.cascade import coincidence_density, compose
+from biphoton_cascade.interferogram import SweepSpec, envelopes_analytic
+from biphoton_cascade.presets import preset_cascade
 from biphoton_cascade.spectra import (
     CorrelationClass,
     ExchangeSymmetry,
@@ -13,10 +21,6 @@ from biphoton_cascade.spectra import (
     ProfileKind,
     SpectralProfile,
     correlation_class,
-    envelope_magnitude_plus,
-    g_minus,
-    g_plus,
-    jsa_value,
 )
 
 
@@ -112,37 +116,59 @@ def test_pump_frequency_guard():
         JointSpectrum(gaussian, gaussian, pump_frequency=5.0)
 
 
+def _one_delay_model(preset, symmetry=ExchangeSymmetry.SYMMETRIC):
+    return expand(compose(preset_cascade(preset)), symmetry)
+
+
 def test_jsa_factorizes():
+    # One delayed splitter: |f|^2 (2 - 2 cos(W_minus tau)) with f the
+    # product of the two Gaussian marginal amplitudes.
     js = _js(0.7, 1.3)
-    wp, wm = 0.4, -1.1
-    assert jsa_value(js, wp, wm) == pytest.approx(
-        js.plus.amplitude(wp) * js.minus.amplitude(wm)
+    wp, wm, tau = 0.4, -1.1, 0.8
+    ws = (js.pump_frequency + wp + wm) / 2.0
+    wi = (js.pump_frequency + wp - wm) / 2.0
+    f = np.exp(-(wp**2) / (4.0 * 0.7**2)) * np.exp(-(wm**2) / (4.0 * 1.3**2))
+    tm = compose(preset_cascade("homi"))
+    assert coincidence_density(tm, js, ws, wi, [tau]) == pytest.approx(
+        f**2 * (2.0 - 2.0 * np.cos(wm * tau)), abs=1e-14
     )
 
 
 def test_g_minus_is_carrier_free_and_even():
     js = _js(1.0, 0.5)
+    homi = _one_delay_model("homi")
     taus = np.linspace(-8, 8, 41)
-    np.testing.assert_allclose(g_minus(js, taus), g_minus(js, -taus))
+    g_minus = 1.0 - evaluate(homi, js, [taus])
+    np.testing.assert_allclose(g_minus, 1.0 - evaluate(homi, js, [-taus]))
     np.testing.assert_allclose(
-        g_minus(js, taus), np.exp(-0.5**2 * taus**2 / 2.0), atol=1e-15
+        g_minus, np.exp(-0.5**2 * taus**2 / 2.0), atol=1e-15
     )
 
 
 def test_g_plus_carries_pump_oscillation():
     js = _js(1.0, 1.0, pump=20.0)
+    noon = _one_delay_model("noon")
     # frozen oracle values: cos(20 tau) exp(-tau^2 / 2) at tau = 1.0, 0.5
-    assert g_plus(js, 1.0) == pytest.approx(
+    assert evaluate(noon, js, [1.0]) - 1.0 == pytest.approx(
         np.cos(20.0) * np.exp(-0.5), abs=1e-15
     )
-    assert g_plus(js, 1.0) == pytest.approx(0.24751428216856827, abs=1e-12)
-    assert g_plus(js, 0.5) == pytest.approx(-0.7404780254568895, abs=1e-12)
+    assert evaluate(noon, js, [1.0]) - 1.0 == pytest.approx(
+        0.24751428216856827, abs=1e-12
+    )
+    assert evaluate(noon, js, [0.5]) - 1.0 == pytest.approx(
+        -0.7404780254568895, abs=1e-12
+    )
 
 
 def test_envelope_magnitude_bounds_g_plus():
     js = _js(0.8, 1.0)
-    taus = np.linspace(-5, 5, 401)
-    assert np.all(np.abs(g_plus(js, taus)) <= envelope_magnitude_plus(js, taus) + 1e-12)
+    noon = _one_delay_model("noon")
+    spec = SweepSpec(fixed={}, swept=0, start=-5.0, stop=5.0, samples=401)
+    g_plus = evaluate(noon, js, spec.delay_vectors(1)) - 1.0
+    magnitude = envelopes_analytic(noon, js, spec).upper.values - 1.0
+    np.testing.assert_allclose(magnitude, np.abs(js.plus.corr(spec.grid())),
+                               atol=1e-15)
+    assert np.all(np.abs(g_plus) <= magnitude + 1e-12)
 
 
 @given(
