@@ -12,6 +12,7 @@ spectral reconstructions, and structure detection.
 from .analytic import (
     AnalyticModel,
     CosTerm,
+    ZeroBaselineError,
     antisymmetric_equivalence_check,
     asymptotic_prune,
     evaluate,
@@ -91,6 +92,7 @@ __all__ = [
     "SweepSpec",
     "Trace",
     "TransferMatrix",
+    "ZeroBaselineError",
     "antisymmetric_equivalence_check",
     "asymptotic_prune",
     "bs_matrix",

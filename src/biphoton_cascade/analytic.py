@@ -14,27 +14,20 @@ three-delay cascades, including the 28-term three-delay expansion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .cascade import (
-    TransferMatrix,
-    combo_dot,
-    combo_halve,
-    combo_is_zero,
-    combo_neg,
-    combo_add,
-    combo_sub,
-    zero_combo,
-)
+from .cascade import TransferMatrix, combo_dot, combo_is_zero, combo_neg
 from .spectra import ExchangeSymmetry, JointSpectrum
 
 __all__ = [
     "CosTerm",
     "AnalyticModel",
+    "ZeroBaselineError",
     "expand",
     "evaluate",
     "swap_rule",
@@ -102,6 +95,81 @@ def _merge(terms, n_delays, symmetry, raw_baseline) -> AnalyticModel:
     return AnalyticModel(out, n_delays, symmetry, raw_baseline)
 
 
+class ZeroBaselineError(ValueError):
+    """The cascade has no coincidences at large delays: nothing to normalize by."""
+
+
+#: Pairs per block in ``expand``; bounds its temporaries to tens of MiB.
+_PAIR_BLOCK = 1 << 15
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class _Lattice:
+    """Mixed-radix packing of integer rows whose columns lie in lo..hi.
+
+    Columns are grouped left to right into as few int64 words as fit, each
+    with non-negative digits and its first column most significant, so the
+    packed words sort in the rows' lexicographic order.  A cascade with
+    each delay on one splitter fits one word up to 13 delays.
+    """
+
+    def __init__(self, lo, hi):
+        self.lo = np.asarray(lo, dtype=np.int64)
+        self.radix = np.asarray(hi, dtype=np.int64) - self.lo + 1
+        self.place = np.ones_like(self.radix)
+        stops, size = [len(self.radix)], 1
+        for col in reversed(range(len(self.radix))):
+            if size * int(self.radix[col]) - 1 > _INT64_MAX:
+                stops.append(col + 1)
+                size = 1
+            self.place[col] = size
+            size *= int(self.radix[col])
+        bounds = sorted(stops + [0])
+        self.words = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.word_of = np.repeat(np.arange(len(self.words)),
+                                 [w.stop - w.start for w in self.words])
+
+    def pack(self, rows):
+        digits = (rows - self.lo) * self.place
+        return np.stack([digits[:, w].sum(axis=1) for w in self.words], axis=1)
+
+    def unpack(self, keys):
+        return keys[:, self.word_of] // self.place % self.radix + self.lo
+
+
+def _sum_by_key(keys, values):
+    """Unique key rows in lexicographic order and the sum of ``values`` over each."""
+    if len(keys) == 0:
+        return keys, values
+    order = np.argsort(keys[:, -1])
+    for word in reversed(range(keys.shape[1] - 1)):
+        order = order[np.argsort(keys[order, word], kind="stable")]
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    return keys[starts], np.add.reduceat(values, starts)
+
+
+def _canonical_rows(x):
+    """Row-wise ``_canonical_arg``: first nonzero entry made positive."""
+    first = x[np.arange(len(x)), np.argmax(x != 0, axis=1)]
+    return x * np.sign(first)[:, None]
+
+
+def _pair_blocks(count: int):
+    """Index arrays (i, j) over all pairs i < j, at most _PAIR_BLOCK at a time."""
+    first = 0
+    while first < count - 1:
+        last = min(count - 1, first + max(1, _PAIR_BLOCK // (count - 1 - first)))
+        rows = np.arange(first, last)
+        lengths = count - 1 - rows
+        i = np.repeat(rows, lengths)
+        starts = np.cumsum(lengths) - lengths
+        j = np.arange(lengths.sum()) - np.repeat(starts - rows - 1, lengths)
+        yield i, j
+        first = last
+
+
 def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     """Symbolic term-by-term integration of the squared coincidence density.
 
@@ -111,36 +179,87 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     pair into a g_plus/g_minus product with half-integer delay arguments.
     Conjugate pairs merge to real cosine terms, and the whole sum is
     divided by its own large-delay constant.
+
+    All of this runs on an integer lattice: amplitudes and delay
+    combinations are scaled by the LCM of their denominators, and pair
+    arguments are kept doubled, so that the halves stay integral.  Each
+    term's canonical (plus, minus) arguments pack into an int64 key (more
+    words only for very wide lattices) that sorts in their lexicographic
+    order; only the merged terms become ``Fraction``s.
     """
     n = tm.n_delays
-    # Merge the two-amplitude product by the (signal, idler) exponent pair.
-    prod: dict = {}
-    for route_sign, (first, second) in (
-        (Fraction(1), (tm.A, tm.D)),
-        (Fraction(int(symmetry)), (tm.B, tm.C)),
-    ):
-        for a_amp, a_combo in first.terms:
-            for b_amp, b_combo in second.terms:
-                key = (a_combo, b_combo)
-                prod[key] = prod.get(key, Fraction(0)) + route_sign * a_amp * b_amp
-    entries = [(amp, key[0], key[1]) for key, amp in prod.items() if amp != 0]
+    entries = (tm.A, tm.B, tm.C, tm.D)
+    amp_scale = math.lcm(*(a.denominator for e in entries for a, _ in e.terms))
+    combo_scale = math.lcm(*(c.denominator for e in entries
+                             for _, combo in e.terms for c in combo))
+    amps = [[int(a * amp_scale) for a, _ in e.terms] for e in entries]
+    # A product entry takes at most one term pair from each route, so it
+    # is at most 2 peak^2; coefficients beyond int64 stay Python integers.
+    peak = max((abs(a) for e in amps for a in e), default=0)
+    exact = np.int64 if 2 * peak ** 2 <= _INT64_MAX else object
+    amps = [np.array(a, dtype=exact) for a in amps]
+    combos = [[[int(c * combo_scale) for c in combo] for _, combo in e.terms]
+              for e in entries]
+    # Pair arguments reach 4x the largest entry; their digits 8x.
+    if 8 * max((abs(c) for e in combos for row in e for c in row), default=0) \
+            >= _INT64_MAX:
+        raise OverflowError("delay combinations exceed the int64 range of expand")
+    combos = [np.array(e, dtype=np.int64).reshape(len(e), n) for e in combos]
 
-    terms = []
-    constant = Fraction(0)
-    for k, (ck, ak, bk) in enumerate(entries):
-        constant += ck * ck
-        for cl, al, bl in entries[k + 1:]:
-            u = combo_sub(ak, al)
-            v = combo_sub(bk, bl)
-            plus_arg = combo_halve(combo_add(u, v))
-            minus_arg = combo_halve(combo_sub(u, v))
-            terms.append((2 * ck * cl, plus_arg, minus_arg))
-    if constant == 0:
-        raise ValueError("cascade has zero asymptotic coincidence baseline")
-    terms.append((constant, zero_combo(n), zero_combo(n)))
-    normalized = [(c / constant, p, m) for c, p, m in terms]
-    raw_baseline = constant / Fraction(2) ** (2 * tm.stage_count)
-    return _merge(normalized, n, symmetry, raw_baseline)
+    # Merge the two-route product by the (signal, idler) exponent pair.
+    # The zero row keeps the bounds defined when every entry is empty.
+    every = np.concatenate([np.zeros((1, n), np.int64)] + combos)
+    product = _Lattice(np.tile(every.min(axis=0), 2), np.tile(every.max(axis=0), 2))
+    keys, values = [], []
+    for sign, first, second in ((1, 0, 3), (int(symmetry), 1, 2)):
+        values.append(sign * np.multiply.outer(amps[first], amps[second]).ravel())
+        keys.append(product.pack(np.concatenate(
+            [np.repeat(combos[first], len(combos[second]), axis=0),
+             np.tile(combos[second], (len(combos[first]), 1))], axis=1)))
+    keys, c = _sum_by_key(np.concatenate(keys), np.concatenate(values))
+    nonzero = c != 0
+    if not nonzero.any():
+        raise ZeroBaselineError("cascade has zero asymptotic coincidence baseline")
+    ab = product.unpack(keys[nonzero])
+    c = c[nonzero]
+    constant = sum(x * x for x in c.tolist())
+    # Under one key an entry pairs with at most four others (one per sign
+    # of each half), so by Cauchy-Schwarz every pair sum, partial or not,
+    # is at most 2 * constant in magnitude.
+    if 2 * constant > _INT64_MAX:
+        c = c.astype(object)
+
+    # Pair every two entries: the doubled sum and difference arguments are
+    # (a+b)_k - (a+b)_l and (a-b)_k - (a-b)_l.
+    s = ab[:, :n] + ab[:, n:]
+    d = ab[:, :n] - ab[:, n:]
+    bounds = np.concatenate([s.max(axis=0) - s.min(axis=0),
+                             d.max(axis=0) - d.min(axis=0)])
+    pair = _Lattice(-bounds, bounds)
+    # Blocks are summed alone, then into the running total once they
+    # outgrow it, so each pair term is re-sorted only a few times.
+    merged = [(np.zeros((0, len(pair.words)), np.int64), np.zeros(0, np.int64))]
+    pending = 0
+    for i, j in _pair_blocks(len(c)):
+        rows = np.concatenate([_canonical_rows(s[i] - s[j]),
+                               _canonical_rows(d[i] - d[j])], axis=1)
+        merged.append(_sum_by_key(pair.pack(rows), c[i] * c[j]))
+        pending += len(merged[-1][1])
+        if pending >= len(merged[0][1]):
+            merged, pending = [_sum_by_key(*map(np.concatenate, zip(*merged)))], 0
+    keys, sums = _sum_by_key(*map(np.concatenate, zip(*merged)))
+
+    nonzero = sums != 0
+    rows = pair.unpack(keys[nonzero]).tolist()
+    half = {v: Fraction(v, 2 * combo_scale) for v in {0}.union(*rows)}
+    zero = (half[0],) * n
+    terms = [CosTerm(Fraction(1), zero, zero)]
+    for coeff, row in zip(sums[nonzero].tolist(), rows):
+        terms.append(CosTerm(Fraction(2 * coeff, constant),
+                             tuple(half[v] for v in row[:n]),
+                             tuple(half[v] for v in row[n:])))
+    raw_baseline = Fraction(constant, amp_scale ** 4) / 2 ** (2 * tm.stage_count)
+    return AnalyticModel(tuple(terms), n, symmetry, raw_baseline)
 
 
 def evaluate(model: AnalyticModel, js: JointSpectrum, taus):

@@ -49,16 +49,8 @@ def combo_add(a: DelayCombo, b: DelayCombo) -> DelayCombo:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def combo_sub(a: DelayCombo, b: DelayCombo) -> DelayCombo:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def combo_neg(a: DelayCombo) -> DelayCombo:
     return tuple(-x for x in a)
-
-
-def combo_halve(a: DelayCombo) -> DelayCombo:
-    return tuple(x / 2 for x in a)
 
 
 def combo_is_zero(a: DelayCombo) -> bool:

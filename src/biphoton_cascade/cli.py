@@ -1,9 +1,10 @@
 """Command-line surface: experiment configs in, derivations/CSV/SVG out.
 
 Exit codes: 0 success; 1 validation invariant failure; 2 config parse
-failure, including a bad sweep section or a sweep window too short to
-reconstruct from; 3 cross-backend disagreement above tolerance; 4 missing
-or undersampled carrier; 5 I/O failure.
+failure, including a bad sweep section, a sweep window too short to
+reconstruct from, or a cascade with no large-delay coincidences; 3
+cross-backend disagreement above tolerance; 4 missing or undersampled
+carrier; 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import sys
 import numpy as np
 
 from . import figures, validation
-from .analytic import asymptotic_prune, expand, render_latex, render_text
+from .analytic import (
+    ZeroBaselineError,
+    asymptotic_prune,
+    expand,
+    render_latex,
+    render_text,
+)
 from .cascade import combo_is_zero, compose
 from .config import ConfigError, ExperimentConfig, load_config
 from .interferogram import (
@@ -249,7 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SweepWindowError) as exc:
+    except (ConfigError, SweepWindowError, ZeroBaselineError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except UndersampledCarrierError as exc:

@@ -20,6 +20,7 @@ Lines starting with '#' are comments.  Custom topologies replace
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,15 +60,20 @@ def _parse_lines(text: str) -> dict:
     return values
 
 
+def _finite(key: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{key}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: not a finite number: {text!r}")
+    return value
+
+
 def _get_float(values: dict, key: str, default=None) -> Optional[float]:
     if key not in values:
-        if default is None:
-            return None
         return default
-    try:
-        return float(values[key])
-    except ValueError:
-        raise ConfigError(f"{key}: not a number: {values[key]!r}") from None
+    return _finite(key, values[key])
 
 
 def _get_int(values: dict, key: str, default=None) -> Optional[int]:
@@ -144,9 +150,10 @@ def _parse_sweep(values: dict, n_delays: int) -> Optional[SweepSpec]:
     for key, value in values.items():
         if key.startswith("sweep.fixed."):
             try:
-                fixed[int(key.rsplit(".", 1)[1])] = float(value)
+                index = int(key.rsplit(".", 1)[1])
             except ValueError:
-                raise ConfigError(f"{key}: not a number: {value!r}") from None
+                raise ConfigError(f"{key}: not a delay index") from None
+            fixed[index] = _finite(key, value)
     expected = set(range(n_delays)) - {swept}
     if set(fixed) != expected:
         raise ConfigError(

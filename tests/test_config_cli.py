@@ -78,6 +78,9 @@ def test_parse_config_grid_section():
         "cascade.preset = homi\nsweep.swept = 0\nsweep.fixed.3 = 1.0\n",
         "cascade.preset = homi\nsweep.swept = 0\nsweep.fixed.0 = 1.0\n",
         "cascade.preset = two_param_11\nsweep.swept = 1\n",  # fixed.0 missing
+        "cascade.preset = noon\nspectrum.pump_frequency = inf\n",
+        "cascade.preset = noon\nsweep.swept = 0\nsweep.start = nan\n",
+        "cascade.preset = two_param_11\nsweep.swept = 1\nsweep.fixed.0 = -inf\n",
     ],
 )
 def test_parse_config_rejects_malformed(text):
@@ -185,6 +188,30 @@ def test_reconstruct_short_window_is_config_error(tmp_path):
     assert "Traceback" not in result.stderr
     assert result.stderr.count("\n") == 1
     assert "sweep window too short" in result.stderr
+
+
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "biphoton_cascade.cli", *args],
+                          capture_output=True, text=True)
+
+
+def test_zero_baseline_cascade_is_config_error(tmp_path):
+    # One delay-free splitter sends a symmetric pair to the same port.
+    path = write(tmp_path, "bunch.cfg", "cascade.stages = -\n")
+    result = run_cli("derive", "--config", path)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert "zero asymptotic coincidence baseline" in result.stderr
+
+
+def test_non_finite_pump_frequency_is_config_error(tmp_path):
+    path = write(tmp_path, "inf.cfg",
+                 BASE_CONFIG + "spectrum.pump_frequency = inf\n")
+    result = run_cli("sweep", "--config", path, "--out", str(tmp_path / "x.csv"))
+    assert result.returncode == 2
+    assert result.stderr == \
+        "config error: spectrum.pump_frequency: not a finite number: 'inf'\n"
 
 
 def test_missing_config_file_is_io_error(tmp_path):

@@ -1,0 +1,222 @@
+"""``expand`` on the integer lattice against a pairwise ``Fraction`` reference.
+
+The reference below is the plain pairwise expansion: every two product
+terms, their half-sum and half-difference arguments in exact rationals,
+and a dict merge.  It is quadratic in Python objects and only fit for
+small cascades, which is what the property tests draw.  Larger cascades
+are checked against frozen fixtures made by that same pairwise engine.
+"""
+
+import hashlib
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from biphoton_cascade.analytic import (
+    AnalyticModel,
+    CosTerm,
+    ZeroBaselineError,
+    expand,
+    render_text,
+)
+from biphoton_cascade.cascade import CascadeConfig, ExpSum, TransferMatrix, compose
+from biphoton_cascade.presets import preset_cascade, single_delay_chain
+from biphoton_cascade.spectra import ExchangeSymmetry
+
+F = Fraction
+
+
+def canonical(combo):
+    sign = next((1 if c > 0 else -1 for c in combo if c), 1)
+    return tuple(sign * c for c in combo)
+
+
+def reference_expand(tm, symmetry):
+    """Pairwise Fraction expansion; None for a zero large-delay baseline."""
+    prod = {}
+    for sign, first, second in ((1, tm.A, tm.D), (int(symmetry), tm.B, tm.C)):
+        for a_amp, a in first.terms:
+            for b_amp, b in second.terms:
+                prod[a, b] = prod.get((a, b), 0) + sign * a_amp * b_amp
+    entries = [(c, a, b) for (a, b), c in prod.items() if c]
+    constant = sum(c * c for c, _, _ in entries)
+    if constant == 0:
+        return None
+    merged = {}
+    for k, (ck, ak, bk) in enumerate(entries):
+        for cl, al, bl in entries[k + 1:]:
+            u = [x - y for x, y in zip(ak, al)]
+            v = [x - y for x, y in zip(bk, bl)]
+            key = (canonical([(x + y) / 2 for x, y in zip(u, v)]),
+                   canonical([(x - y) / 2 for x, y in zip(u, v)]))
+            merged[key] = merged.get(key, 0) + 2 * ck * cl / constant
+    zero = (F(0),) * tm.n_delays
+    terms = [CosTerm(F(1), zero, zero)] + [
+        CosTerm(c, p, m) for (p, m), c in sorted(merged.items()) if c]
+    return AnalyticModel(tuple(terms), tm.n_delays, symmetry,
+                         constant / F(4) ** tm.stage_count)
+
+
+def assert_matches_reference(tm, symmetry):
+    expected = reference_expand(tm, symmetry)
+    if expected is None:
+        with pytest.raises(ZeroBaselineError):
+            expand(tm, symmetry)
+    else:
+        assert expand(tm, symmetry) == expected
+
+
+@st.composite
+def cascades(draw):
+    """1-4 delays over up to 7 splitters, at most 4 of them delayed.
+
+    More delayed splitters make the reference too slow to run often.
+    """
+    n_delays = draw(st.integers(1, 4))
+    delayed = draw(st.lists(st.integers(0, n_delays - 1), max_size=4))
+    labels = list(delayed)
+    for _ in range(draw(st.integers(0 if delayed else 1, 7 - len(delayed)))):
+        labels.insert(draw(st.integers(0, len(labels))), None)
+    input_delay = draw(st.none() | st.integers(0, n_delays - 1))
+    return CascadeConfig.from_labels(labels, n_delays, input_delay)
+
+
+@given(cascade=cascades(), symmetry=st.sampled_from(ExchangeSymmetry))
+@settings(max_examples=60, deadline=None)
+def test_expand_matches_pairwise_reference(cascade, symmetry):
+    assert_matches_reference(compose(cascade), symmetry)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Hand-built matrices whose amplitudes and delay combinations are rational."""
+    n_delays = draw(st.integers(1, 3))
+    combo = st.tuples(*[rationals] * n_delays)
+
+    def entry():
+        return ExpSum.from_terms(
+            draw(st.lists(st.tuples(rationals, combo), max_size=4)), n_delays)
+
+    return TransferMatrix(entry(), entry(), entry(), entry(),
+                          stage_count=draw(st.integers(0, 4)), n_delays=n_delays)
+
+
+@given(tm=rational_matrices(), symmetry=st.sampled_from(ExchangeSymmetry))
+@settings(max_examples=60, deadline=None)
+def test_expand_matches_reference_on_rational_matrices(tm, symmetry):
+    assert_matches_reference(tm, symmetry)
+
+
+def test_expand_hand_built_rational_matrix():
+    one_third = (F(1, 3), F(0))
+    tm = TransferMatrix(
+        A=ExpSum.from_terms([(F(1, 2), (F(0), F(0))), (F(-3, 4), one_third)], 2),
+        B=ExpSum.from_terms([(F(2, 3), (F(0), F(1, 2)))], 2),
+        C=ExpSum.from_terms([(F(5, 7), (F(1, 5), F(-1, 2)))], 2),
+        D=ExpSum.from_terms([(F(1), (F(0), F(0))), (F(-1, 6), (F(2, 3), F(1)))], 2),
+        stage_count=3, n_delays=2,
+    )
+    for symmetry in ExchangeSymmetry:
+        model = expand(tm, symmetry)
+        assert model == reference_expand(tm, symmetry)
+        assert any(c.denominator > 2 for t in model.terms for c in t.plus_arg)
+
+
+def test_expand_wide_lattice_spans_several_int64_words():
+    # Delay coefficients near 2^40 give pair digits near 2^43 per column:
+    # one int64 word holds only one of the four columns.
+    wide = F(2) ** 40 + F(1, 3)
+    tm = TransferMatrix(
+        A=ExpSum.from_terms([(F(1), (F(0), F(0))), (F(2), (wide, F(-1)))], 2),
+        B=ExpSum.from_terms([(F(1), (F(1), wide)), (F(-1), (-wide, F(0)))], 2),
+        C=ExpSum.from_terms([(F(3), (F(0), -wide)), (F(1), (F(1, 2), F(0)))], 2),
+        D=ExpSum.from_terms([(F(-1), (wide, wide)), (F(1), (F(0), F(1)))], 2),
+        stage_count=2, n_delays=2,
+    )
+    for symmetry in ExchangeSymmetry:
+        assert expand(tm, symmetry) == reference_expand(tm, symmetry)
+
+
+@pytest.mark.parametrize("n_stages,preset", [(40, "noon"), (41, "homi")])
+def test_long_delay_free_runs_match_their_short_form(n_stages, preset):
+    # Every two delay-free splitters double the amplitudes, here to 2^20,
+    # and the normalisation 2^-n_stages cancels them.
+    long_chain = expand(compose(single_delay_chain(n_stages)),
+                        ExchangeSymmetry.SYMMETRIC)
+    assert long_chain == expand(compose(preset_cascade(preset)),
+                                ExchangeSymmetry.SYMMETRIC)
+
+
+@pytest.mark.parametrize("power", [30, 40])
+def test_expand_exact_beyond_int64(power):
+    # 2^30: products fit int64 but pair sums do not; 2^40: neither does.
+    big = ExpSum.from_terms([(F(2) ** power, (F(0),)), (F(3), (F(1),))], 1)
+    small = ExpSum.from_terms([(F(1), (F(0),)), (F(-5), (F(2),))], 1)
+    tm = TransferMatrix(big, small, big, -big, stage_count=1, n_delays=1)
+    for symmetry in ExchangeSymmetry:
+        assert expand(tm, symmetry) == reference_expand(tm, symmetry)
+
+
+def test_expand_refuses_delay_combinations_beyond_int64():
+    huge = ExpSum.from_terms([(F(1), (F(2) ** 62,))], 1)
+    tm = TransferMatrix(huge, huge, huge, huge, stage_count=1, n_delays=1)
+    with pytest.raises(OverflowError):
+        expand(tm, ExchangeSymmetry.SYMMETRIC)
+
+
+def test_zero_baseline_has_its_own_error():
+    tm = compose(CascadeConfig.from_labels([None], 0))
+    with pytest.raises(ZeroBaselineError,
+                       match="zero asymptotic coincidence baseline"):
+        expand(tm, ExchangeSymmetry.SYMMETRIC)
+    assert render_text(expand(tm, ExchangeSymmetry.ANTISYMMETRIC)) == "1"
+
+
+# ---------------------------------------------------------------------------
+# Frozen four- and five-delay models, one delay per splitter, made by the
+# pairwise Fraction engine: (term count, SHA-256 of render_text).
+
+FROZEN = {
+    (4, ExchangeSymmetry.SYMMETRIC):
+        (179, "6a3937301863502adf6001017d5bf8ebb19778b8d4ccc95137936ec326a2d04d"),
+    (4, ExchangeSymmetry.ANTISYMMETRIC):
+        (179, "abbe4ed6e35a4354d0118a06f1615a72fc2f5d3d1c013912ebafe668de73ea3e"),
+    (5, ExchangeSymmetry.SYMMETRIC):
+        (1263, "7186d9871036140b89548d5079d8f0a98aa4b3c543c4fa30579cf59ea6150d40"),
+    (5, ExchangeSymmetry.ANTISYMMETRIC):
+        (1263, "22341fb64c1d7381f39eac2de4398bc03520b842809b4adb3fd3f2c800eeb429"),
+}
+
+
+@pytest.mark.parametrize("n_delays,symmetry", sorted(FROZEN))
+def test_frozen_many_delay_models(n_delays, symmetry):
+    model = expand(compose(CascadeConfig.from_labels(range(n_delays), n_delays)),
+                   symmetry)
+    text = render_text(model)
+    assert (len(model.terms), hashlib.sha256(text.encode()).hexdigest()) == \
+        FROZEN[n_delays, symmetry]
+    assert model.raw_baseline == F(1, 2)
+
+
+def test_five_delay_expand_time():
+    tm = compose(CascadeConfig.from_labels(range(5), 5))
+    start = time.perf_counter()
+    model = expand(tm, ExchangeSymmetry.SYMMETRIC)
+    elapsed = time.perf_counter() - start
+    assert len(model.terms) == 1263
+    assert elapsed < 5.0
+
+
+def test_six_delay_2002_chain_finishes():
+    tm = compose(CascadeConfig.from_labels([None, *range(6)], 6))
+    start = time.perf_counter()
+    model = expand(tm, ExchangeSymmetry.SYMMETRIC)
+    elapsed = time.perf_counter() - start
+    assert len(model.terms) == 9241
+    assert elapsed < 30.0
