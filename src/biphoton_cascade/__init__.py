@@ -56,7 +56,14 @@ from .presets import (
     three_delay_chain,
     two_delay_chain,
 )
-from .quadrature import GridSpec, Rule, convergence_report, integrate_R, suggested_grid
+from .quadrature import (
+    GridSpec,
+    GridTooLargeError,
+    Rule,
+    convergence_report,
+    integrate_R,
+    suggested_grid,
+)
 from .spectra import (
     CorrelationClass,
     ExchangeSymmetry,
@@ -81,6 +88,7 @@ __all__ = [
     "ExchangeSymmetry",
     "ExperimentConfig",
     "GridSpec",
+    "GridTooLargeError",
     "JointSpectrum",
     "PRESETS",
     "ProfileKind",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,12 +58,17 @@ def combo_is_zero(a: DelayCombo) -> bool:
     return all(x == 0 for x in a)
 
 
-def combo_dot(combo: DelayCombo, taus):
+def combo_dot(combo, taus):
     """Numeric value of the combination at concrete delays.
 
     Each delay may be a scalar or an array; the result broadcasts over
-    them.  This is the one place a combination becomes a number.
+    them.  ``combo`` may also be a stacked ``(K, n_delays)`` float array
+    of combinations (``ExpSum.arrays``); at scalar delays that gives the
+    K values at once.  This is the one place a combination becomes a
+    number.
     """
+    if isinstance(combo, np.ndarray):
+        return combo @ np.asarray(taus, dtype=float)
     return sum(float(c) * np.asarray(t)
                for c, t in zip(combo, taus, strict=True) if c)
 
@@ -119,6 +125,12 @@ class ExpSum:
     def __neg__(self) -> "ExpSum":
         return ExpSum(tuple((-a, c) for a, c in self.terms), self.n_delays)
 
+    @cached_property
+    def arrays(self):
+        """Read-only float ``(amps, combos)``, shapes ``(K,)`` and
+        ``(K, n_delays)``, built once per sum for numeric callers."""
+        return _compile_terms(self.terms, self.n_delays)
+
     def evaluate(self, omega, taus) -> complex:
         """Numeric value at frequency omega (scalar or array)."""
         omega = np.asarray(omega, dtype=float)
@@ -126,6 +138,15 @@ class ExpSum:
         for amp, combo in self.terms:
             total += float(amp) * np.exp(-1j * omega * combo_dot(combo, taus))
         return total
+
+
+def _compile_terms(terms, n_delays: int):
+    amps = np.array([float(amp) for amp, _ in terms], dtype=float)
+    combos = np.array([[float(c) for c in combo] for _, combo in terms],
+                      dtype=float).reshape(len(terms), n_delays)
+    for array in (amps, combos):  # shared by every caller of the cached sum
+        array.flags.writeable = False
+    return amps, combos
 
 
 @dataclass(frozen=True)
@@ -176,6 +197,22 @@ class TransferMatrix:
     stage_count: int
     n_delays: int
 
+    def large_delay_constant(self, symmetry: int) -> float:
+        """Sum of squared merged product amplitudes: the large-delay constant.
+
+        The products A(ws) D(wi) and symmetry * B(ws) C(wi) are merged on
+        their (first, second) combination pairs; once the delays are large
+        every merged term averages out against every other, leaving the
+        sum of the squares.  Both symmetries come from one exact pass,
+        made once per matrix.
+        """
+        even, cross = self._moments
+        return float(even + symmetry * cross)
+
+    @cached_property
+    def _moments(self):
+        return _large_delay_moments(self)
+
     def evaluate(self, omega, taus) -> np.ndarray:
         """Numeric 2x2 matrix at a single frequency, normalization included."""
         scale = 2.0 ** (-self.stage_count / 2.0)
@@ -186,6 +223,25 @@ class TransferMatrix:
             ],
             dtype=complex,
         )
+
+
+def _large_delay_moments(tm: TransferMatrix):
+    """Exact (sum ad^2 + sum bc^2, 2 sum ad*bc) over the merged products.
+
+    With ``ad`` and ``bc`` the merged A*D and B*C amplitudes of one
+    combination pair, the constant for either symmetry s is
+    sum (ad + s*bc)^2 = even + s*cross.
+    """
+    routes = ({}, {})
+    for prod, first, second in zip(routes, (tm.A, tm.B), (tm.D, tm.C)):
+        for a_amp, a_combo in first.terms:
+            for b_amp, b_combo in second.terms:
+                key = (a_combo, b_combo)
+                prod[key] = prod.get(key, Fraction(0)) + a_amp * b_amp
+    ad, bc = routes
+    even = sum(c * c for c in ad.values()) + sum(c * c for c in bc.values())
+    cross = 2 * sum(c * bc[key] for key, c in ad.items() if key in bc)
+    return Fraction(even), Fraction(cross)
 
 
 def bs_matrix(delay_label: Optional[int], n_delays: int) -> TransferMatrix:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 validation invariant failure; 2 config parse
 failure, including a bad sweep section, a sweep window too short to
-reconstruct from, or a cascade with no large-delay coincidences; 3
+reconstruct from, a cascade with no large-delay coincidences, or delays
+whose suggested quadrature grid exceeds the memory budget; 3
 cross-backend disagreement above tolerance; 4 missing or undersampled
 carrier; 5 I/O failure.
 """
@@ -37,6 +38,7 @@ from .interferogram import (
     sweep,
     write_trace_csv,
 )
+from .quadrature import GridTooLargeError
 from .spectra import correlation_class
 
 EXIT_OK = 0
@@ -256,7 +258,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SweepWindowError, ZeroBaselineError) as exc:
+    except (ConfigError, SweepWindowError, ZeroBaselineError,
+            GridTooLargeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except UndersampledCarrierError as exc:

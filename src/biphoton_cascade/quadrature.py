@@ -13,14 +13,34 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .cascade import ExpSum, TransferMatrix, combo_dot
 from .spectra import JointSpectrum
 
-__all__ = ["Rule", "GridSpec", "integrate_R", "convergence_report", "suggested_grid"]
+__all__ = [
+    "Rule",
+    "GridSpec",
+    "GridTooLargeError",
+    "MAX_NODES_PER_AXIS",
+    "integrate_R",
+    "convergence_report",
+    "suggested_grid",
+]
+
+#: Bytes per (W+, W-) node of the N x N temporaries integrate_R holds at
+#: once: at most three complex fields.
+_BYTES_PER_NODE = 3 * 16
+#: Memory budget for those temporaries (1 GiB); larger grids are refused
+#: before anything is allocated.
+GRID_MEMORY_BUDGET = 1 << 30
+MAX_NODES_PER_AXIS = math.isqrt(GRID_MEMORY_BUDGET // _BYTES_PER_NODE)
+
+
+class GridTooLargeError(ValueError):
+    """Grid whose N x N temporaries would exceed the memory budget."""
 
 
 class Rule(enum.Enum):
@@ -37,8 +57,32 @@ class GridSpec:
     def __post_init__(self):
         if self.nodes_per_axis < 32:
             raise ValueError("nodes_per_axis must be >= 32")
+        if self.nodes_per_axis > MAX_NODES_PER_AXIS:
+            gib = self.nodes_per_axis ** 2 * _BYTES_PER_NODE / 2**30
+            raise GridTooLargeError(
+                f"{self.nodes_per_axis} nodes per axis would need {gib:.3g} GiB "
+                f"of quadrature temporaries; at most {MAX_NODES_PER_AXIS} fit "
+                f"the {GRID_MEMORY_BUDGET >> 30} GiB budget"
+            )
         if self.rule is Rule.TRAPEZOID and self.extent_sigmas < 5:
             raise ValueError("extent_sigmas must be >= 5 for the trapezoid rule")
+        if self.rule is Rule.GAUSS_HERMITE:
+            self._hermite  # builds the rule once and refuses unusable weights
+
+    @cached_property
+    def _hermite(self):
+        """Gauss-Hermite (nodes, weights, exp(nodes^2)), computed once per grid."""
+        with np.errstate(all="ignore"):  # large rules under/overflow: checked below
+            x, w = np.polynomial.hermite.hermgauss(self.nodes_per_axis)
+            gauss_inverse = np.exp(x**2)
+            compensated = w * gauss_inverse
+        if not np.all((compensated > 0) & np.isfinite(compensated)):
+            raise ValueError(
+                f"gauss-hermite weights at {self.nodes_per_axis} nodes are zero "
+                "or not finite in double precision; use fewer nodes or the "
+                "trapezoid rule"
+            )
+        return x, w, gauss_inverse
 
 
 def _axis(grid: GridSpec, sigma: float):
@@ -55,39 +99,23 @@ def _axis(grid: GridSpec, sigma: float):
         weights = np.full(grid.nodes_per_axis, step)
         weights[0] = weights[-1] = step / 2.0
         return nodes, weights
-    x, w = np.polynomial.hermite.hermgauss(grid.nodes_per_axis)
+    x, w, gauss_inverse = grid._hermite
     scale = math.sqrt(2.0) * sigma
-    return scale * x, scale * w * np.exp(x**2)
+    return scale * x, scale * w * gauss_inverse
 
 
 def _entry_field(entry: ExpSum, taus, pump: float, w_plus, w_minus, minus_sign):
     """Entry values on the (W_plus, W_minus) grid for omega = wp/2 + (W+ +- W-)/2.
 
     Each exponential is separable across the two axes, so the 2D field is
-    a short sum of outer products.
+    the rank-K product P diag(amp * carrier) M^T, one complex GEMM.
     """
-    field = np.zeros((w_plus.size, w_minus.size), dtype=complex)
-    for amp, combo in entry.terms:
-        u = combo_dot(combo, taus)
-        carrier = np.exp(-0.5j * pump * u)
-        plus_part = np.exp(-0.5j * w_plus * u)
-        minus_part = np.exp(-0.5j * minus_sign * w_minus * u)
-        field += (float(amp) * carrier) * np.outer(plus_part, minus_part)
-    return field
-
-
-def _baseline_constant(tm: TransferMatrix, symmetry: int) -> float:
-    """Sum of squared merged product amplitudes: the large-delay constant."""
-    prod: dict = {}
-    for sign, (first, second) in (
-        (Fraction(1), (tm.A, tm.D)),
-        (Fraction(symmetry), (tm.B, tm.C)),
-    ):
-        for a_amp, a_combo in first.terms:
-            for b_amp, b_combo in second.terms:
-                key = (a_combo, b_combo)
-                prod[key] = prod.get(key, Fraction(0)) + sign * a_amp * b_amp
-    return float(sum(amp * amp for amp in prod.values()))
+    amps, combos = entry.arrays
+    u = combo_dot(combos, taus)
+    plus = np.exp(-0.5j * np.outer(w_plus, u))
+    plus *= amps * np.exp(-0.5j * pump * u)
+    minus = np.exp((-0.5j * minus_sign) * np.outer(w_minus, u))
+    return plus @ minus.T
 
 
 def integrate_R(tm: TransferMatrix, js: JointSpectrum, taus,
@@ -96,7 +124,9 @@ def integrate_R(tm: TransferMatrix, js: JointSpectrum, taus,
 
     The raw integral is divided by the large-delay baseline (the same
     asymptotic constant the closed-form engine normalizes with) so values
-    are directly comparable across backends.
+    are directly comparable across backends.  The joint weights are an
+    outer product, so the integral contracts as j+^T density j- without
+    forming them.
     """
     if len(taus) != tm.n_delays:
         raise ValueError(f"expected {tm.n_delays} delays, got {len(taus)}")
@@ -106,23 +136,26 @@ def integrate_R(tm: TransferMatrix, js: JointSpectrum, taus,
 
     # the Gauss-Hermite weights from _axis already absorb the exp(x^2)
     # compensation, so both rules consume the plain intensities here
-    f_plus = js.plus.intensity(wp_nodes)
-    f_minus = js.minus.intensity(wm_nodes)
-
-    a_s = _entry_field(tm.A, taus, pump, wp_nodes, wm_nodes, +1)
-    b_s = _entry_field(tm.B, taus, pump, wp_nodes, wm_nodes, +1)
-    c_i = _entry_field(tm.C, taus, pump, wp_nodes, wm_nodes, -1)
-    d_i = _entry_field(tm.D, taus, pump, wp_nodes, wm_nodes, -1)
+    j_plus = js.plus.intensity(wp_nodes) * wp_weights
+    j_minus = js.minus.intensity(wm_nodes) * wm_weights
 
     sym = int(js.symmetry)
-    amp = a_s * d_i + sym * b_s * c_i
-    density = np.abs(amp) ** 2
+    amp = _entry_field(tm.A, taus, pump, wp_nodes, wm_nodes, +1)
+    amp *= _entry_field(tm.D, taus, pump, wp_nodes, wm_nodes, -1)
+    swapped = _entry_field(tm.B, taus, pump, wp_nodes, wm_nodes, +1)
+    swapped *= _entry_field(tm.C, taus, pump, wp_nodes, wm_nodes, -1)
+    if sym > 0:
+        amp += swapped
+    else:
+        amp -= swapped
+    del swapped  # before the real arrays, so at most three N x N fields live
+    density = np.square(amp.real)
+    density += np.square(amp.imag)
     if not np.all(np.isfinite(density)):
         raise FloatingPointError("non-finite coincidence density on the grid")
 
-    joint = np.outer(f_plus * wp_weights, f_minus * wm_weights)
-    numerator = float(np.sum(joint * density))
-    norm = _baseline_constant(tm, sym) * float(np.sum(joint))
+    numerator = float(j_plus @ density @ j_minus)
+    norm = tm.large_delay_constant(sym) * float(np.sum(j_plus) * np.sum(j_minus))
     return numerator / norm
 
 
@@ -150,10 +183,8 @@ def suggested_grid(tm: TransferMatrix, js: JointSpectrum, taus,
     absolute delay combination appearing in the matrix entries; node count
     follows from Nyquist with margin.
     """
-    u_max = 0.0
-    for entry in (tm.A, tm.B, tm.C, tm.D):
-        for _, combo in entry.terms:
-            u_max = max(u_max, abs(combo_dot(combo, taus)))
+    u_max = max(float(np.abs(combo_dot(entry.arrays[1], taus)).max(initial=0.0))
+                for entry in (tm.A, tm.B, tm.C, tm.D))
     # Exponent differences in the squared density reach 2 * u_max, and the
     # detuning enters with a factor 1/2: fringe rate u_max per axis unit.
     sigma = max(js.plus.sigma, js.minus.sigma)

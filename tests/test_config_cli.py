@@ -81,6 +81,8 @@ def test_parse_config_grid_section():
         "cascade.preset = noon\nspectrum.pump_frequency = inf\n",
         "cascade.preset = noon\nsweep.swept = 0\nsweep.start = nan\n",
         "cascade.preset = two_param_11\nsweep.swept = 1\nsweep.fixed.0 = -inf\n",
+        "cascade.preset = noon\ngrid.nodes = 100000000\n",  # over the memory budget
+        "cascade.preset = homi\ngrid.nodes = 400\ngrid.rule = gauss-hermite\n",
     ],
 )
 def test_parse_config_rejects_malformed(text):
@@ -212,6 +214,26 @@ def test_non_finite_pump_frequency_is_config_error(tmp_path):
     assert result.returncode == 2
     assert result.stderr == \
         "config error: spectrum.pump_frequency: not a finite number: 'inf'\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # suggested_grid would ask for 10 185 980 nodes per axis
+        ("cascade.preset = noon\nsweep.swept = 0\nsweep.start = 1e6\n"
+         "sweep.stop = 1.000001e6\nsweep.samples = 2\n", "GiB budget"),
+        ("cascade.preset = homi\nsweep.swept = 0\nsweep.samples = 11\n"
+         "grid.nodes = 400\ngrid.rule = gauss-hermite\n", "gauss-hermite weights"),
+    ],
+)
+def test_unusable_quadrature_grid_is_config_error(tmp_path, text, message):
+    path = write(tmp_path, "grid.cfg", text)
+    result = run_cli("sweep", "--config", path, "--backend", "quadrature",
+                     "--out", str(tmp_path / "x.csv"))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert message in result.stderr
 
 
 def test_missing_config_file_is_io_error(tmp_path):

@@ -1,20 +1,30 @@
 """Brute-force quadrature backend against closed-form reference values."""
 
+import gc
+import weakref
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biphoton_cascade.cascade import compose
-from biphoton_cascade.presets import make_spectrum, preset_cascade
+from biphoton_cascade import cascade, quadrature
+from biphoton_cascade.cascade import ExpSum, TransferMatrix, combo_dot, compose
+from biphoton_cascade.presets import CLASS_SIGMAS, PRESETS, make_spectrum, preset_cascade
 from biphoton_cascade.quadrature import (
+    MAX_NODES_PER_AXIS,
     GridSpec,
+    GridTooLargeError,
     Rule,
+    _axis,
     convergence_report,
     integrate_R,
     suggested_grid,
 )
 from biphoton_cascade.spectra import ExchangeSymmetry
+
+from test_expand import cascades
 
 JS = make_spectrum(1.0, 1.0)
 HOMI = compose(preset_cascade("homi"))
@@ -98,3 +108,194 @@ def test_result_is_even_in_delay():
 def test_normalized_rate_within_physical_bounds(tau):
     value = integrate_R(NOON, JS, [tau], suggested_grid(NOON, JS, [tau]))
     assert -1e-9 <= value <= 2.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The GEMM contraction against the per-term outer-product oracle it replaced
+
+
+def reference_integrate_R(tm, js, taus, grid):
+    """Entry fields summed one np.outer per term; baseline merged in Fractions."""
+    wp, wp_weights = _axis(grid, js.plus.sigma)
+    wm, wm_weights = _axis(grid, js.minus.sigma)
+
+    def field(entry, minus_sign):
+        out = np.zeros((wp.size, wm.size), dtype=complex)
+        for amp, combo in entry.terms:
+            u = combo_dot(combo, taus)
+            out += (float(amp) * np.exp(-0.5j * js.pump_frequency * u)) * np.outer(
+                np.exp(-0.5j * wp * u), np.exp(-0.5j * minus_sign * wm * u))
+        return out
+
+    sym = int(js.symmetry)
+    density = np.abs(field(tm.A, 1) * field(tm.D, -1)
+                     + sym * field(tm.B, 1) * field(tm.C, -1)) ** 2
+    joint = np.outer(js.plus.intensity(wp) * wp_weights,
+                     js.minus.intensity(wm) * wm_weights)
+    prod = {}
+    for sign, first, second in ((1, tm.A, tm.D), (sym, tm.B, tm.C)):
+        for a_amp, a in first.terms:
+            for b_amp, b in second.terms:
+                prod[a, b] = prod.get((a, b), 0) + sign * a_amp * b_amp
+    baseline = float(sum(c * c for c in prod.values()))
+    return float(np.sum(joint * density)) / (baseline * float(np.sum(joint)))
+
+
+grids = st.one_of(
+    st.none(),  # the suggested trapezoid grid
+    st.builds(GridSpec, st.integers(32, 256), st.floats(5.0, 10.0)),
+    st.builds(GridSpec, st.integers(32, 256), st.just(8.0),
+              st.just(Rule.GAUSS_HERMITE)),
+)
+
+
+@given(
+    config=cascades(),
+    symmetry=st.sampled_from(ExchangeSymmetry),
+    class_name=st.sampled_from(sorted(CLASS_SIGMAS)),
+    grid=grids,
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_contraction_matches_outer_product_reference(config, symmetry, class_name,
+                                                     grid, data):
+    tm = compose(config)
+    assume(tm.large_delay_constant(int(symmetry)) != 0)
+    js = make_spectrum(*CLASS_SIGMAS[class_name], symmetry)
+    taus = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=tm.n_delays,
+                              max_size=tm.n_delays))
+    grid = grid or suggested_grid(tm, js, taus)
+    assert abs(integrate_R(tm, js, taus, grid)
+               - reference_integrate_R(tm, js, taus, grid)) <= 1e-12
+
+
+def test_contraction_on_rational_hand_built_matrix():
+    F = Fraction
+    tm = TransferMatrix(
+        A=ExpSum.from_terms([(F(1, 2), (F(0), F(0))), (F(-3, 4), (F(1, 3), F(0)))], 2),
+        B=ExpSum.from_terms([(F(2, 3), (F(0), F(1, 2)))], 2),
+        C=ExpSum.from_terms([(F(5, 7), (F(1, 5), F(-1, 2)))], 2),
+        D=ExpSum.from_terms([(F(1), (F(0), F(0))), (F(-1, 6), (F(2, 3), F(1)))], 2),
+        stage_count=3, n_delays=2,
+    )
+    for symmetry in ExchangeSymmetry:
+        js = make_spectrum(1.0, 0.5, symmetry)
+        for taus in ([0.0, 0.0], [1.7, -2.4], [-6.5, 3.1]):
+            for grid in (suggested_grid(tm, js, taus),
+                         GridSpec(160, rule=Rule.GAUSS_HERMITE)):
+                assert abs(integrate_R(tm, js, taus, grid)
+                           - reference_integrate_R(tm, js, taus, grid)) <= 1e-12
+
+
+def test_stacked_combo_dot_matches_each_term():
+    tm = compose(preset_cascade("three_param_2002"))
+    taus = [0.7, -2.5, 4.25]
+    amps, combos = tm.D.arrays
+    assert combos.shape == (len(tm.D.terms), 3)
+    for (amp, combo), a, u in zip(tm.D.terms, amps, combo_dot(combos, taus)):
+        assert a == float(amp)
+        assert u == pytest.approx(combo_dot(combo, taus), abs=1e-14)
+    assert not amps.flags.writeable and not combos.flags.writeable
+    assert ExpSum.zero(3).arrays[1].shape == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# Compiled once per matrix, held by the matrix
+
+
+def test_compiles_each_entry_and_baseline_once(monkeypatch):
+    calls = {"compile": 0, "baseline": 0}
+    compile_terms = cascade._compile_terms
+    moments = cascade._large_delay_moments
+
+    def counting_compile(*args):
+        calls["compile"] += 1
+        return compile_terms(*args)
+
+    def counting_moments(*args):
+        calls["baseline"] += 1
+        return moments(*args)
+
+    monkeypatch.setattr(cascade, "_compile_terms", counting_compile)
+    monkeypatch.setattr(cascade, "_large_delay_moments", counting_moments)
+    tm = compose(preset_cascade("three_param_2002"))
+    for symmetry in ExchangeSymmetry:
+        js = make_spectrum(1.0, 0.1, symmetry)
+        for taus in ([0.5, 1.0, -2.0], [3.0, -1.0, 0.25]):
+            integrate_R(tm, js, taus, suggested_grid(tm, js, taus))
+    assert calls == {"compile": 4, "baseline": 1}
+
+
+def test_calls_never_hash_a_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("hashed per call")
+
+    tm = compose(preset_cascade("two_param_2002"))
+    monkeypatch.setattr(TransferMatrix, "__hash__", refuse)
+    monkeypatch.setattr(ExpSum, "__hash__", refuse)
+    for _ in range(2):
+        integrate_R(tm, JS, [1.0, 2.0], suggested_grid(tm, JS, [1.0, 2.0]))
+
+
+def test_equal_distinct_matrices_give_identical_values():
+    first = compose(preset_cascade("three_param_11"))
+    second = compose(preset_cascade("three_param_11"))
+    assert first == second and first is not second
+    taus = [1.25, -0.5, 2.0]
+    grid = suggested_grid(first, JS, taus)
+    warm = integrate_R(first, JS, taus, grid)
+    assert integrate_R(second, JS, taus, grid) == warm
+    assert integrate_R(first, JS, taus, grid) == warm
+
+
+def _module_containers():
+    return {
+        (module.__name__, name): len(value)
+        for module in (cascade, quadrature)
+        for name, value in vars(module).items()
+        if isinstance(value, (dict, list, set))
+    }
+
+
+def test_nothing_module_level_outlives_the_matrices():
+    before = _module_containers()
+    refs = []
+    for preset in PRESETS:
+        tm = compose(preset_cascade(preset))
+        taus = [0.3] * tm.n_delays
+        integrate_R(tm, JS, taus, suggested_grid(tm, JS, taus))
+        refs.append(weakref.ref(tm))
+    del tm
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert _module_containers() == before
+
+
+# ---------------------------------------------------------------------------
+# Grids refused before anything is allocated
+
+
+def test_grid_over_memory_budget_is_refused():
+    assert MAX_NODES_PER_AXIS >= 2000  # far above the ~780 nodes of real sweeps
+    GridSpec(MAX_NODES_PER_AXIS)
+    for nodes in (MAX_NODES_PER_AXIS + 1, 100_000_000):
+        with pytest.raises(GridTooLargeError):
+            GridSpec(nodes)
+    with pytest.raises(GridTooLargeError):
+        GridSpec(100_000_000, rule=Rule.GAUSS_HERMITE)
+
+
+def test_suggested_grid_over_budget_is_refused():
+    with pytest.raises(GridTooLargeError):
+        suggested_grid(NOON, JS, [1e6])
+
+
+@pytest.mark.parametrize("nodes", [371, 372, 400, 600, 800])  # 371: all weights underflow to 0
+def test_gauss_hermite_past_finite_weights_is_refused(nodes):
+    with pytest.raises(ValueError, match="gauss-hermite"):
+        GridSpec(nodes, rule=Rule.GAUSS_HERMITE)
+
+
+def test_gauss_hermite_below_the_limit_stays_finite():
+    grid = GridSpec(320, rule=Rule.GAUSS_HERMITE)
+    assert np.isfinite(integrate_R(HOMI, JS, [0.9], grid))
