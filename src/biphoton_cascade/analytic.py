@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .cascade import TransferMatrix, combo_dot, combo_is_zero, combo_neg
+from .cascade import TransferMatrix, combo_dot, combo_is_zero
 from .spectra import ExchangeSymmetry, JointSpectrum
 
 __all__ = [
@@ -36,19 +35,6 @@ __all__ = [
     "render_text",
     "render_latex",
 ]
-
-
-def _canonical_arg(combo):
-    """Flip the sign so the first nonzero coefficient is positive.
-
-    Valid because every factor of a term is even in its own argument.
-    """
-    for c in combo:
-        if c > 0:
-            return combo
-        if c < 0:
-            return combo_neg(combo)
-    return combo
 
 
 @dataclass(frozen=True)
@@ -80,19 +66,6 @@ class AnalyticModel:
             if t.is_constant:
                 return t.coeff
         return Fraction(0)
-
-
-def _merge(terms, n_delays, symmetry, raw_baseline) -> AnalyticModel:
-    merged: dict = {}
-    for coeff, plus_arg, minus_arg in terms:
-        key = (_canonical_arg(plus_arg), _canonical_arg(minus_arg))
-        merged[key] = merged.get(key, Fraction(0)) + coeff
-    out = tuple(
-        CosTerm(coeff, p, m)
-        for (p, m), coeff in sorted(merged.items())
-        if coeff != 0
-    )
-    return AnalyticModel(out, n_delays, symmetry, raw_baseline)
 
 
 class ZeroBaselineError(ValueError):
@@ -151,7 +124,10 @@ def _sum_by_key(keys, values):
 
 
 def _canonical_rows(x):
-    """Row-wise ``_canonical_arg``: first nonzero entry made positive."""
+    """Each row with its first nonzero entry made positive.
+
+    Valid because every factor of a term is even in its own argument.
+    """
     first = x[np.arange(len(x)), np.argmax(x != 0, axis=1)]
     return x * np.sign(first)[:, None]
 
@@ -285,13 +261,16 @@ def swap_rule(model: AnalyticModel) -> AnalyticModel:
     """Model for the swapped input state (|1,1> <-> |2002>).
 
     Exchanges the sum/difference roles of every argument and flips the
-    sign of all non-constant coefficients.
+    sign of all non-constant coefficients.  Swapping is one-to-one on
+    canonical argument pairs, so the terms only need re-sorting.
     """
-    swapped = []
-    for t in model.terms:
-        coeff = t.coeff if t.is_constant else -t.coeff
-        swapped.append((coeff, t.minus_arg, t.plus_arg))
-    return _merge(swapped, model.n_delays, model.symmetry, model.raw_baseline)
+    swapped = sorted(
+        (CosTerm(t.coeff if t.is_constant else -t.coeff, t.minus_arg, t.plus_arg)
+         for t in model.terms),
+        key=lambda t: (t.plus_arg, t.minus_arg),
+    )
+    return AnalyticModel(tuple(swapped), model.n_delays, model.symmetry,
+                         model.raw_baseline)
 
 
 def antisymmetric_equivalence_check(tm_a: TransferMatrix,
@@ -302,37 +281,52 @@ def antisymmetric_equivalence_check(tm_a: TransferMatrix,
     return model_a.terms == model_b.terms
 
 
-def _max_abs_corr_product(js: JointSpectrum, p_fix: float, p_slope: float,
-                          m_fix: float, m_slope: float) -> float:
-    """max over t of |corr_plus(p_fix + p_slope t) * corr_minus(m_fix + m_slope t)|."""
+def _corr_product_peaks(js: JointSpectrum, fix, slope):
+    """max over t of |corr_plus(fix_+ + slope_+ t) * corr_minus(fix_- + slope_- t)|.
 
-    def neg_mag(t):
-        return -abs(js.plus.corr(p_fix + p_slope * t)) * abs(
-            js.minus.corr(m_fix + m_slope * t)
-        )
-
-    if p_slope == 0 and m_slope == 0:
-        return -neg_mag(0.0)
-    # Bracket with a dense scan, then polish; the factors decay like
-    # Gaussians so a generous window suffices.
-    sig = min(s for s, sl in ((js.plus.sigma, p_slope), (js.minus.sigma, m_slope)) if sl)
-    centers = []
-    if p_slope:
-        centers.append(-p_fix / p_slope)
-    if m_slope:
-        centers.append(-m_fix / m_slope)
-    lo = min(centers) - 10.0 / sig
-    hi = max(centers) + 10.0 / sig
-    grid = np.linspace(lo, hi, 4001)
-    values = -(
-        np.abs(js.plus.corr(p_fix + p_slope * grid))
-        * np.abs(js.minus.corr(m_fix + m_slope * grid))
-    )
-    best = int(np.argmin(values))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-    res = minimize_scalar(neg_mag, bounds=(a, b), method="bounded")
-    return max(-res.fun, -values[best])
+    ``fix`` and ``slope`` are ``(K, 2)`` arrays, plus then minus argument;
+    one peak per row.  Each factor is poly(q) exp(-q/2) with q = (sigma x)^2
+    and poly = 1 (Gaussian) or 1 - q (first Hermite-Gaussian).  With t
+    shifted to the minimum of the summed q and scaled by its curvature, each
+    sigma x is alpha + beta v with beta_+^2 + beta_-^2 = 1, and the product
+    is P(v) exp(-(q_min + v^2)/2).  A nonzero slope makes that vanish at
+    both ends, so its largest magnitude is at a real root of P' - v P
+    (degree <= 5).  The candidates are the real parts of all roots, plus
+    t = 0, which alone serves when both slopes vanish: every candidate is
+    a real point and the maximiser is among them, so no root is filtered.
+    """
+    sigma = np.array([js.plus.sigma, js.minus.sigma])
+    rate = sigma * slope
+    curvature = (rate ** 2).sum(axis=1)
+    scale = np.sqrt(np.where(curvature > 0, curvature, 1.0))
+    t0 = -(rate * sigma * fix).sum(axis=1) / scale ** 2
+    alpha = sigma * fix + rate * t0[:, None]
+    beta = rate / scale[:, None]
+    # P(v) and then P' - v P as coefficient rows, lowest power first.
+    poly = np.zeros((len(fix), 6))
+    poly[:, 0] = 1.0
+    for col, profile in enumerate((js.plus, js.minus)):
+        if profile.is_odd:
+            a, b = alpha[:, col:col + 1], beta[:, col:col + 1]
+            poly = poly * (1 - a * a) - 2 * a * b * np.roll(poly, 1, axis=1) \
+                - b * b * np.roll(poly, 2, axis=1)
+    stationary = np.roll(poly * np.arange(6), -1, axis=1) - np.roll(poly, 1, axis=1)
+    nonzero = stationary != 0
+    # Overflowed rows get no roots and a NaN peak, so they are never dropped.
+    finite = np.isfinite(stationary).all(axis=1)
+    degree = np.where(finite & nonzero.any(axis=1),
+                      5 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    candidates = np.zeros((len(fix), 6))
+    for d in set(degree.tolist()) - {0}:
+        rows = degree == d
+        companion = np.zeros((rows.sum(), d, d))
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        companion[:, :, -1] = -stationary[rows, :d] / stationary[rows, d:d + 1]
+        roots = np.linalg.eigvals(companion).real
+        candidates[rows, 1:d + 1] = t0[rows, None] + roots / scale[rows, None]
+    x = fix[:, :, None] + slope[:, :, None] * candidates[:, None, :]
+    peaks = np.abs(js.plus.corr(x[:, 0]) * js.minus.corr(x[:, 1])).max(axis=1)
+    return np.where(finite, peaks, np.nan)
 
 
 def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
@@ -342,6 +336,8 @@ def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
     ``fixed`` maps every non-swept delay index to its value.  The carrier
     is bounded by 1, so the peak of each term is the maximum of
     |coeff| * |corr_plus| * |corr_minus| over the swept delay's real line.
+    ``model`` is taken as ``expand`` returns it (canonical, merged and
+    sorted); the kept terms are an in-order subset of it.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
@@ -350,21 +346,14 @@ def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
         raise ValueError(f"fixed delays missing indices {sorted(missing)}")
     # The swept delay at 0.0 adds an exact zero, leaving the fixed part.
     at_origin = [0.0 if i == swept else fixed[i] for i in range(model.n_delays)]
-    kept = []
-    for term in model.terms:
-        if term.is_constant:
-            kept.append((term.coeff, term.plus_arg, term.minus_arg))
-            continue
-        p_fix = combo_dot(term.plus_arg, at_origin)
-        m_fix = combo_dot(term.minus_arg, at_origin)
-        p_slope = float(term.plus_arg[swept])
-        m_slope = float(term.minus_arg[swept])
-        peak = abs(float(term.coeff)) * _max_abs_corr_product(
-            js, p_fix, p_slope, m_fix, m_slope
-        )
-        if peak >= threshold:
-            kept.append((term.coeff, term.plus_arg, term.minus_arg))
-    return _merge(kept, model.n_delays, model.symmetry, model.raw_baseline)
+    args = np.array([(t.plus_arg, t.minus_arg) for t in model.terms],
+                    dtype=float).reshape(len(model.terms), 2, model.n_delays)
+    coeffs = np.array([t.coeff for t in model.terms], dtype=float)
+    peaks = np.abs(coeffs) * _corr_product_peaks(
+        js, combo_dot(args, at_origin), args[:, :, swept])
+    kept = tuple(t for t, peak in zip(model.terms, peaks)
+                 if t.is_constant or not peak < threshold)
+    return AnalyticModel(kept, model.n_delays, model.symmetry, model.raw_baseline)
 
 
 def _render_combo(combo, latex: bool) -> str:

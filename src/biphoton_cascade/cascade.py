@@ -50,10 +50,6 @@ def combo_add(a: DelayCombo, b: DelayCombo) -> DelayCombo:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def combo_neg(a: DelayCombo) -> DelayCombo:
-    return tuple(-x for x in a)
-
-
 def combo_is_zero(a: DelayCombo) -> bool:
     return all(x == 0 for x in a)
 
@@ -62,9 +58,9 @@ def combo_dot(combo, taus):
     """Numeric value of the combination at concrete delays.
 
     Each delay may be a scalar or an array; the result broadcasts over
-    them.  ``combo`` may also be a stacked ``(K, n_delays)`` float array
-    of combinations (``ExpSum.arrays``); at scalar delays that gives the
-    K values at once.  This is the one place a combination becomes a
+    them.  ``combo`` may also be a stacked ``(..., n_delays)`` float array
+    of combinations (``ExpSum.arrays``); at scalar delays that gives all
+    their values at once.  This is the one place a combination becomes a
     number.
     """
     if isinstance(combo, np.ndarray):

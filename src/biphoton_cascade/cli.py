@@ -1,7 +1,8 @@
 """Command-line surface: experiment configs in, derivations/CSV/SVG out.
 
 Exit codes: 0 success; 1 validation invariant failure; 2 config parse
-failure, including a bad sweep section, a sweep window too short to
+failure, including a bad sweep section, a missing one where a command
+sweeps or prunes, a negative prune threshold, a sweep window too short to
 reconstruct from, a cascade with no large-delay coincidences, or delays
 whose suggested quadrature grid exceeds the memory budget; 3
 cross-backend disagreement above tolerance; 4 missing or undersampled
@@ -57,6 +58,12 @@ def _require_config(args) -> ExperimentConfig:
     return load_config(args.config)
 
 
+def _require_sweep(config: ExperimentConfig):
+    if config.sweep is None:
+        raise ConfigError("config has no sweep section")
+    return config.sweep
+
+
 def _model(config: ExperimentConfig):
     tm = compose(config.cascade)
     model = expand(tm, config.spectrum.symmetry)
@@ -74,14 +81,13 @@ def _write_text(path, text: str) -> None:
 def cmd_derive(args) -> int:
     config = _require_config(args)
     tm, model = _model(config)
-    if args.prune and config.sweep is not None:
+    if args.prune:
+        spec = _require_sweep(config)
         threshold = config.prune_threshold
         if threshold is None:
             threshold = 1e-6
-        model = asymptotic_prune(
-            model, config.sweep.fixed, config.sweep.swept,
-            config.spectrum, threshold,
-        )
+        model = asymptotic_prune(model, spec.fixed, spec.swept,
+                                 config.spectrum, threshold)
     lines = [render_text(model)]
     if args.latex:
         lines.append(render_latex(model))
@@ -93,15 +99,12 @@ def cmd_derive(args) -> int:
 def _backend_traces(config: ExperimentConfig, backend_name: str):
     """Sweep with the requested backend(s); returns (primary, secondary)."""
     tm, model = _model(config)
-    if config.sweep is None:
-        raise ConfigError("config has no sweep section")
+    spec = _require_sweep(config)
     primary = secondary = None
     if backend_name in ("analytic", "both"):
-        primary = sweep(AnalyticBackend(model, config.spectrum), config.sweep)
+        primary = sweep(AnalyticBackend(model, config.spectrum), spec)
     if backend_name in ("quadrature", "both"):
-        trace = sweep(
-            QuadratureBackend(tm, config.spectrum, config.grid), config.sweep
-        )
+        trace = sweep(QuadratureBackend(tm, config.spectrum, config.grid), spec)
         if primary is None:
             primary = trace
         else:
@@ -129,13 +132,12 @@ def cmd_sweep(args) -> int:
 def cmd_envelope(args) -> int:
     config = _require_config(args)
     tm, model = _model(config)
-    if config.sweep is None:
-        raise ConfigError("config has no sweep section")
-    trace = sweep(AnalyticBackend(model, config.spectrum), config.sweep)
+    spec = _require_sweep(config)
+    trace = sweep(AnalyticBackend(model, config.spectrum), spec)
     if args.numeric:
         env = envelopes_numeric(trace, config.spectrum.pump_frequency)
     else:
-        env = envelopes_analytic(model, config.spectrum, config.sweep)
+        env = envelopes_analytic(model, config.spectrum, spec)
     write_trace_csv(args.out or "envelope.csv", trace, env)
     return EXIT_OK
 
@@ -143,12 +145,11 @@ def cmd_envelope(args) -> int:
 def cmd_reconstruct(args) -> int:
     config = _require_config(args)
     tm, model = _model(config)
-    if config.sweep is None:
-        raise ConfigError("config has no sweep section")
+    spec = _require_sweep(config)
     if all(combo_is_zero(term.plus_arg) for term in model.terms):
         sys.stderr.write("error: cascade has no carrier to demodulate\n")
         return EXIT_CARRIER
-    trace = sweep(AnalyticBackend(model, config.spectrum), config.sweep)
+    trace = sweep(AnalyticBackend(model, config.spectrum), spec)
     env = envelopes_numeric(trace, config.spectrum.pump_frequency)
     (w_minus, i_minus), (w_plus, i_plus) = reconstruct_spectra(env)
     sigma_minus = fit_gaussian_sigma(w_minus, i_minus)

@@ -198,13 +198,16 @@ def parse_config(text: str) -> ExperimentConfig:
     backend = values.get("backend", "analytic")
     if backend not in ("analytic", "quadrature", "both"):
         raise ConfigError(f"backend: {backend!r} is not analytic/quadrature/both")
+    prune_threshold = _get_float(values, "prune.threshold")
+    if prune_threshold is not None and prune_threshold < 0:
+        raise ConfigError(f"prune.threshold: must be >= 0, got {prune_threshold!r}")
     return ExperimentConfig(
         cascade=cascade,
         spectrum=spectrum,
         sweep=sweep,
         backend=backend,
         grid=_parse_grid(values),
-        prune_threshold=_get_float(values, "prune.threshold"),
+        prune_threshold=prune_threshold,
     )
 
 

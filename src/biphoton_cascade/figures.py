@@ -26,8 +26,6 @@ from .spectra import ExchangeSymmetry
 
 __all__ = ["FIGURES", "generate_figures", "render_svg"]
 
-CLASS_NAMES = ("anticorrelated", "correlated", "uncorrelated")
-
 
 @dataclass(frozen=True)
 class FigureSpec:
@@ -73,8 +71,8 @@ def generate_figures(out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for fig in FIGURES:
-        for class_name in CLASS_NAMES:
-            trace, env = _figure_trace(fig, CLASS_SIGMAS[class_name])
+        for class_name, sigmas in CLASS_SIGMAS.items():
+            trace, env = _figure_trace(fig, sigmas)
             stem = f"{fig.preset}_{class_name}"
             csv_path = os.path.join(out_dir, stem + ".csv")
             write_trace_csv(csv_path, trace, env)

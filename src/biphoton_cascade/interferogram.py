@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import analytic
 from .analytic import AnalyticModel
@@ -275,6 +274,8 @@ def reconstruct_spectra(env: EnvelopePair, satellite_delay: Optional[float] = No
 
 def fit_gaussian_sigma(omega: np.ndarray, intensity: np.ndarray) -> float:
     """Linewidth of a peak-normalized spectral intensity exp(-W^2/2 s^2)."""
+    # Imported here so that importing the package does not load SciPy.
+    from scipy.optimize import curve_fit
 
     def model(w, amp, sig):
         return amp * np.exp(-(w**2) / (2.0 * sig**2))
@@ -340,9 +341,6 @@ def detect_structures(trace: Trace, baseline: float,
         ) if len(interior) > 2 else 1
         structures.append(Structure(center, visibility, overlapped=peaks > 1))
     return structures
-
-
-_FLOAT_FMT = "%.17g"
 
 
 def write_trace_csv(path_or_buffer, trace: Trace,

@@ -6,7 +6,10 @@ difference-frequency argument combo), with both argument combos in
 canonical sign (first nonzero delay coefficient positive).
 """
 
+import dataclasses
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from biphoton_cascade.analytic import (
     CosTerm,
     ZeroBaselineError,
+    _corr_product_peaks,
     antisymmetric_equivalence_check,
     asymptotic_prune,
     evaluate,
@@ -25,6 +29,7 @@ from biphoton_cascade.analytic import (
     swap_rule,
 )
 from biphoton_cascade.cascade import CascadeConfig, compose
+from biphoton_cascade.config import load_config
 from biphoton_cascade.interferogram import (
     AnalyticBackend,
     SweepSpec,
@@ -32,7 +37,8 @@ from biphoton_cascade.interferogram import (
     sweep,
 )
 from biphoton_cascade.presets import CLASS_SIGMAS, make_spectrum, preset_cascade
-from biphoton_cascade.spectra import ExchangeSymmetry
+from biphoton_cascade.spectra import ExchangeSymmetry, ProfileKind, SpectralProfile
+from test_expand import cascades as expand_cascades
 
 F = Fraction
 
@@ -186,9 +192,11 @@ def test_prune_keeps_marginal_terms_at_tight_threshold():
                                 threshold=1e-6).terms) == 13
 
 
-def test_prune_is_sound_numerically():
-    js = make_spectrum(1.0, 1.0)
-    model = model_for("three_param_11")
+@pytest.mark.parametrize("symmetry", list(ExchangeSymmetry),
+                         ids=["symmetric", "antisymmetric"])
+def test_prune_is_sound_numerically(symmetry):
+    js = make_spectrum(1.0, 1.0, symmetry)
+    model = model_for("three_param_11", symmetry)
     threshold = 1e-6
     pruned = asymptotic_prune(model, {0: 8.0, 1: 22.0}, swept=2, js=js,
                               threshold=threshold)
@@ -196,7 +204,140 @@ def test_prune_is_sound_numerically():
     full = evaluate(model, js, [8.0, 22.0, taus3])
     approx = evaluate(pruned, js, [8.0, 22.0, taus3])
     dropped = len(model.terms) - len(pruned.terms)
+    assert dropped > 0
     assert np.abs(full - approx).max() <= dropped * threshold
+
+
+def test_prune_keeps_terms_whose_peak_overflows():
+    # At tau_1 = 1e200 the Hermite-Gaussian g- factors overflow to NaN;
+    # a term whose peak cannot be computed is kept, never dropped.
+    antisymmetric = ExchangeSymmetry.ANTISYMMETRIC
+    js = make_spectrum(1.0, 1.0, antisymmetric)
+    model = model_for("two_param_11", antisymmetric)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pruned = asymptotic_prune(model, {0: 1e200}, swept=1, js=js, threshold=1e-2)
+    overflowing = {t for t in model.terms if t.minus_arg[0]}
+    assert overflowing and overflowing <= set(pruned.terms)
+
+
+def sampled_peak(js, fix, slope):
+    """Largest sampled |corr_plus * corr_minus| along t, independent of the
+    closed form: a grid over both centres, refined around each local maximum."""
+
+    def magnitude(t):
+        return np.abs(js.plus.corr(fix[0] + slope[0] * t)
+                      * js.minus.corr(fix[1] + slope[1] * t))
+
+    moving = slope != 0
+    if not moving.any():
+        return float(magnitude(0.0))
+    centres = -fix[moving] / slope[moving]
+    reach = 10.0 / min(js.plus.sigma, js.minus.sigma)
+    grid = np.linspace(centres.min() - reach, centres.max() + reach, 20001)
+    values = magnitude(grid)
+    step = grid[1] - grid[0]
+    best = values.max()
+    tops = np.flatnonzero((values[1:-1] > values[:-2]) & (values[1:-1] >= values[2:])) + 1
+    for i in tops:
+        best = max(best, magnitude(np.linspace(grid[i] - step, grid[i] + step, 2001)).max())
+    return float(best)
+
+
+SPECTRA = sorted(CLASS_SIGMAS) + ["hermite_gaussian_plus"]
+
+
+@given(
+    cascade=expand_cascades(),
+    symmetry=st.sampled_from(ExchangeSymmetry),
+    spectrum=st.sampled_from(SPECTRA),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_term_peaks_match_a_dense_sample(cascade, symmetry, spectrum, data):
+    try:
+        model = expand(compose(cascade), symmetry)
+    except ZeroBaselineError:
+        assume(False)  # nothing to normalize by
+    if spectrum in CLASS_SIGMAS:
+        js = make_spectrum(*CLASS_SIGMAS[spectrum], symmetry)
+    else:
+        js = dataclasses.replace(
+            make_spectrum(1.0, 0.1, symmetry),
+            plus=SpectralProfile(ProfileKind.HERMITE_GAUSSIAN1, 1.0))
+    n = cascade.n_delays
+    swept = data.draw(st.integers(0, n - 1))
+    delay = st.floats(-15.0, 15.0, allow_nan=False)
+    at_origin = [0.0 if i == swept else data.draw(delay) for i in range(n)]
+    terms = [t for t in model.terms if not t.is_constant]
+    args = np.array([(t.plus_arg, t.minus_arg) for t in terms],
+                    dtype=float).reshape(len(terms), 2, n)
+    fix, slope = args @ np.array(at_origin), args[:, :, swept]
+    peaks = _corr_product_peaks(js, fix, slope)
+    for peak, f, s in zip(peaks, fix, slope):
+        sampled = sampled_peak(js, f, s)
+        # Never below the sample, up to rounding in evaluating the factors,
+        # so pruning on the peak drops nothing that matters.
+        assert peak >= sampled * (1 - 1e-12)
+        assert peak == pytest.approx(sampled, rel=1e-6, abs=1e-300)
+
+
+# Frozen pruned models of the shipped configs at their sweep's fixed
+# delays, made by the scan-and-polish search that preceded the closed-form
+# peaks: config -> ((term count, SHA-256 of render_text)
+# at threshold 1e-6, the same at 1e-2).
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+HOMI = "fe426898f9078be4ba67aa76637c060d8640c673e74e4844c3d8c677861ccf9c"
+NOON = "c5093d1293541d9974d3eeb39fc6ab1d45ec36f0d7d902422f61bbcd447a6c86"
+TWO_11 = "f82fd8b23b9e4cb74f2e4042d5d4d1bcbe0e155db08a05025d567fb87dd871a0"
+TWO_11_CUT = "63ccb7a20ab458d2c38cc5d9616c437b22f9d4310a0b30f42ce8c77000626ecd"
+TWO_2002 = "cc8ec85ded8be42f9343cc1f867550a85fffef7e7197d0ae4922cc3c7b9864a9"
+TWO_2002_CUT = "8e8e1700ea1a254689287751ee319d1b828094bfe854d1975d5ad3d6bdcb9797"
+
+FROZEN_PRUNED = {
+    "homi_anticorrelated": ((2, HOMI), (2, HOMI)),
+    "homi_correlated": ((2, HOMI), (2, HOMI)),
+    "homi_uncorrelated": ((2, HOMI), (2, HOMI)),
+    "noon_anticorrelated": ((2, NOON), (2, NOON)),
+    "noon_correlated": ((2, NOON), (2, NOON)),
+    "noon_uncorrelated": ((2, NOON), (2, NOON)),
+    "three_param_11_anticorrelated": (
+        (20, "464fccb5ccdc28408cf153274c00064971e2ffe6c04ed65d8386b5ae5bd65612"),
+        (18, "923ef88a49f9e326c61b4b4f73da7b5a1c8791f5716279783860dbb6f96da1f6")),
+    "three_param_11_correlated": (
+        (21, "f749e5e0f6ec202fa6360542eed57fb0ac92a8f9a43be51c392d48f37c5fffee"),
+        (20, "30031cc6d1125f6f8d71059097731a6d53d7da83da5b8b3b936cf8ae22effd7c")),
+    "three_param_11_uncorrelated": (
+        (13, "c59eb7f5e7034e65069e3189c2484dd49d6516f54ee13f83c48f6e9d4fdb0bb6"),
+        (11, "2f9d00fc1521929b29ddf286ebeb7f9bc48d7cda16ce7ae3db9d9daa0d6a9f91")),
+    "three_param_2002_anticorrelated": (
+        (21, "d2a2a834da2f0b35ea78ecefcbd82bc271b171ba81692899eb79c16f9d0d2aa4"),
+        (20, "9304ae28703c875bb12e1cce6d92bdbef5411d3e5ad4cec940ace9c4fa7d329d")),
+    "three_param_2002_correlated": (
+        (20, "ce2e47c34e5e214c77c1b188331a5e8e2741003cfba0d0ff11bb4c15345105f7"),
+        (18, "ee67cc43e411ef6aded7847f9c3bd9b0709be3b869647c8ca32f5b88e1164ef3")),
+    "three_param_2002_uncorrelated": (
+        (13, "c0eae7dae97b9a280bcc4e11ef19702c4eda7c2b37ed0736602ae344d62ddbbc"),
+        (11, "54c6637c2a14832f806b6a669f50ca5bfbe907556b8316df341aa79d509cbafe")),
+    "two_param_11_anticorrelated": ((6, TWO_11), (5, TWO_11_CUT)),
+    "two_param_11_correlated": ((6, TWO_11), (6, TWO_11)),
+    "two_param_11_uncorrelated": ((6, TWO_11), (5, TWO_11_CUT)),
+    "two_param_2002_anticorrelated": ((6, TWO_2002), (6, TWO_2002)),
+    "two_param_2002_correlated": ((6, TWO_2002), (5, TWO_2002_CUT)),
+    "two_param_2002_uncorrelated": ((6, TWO_2002), (5, TWO_2002_CUT)),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(FROZEN_PRUNED))
+def test_frozen_pruned_config_models(stem):
+    config = load_config(CONFIG_DIR / f"{stem}.cfg")
+    model = expand(compose(config.cascade), config.spectrum.symmetry)
+    for threshold, expected in zip((1e-6, 1e-2), FROZEN_PRUNED[stem]):
+        pruned = asymptotic_prune(model, config.sweep.fixed, config.sweep.swept,
+                                  config.spectrum, threshold)
+        text = render_text(pruned)
+        assert (len(pruned.terms), hashlib.sha256(text.encode()).hexdigest()) == expected
 
 
 # ---------------------------------------------------------------------------

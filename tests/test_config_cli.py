@@ -83,6 +83,7 @@ def test_parse_config_grid_section():
         "cascade.preset = two_param_11\nsweep.swept = 1\nsweep.fixed.0 = -inf\n",
         "cascade.preset = noon\ngrid.nodes = 100000000\n",  # over the memory budget
         "cascade.preset = homi\ngrid.nodes = 400\ngrid.rule = gauss-hermite\n",
+        "cascade.preset = noon\nsweep.swept = 0\nprune.threshold = -1\n",
     ],
 )
 def test_parse_config_rejects_malformed(text):
@@ -234,6 +235,32 @@ def test_unusable_quadrature_grid_is_config_error(tmp_path, text, message):
     assert "Traceback" not in result.stderr
     assert result.stderr.count("\n") == 1
     assert message in result.stderr
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("cascade.preset = noon\nsweep.swept = 0\nprune.threshold = -1\n",
+         "config error: prune.threshold: must be >= 0, got -1.0\n"),
+        ("cascade.preset = noon\n", "config error: config has no sweep section\n"),
+    ],
+    ids=["negative_threshold", "no_sweep"],
+)
+def test_derive_prune_needs_a_usable_sweep_and_threshold(tmp_path, text, message):
+    path = write(tmp_path, "prune.cfg", text)
+    result = run_cli("derive", "--prune", "--config", path)
+    assert result.returncode == 2
+    assert result.stderr == message
+    assert result.stdout == ""
+
+
+def test_package_import_loads_no_scipy():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, biphoton_cascade; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_missing_config_file_is_io_error(tmp_path):
