@@ -28,6 +28,7 @@ __all__ = [
     "AnalyticModel",
     "ZeroBaselineError",
     "expand",
+    "term_blocks",
     "evaluate",
     "swap_rule",
     "antisymmetric_equivalence_check",
@@ -238,23 +239,89 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     return AnalyticModel(tuple(terms), n, symmetry, raw_baseline)
 
 
-def evaluate(model: AnalyticModel, js: JointSpectrum, taus):
-    """Numeric R_N at concrete delays (entries may be numpy arrays)."""
+#: Samples per block of the broadcast delays in ``evaluate`` and
+#: ``envelopes_analytic``.  One block's argument rows stay in cache, and the
+#: memory held at once does not grow with the sweep.
+CHUNK = 8192
+#: Floats of argument rows one block may hold (32 MiB); models with many
+#: distinct arguments (thousands from 6 delays on) get shorter blocks.
+_ROW_BUDGET = 1 << 22
+
+
+def term_blocks(model: AnalyticModel, js: JointSpectrum, taus, carrier=True):
+    """Each term's factors over blocks of the broadcast delays.
+
+    Yields ``(block, factors)`` per block of at most ``CHUNK`` samples
+    (fewer when the argument rows would pass ``_ROW_BUDGET``), ``block`` a
+    slice of the flattened broadcast shape (scalar delays are one block of
+    one).  ``factors`` holds ``(coeff, cos, plus, minus)`` per
+    term, in model order: cos(pump_frequency * p), corr_plus(p) and
+    corr_minus(m) at the term's arguments, each None for a zero argument,
+    and ``cos`` None unless ``carrier``.  Every distinct argument is
+    evaluated once per block, through ``combo_dot``, and its rows are
+    shared by every term that has it.  Rows of arguments that only read
+    scalar delays are scalars.
+    """
     if js.symmetry is not model.symmetry:
         raise ValueError("joint spectrum symmetry does not match the model")
     if len(taus) != model.n_delays:
         raise ValueError(f"expected {model.n_delays} delays, got {len(taus)}")
-    total = 0.0
+    plus_args, minus_args, plan = {}, {}, []
     for term in model.terms:
-        value = float(term.coeff)
-        if not combo_is_zero(term.plus_arg):
-            arg = combo_dot(term.plus_arg, taus)
-            value = value * np.cos(js.pump_frequency * arg) * js.plus.corr(arg)
-        if not combo_is_zero(term.minus_arg):
-            arg = combo_dot(term.minus_arg, taus)
-            value = value * js.minus.corr(arg)
-        total = total + value
-    return total
+        p = None if combo_is_zero(term.plus_arg) \
+            else plus_args.setdefault(term.plus_arg, len(plus_args))
+        m = None if combo_is_zero(term.minus_arg) \
+            else minus_args.setdefault(term.minus_arg, len(minus_args))
+        plan.append((float(term.coeff), p, m))
+    # Float coefficients give combo_dot the same products, converted once.
+    plus_args = [tuple(map(float, arg)) for arg in plus_args]
+    minus_args = [tuple(map(float, arg)) for arg in minus_args]
+    taus = [np.asarray(t, dtype=float) for t in taus]
+    shape = np.broadcast_shapes(*(t.shape for t in taus))
+    # A basic slice of a 1-D delay is a view; more dimensions are read
+    # flat, one block at a time, from the broadcast view.
+    taus = [t if t.ndim == 0 else np.broadcast_to(t, shape) for t in taus]
+    flat = len(shape) > 1
+    size = math.prod(shape)
+    rows = 2 * len(plus_args) + len(minus_args)
+    step = max(1, min(CHUNK, _ROW_BUDGET // max(rows, 1)))
+    for start in range(0, size, step):
+        block = slice(start, min(start + step, size))
+        at = [t if t.ndim == 0 else (t.flat[block] if flat else t[block])
+              for t in taus]
+        cos, plus, minus = [], [], []
+        for arg in plus_args:
+            x = combo_dot(arg, at)
+            cos.append(np.cos(js.pump_frequency * x) if carrier else None)
+            plus.append(js.plus.corr(x))
+        for arg in minus_args:
+            minus.append(js.minus.corr(combo_dot(arg, at)))
+        yield block, [(coeff,
+                       None if p is None else cos[p],
+                       None if p is None else plus[p],
+                       None if m is None else minus[m])
+                      for coeff, p, m in plan]
+
+
+def evaluate(model: AnalyticModel, js: JointSpectrum, taus):
+    """Numeric R_N at concrete delays (entries may be numpy arrays).
+
+    The result has the delays' broadcast shape; scalar delays give a
+    scalar.
+    """
+    shape = np.broadcast_shapes(*(np.shape(t) for t in taus))
+    out = np.empty(math.prod(shape))
+    for block, factors in term_blocks(model, js, taus):
+        total = 0.0
+        for coeff, cos, plus, minus in factors:
+            value = coeff
+            if plus is not None:
+                value = value * cos * plus
+            if minus is not None:
+                value = value * minus
+            total = total + value
+        out[block] = total
+    return out.reshape(shape)[()]
 
 
 def swap_rule(model: AnalyticModel) -> AnalyticModel:
@@ -263,6 +330,11 @@ def swap_rule(model: AnalyticModel) -> AnalyticModel:
     Exchanges the sum/difference roles of every argument and flips the
     sign of all non-constant coefficients.  Swapping is one-to-one on
     canonical argument pairs, so the terms only need re-sorting.
+
+    For a symmetric spectrum this is the model of the cascade with a
+    delay-free splitter prepended only when each delay labels at most one
+    splitter and there is no input delay; with a repeated label, e.g.
+    [1, 0, 1], the two differ.
     """
     swapped = sorted(
         (CosTerm(t.coeff if t.is_constant else -t.coeff, t.minus_arg, t.plus_arg)

@@ -1,10 +1,11 @@
 """Command-line surface: experiment configs in, derivations/CSV/SVG out.
 
 Exit codes: 0 success; 1 validation invariant failure; 2 config parse
-failure, including a bad sweep section, a missing one where a command
-sweeps or prunes, a negative prune threshold, a sweep window too short to
-reconstruct from, a cascade with no large-delay coincidences, or delays
-whose suggested quadrature grid exceeds the memory budget; 3
+failure, including a bad sweep section or one longer than the sweep
+memory budget, a missing one where a command sweeps or prunes, a
+negative prune threshold, a sweep window too short to reconstruct from,
+a cascade with no large-delay coincidences, or delays whose suggested
+quadrature grid exceeds the memory budget; 3
 cross-backend disagreement above tolerance; 4 missing or undersampled
 carrier; 5 I/O failure.
 """
@@ -37,6 +38,7 @@ from .interferogram import (
     fit_gaussian_sigma,
     reconstruct_spectra,
     sweep,
+    write_csv_columns,
     write_trace_csv,
 )
 from .quadrature import GridTooLargeError
@@ -157,14 +159,7 @@ def cmd_reconstruct(args) -> int:
     out = args.out or "spectra.csv"
     with open(out, "w") as handle:
         handle.write("omega_minus,intensity_minus,omega_plus,intensity_plus\n")
-        rows = max(len(w_minus), len(w_plus))
-        for i in range(rows):
-            cols = []
-            for arr in (w_minus, i_minus):
-                cols.append(f"{arr[i]:.17g}" if i < len(arr) else "")
-            for arr in (w_plus, i_plus):
-                cols.append(f"{arr[i]:.17g}" if i < len(arr) else "")
-            handle.write(",".join(cols) + "\n")
+        write_csv_columns(handle, [w_minus, i_minus, w_plus, i_plus])
     true_plus = config.spectrum.plus.sigma
     true_minus = config.spectrum.minus.sigma
     report = [

@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analytic import expand
 from .cascade import compose
 from .interferogram import (
@@ -82,19 +84,30 @@ def generate_figures(out_dir: str) -> list[str]:
     return written
 
 
-def _polyline(xs, ys, x0, x1, y0, y1, width, height, pad) -> str:
+#: Points per formatted block of an SVG polyline.
+_SVG_BLOCK = 4096
+
+
+def _write_polyline(fh, xs, ys, x0, x1, y0, y1, width, height, pad) -> None:
+    """Write the points of one polyline, formatted and written in blocks."""
     sx = (width - 2 * pad) / (x1 - x0)
     sy = (height - 2 * pad) / (y1 - y0)
-    pts = " ".join(
-        f"{pad + (x - x0) * sx:.2f},{height - pad - (y - y0) * sy:.2f}"
-        for x, y in zip(xs, ys)
-    )
-    return pts
+    for first in range(0, len(xs), _SVG_BLOCK):
+        last = min(first + _SVG_BLOCK, len(xs))
+        px = pad + (xs[first:last] - x0) * sx
+        py = height - pad - (ys[first:last] - y0) * sy
+        points = np.column_stack((px, py)).ravel().tolist()
+        if first:
+            fh.write(" ")
+        fh.write(" ".join(["%.2f,%.2f"] * (last - first)) % tuple(points))
 
 
 def render_svg(path: str, trace: Trace, env: EnvelopePair = None,
                title: str = "", width: int = 720, height: int = 360) -> None:
-    """Minimal line-plot renderer: trace in black, envelopes dashed gray."""
+    """Minimal line-plot renderer: trace in black, envelopes dashed gray.
+
+    The polylines are streamed to the file in blocks of points.
+    """
     pad = 40.0
     x0, x1 = float(trace.taus[0]), float(trace.taus[-1])
     series = [trace.values]
@@ -107,26 +120,24 @@ def render_svg(path: str, trace: Trace, env: EnvelopePair = None,
     margin = 0.05 * (y1 - y0)
     y0, y1 = y0 - margin, y1 + margin
 
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
-        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" '
-        f'height="{height - 2 * pad}" fill="none" stroke="black"/>',
-    ]
+    polylines = []
     if env is not None:
-        for bound in (env.upper.values, env.lower.values):
-            pts = _polyline(trace.taus, bound, x0, x1, y0, y1, width, height, pad)
-            lines.append(
-                f'<polyline points="{pts}" fill="none" stroke="gray" '
-                'stroke-dasharray="4 3" stroke-width="1"/>'
-            )
-    pts = _polyline(trace.taus, trace.values, x0, x1, y0, y1, width, height, pad)
-    lines.append(
-        f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1"/>'
-    )
-    lines.append("</svg>")
+        polylines += [(bound, 'fill="none" stroke="gray" '
+                              'stroke-dasharray="4 3" stroke-width="1"')
+                      for bound in (env.upper.values, env.lower.values)]
+    polylines.append((trace.values, 'fill="none" stroke="black" stroke-width="1"'))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">\n'
+            f'<rect width="{width}" height="{height}" fill="white"/>\n'
+            f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="14">{title}</text>\n'
+            f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" '
+            f'height="{height - 2 * pad}" fill="none" stroke="black"/>\n'
+        )
+        for ys, style in polylines:
+            fh.write('<polyline points="')
+            _write_polyline(fh, trace.taus, ys, x0, x1, y0, y1, width, height, pad)
+            fh.write(f'" {style}/>\n')
+        fh.write("</svg>\n")

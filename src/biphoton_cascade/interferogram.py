@@ -17,13 +17,14 @@ import numpy as np
 
 from . import analytic
 from .analytic import AnalyticModel
-from .cascade import TransferMatrix, combo_dot, combo_is_zero
+from .cascade import TransferMatrix
 from .quadrature import GridSpec, integrate_R, suggested_grid
 from .spectra import JointSpectrum
 
 __all__ = [
     "UndersampledCarrierError",
     "SweepWindowError",
+    "MAX_SWEEP_SAMPLES",
     "SweepSpec",
     "Trace",
     "EnvelopePair",
@@ -35,6 +36,7 @@ __all__ = [
     "reconstruct_spectra",
     "detect_structures",
     "fit_gaussian_sigma",
+    "write_csv_columns",
     "write_trace_csv",
     "read_trace_csv",
 ]
@@ -46,6 +48,16 @@ class UndersampledCarrierError(ValueError):
 
 class SweepWindowError(ValueError):
     """Sweep window ends before the envelopes have decayed."""
+
+
+#: Sample-length float64 arrays a sweep's analysis may hold at once: a
+#: sweep kept with both kinds of envelope, a reconstruction and a structure
+#: map peaked at about 20 (traced at 10^6 samples).
+_ARRAYS_PER_SAMPLE = 24
+#: Memory budget for those arrays (1 GiB); longer sweeps are refused
+#: before anything is allocated.
+SWEEP_MEMORY_BUDGET = 1 << 30
+MAX_SWEEP_SAMPLES = SWEEP_MEMORY_BUDGET // (8 * _ARRAYS_PER_SAMPLE)
 
 
 @dataclass(frozen=True)
@@ -61,6 +73,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError("samples must be >= 2")
+        if self.samples > MAX_SWEEP_SAMPLES:
+            raise ValueError(
+                f"{self.samples} samples exceed the sweep memory budget: at "
+                f"most {MAX_SWEEP_SAMPLES} fit {SWEEP_MEMORY_BUDGET >> 30} GiB"
+            )
         if not self.start < self.stop:
             raise ValueError("start must be < stop")
 
@@ -146,8 +163,6 @@ def sweep(backend, spec: SweepSpec) -> Trace:
     taus = spec.delay_vectors(backend.n_delays)
     grid = taus[spec.swept]
     values = np.asarray(backend.response(taus), dtype=float)
-    if values.shape != grid.shape:  # no term depends on the swept delay
-        values = np.full(grid.shape, values)
     meta = {"fixed": dict(spec.fixed), "swept": spec.swept}
     return Trace(grid, values, meta)
 
@@ -161,23 +176,24 @@ def envelopes_analytic(model: AnalyticModel, js: JointSpectrum,
     by the sign that maximizes or minimizes the sum).
     """
     taus = spec.delay_vectors(model.n_delays)
-    grid = spec.grid()
-    base = np.zeros_like(grid)
-    swing = np.zeros_like(grid)
-    for term in model.terms:
-        value = float(term.coeff) * np.ones_like(grid)
-        if not combo_is_zero(term.minus_arg):
-            arg = combo_dot(term.minus_arg, taus)
-            value = value * js.minus.corr(arg)
-        if combo_is_zero(term.plus_arg):
-            base = base + value
-        else:
-            arg = combo_dot(term.plus_arg, taus)
-            swing = swing + np.abs(value * js.plus.corr(arg))
+    grid = taus[spec.swept]
+    upper, lower = np.empty_like(grid), np.empty_like(grid)
+    for block, factors in analytic.term_blocks(model, js, taus, carrier=False):
+        base = swing = 0.0
+        for coeff, _, plus, minus in factors:
+            value = coeff
+            if minus is not None:
+                value = value * minus
+            if plus is None:
+                base = base + value
+            else:
+                swing = swing + np.abs(value * plus)
+        upper[block] = base + swing
+        lower[block] = base - swing
     meta = {"fixed": dict(spec.fixed), "swept": spec.swept}
     return EnvelopePair(
-        upper=Trace(grid, base + swing, meta),
-        lower=Trace(grid, base - swing, meta),
+        upper=Trace(grid, upper, meta),
+        lower=Trace(grid, lower, meta),
     )
 
 
@@ -343,23 +359,40 @@ def detect_structures(trace: Trace, baseline: float,
     return structures
 
 
+#: Rows per formatted block in ``write_csv_columns``.
+CSV_BLOCK = 4096
+
+
+def write_csv_columns(handle, columns) -> None:
+    """Write float columns as CSV rows, 17 significant digits each.
+
+    Rows are formatted and written in blocks, never as one string.  A
+    column shorter than the longest leaves its fields empty below its end.
+    """
+    start = 0
+    for stop in sorted({len(c) for c in columns}):
+        live = [c for c in columns if len(c) >= stop]
+        row = ",".join("%.17g" if len(c) >= stop else "" for c in columns) + "\n"
+        for first in range(start, stop, CSV_BLOCK):
+            last = min(first + CSV_BLOCK, stop)
+            values = np.column_stack([c[first:last] for c in live]).ravel()
+            handle.write(row * (last - first) % tuple(values.tolist()))
+        start = stop
+
+
 def write_trace_csv(path_or_buffer, trace: Trace,
                     envelopes: Optional[EnvelopePair] = None) -> None:
     """CSV with header tau,value[,upper,lower], 17-significant-digit floats."""
     own = isinstance(path_or_buffer, (str, bytes))
     handle = open(path_or_buffer, "w") if own else path_or_buffer
     try:
+        columns = [trace.taus, trace.values]
         if envelopes is None:
             handle.write("tau,value\n")
-            for tau, value in zip(trace.taus, trace.values):
-                handle.write(f"{tau:.17g},{value:.17g}\n")
         else:
             handle.write("tau,value,upper,lower\n")
-            for tau, value, hi, lo in zip(
-                trace.taus, trace.values,
-                envelopes.upper.values, envelopes.lower.values,
-            ):
-                handle.write(f"{tau:.17g},{value:.17g},{hi:.17g},{lo:.17g}\n")
+            columns += [envelopes.upper.values, envelopes.lower.values]
+        write_csv_columns(handle, columns)
     finally:
         if own:
             handle.close()

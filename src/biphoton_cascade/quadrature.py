@@ -37,6 +37,11 @@ _BYTES_PER_NODE = 3 * 16
 #: before anything is allocated.
 GRID_MEMORY_BUDGET = 1 << 30
 MAX_NODES_PER_AXIS = math.isqrt(GRID_MEMORY_BUDGET // _BYTES_PER_NODE)
+#: Gauss-Hermite weights are compensated by exp(x^2) at every node.  The
+#: squared roots of H_n sum to n(n-1)/2, so the largest is at least
+#: (n-1)/2, and beyond this many nodes exp(x_max^2) must overflow: such
+#: rules are refused before they are built.
+_MAX_HERMITE_NODES = int(2 * math.log(np.finfo(float).max) + 1)
 
 
 class GridTooLargeError(ValueError):
@@ -71,12 +76,19 @@ class GridSpec:
 
     @cached_property
     def _hermite(self):
-        """Gauss-Hermite (nodes, weights, exp(nodes^2)), computed once per grid."""
-        with np.errstate(all="ignore"):  # large rules under/overflow: checked below
-            x, w = np.polynomial.hermite.hermgauss(self.nodes_per_axis)
-            gauss_inverse = np.exp(x**2)
-            compensated = w * gauss_inverse
-        if not np.all((compensated > 0) & np.isfinite(compensated)):
+        """Gauss-Hermite (nodes, weights, exp(nodes^2)), computed once per grid.
+
+        Rules whose compensated weights are zero or not finite are refused;
+        those beyond ``_MAX_HERMITE_NODES`` before they are built.
+        """
+        usable = self.nodes_per_axis <= _MAX_HERMITE_NODES
+        if usable:
+            with np.errstate(all="ignore"):  # large rules under/overflow
+                x, w = np.polynomial.hermite.hermgauss(self.nodes_per_axis)
+                gauss_inverse = np.exp(x**2)
+                compensated = w * gauss_inverse
+            usable = np.all((compensated > 0) & np.isfinite(compensated))
+        if not usable:
             raise ValueError(
                 f"gauss-hermite weights at {self.nodes_per_axis} nodes are zero "
                 "or not finite in double precision; use fewer nodes or the "

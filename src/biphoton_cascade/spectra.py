@@ -34,6 +34,12 @@ __all__ = [
 ]
 
 
+#: Cap on (sigma tau)^2 in the Hermite-Gaussian corr.  exp(-x/2) is exactly
+#: 0 from x = 1491 on, so (1 - x) * exp(-x/2) is -0.0 at and beyond the cap
+#: whether x is capped or not; only an infinite x, which gave NaN, changes.
+_HERMITE_CAP = 1500.0
+
+
 class ProfileKind(enum.Enum):
     GAUSSIAN = "gaussian"
     HERMITE_GAUSSIAN1 = "hermite_gaussian1"
@@ -92,11 +98,13 @@ class SpectralProfile:
         Gaussian: exp(-sigma^2 tau^2 / 2).
         Hermite-Gaussian: (1 - sigma^2 tau^2) exp(-sigma^2 tau^2 / 2),
         obtained by differentiating the Gaussian transform twice
-        (W^2 under the integral maps to -d^2/dtau^2).
+        (W^2 under the integral maps to -d^2/dtau^2).  Once (sigma tau)^2
+        overflows, that is (1 - inf) * 0; the value there is 0, the limit.
         """
         x = (self.sigma * np.asarray(tau, dtype=float)) ** 2
         if self.kind is ProfileKind.GAUSSIAN:
             return np.exp(-x / 2.0)
+        x = np.minimum(x, _HERMITE_CAP)
         return (1.0 - x) * np.exp(-x / 2.0)
 
 

@@ -8,6 +8,7 @@ import pytest
 from biphoton_cascade.analytic import expand
 from biphoton_cascade.cascade import compose
 from biphoton_cascade.interferogram import (
+    CSV_BLOCK,
     AnalyticBackend,
     EnvelopePair,
     QuadratureBackend,
@@ -20,6 +21,7 @@ from biphoton_cascade.interferogram import (
     read_trace_csv,
     reconstruct_spectra,
     sweep,
+    write_csv_columns,
     write_trace_csv,
 )
 from biphoton_cascade.presets import make_spectrum, preset_cascade
@@ -202,3 +204,29 @@ def test_csv_round_trip_with_envelopes(tmp_path):
     np.testing.assert_array_equal(loaded.values, trace.values)
     np.testing.assert_array_equal(loaded_env.upper.values, env.upper.values)
     np.testing.assert_array_equal(loaded_env.lower.values, env.lower.values)
+
+
+def per_row_csv(columns):
+    """CSV rows formatted one value at a time, as the writers did before."""
+    lines = []
+    for i in range(max(len(c) for c in columns)):
+        lines.append(",".join(f"{c[i]:.17g}" if i < len(c) else "" for c in columns))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+def test_block_csv_matches_per_row_formatting(rows):
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    values[::7] = -0.0
+    columns = [np.linspace(-1.0, 1.0, rows), values,
+               values[: rows // 2 + 1], np.arange(rows // 3 + 1) / 3.0]
+    buffer = io.StringIO()
+    write_csv_columns(buffer, columns)
+    assert buffer.getvalue() == per_row_csv(columns)
+    trace = Trace(columns[0], values)
+    env = EnvelopePair(Trace(columns[0], values + 1.0), Trace(columns[0], values - 1.0))
+    buffer = io.StringIO()
+    write_trace_csv(buffer, trace, env)
+    assert buffer.getvalue() == "tau,value,upper,lower\n" + per_row_csv(
+        [columns[0], values, values + 1.0, values - 1.0])

@@ -1,6 +1,7 @@
 """Brute-force quadrature backend against closed-form reference values."""
 
 import gc
+import time
 import weakref
 from fractions import Fraction
 
@@ -294,6 +295,20 @@ def test_suggested_grid_over_budget_is_refused():
 def test_gauss_hermite_past_finite_weights_is_refused(nodes):
     with pytest.raises(ValueError, match="gauss-hermite"):
         GridSpec(nodes, rule=Rule.GAUSS_HERMITE)
+
+
+@pytest.mark.parametrize("nodes", [1421, 4729])
+def test_gauss_hermite_past_the_root_bound_is_refused_unbuilt(nodes):
+    # Building a 4729-node rule alone takes seconds and ~370 MiB.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="gauss-hermite"):
+        GridSpec(nodes, rule=Rule.GAUSS_HERMITE)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_gauss_hermite_at_the_last_finite_rule_is_built():
+    x, w, gauss_inverse = GridSpec(370, rule=Rule.GAUSS_HERMITE)._hermite
+    assert len(x) == 370 and np.all(np.isfinite(w * gauss_inverse))
 
 
 def test_gauss_hermite_below_the_limit_stays_finite():

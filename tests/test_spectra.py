@@ -65,6 +65,17 @@ def test_hermite_gaussian_corr_values():
     assert profile.corr(2.0) == pytest.approx(-3.0 * np.exp(-2.0), abs=1e-15)
 
 
+def test_hermite_gaussian_corr_is_zero_where_its_argument_overflows():
+    profile = SpectralProfile(ProfileKind.HERMITE_GAUSSIAN1, 0.7)
+    with np.errstate(over="ignore"):
+        assert profile.corr(1e200) == 0.0
+        assert np.array_equal(profile.corr(np.array([-1e300, 1e155, np.inf])), [0, 0, 0])
+    # Finite arguments keep the exact bits of (1 - x) exp(-x / 2).
+    tau = np.concatenate([np.linspace(-60.0, 60.0, 20001), [1e3, -4e10, 1e150]])
+    x = (0.7 * tau) ** 2
+    assert profile.corr(tau).tobytes() == ((1.0 - x) * np.exp(-x / 2.0)).tobytes()
+
+
 def test_hermite_gaussian_amplitude_is_odd():
     profile = SpectralProfile(ProfileKind.HERMITE_GAUSSIAN1, 0.8)
     assert profile.is_odd
