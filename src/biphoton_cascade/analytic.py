@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cascade import TransferMatrix, combo_dot, combo_is_zero
-from .spectra import ExchangeSymmetry, JointSpectrum
+from .cascade import TransferMatrix, combo_dot, combo_is_zero, common_scales
+from .spectra import _HERMITE_CAP, ExchangeSymmetry, JointSpectrum
 
 __all__ = [
     "CosTerm",
@@ -157,26 +157,21 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     Conjugate pairs merge to real cosine terms, and the whole sum is
     divided by its own large-delay constant.
 
-    All of this runs on an integer lattice: amplitudes and delay
-    combinations are scaled by the LCM of their denominators, and pair
+    All of this runs on an integer lattice: the entries' integer amplitudes
+    and delay combinations are brought to common scales, and pair
     arguments are kept doubled, so that the halves stay integral.  Each
     term's canonical (plus, minus) arguments pack into an int64 key (more
     words only for very wide lattices) that sorts in their lexicographic
     order; only the merged terms become ``Fraction``s.
     """
     n = tm.n_delays
-    entries = (tm.A, tm.B, tm.C, tm.D)
-    amp_scale = math.lcm(*(a.denominator for e in entries for a, _ in e.terms))
-    combo_scale = math.lcm(*(c.denominator for e in entries
-                             for _, combo in e.terms for c in combo))
-    amps = [[int(a * amp_scale) for a, _ in e.terms] for e in entries]
+    amp_scale, combo_scale, scaled = common_scales((tm.A, tm.B, tm.C, tm.D))
+    amps, combos = zip(*scaled)
     # A product entry takes at most one term pair from each route, so it
     # is at most 2 peak^2; coefficients beyond int64 stay Python integers.
     peak = max((abs(a) for e in amps for a in e), default=0)
     exact = np.int64 if 2 * peak ** 2 <= _INT64_MAX else object
     amps = [np.array(a, dtype=exact) for a in amps]
-    combos = [[[int(c * combo_scale) for c in combo] for _, combo in e.terms]
-              for e in entries]
     # Pair arguments reach 4x the largest entry; their digits 8x.
     if 8 * max((abs(c) for e in combos for row in e for c in row), default=0) \
             >= _INT64_MAX:
@@ -366,6 +361,10 @@ def _corr_product_peaks(js: JointSpectrum, fix, slope):
     (degree <= 5).  The candidates are the real parts of all roots, plus
     t = 0, which alone serves when both slopes vanish: every candidate is
     a real point and the maximiser is among them, so no root is filtered.
+
+    The summed q is at least q_min = |alpha|^2 everywhere.  From 2 *
+    ``_HERMITE_CAP`` on, one factor has q >= the cap at every t and is
+    exactly 0 there, so such a row's peak is 0 without its polynomial.
     """
     sigma = np.array([js.plus.sigma, js.minus.sigma])
     rate = sigma * slope
@@ -374,6 +373,9 @@ def _corr_product_peaks(js: JointSpectrum, fix, slope):
     t0 = -(rate * sigma * fix).sum(axis=1) / scale ** 2
     alpha = sigma * fix + rate * t0[:, None]
     beta = rate / scale[:, None]
+    vanishing = np.isfinite(alpha).all(axis=1) & \
+        (np.hypot(alpha[:, 0], alpha[:, 1]) >= math.sqrt(2 * _HERMITE_CAP))
+    alpha[vanishing] = 0.0
     # P(v) and then P' - v P as coefficient rows, lowest power first.
     poly = np.zeros((len(fix), 6))
     poly[:, 0] = 1.0
@@ -398,7 +400,7 @@ def _corr_product_peaks(js: JointSpectrum, fix, slope):
         candidates[rows, 1:d + 1] = t0[rows, None] + roots / scale[rows, None]
     x = fix[:, :, None] + slope[:, :, None] * candidates[:, None, :]
     peaks = np.abs(js.plus.corr(x[:, 0]) * js.minus.corr(x[:, 1])).max(axis=1)
-    return np.where(finite, peaks, np.nan)
+    return np.where(vanishing, 0.0, np.where(finite, peaks, np.nan))
 
 
 def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,

@@ -2,16 +2,19 @@
 
 A cascade of 50:50 beam splitters with per-stage relative delays acts on
 the (signal, idler) pair as a 2x2 matrix whose entries are finite sums of
-complex exponentials ``amp * exp(-i * omega * (combo . taus))``.  The
-amplitudes stay exact rationals (the global ``(1/sqrt 2)^stages`` factor
-is bookkept separately via ``stage_count``), and the delay combinations
-are vectors of ``Fraction`` coefficients, so symbolic equality checks are
-exact.
+complex exponentials ``amp * exp(-i * omega * (combo . taus))``.  An entry
+holds integer amplitude numerators and integer delay-combination rows,
+each set over one denominator (``amp_scale``, ``combo_scale``) kept in
+lowest terms, so symbolic equality checks are exact and structural.  The
+global ``(1/sqrt 2)^stages`` factor is bookkept separately via
+``stage_count``.  ``ExpSum.terms`` is the rational view of an entry, built
+on demand, and ``ExpSum.arrays`` its float view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -21,9 +24,6 @@ import numpy as np
 from .spectra import JointSpectrum
 
 __all__ = [
-    "DelayCombo",
-    "zero_combo",
-    "unit_combo",
     "ExpSum",
     "CascadeConfig",
     "TransferMatrix",
@@ -32,25 +32,8 @@ __all__ = [
     "coincidence_density",
 ]
 
-#: A linear combination of delays tau_1..tau_n, as exact coefficients.
-DelayCombo = tuple  # tuple[Fraction, ...]
 
-
-def zero_combo(n_delays: int) -> DelayCombo:
-    return (Fraction(0),) * n_delays
-
-
-def unit_combo(index: int, n_delays: int) -> DelayCombo:
-    if not 0 <= index < n_delays:
-        raise ValueError(f"delay label {index} out of range for {n_delays} delays")
-    return tuple(Fraction(1 if i == index else 0) for i in range(n_delays))
-
-
-def combo_add(a: DelayCombo, b: DelayCombo) -> DelayCombo:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def combo_is_zero(a: DelayCombo) -> bool:
+def combo_is_zero(a) -> bool:
     return all(x == 0 for x in a)
 
 
@@ -73,59 +56,71 @@ def combo_dot(combo, taus):
 class ExpSum:
     """Sum of terms amp * exp(-i * omega * (combo . taus)), amp rational.
 
-    Terms are merged on construction: equal combos are combined and zero
-    amplitudes dropped, so structural equality is semantic equality.
+    Term k has amplitude ``amps[k] / amp_scale`` and combination
+    ``rows[k] / combo_scale``.  Rows are distinct and sorted, amplitudes
+    nonzero, and each scale the least that keeps its integers integral, so
+    structural equality is semantic equality.
     """
 
-    terms: tuple  # tuple[(Fraction, DelayCombo), ...]
+    amps: tuple  # tuple[int, ...]
+    rows: tuple  # tuple[tuple[int, ...], ...]
     n_delays: int
+    amp_scale: int = 1
+    combo_scale: int = 1
+
+    @staticmethod
+    def from_rows(merged: dict, n_delays: int, amp_scale: int = 1,
+                  combo_scale: int = 1) -> "ExpSum":
+        """The sum of ``{row: amp}`` integer terms over the given least scales."""
+        kept = sorted((row, amp) for row, amp in merged.items() if amp)
+        return ExpSum(tuple(amp for _, amp in kept), tuple(row for row, _ in kept),
+                      n_delays, amp_scale, combo_scale)
 
     @staticmethod
     def from_terms(terms, n_delays: int) -> "ExpSum":
+        """The sum of rational ``(amp, combo)`` terms; equal combos merge."""
         merged: dict = {}
         for amp, combo in terms:
-            merged[combo] = merged.get(combo, Fraction(0)) + amp
-        kept = tuple(
-            sorted(
-                ((amp, combo) for combo, amp in merged.items() if amp != 0),
-                key=lambda t: t[1],
-            )
-        )
-        return ExpSum(kept, n_delays)
+            combo = tuple(map(Fraction, combo))
+            merged[combo] = merged.get(combo, 0) + Fraction(amp)
+        kept = {combo: amp for combo, amp in merged.items() if amp}
+        # The LCMs of the surviving reduced denominators are the least scales.
+        amp_scale = math.lcm(*(amp.denominator for amp in kept.values()))
+        combo_scale = math.lcm(*(c.denominator for combo in kept for c in combo))
+        return ExpSum.from_rows(
+            {tuple(int(c * combo_scale) for c in combo): int(amp * amp_scale)
+             for combo, amp in kept.items()}, n_delays, amp_scale, combo_scale)
 
     @staticmethod
     def zero(n_delays: int) -> "ExpSum":
-        return ExpSum((), n_delays)
-
-    @staticmethod
-    def constant(amp, n_delays: int) -> "ExpSum":
-        return ExpSum.from_terms([(Fraction(amp), zero_combo(n_delays))], n_delays)
+        return ExpSum((), (), n_delays)
 
     @staticmethod
     def phase(delay_label: int, n_delays: int, amp=1) -> "ExpSum":
-        return ExpSum.from_terms(
-            [(Fraction(amp), unit_combo(delay_label, n_delays))], n_delays
-        )
+        if not 0 <= delay_label < n_delays:
+            raise ValueError(
+                f"delay label {delay_label} out of range for {n_delays} delays")
+        unit = tuple(int(i == delay_label) for i in range(n_delays))
+        return ExpSum.from_terms([(amp, unit)], n_delays)
 
     def __add__(self, other: "ExpSum") -> "ExpSum":
         return ExpSum.from_terms(self.terms + other.terms, self.n_delays)
 
-    def __mul__(self, other: "ExpSum") -> "ExpSum":
-        prods = [
-            (a1 * a2, combo_add(c1, c2))
-            for a1, c1 in self.terms
-            for a2, c2 in other.terms
-        ]
-        return ExpSum.from_terms(prods, self.n_delays)
-
     def __neg__(self) -> "ExpSum":
-        return ExpSum(tuple((-a, c) for a, c in self.terms), self.n_delays)
+        return replace(self, amps=tuple(-amp for amp in self.amps))
+
+    @cached_property
+    def terms(self):
+        """Rational view: ``(amp, combo)`` pairs of ``Fraction``s, in row order."""
+        value = {c: Fraction(c, self.combo_scale) for row in self.rows for c in row}
+        return tuple((Fraction(amp, self.amp_scale), tuple(value[c] for c in row))
+                     for amp, row in zip(self.amps, self.rows))
 
     @cached_property
     def arrays(self):
         """Read-only float ``(amps, combos)``, shapes ``(K,)`` and
         ``(K, n_delays)``, built once per sum for numeric callers."""
-        return _compile_terms(self.terms, self.n_delays)
+        return _compile_terms(self)
 
     def evaluate(self, omega, taus) -> complex:
         """Numeric value at frequency omega (scalar or array)."""
@@ -136,13 +131,24 @@ class ExpSum:
         return total
 
 
-def _compile_terms(terms, n_delays: int):
-    amps = np.array([float(amp) for amp, _ in terms], dtype=float)
-    combos = np.array([[float(c) for c in combo] for _, combo in terms],
-                      dtype=float).reshape(len(terms), n_delays)
+def _compile_terms(entry: ExpSum):
+    # int / int is correctly rounded: the floats of the reduced fractions.
+    amps = np.array([amp / entry.amp_scale for amp in entry.amps], dtype=float)
+    combos = np.array([[c / entry.combo_scale for c in row] for row in entry.rows],
+                      dtype=float).reshape(len(entry.rows), entry.n_delays)
     for array in (amps, combos):  # shared by every caller of the cached sum
         array.flags.writeable = False
     return amps, combos
+
+
+def common_scales(entries):
+    """The entries' common scales, and each entry's amplitudes and rows over them."""
+    amp_scale = math.lcm(*(e.amp_scale for e in entries))
+    combo_scale = math.lcm(*(e.combo_scale for e in entries))
+    return amp_scale, combo_scale, [
+        ([amp * (amp_scale // e.amp_scale) for amp in e.amps],
+         [tuple(c * (combo_scale // e.combo_scale) for c in row) for row in e.rows])
+        for e in entries]
 
 
 @dataclass(frozen=True)
@@ -199,8 +205,8 @@ class TransferMatrix:
         The products A(ws) D(wi) and symmetry * B(ws) C(wi) are merged on
         their (first, second) combination pairs; once the delays are large
         every merged term averages out against every other, leaving the
-        sum of the squares.  Both symmetries come from one exact pass,
-        made once per matrix.
+        sum of the squares.  Both symmetries come from one exact
+        computation, made once per matrix.
         """
         even, cross = self._moments
         return float(even + symmetry * cross)
@@ -226,18 +232,19 @@ def _large_delay_moments(tm: TransferMatrix):
 
     With ``ad`` and ``bc`` the merged A*D and B*C amplitudes of one
     combination pair, the constant for either symmetry s is
-    sum (ad + s*bc)^2 = even + s*cross.
+    sum (ad + s*bc)^2 = even + s*cross.  An entry's rows are distinct, so
+    each of those is one amplitude product and the sums separate:
+    even = |A|^2 |D|^2 + |B|^2 |C|^2 and cross = 2 <A,B> <D,C>.
     """
-    routes = ({}, {})
-    for prod, first, second in zip(routes, (tm.A, tm.B), (tm.D, tm.C)):
-        for a_amp, a_combo in first.terms:
-            for b_amp, b_combo in second.terms:
-                key = (a_combo, b_combo)
-                prod[key] = prod.get(key, Fraction(0)) + a_amp * b_amp
-    ad, bc = routes
-    even = sum(c * c for c in ad.values()) + sum(c * c for c in bc.values())
-    cross = 2 * sum(c * bc[key] for key, c in ad.items() if key in bc)
-    return Fraction(even), Fraction(cross)
+    amp_scale, _, scaled = common_scales((tm.A, tm.B, tm.C, tm.D))
+    a, b, c, d = (dict(zip(rows, amps)) for amps, rows in scaled)
+
+    def inner(x: dict, y: dict) -> int:
+        return sum(amp * y.get(row, 0) for row, amp in x.items())
+
+    even = inner(a, a) * inner(d, d) + inner(b, b) * inner(c, c)
+    return (Fraction(even, amp_scale ** 4),
+            Fraction(2 * inner(a, b) * inner(d, c), amp_scale ** 4))
 
 
 def bs_matrix(delay_label: Optional[int], n_delays: int) -> TransferMatrix:
@@ -246,43 +253,44 @@ def bs_matrix(delay_label: Optional[int], n_delays: int) -> TransferMatrix:
     [[1, e^{-i omega tau}], [1, -e^{-i omega tau}]] up to the deferred
     1/sqrt(2); with no delay this is the Hadamard-like matrix.
     """
-    one = ExpSum.constant(1, n_delays)
-    if delay_label is None:
-        phase = ExpSum.constant(1, n_delays)
-    else:
-        phase = ExpSum.phase(delay_label, n_delays)
-    return TransferMatrix(A=one, B=phase, C=one, D=-phase,
-                          stage_count=1, n_delays=n_delays)
+    return compose(CascadeConfig.from_labels([delay_label], n_delays))
 
 
-def _matmul(left: TransferMatrix, right: TransferMatrix) -> TransferMatrix:
-    return TransferMatrix(
-        A=left.A * right.A + left.B * right.C,
-        B=left.A * right.B + left.B * right.D,
-        C=left.C * right.A + left.D * right.C,
-        D=left.C * right.B + left.D * right.D,
-        stage_count=left.stage_count + right.stage_count,
-        n_delays=left.n_delays,
-    )
+def _shift(entry: dict, column: int) -> dict:
+    """The entry times one delay's phase: 1 added to that column of every row."""
+    return {row[:column] + (row[column] + 1,) + row[column + 1:]: amp
+            for row, amp in entry.items()}
+
+
+def _combine(first: dict, second: dict, sign: int) -> dict:
+    """first + sign * second on integer rows; zero amplitudes drop."""
+    out = dict(first)
+    for row, amp in second.items():
+        out[row] = out.get(row, 0) + sign * amp
+    return {row: amp for row, amp in out.items() if amp}
 
 
 def compose(config: CascadeConfig) -> TransferMatrix:
-    """Full cascade transfer matrix, stages applied right to left."""
-    n = config.n_delays
-    acc: Optional[TransferMatrix] = None
+    """Full cascade transfer matrix, stages applied right to left.
+
+    Each splitter [[1, phi], [1, -phi]] left-multiplies the accumulated
+    matrix as a shift-and-add: A' = A + phi C, B' = B + phi D,
+    C' = A - phi C and D' = B - phi D, where phi shifts every row by the
+    stage's unit delay (and is 1 for a delay-free splitter).  The entries
+    stay ``{row: amp}`` dicts of integers until the end.
+    """
+    origin = (0,) * config.n_delays
+    a, b, c, d = {origin: 1}, {}, {}, {origin: 1}
     if config.input_delay is not None:
-        acc = TransferMatrix(
-            A=ExpSum.constant(1, n),
-            B=ExpSum.zero(n),
-            C=ExpSum.zero(n),
-            D=ExpSum.phase(config.input_delay, n),
-            stage_count=0,
-            n_delays=n,
-        )
+        d = _shift(d, config.input_delay)
     for stage in config.stages:
-        m = bs_matrix(stage.delay_label, n)
-        acc = m if acc is None else _matmul(m, acc)
-    return acc
+        if stage.delay_label is not None:
+            c, d = _shift(c, stage.delay_label), _shift(d, stage.delay_label)
+        a, b, c, d = (_combine(a, c, 1), _combine(b, d, 1),
+                      _combine(a, c, -1), _combine(b, d, -1))
+    return TransferMatrix(
+        *(ExpSum.from_rows(entry, config.n_delays) for entry in (a, b, c, d)),
+        stage_count=len(config.stages), n_delays=config.n_delays)
 
 
 def coincidence_density(tm: TransferMatrix, js: JointSpectrum,

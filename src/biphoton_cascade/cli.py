@@ -4,8 +4,9 @@ Exit codes: 0 success; 1 validation invariant failure; 2 config parse
 failure, including a bad sweep section or one longer than the sweep
 memory budget, a missing one where a command sweeps or prunes, a
 negative prune threshold, a sweep window too short to reconstruct from,
-a cascade with no large-delay coincidences, or delays whose suggested
-quadrature grid exceeds the memory budget; 3
+a cascade with no large-delay coincidences, delays whose suggested
+quadrature grid exceeds the memory budget, or delays and a pump frequency
+whose sweep values overflow; 3
 cross-backend disagreement above tolerance; 4 missing or undersampled
 carrier; 5 I/O failure.
 """
@@ -30,6 +31,7 @@ from .cascade import combo_is_zero, compose
 from .config import ConfigError, ExperimentConfig, load_config
 from .interferogram import (
     AnalyticBackend,
+    NonFiniteTraceError,
     QuadratureBackend,
     SweepWindowError,
     UndersampledCarrierError,
@@ -255,7 +257,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, SweepWindowError, ZeroBaselineError,
-            GridTooLargeError) as exc:
+            GridTooLargeError, NonFiniteTraceError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except UndersampledCarrierError as exc:

@@ -24,6 +24,7 @@ from .spectra import JointSpectrum
 __all__ = [
     "UndersampledCarrierError",
     "SweepWindowError",
+    "NonFiniteTraceError",
     "MAX_SWEEP_SAMPLES",
     "SweepSpec",
     "Trace",
@@ -48,6 +49,10 @@ class UndersampledCarrierError(ValueError):
 
 class SweepWindowError(ValueError):
     """Sweep window ends before the envelopes have decayed."""
+
+
+class NonFiniteTraceError(ValueError):
+    """A trace holds NaN or infinity: its inputs overflow the float range."""
 
 
 #: Sample-length float64 arrays a sweep's analysis may hold at once: a
@@ -105,7 +110,7 @@ class Trace:
         if len(self.taus) != len(self.values):
             raise ValueError("taus and values must have equal length")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("trace contains non-finite values")
+            raise NonFiniteTraceError("trace contains non-finite values")
 
 
 @dataclass(frozen=True)

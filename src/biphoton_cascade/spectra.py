@@ -101,7 +101,8 @@ class SpectralProfile:
         (W^2 under the integral maps to -d^2/dtau^2).  Once (sigma tau)^2
         overflows, that is (1 - inf) * 0; the value there is 0, the limit.
         """
-        x = (self.sigma * np.asarray(tau, dtype=float)) ** 2
+        with np.errstate(over="ignore"):  # an infinite square gives the 0 limit
+            x = (self.sigma * np.asarray(tau, dtype=float)) ** 2
         if self.kind is ProfileKind.GAUSSIAN:
             return np.exp(-x / 2.0)
         x = np.minimum(x, _HERMITE_CAP)

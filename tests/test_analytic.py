@@ -9,6 +9,7 @@ canonical sign (first nonzero delay coefficient positive).
 import dataclasses
 import hashlib
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -212,15 +213,37 @@ def test_prune_is_sound_numerically(symmetry):
 
 
 def test_prune_keeps_terms_whose_peak_overflows():
-    # At tau_1 = 1e200 the Hermite-Gaussian g- factors overflow to NaN;
-    # a term whose peak cannot be computed is kept, never dropped.
+    # At tau_1 = tau_2 = 1e308 the fixed part of t1 + t2 overflows to inf
+    # and the peak to NaN; a term whose peak cannot be computed is kept,
+    # never dropped.
     antisymmetric = ExchangeSymmetry.ANTISYMMETRIC
     js = make_spectrum(1.0, 1.0, antisymmetric)
-    model = model_for("two_param_11", antisymmetric)
+    model = model_for("three_param_11", antisymmetric)
+    at_origin = [1e308, 1e308, 0.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        pruned = asymptotic_prune(model, {0: 1e200}, swept=1, js=js, threshold=1e-2)
-    overflowing = {t for t in model.terms if t.minus_arg[0]}
+        pruned = asymptotic_prune(model, {0: 1e308, 1: 1e308}, swept=2, js=js,
+                                  threshold=1e-2)
+        overflowing = {t for t in model.terms
+                       if not np.isfinite(combo_dot(t.plus_arg, at_origin))
+                       or not np.isfinite(combo_dot(t.minus_arg, at_origin))}
     assert overflowing and overflowing <= set(pruned.terms)
+
+
+@pytest.mark.parametrize("symmetry", list(ExchangeSymmetry))
+def test_prune_drops_terms_zero_beyond_the_cap(symmetry):
+    # At tau_1 = 1e200 a factor whose argument holds t1 but not t2 is
+    # exactly 0 wherever t2 sweeps: its term's peak is 0 and it goes, with
+    # no overflow warning, while g(t1 +- t2) peaks at t2 = -+t1 and stays.
+    js = make_spectrum(1.0, 0.1, symmetry)
+    model = model_for("two_param_11", symmetry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pruned = asymptotic_prune(model, {0: 1e200}, swept=1, js=js, threshold=1e-2)
+    dropped = set(model.terms) - set(pruned.terms)
+    assert dropped == {t for t in model.terms
+                       if (t.plus_arg[0] and not t.plus_arg[1])
+                       or (t.minus_arg[0] and not t.minus_arg[1])}
+    assert dropped
 
 
 def sampled_peak(js, fix, slope):
@@ -373,13 +396,14 @@ def test_leading_splitter_is_the_swap_rule(cascade):
     Only when each delay labels at most one splitter and there is no input
     delay: e.g. [1, 0, 1] or an input delay breaks it.
     """
+    # Built to hold: repeated labels become delay-free, the input delay goes.
     labels = [stage.delay_label for stage in cascade.stages]
-    delayed = [label for label in labels if label is not None]
-    assume(len(set(delayed)) == len(delayed) and cascade.input_delay is None)
+    labels = [None if label in labels[:k] else label for k, label in enumerate(labels)]
+    plain = CascadeConfig.from_labels(labels, cascade.n_delays)
     leading = CascadeConfig.from_labels([None] + labels, cascade.n_delays)
     symmetric = ExchangeSymmetry.SYMMETRIC
     try:
-        model = expand(compose(cascade), symmetric)
+        model = expand(compose(plain), symmetric)
         swapped = expand(compose(leading), symmetric)
     except ZeroBaselineError:
         assume(False)  # nothing to normalize by, e.g. [-, 0, -]
@@ -392,6 +416,42 @@ def test_leading_splitter_is_not_the_swap_rule_for_repeated_labels():
     symmetric = ExchangeSymmetry.SYMMETRIC
     assert expand(compose(leading), symmetric).terms != \
         swap_rule(expand(compose(cascade), symmetric)).terms
+
+
+def model_or_none(config, symmetry):
+    try:
+        return expand(compose(config), symmetry)
+    except ZeroBaselineError:
+        return None
+
+
+@given(cascade=expand_cascades(), symmetry=st.sampled_from(ExchangeSymmetry),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_two_delay_free_splitters_anywhere_change_nothing(cascade, symmetry, data):
+    # Two delay-free splitters compose to twice the identity, which the
+    # normalisation absorbs: same terms and the same raw baseline.
+    labels = [stage.delay_label for stage in cascade.stages]
+    at = data.draw(st.integers(0, len(labels)))
+    padded = CascadeConfig.from_labels(labels[:at] + [None, None] + labels[at:],
+                                       cascade.n_delays, cascade.input_delay)
+    assert model_or_none(padded, symmetry) == model_or_none(cascade, symmetry)
+
+
+@given(cascade=expand_cascades())
+@settings(max_examples=40, deadline=None)
+def test_leading_splitter_changes_nothing_for_antisymmetric_spectra(cascade):
+    """The antisymmetric pair leaves a delay-free splitter unchanged.
+
+    Without the input delay, which would reach that splitter first and
+    break the pair's exchange antisymmetry.
+    """
+    plain = CascadeConfig(cascade.stages, cascade.n_delays)
+    leading = CascadeConfig.from_labels(
+        [None] + [stage.delay_label for stage in cascade.stages], cascade.n_delays)
+    antisymmetric = ExchangeSymmetry.ANTISYMMETRIC
+    assert model_or_none(leading, antisymmetric) == \
+        model_or_none(plain, antisymmetric)
 
 
 @pytest.mark.parametrize("first,second", PRESET_PAIRS)

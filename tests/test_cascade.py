@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton_cascade import cascade as cascade_module
 from biphoton_cascade.cascade import (
     CascadeConfig,
     ExpSum,
@@ -20,6 +21,9 @@ from biphoton_cascade.presets import (
     single_delay_chain,
 )
 from biphoton_cascade.spectra import ExchangeSymmetry
+from test_expand import cascades, rational_matrices
+
+F = Fraction
 
 
 def numeric_matrix(tm, omega, taus):
@@ -149,3 +153,99 @@ def test_single_delay_chain_stays_unitary(omega, tau, n):
     tm = compose(single_delay_chain(n))
     m = numeric_matrix(tm, omega, [tau])
     assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# compose against the general 2x2 product it replaced
+
+
+def reference_compose(config):
+    """Entries as ``{combo: amp}`` Fraction dicts, each splitter a full product.
+
+    Every stage is the matrix [[1, phi], [1, -phi]], left-multiplying the
+    accumulated one entry by entry: the algebra ``compose`` shortcuts.
+    """
+    n = config.n_delays
+    origin = (F(0),) * n
+
+    def unit(label):
+        return tuple(F(int(i == label)) for i in range(n))
+
+    def add(*entries):
+        out = {}
+        for entry in entries:
+            for combo, amp in entry.items():
+                out[combo] = out.get(combo, 0) + amp
+        return {combo: amp for combo, amp in out.items() if amp}
+
+    def mul(x, y):
+        return add(*({tuple(p + q for p, q in zip(cx, cy)): ax * ay}
+                     for cx, ax in x.items() for cy, ay in y.items()))
+
+    def matmul(left, right):
+        (a, b, c, d), (e, f, g, h) = left, right
+        return (add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
+                add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h)))
+
+    acc = None
+    if config.input_delay is not None:
+        acc = ({origin: F(1)}, {}, {}, {unit(config.input_delay): F(1)})
+    for stage in config.stages:
+        label = stage.delay_label
+        phase = {origin if label is None else unit(label): F(1)}
+        splitter = ({origin: F(1)}, phase, {origin: F(1)},
+                    {combo: -amp for combo, amp in phase.items()})
+        acc = splitter if acc is None else matmul(splitter, acc)
+    return tuple(tuple(sorted(((amp, combo) for combo, amp in entry.items()),
+                              key=lambda term: term[1]))
+                 for entry in acc)
+
+
+def reference_constant(tm, symmetry):
+    """The large-delay constant as the pairwise merge of the two product routes."""
+    prod = {}
+    for sign, first, second in ((1, tm.A, tm.D), (symmetry, tm.B, tm.C)):
+        for a_amp, a in first.terms:
+            for b_amp, b in second.terms:
+                prod[a, b] = prod.get((a, b), 0) + sign * a_amp * b_amp
+    return sum(c * c for c in prod.values())
+
+
+def assert_constants_match(tm):
+    even, cross = cascade_module._large_delay_moments(tm)
+    for symmetry in ExchangeSymmetry:
+        expected = reference_constant(tm, int(symmetry))
+        assert even + int(symmetry) * cross == expected
+        assert tm.large_delay_constant(int(symmetry)) == float(expected)
+
+
+@given(config=cascades())
+@settings(max_examples=80, deadline=None)
+def test_compose_matches_general_product(config):
+    tm = compose(config)
+    assert tuple(e.terms for e in (tm.A, tm.B, tm.C, tm.D)) == \
+        reference_compose(config)
+    assert tm.stage_count == len(config.stages)
+    assert_constants_match(tm)
+
+
+@given(tm=rational_matrices())
+@settings(max_examples=60, deadline=None)
+def test_large_delay_constant_on_rational_matrices(tm):
+    assert_constants_match(tm)
+
+
+def test_expsum_scales_are_in_lowest_terms():
+    entry = ExpSum.from_terms(
+        [(F(2, 3), (F(1, 2), F(0))), (F(4, 3), (F(3, 2), F(1)))], 2)
+    assert (entry.amps, entry.rows) == ((2, 4), ((1, 0), (3, 2)))
+    assert (entry.amp_scale, entry.combo_scale) == (3, 2)
+    halves = ExpSum.from_terms([(F(1, 2), (F(1, 2),)), (F(3, 2), (F(1),))], 1)
+    assert (halves.amps, halves.rows, halves.amp_scale, halves.combo_scale) == \
+        ((1, 3), ((1,), (2,)), 2, 2)
+    whole = halves + ExpSum.from_terms([(F(-1, 2), (F(1, 2),)), (F(1, 2), (1,))], 1)
+    assert (whole.amps, whole.rows, whole.amp_scale, whole.combo_scale) == \
+        ((2,), ((1,),), 1, 1)
+    assert -(-entry) == entry and entry + ExpSum.zero(2) == entry
+    cancelled = ExpSum.from_terms([(1, (F(2, 4),)), (F(-1), (F(1, 2),))], 1)
+    assert cancelled == ExpSum.zero(1)

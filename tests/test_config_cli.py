@@ -1,12 +1,17 @@
 """Config parsing and the command-line surface, including exit codes."""
 
+import contextlib
 import hashlib
+import io
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biphoton_cascade
 from biphoton_cascade import cli
@@ -234,6 +239,44 @@ def test_overflowing_fixed_delay_sweeps_to_a_finite_trace(tmp_path):
     assert len(trace.values) == 201 and np.all(np.isfinite(trace.values))
 
 
+FAR_FIXED_CONFIG = """\
+cascade.preset = two_param_11
+spectrum.sigma_plus = 1.0
+spectrum.sigma_minus = 0.1
+spectrum.symmetry = antisymmetric
+sweep.swept = 1
+sweep.fixed.0 = 1e200
+sweep.start = -60.0
+sweep.stop = 60.0
+sweep.samples = 4801
+"""
+
+
+def test_far_fixed_delay_prunes_its_term_without_warnings(tmp_path):
+    # g-(t1) at t1 = 1e200 is 0 wherever t2 sweeps, so its term's peak is
+    # exactly 0: dropped, with no overflow reaching the peak polynomial.
+    path = write(tmp_path, "far.cfg", FAR_FIXED_CONFIG)
+    full = run_cli("derive", "--config", path)
+    pruned = run_cli("derive", "--prune", "--config", path)
+    assert (full.returncode, full.stderr) == (0, "")
+    assert (pruned.returncode, pruned.stderr) == (0, "")
+    assert "- 1/2 g+(t2) g-(t1)" in full.stdout
+    assert pruned.stdout == full.stdout.replace(" - 1/2 g+(t2) g-(t1)", "") \
+        .replace("terms: 6", "terms: 5")
+    swept = run_cli("sweep", "--config", path, "--out", str(tmp_path / "far.csv"))
+    assert (swept.returncode, swept.stderr) == (0, "")
+
+
+def test_overflowing_carrier_phase_is_config_error(tmp_path):
+    # pump_frequency * tau overflows, so the carrier cos(inf) is NaN.
+    path = write(tmp_path, "pump.cfg",
+                 FAR_FIXED_CONFIG + "spectrum.pump_frequency = 1e308\n")
+    result = run_cli("sweep", "--config", path, "--out", str(tmp_path / "x.csv"))
+    assert result.returncode == 2
+    assert result.stderr.endswith(
+        "config error: trace contains non-finite values\n")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -394,3 +437,69 @@ def test_version_matches_pyproject():
     with open(pyproject, "rb") as handle:
         version = tomllib.load(handle)["project"]["version"]
     assert biphoton_cascade.__version__ == version
+
+
+# ---------------------------------------------------------------------------
+# Config fuzz: any mutation of a working config ends in a documented exit
+
+NUMBERS = ["1.0", "0", "-2", "nan", "inf", "1e-300", "1e300", "x", ""]
+FUZZ_VALUES = {
+    "cascade.preset": ["noon", "three_param_2002", "bogus", ""],
+    "cascade.stages": ["-, 0, 1", "0, 0, 1, -", "-", "", "0, x", "2, 1, 0, 3",
+                       "-1"],
+    "cascade.n_delays": ["0", "2", "-1", "4", "40", "abc"],
+    "cascade.input_delay": ["0", "1", "-1", "9", "z"],
+    "spectrum.sigma_plus": NUMBERS,
+    "spectrum.sigma_minus": NUMBERS + ["0.1"],
+    "spectrum.symmetry": ["symmetric", "antisymmetric", "both"],
+    "spectrum.pump_frequency": ["20", "5", "1e308", "-inf", ""],
+    "sweep.swept": ["0", "1", "2", "-1", "q"],
+    "sweep.fixed.0": ["0", "5.0", "1e200", "-1e308", "nan", "x"],
+    "sweep.fixed.1": ["0", "3.5", "1e200"],
+    "sweep.start": ["-60", "0", "60", "1e300", "x"],
+    "sweep.stop": ["60", "-60", "0", "1e-300", "inf"],
+    "sweep.samples": ["401", "0", "1", "2", "-3", "2.5", "1e3", "100000000000"],
+    "prune.threshold": ["1e-6", "0", "-1", "nan", "x"],
+    "grid.nodes": ["64", "0", "-4", "100000", "x"],
+    "grid.rule": ["trapezoid", "gauss-hermite", "simpson"],
+    "backend": ["analytic", "fourier", ""],
+}
+SHIPPED_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+FUZZ_COMMANDS = [["derive"], ["derive", "--prune", "--latex"], ["sweep"],
+                 ["envelope"]]
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A shipped config with up to five keys dropped or given odd values."""
+    text = draw(st.sampled_from(SHIPPED_CONFIGS)).read_text()
+    values = dict(line.split(" = ") for line in text.splitlines()
+                  if not line.startswith("#"))
+    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)), max_size=5,
+                             unique=True)):
+        if draw(st.booleans()):
+            values.pop(key, None)
+        else:
+            values[key] = draw(st.sampled_from(FUZZ_VALUES[key]))
+    lines = [f"{key} = {value}" for key, value in values.items()]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["no equals sign", "# comment", "= 1",
+                                           "sweep.fixed.x = 1"])))
+    return "\n".join(lines) + "\n"
+
+
+@given(text=fuzzed_configs(), command=st.sampled_from(FUZZ_COMMANDS))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_configs_end_in_documented_exit_codes(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([*command, "--config", str(path),
+                             "--out", str(Path(tmp) / "out.csv")])
+    assert code in {0, 2, 3, 4, 5}, err.getvalue()
+    assert "Traceback" not in err.getvalue()
