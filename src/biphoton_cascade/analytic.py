@@ -10,13 +10,21 @@ rational combinations of the delays:
 with the constant term normalized to 1 (the large-delay baseline).  This
 mechanically reproduces every closed form quoted for the one-, two- and
 three-delay cascades, including the 28-term three-delay expansion.
+
+A model holds its terms as integers: coefficient numerators over one
+least denominator, and (p_k, m_k) argument rows over one least argument
+scale.  Rendering, pruning, the swap rule and evaluation read those rows
+directly; ``AnalyticModel.terms``, the ``CosTerm`` view with ``Fraction``
+coefficients and arguments, is built only when something asks for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, compress
 
 import numpy as np
 
@@ -53,20 +61,80 @@ class CosTerm:
 
 @dataclass(frozen=True)
 class AnalyticModel:
-    """Normalized coincidence probability as a canonical term list."""
+    """Normalized coincidence probability as a canonical term list.
 
-    terms: tuple  # tuple[CosTerm, ...], sorted, constant first
+    Term k has coefficient ``coeffs[k] / coeff_scale`` and arguments
+    ``plus[k] / arg_scale`` and ``minus[k] / arg_scale``: integer
+    numerators and integer rows, each set over one denominator kept in
+    lowest terms, so structural equality is semantic equality.  ``expand``
+    sorts the terms by their (plus, minus) rows, which puts the constant
+    first.  ``terms`` is the rational ``CosTerm`` view, built on demand.
+    """
+
+    coeffs: tuple  # tuple[int, ...]
+    plus: tuple  # tuple[tuple[int, ...], ...]
+    minus: tuple  # tuple[tuple[int, ...], ...]
     n_delays: int
     symmetry: ExchangeSymmetry
+    coeff_scale: int = 1
+    arg_scale: int = 1
     #: Unnormalized baseline: R(taus -> inf) including the 1/2^(2n) factor.
     raw_baseline: Fraction = Fraction(1)
 
+    @staticmethod
+    def from_rows(coeffs, plus, minus, n_delays: int, symmetry: ExchangeSymmetry,
+                  coeff_scale: int = 1, arg_scale: int = 1,
+                  raw_baseline: Fraction = Fraction(1)) -> "AnalyticModel":
+        """The model of integer terms in the order given, over the least scales."""
+        coeffs, plus, minus = tuple(coeffs), tuple(plus), tuple(minus)
+        # Reducing by the common divisor leaves each scale the least one.
+        coeff_gcd = math.gcd(coeff_scale, *coeffs)
+        arg_gcd = math.gcd(arg_scale, *chain(*plus, *minus))
+        if coeff_gcd > 1:
+            coeffs = tuple(c // coeff_gcd for c in coeffs)
+        if arg_gcd > 1:
+            plus, minus = ([tuple(v // arg_gcd for v in row) for row in rows]
+                           for rows in (plus, minus))
+        return AnalyticModel(coeffs, tuple(plus), tuple(minus), n_delays, symmetry,
+                             coeff_scale // coeff_gcd, arg_scale // arg_gcd,
+                             raw_baseline)
+
+    @staticmethod
+    def from_terms(terms, n_delays: int, symmetry: ExchangeSymmetry,
+                   raw_baseline: Fraction = Fraction(1)) -> "AnalyticModel":
+        """The model of rational ``CosTerm``s, in the order given."""
+        terms = [(Fraction(t.coeff), tuple(map(Fraction, t.plus_arg)),
+                  tuple(map(Fraction, t.minus_arg))) for t in terms]
+        coeff_scale = math.lcm(*(c.denominator for c, _, _ in terms))
+        arg_scale = math.lcm(*(v.denominator for _, p, m in terms for v in p + m))
+        return AnalyticModel.from_rows(
+            (int(c * coeff_scale) for c, _, _ in terms),
+            (tuple(int(v * arg_scale) for v in p) for _, p, _ in terms),
+            (tuple(int(v * arg_scale) for v in m) for _, _, m in terms),
+            n_delays, symmetry, coeff_scale, arg_scale, raw_baseline)
+
+    @cached_property
+    def terms(self):
+        """Rational view: ``CosTerm``s of ``Fraction``s, in model order."""
+        coeff = {c: Fraction(c, self.coeff_scale) for c in set(self.coeffs)}
+        rows = set(self.plus).union(self.minus)
+        arg = {v: Fraction(v, self.arg_scale) for v in set().union(*rows)}
+        rows = {row: tuple(map(arg.__getitem__, row)) for row in rows}
+        return tuple(CosTerm(coeff[c], rows[p], rows[m])
+                     for c, p, m in zip(self.coeffs, self.plus, self.minus))
+
     @property
     def constant(self) -> Fraction:
-        for t in self.terms:
-            if t.is_constant:
-                return t.coeff
+        for c, p, m in zip(self.coeffs, self.plus, self.minus):
+            if not (any(p) or any(m)):
+                return Fraction(c, self.coeff_scale)
         return Fraction(0)
+
+    def same_terms(self, other: "AnalyticModel") -> bool:
+        """True iff both term lists are equal, whatever the baselines."""
+        return (self.coeffs, self.plus, self.minus, self.coeff_scale,
+                self.arg_scale) == (other.coeffs, other.plus, other.minus,
+                                    other.coeff_scale, other.arg_scale)
 
 
 class ZeroBaselineError(ValueError):
@@ -162,7 +230,7 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     arguments are kept doubled, so that the halves stay integral.  Each
     term's canonical (plus, minus) arguments pack into an int64 key (more
     words only for very wide lattices) that sorts in their lexicographic
-    order; only the merged terms become ``Fraction``s.
+    order.  The model keeps the merged integers over the least scales.
     """
     n = tm.n_delays
     amp_scale, combo_scale, scaled = common_scales((tm.A, tm.B, tm.C, tm.D))
@@ -222,16 +290,14 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     keys, sums = _sum_by_key(*map(np.concatenate, zip(*merged)))
 
     nonzero = sums != 0
-    rows = pair.unpack(keys[nonzero]).tolist()
-    half = {v: Fraction(v, 2 * combo_scale) for v in {0}.union(*rows)}
-    zero = (half[0],) * n
-    terms = [CosTerm(Fraction(1), zero, zero)]
-    for coeff, row in zip(sums[nonzero].tolist(), rows):
-        terms.append(CosTerm(Fraction(2 * coeff, constant),
-                             tuple(half[v] for v in row[:n]),
-                             tuple(half[v] for v in row[n:])))
+    rows = pair.unpack(keys[nonzero])
+    zero = [(0,) * n]
     raw_baseline = Fraction(constant, amp_scale ** 4) / 2 ** (2 * tm.stage_count)
-    return AnalyticModel(tuple(terms), n, symmetry, raw_baseline)
+    return AnalyticModel.from_rows(
+        [constant] + [2 * s for s in sums[nonzero].tolist()],
+        zero + list(map(tuple, rows[:, :n].tolist())),
+        zero + list(map(tuple, rows[:, n:].tolist())),
+        n, symmetry, constant, 2 * combo_scale, raw_baseline)
 
 
 #: Samples per block of the broadcast delays in ``evaluate`` and
@@ -262,15 +328,14 @@ def term_blocks(model: AnalyticModel, js: JointSpectrum, taus, carrier=True):
     if len(taus) != model.n_delays:
         raise ValueError(f"expected {model.n_delays} delays, got {len(taus)}")
     plus_args, minus_args, plan = {}, {}, []
-    for term in model.terms:
-        p = None if combo_is_zero(term.plus_arg) \
-            else plus_args.setdefault(term.plus_arg, len(plus_args))
-        m = None if combo_is_zero(term.minus_arg) \
-            else minus_args.setdefault(term.minus_arg, len(minus_args))
-        plan.append((float(term.coeff), p, m))
-    # Float coefficients give combo_dot the same products, converted once.
-    plus_args = [tuple(map(float, arg)) for arg in plus_args]
-    minus_args = [tuple(map(float, arg)) for arg in minus_args]
+    for c, p, m in zip(model.coeffs, model.plus, model.minus):
+        plan.append((c / model.coeff_scale,
+                     plus_args.setdefault(p, len(plus_args)) if any(p) else None,
+                     minus_args.setdefault(m, len(minus_args)) if any(m) else None))
+    # int / int is correctly rounded: the floats of the reduced fractions,
+    # which give combo_dot the same products, converted once per argument.
+    plus_args = [tuple(v / model.arg_scale for v in arg) for arg in plus_args]
+    minus_args = [tuple(v / model.arg_scale for v in arg) for arg in minus_args]
     taus = [np.asarray(t, dtype=float) for t in taus]
     shape = np.broadcast_shapes(*(t.shape for t in taus))
     # A basic slice of a 1-D delay is a view; more dimensions are read
@@ -284,13 +349,15 @@ def term_blocks(model: AnalyticModel, js: JointSpectrum, taus, carrier=True):
         block = slice(start, min(start + step, size))
         at = [t if t.ndim == 0 else (t.flat[block] if flat else t[block])
               for t in taus]
-        cos, plus, minus = [], [], []
-        for arg in plus_args:
-            x = combo_dot(arg, at)
-            cos.append(np.cos(js.pump_frequency * x) if carrier else None)
-            plus.append(js.plus.corr(x))
-        for arg in minus_args:
-            minus.append(js.minus.corr(combo_dot(arg, at)))
+        cos, plus = [], []
+        # A carrier phase that overflows makes the values NaN, which the
+        # caller's finiteness check reports once, without warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for arg in plus_args:
+                x = combo_dot(arg, at)
+                cos.append(np.cos(js.pump_frequency * x) if carrier else None)
+                plus.append(js.plus.corr(x))
+        minus = [js.minus.corr(combo_dot(arg, at)) for arg in minus_args]
         yield block, [(coeff,
                        None if p is None else cos[p],
                        None if p is None else plus[p],
@@ -331,13 +398,11 @@ def swap_rule(model: AnalyticModel) -> AnalyticModel:
     splitter and there is no input delay; with a repeated label, e.g.
     [1, 0, 1], the two differ.
     """
-    swapped = sorted(
-        (CosTerm(t.coeff if t.is_constant else -t.coeff, t.minus_arg, t.plus_arg)
-         for t in model.terms),
-        key=lambda t: (t.plus_arg, t.minus_arg),
-    )
-    return AnalyticModel(tuple(swapped), model.n_delays, model.symmetry,
-                         model.raw_baseline)
+    # Rows over one positive scale sort as the rationals they stand for.
+    swapped = sorted((m, p, c if not (any(p) or any(m)) else -c)
+                     for c, p, m in zip(model.coeffs, model.plus, model.minus))
+    plus, minus, coeffs = zip(*swapped)
+    return replace(model, coeffs=coeffs, plus=plus, minus=minus)
 
 
 def antisymmetric_equivalence_check(tm_a: TransferMatrix,
@@ -345,7 +410,7 @@ def antisymmetric_equivalence_check(tm_a: TransferMatrix,
     """True iff the two cascades are indistinguishable for fermionic pairs."""
     model_a = expand(tm_a, ExchangeSymmetry.ANTISYMMETRIC)
     model_b = expand(tm_b, ExchangeSymmetry.ANTISYMMETRIC)
-    return model_a.terms == model_b.terms
+    return model_a.same_terms(model_b)
 
 
 def _corr_product_peaks(js: JointSpectrum, fix, slope):
@@ -420,53 +485,67 @@ def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
         raise ValueError(f"fixed delays missing indices {sorted(missing)}")
     # The swept delay at 0.0 adds an exact zero, leaving the fixed part.
     at_origin = [0.0 if i == swept else fixed[i] for i in range(model.n_delays)]
-    args = np.array([(t.plus_arg, t.minus_arg) for t in model.terms],
-                    dtype=float).reshape(len(model.terms), 2, model.n_delays)
-    coeffs = np.array([t.coeff for t in model.terms], dtype=float)
+    ints = np.stack([np.array(rows).reshape(-1, model.n_delays)
+                     for rows in (model.plus, model.minus)], axis=1)
+    # int / int is correctly rounded: one division per distinct value.
+    values, index = np.unique(ints, return_inverse=True)
+    args = np.array([v / model.arg_scale for v in values.tolist()])[index] \
+        .reshape(ints.shape)
+    coeffs = np.array([c / model.coeff_scale for c in model.coeffs])
     peaks = np.abs(coeffs) * _corr_product_peaks(
         js, combo_dot(args, at_origin), args[:, :, swept])
-    kept = tuple(t for t, peak in zip(model.terms, peaks)
-                 if t.is_constant or not peak < threshold)
-    return AnalyticModel(kept, model.n_delays, model.symmetry, model.raw_baseline)
-
-
-def _render_combo(combo, latex: bool) -> str:
-    parts = []
-    for i, c in enumerate(combo):
-        if c == 0:
-            continue
-        name = rf"\tau_{{{i + 1}}}" if latex else f"t{i + 1}"
-        mag = abs(c)
-        piece = name if mag == 1 else (rf"{mag}\,{name}" if latex else f"{mag} {name}")
-        if not parts:
-            parts.append(piece if c > 0 else f"-{piece}")
-        else:
-            parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
-    return " ".join(parts) if parts else "0"
+    keep = ~(peaks < threshold) | ~args.any(axis=(1, 2))
+    return AnalyticModel.from_rows(
+        compress(model.coeffs, keep), compress(model.plus, keep),
+        compress(model.minus, keep), model.n_delays, model.symmetry,
+        model.coeff_scale, model.arg_scale, model.raw_baseline)
 
 
 def _render(model: AnalyticModel, latex: bool) -> str:
-    chunks = []
-    for term in model.terms:
-        sign = "-" if term.coeff < 0 else "+"
-        mag = abs(term.coeff)
-        factors = []
-        if mag != 1 or term.is_constant:
-            if latex and mag.denominator != 1:
-                factors.append(rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}")
+    """Each distinct magnitude and argument row is formatted once."""
+    names = [rf"\tau_{{{i + 1}}}" if latex else f"t{i + 1}"
+             for i in range(model.n_delays)]
+
+    def magnitude(value: int) -> str:
+        mag = Fraction(abs(value), model.coeff_scale)
+        if latex and mag.denominator != 1:
+            return rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        return str(mag)
+
+    def combo(row) -> str:
+        parts = []
+        for name, c in zip(names, row):
+            if c == 0:
+                continue
+            if abs(c) == model.arg_scale:
+                piece = name
             else:
-                factors.append(str(mag))
-        if not combo_is_zero(term.plus_arg):
-            arg = _render_combo(term.plus_arg, latex)
-            factors.append(rf"g_+({arg})" if latex else f"g+({arg})")
-        if not combo_is_zero(term.minus_arg):
-            arg = _render_combo(term.minus_arg, latex)
-            factors.append(rf"g_-({arg})" if latex else f"g-({arg})")
-        body = (r"\," if latex else " ").join(factors)
+                mag = str(Fraction(abs(c), model.arg_scale))
+                piece = rf"{mag}\,{name}" if latex else f"{mag} {name}"
+            if not parts:
+                parts.append(piece if c > 0 else f"-{piece}")
+            else:
+                parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
+        return " ".join(parts)
+
+    g_plus, g_minus, join = (r"g_+", r"g_-", r"\,") if latex else ("g+", "g-", " ")
+    coeffs = {c: magnitude(c) for c in set(model.coeffs)}
+    plus = {p: f"{g_plus}({combo(p)})" for p in set(model.plus) if any(p)}
+    minus = {m: f"{g_minus}({combo(m)})" for m in set(model.minus) if any(m)}
+    chunks = []
+    for c, p, m in zip(model.coeffs, model.plus, model.minus):
+        factors = []
+        if abs(c) != model.coeff_scale or not (any(p) or any(m)):
+            factors.append(coeffs[c])
+        if any(p):
+            factors.append(plus[p])
+        if any(m):
+            factors.append(minus[m])
+        body = join.join(factors)
         if not chunks:
-            chunks.append(body if sign == "+" else f"-{body}")
+            chunks.append(body if c >= 0 else f"-{body}")
         else:
-            chunks.append(f"{sign} {body}")
+            chunks.append(f"- {body}" if c < 0 else f"+ {body}")
     return " ".join(chunks)
 
 

@@ -27,7 +27,7 @@ from .analytic import (
     render_latex,
     render_text,
 )
-from .cascade import combo_is_zero, compose
+from .cascade import compose
 from .config import ConfigError, ExperimentConfig, load_config
 from .interferogram import (
     AnalyticBackend,
@@ -95,7 +95,7 @@ def cmd_derive(args) -> int:
     lines = [render_text(model)]
     if args.latex:
         lines.append(render_latex(model))
-    lines.append(f"terms: {len(model.terms)}")
+    lines.append(f"terms: {len(model.coeffs)}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -150,7 +150,7 @@ def cmd_reconstruct(args) -> int:
     config = _require_config(args)
     tm, model = _model(config)
     spec = _require_sweep(config)
-    if all(combo_is_zero(term.plus_arg) for term in model.terms):
+    if not any(map(any, model.plus)):
         sys.stderr.write("error: cascade has no carrier to demodulate\n")
         return EXIT_CARRIER
     trace = sweep(AnalyticBackend(model, config.spectrum), spec)

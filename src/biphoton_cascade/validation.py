@@ -85,7 +85,7 @@ def _check_parity_single(rng, corrupt):
         expected = homi if n % 2 == 1 else noon
         if corrupt and n == 4:
             expected = homi
-        match = model.terms == expected.terms
+        match = model.same_terms(expected)
         ok = ok and match
         pattern.append("H" if n % 2 == 1 else "N")
     return ok, f"n=1..6 alternation {'/'.join(pattern)}"
@@ -106,7 +106,7 @@ def _check_parity_two(rng, corrupt):
         expected = even if n % 2 == 0 else odd
         if corrupt and n == 5:
             expected = even
-        ok = ok and model.terms == expected.terms
+        ok = ok and model.same_terms(expected)
     return ok, "n=2..5 matches the two-splitter/three-splitter models"
 
 
@@ -125,7 +125,7 @@ def _check_parity_three(rng, corrupt):
         expected = even if n % 2 == 0 else odd
         if corrupt and n == 6:
             expected = odd
-        ok = ok and model.terms == expected.terms
+        ok = ok and model.same_terms(expected)
     return ok, "n=3..6 matches the three-splitter/four-splitter models"
 
 
@@ -141,7 +141,7 @@ def _check_swap(rng, corrupt):
         swapped = swap_rule(model_a)
         if corrupt:
             swapped = model_a
-        ok = ok and swapped.terms == model_b.terms
+        ok = ok and swapped.same_terms(model_b)
     return ok, "swap rule maps each |1,1> model to its |2002> counterpart"
 
 

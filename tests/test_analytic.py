@@ -6,11 +6,15 @@ difference-frequency argument combo), with both argument combos in
 canonical sign (first nonzero delay coefficient positive).
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +22,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biphoton_cascade import analytic
+from biphoton_cascade import analytic, cli
 from biphoton_cascade.analytic import (
     CHUNK,
+    AnalyticModel,
     CosTerm,
     ZeroBaselineError,
     _corr_product_peaks,
@@ -366,6 +371,60 @@ def test_frozen_pruned_config_models(stem):
         assert (len(pruned.terms), hashlib.sha256(text.encode()).hexdigest()) == expected
 
 
+# The same configs rendered as LaTeX, made before the renderer read integer
+# rows: config -> (SHA-256 of render_latex of the full model, the same of
+# the model pruned at 1e-6).
+HOMI_TEX = "9ecc2fb1a570c2a69dc29740544ddef5ad49af8cbe2ec4a32fec216f07b15200"
+NOON_TEX = "3bd05e848e8dc58a4168f568e34aa46eafff996229083f84e22f7584ff3027d7"
+TWO_11_TEX = "baf14902f0b1bef36eeff8b8a3365d963983ec41892ef2f5d10574f5bcb0a434"
+TWO_2002_TEX = "bde0d81eeeb1259ba82e708f6d81f072f835e6e1d0ddf2eb0b3fb0747c041be9"
+THREE_11_TEX = "6427cff9a258b95851c4c78f9583b39e9b5485fb73b7b3f9369025ebb17577a3"
+THREE_2002_TEX = "568305d329506b03fa01b0437747f8a3762a07e4c18f5dc0d2e6098885f2d9a2"
+
+FROZEN_LATEX = {
+    "homi_anticorrelated": (HOMI_TEX, HOMI_TEX),
+    "homi_correlated": (HOMI_TEX, HOMI_TEX),
+    "homi_uncorrelated": (HOMI_TEX, HOMI_TEX),
+    "noon_anticorrelated": (NOON_TEX, NOON_TEX),
+    "noon_correlated": (NOON_TEX, NOON_TEX),
+    "noon_uncorrelated": (NOON_TEX, NOON_TEX),
+    "three_param_11_anticorrelated": (
+        THREE_11_TEX,
+        "466482248c22456e63a42150c50a3d7388cfbe0f272d934e144ee010880d8180"),
+    "three_param_11_correlated": (
+        THREE_11_TEX,
+        "87fc3ac63a31574a9e8a46e575776cc3cf70e676787c05476a650cdf98d45874"),
+    "three_param_11_uncorrelated": (
+        THREE_11_TEX,
+        "4d56be2033ddbcca75892d41c4e6ae045b5d1015453acad4a324cc80abead34f"),
+    "three_param_2002_anticorrelated": (
+        THREE_2002_TEX,
+        "c0e31e7bc0f6ac3c78a945084df7b81ab4ea3962e6f25dbc16018f2bbf4c1565"),
+    "three_param_2002_correlated": (
+        THREE_2002_TEX,
+        "1337a388448fd3a29a7ae621865956dc08461f07ce8bc731dc41d3c161df838c"),
+    "three_param_2002_uncorrelated": (
+        THREE_2002_TEX,
+        "6fd68deea46ec9c23bf43112375c9017f9c784f6a5b7f673f0b759c48c60e516"),
+    "two_param_11_anticorrelated": (TWO_11_TEX, TWO_11_TEX),
+    "two_param_11_correlated": (TWO_11_TEX, TWO_11_TEX),
+    "two_param_11_uncorrelated": (TWO_11_TEX, TWO_11_TEX),
+    "two_param_2002_anticorrelated": (TWO_2002_TEX, TWO_2002_TEX),
+    "two_param_2002_correlated": (TWO_2002_TEX, TWO_2002_TEX),
+    "two_param_2002_uncorrelated": (TWO_2002_TEX, TWO_2002_TEX),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(FROZEN_LATEX))
+def test_frozen_latex_config_models(stem):
+    config = load_config(CONFIG_DIR / f"{stem}.cfg")
+    model = expand(compose(config.cascade), config.spectrum.symmetry)
+    pruned = asymptotic_prune(model, config.sweep.fixed, config.sweep.swept,
+                              config.spectrum, 1e-6)
+    assert tuple(hashlib.sha256(render_latex(m).encode()).hexdigest()
+                 for m in (model, pruned)) == FROZEN_LATEX[stem]
+
+
 # ---------------------------------------------------------------------------
 # Swap rule and fermionic indistinguishability
 
@@ -468,6 +527,86 @@ def test_antisymmetric_homi_is_a_peak():
     assert as_set(model.terms) == as_set(
         [term(1, (0,), (0,)), term(1, (0,), (1,))]
     )
+
+
+# ---------------------------------------------------------------------------
+# Integer terms and their rational CosTerm view
+
+def test_model_scales_are_in_lowest_terms():
+    symmetric = ExchangeSymmetry.SYMMETRIC
+    model = AnalyticModel.from_terms(
+        [term(1, (0, 0), (0, 0)), term("-1/4", ("1/2", 0), (1, "3/2")),
+         term("3/8", (1, 1), (0, 0))], 2, symmetric)
+    assert (model.coeffs, model.coeff_scale) == ((8, -2, 3), 8)
+    assert (model.plus, model.minus, model.arg_scale) == \
+        (((0, 0), (1, 0), (2, 2)), ((0, 0), (2, 3), (0, 0)), 2)
+    assert model.constant == 1
+    whole = AnalyticModel.from_rows((8, -2), ((0,), (2,)), ((0,), (4,)), 1,
+                                    symmetric, coeff_scale=8, arg_scale=2)
+    assert (whole.coeffs, whole.coeff_scale, whole.plus, whole.minus,
+            whole.arg_scale) == ((4, -1), 4, ((0,), (1,)), ((0,), (2,)), 1)
+    assert whole == AnalyticModel.from_terms(
+        [term(1, (0,), (0,)), term("-1/4", (1,), (2,))], 1, symmetric)
+    rebased = dataclasses.replace(whole, raw_baseline=F(7))
+    assert rebased != whole and rebased.same_terms(whole)
+
+
+@given(cascade=expand_cascades(), symmetry=st.sampled_from(ExchangeSymmetry),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_rational_view_round_trips_over_least_scales(cascade, symmetry, data):
+    try:
+        model = expand(compose(cascade), symmetry)
+    except ZeroBaselineError:
+        assume(False)  # nothing to normalize by
+    js = make_spectrum(1.0, 0.1, symmetry)
+    n = cascade.n_delays
+    swept = data.draw(st.integers(0, n - 1))
+    delay = st.floats(-15.0, 15.0, allow_nan=False)
+    fixed = {i: data.draw(delay) for i in range(n) if i != swept}
+    threshold = data.draw(st.sampled_from([0.0, 1e-6, 1e-2, 0.3]))
+    pruned = asymptotic_prune(model, fixed, swept, js, threshold)
+    for m in (model, swap_rule(model), pruned):
+        assert AnalyticModel.from_terms(m.terms, m.n_delays, m.symmetry,
+                                        m.raw_baseline) == m
+        assert m.coeff_scale == math.lcm(*(t.coeff.denominator for t in m.terms))
+        assert m.arg_scale == math.lcm(*(c.denominator for t in m.terms
+                                         for c in t.plus_arg + t.minus_arg))
+        assert math.gcd(m.coeff_scale, *m.coeffs) == 1
+        assert math.gcd(m.arg_scale, *chain(*m.plus, *m.minus)) == 1
+    assert swap_rule(swap_rule(model)) == model
+
+
+def test_integer_consumers_leave_the_rational_view_unbuilt(monkeypatch):
+    made = []
+    build = CosTerm.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(CosTerm, "__init__", counted)
+    model = model_for("three_param_2002")
+    js = make_spectrum(1.0, 0.1)
+    fixed = {0: 8.0, 1: 22.0}
+    render_text(model)
+    render_latex(model)
+    pruned = asymptotic_prune(model, fixed, 2, js, 1e-6)
+    evaluate(model, js, [8.0, 22.0, np.linspace(-40.0, 40.0, 101)])
+    spec = SweepSpec(fixed=fixed, swept=2, start=-40.0, stop=40.0, samples=101)
+    envelopes_analytic(model, js, spec)
+    swapped = swap_rule(model)
+    assert model.constant == 1 and model.same_terms(swap_rule(swapped))
+    assert antisymmetric_equivalence_check(
+        compose(preset_cascade("three_param_11")),
+        compose(preset_cascade("three_param_2002")))
+    config = str(CONFIG_DIR / "three_param_2002_correlated.cfg")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["derive", "--prune", "--latex", "--config", config]) == 0
+    assert out.getvalue().endswith("terms: 20\n")
+    assert made == []
+    assert all("terms" not in vars(m) for m in (model, pruned, swapped))
+    assert len(model.terms) == len(made) == 28  # built when asked for
 
 
 # ---------------------------------------------------------------------------

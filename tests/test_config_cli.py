@@ -277,6 +277,19 @@ def test_overflowing_carrier_phase_is_config_error(tmp_path):
         "config error: trace contains non-finite values\n")
 
 
+@pytest.mark.parametrize("command", ["sweep", "envelope"])
+def test_overflowing_carrier_is_refused_in_one_line(tmp_path, command):
+    # noon_correlated with its pump at 1e308: the carrier phase overflows
+    # and its cosine is NaN; the refusal is the only line on stderr.
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "noon_correlated.cfg"
+    text = shipped.read_text().replace("spectrum.pump_frequency = 20.0",
+                                       "spectrum.pump_frequency = 1e308")
+    path = write(tmp_path, "pump.cfg", text)
+    result = run_cli(command, "--config", path, "--out", str(tmp_path / "x.csv"))
+    assert result.returncode == 2
+    assert result.stderr == "config error: trace contains non-finite values\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

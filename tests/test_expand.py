@@ -56,8 +56,8 @@ def reference_expand(tm, symmetry):
     zero = (F(0),) * tm.n_delays
     terms = [CosTerm(F(1), zero, zero)] + [
         CosTerm(c, p, m) for (p, m), c in sorted(merged.items()) if c]
-    return AnalyticModel(tuple(terms), tm.n_delays, symmetry,
-                         constant / F(4) ** tm.stage_count)
+    return AnalyticModel.from_terms(terms, tm.n_delays, symmetry,
+                                    constant / F(4) ** tm.stage_count)
 
 
 def assert_matches_reference(tm, symmetry):
