@@ -1,9 +1,9 @@
 """Closed-form coincidence models derived from a cascade transfer matrix.
 
-``expand`` squares the two-amplitude coincidence density symbolically and
-integrates it term by term against the factorable joint spectrum.  Each
-surviving term is a product of the two correlation functions evaluated at
-rational combinations of the delays:
+``expand`` squares the two-amplitude coincidence density symbolically, from
+signal- and idler-side correlations of the matrix entries, and integrates it
+term by term against the factorable joint spectrum.  Each surviving term is
+a product of the two correlation functions at rational delay combinations:
 
     R_N(taus) = sum_k  coeff_k * g_plus(p_k . taus) * g_minus(m_k . taus)
 
@@ -141,9 +141,6 @@ class ZeroBaselineError(ValueError):
     """The cascade has no coincidences at large delays: nothing to normalize by."""
 
 
-#: Pairs per block in ``expand``; bounds its temporaries to tens of MiB.
-_PAIR_BLOCK = 1 << 15
-
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -197,106 +194,102 @@ def _canonical_rows(x):
 
     Valid because every factor of a term is even in its own argument.
     """
+    if x.shape[1] == 0:  # rows of no delays have nothing to fold
+        return x
     first = x[np.arange(len(x)), np.argmax(x != 0, axis=1)]
     return x * np.sign(first)[:, None]
 
 
-def _pair_blocks(count: int):
-    """Index arrays (i, j) over all pairs i < j, at most _PAIR_BLOCK at a time."""
-    first = 0
-    while first < count - 1:
-        last = min(count - 1, first + max(1, _PAIR_BLOCK // (count - 1 - first)))
-        rows = np.arange(first, last)
-        lengths = count - 1 - rows
-        i = np.repeat(rows, lengths)
-        starts = np.cumsum(lengths) - lengths
-        j = np.arange(lengths.sum()) - np.repeat(starts - rows - 1, lengths)
-        yield i, j
-        first = last
+def _correlations(first, second):
+    """The four cross-correlations [E_u * E_v](lag) of one side's two entries.
+
+    Entries are (amps, rows) arrays; row k of entry u and row l of entry v
+    add amp_k * amp_l at lag row_l - row_k to group 2u + v.  Returns the
+    rows' span per column, which bounds every lag, the group boundaries,
+    and the nonzero sums with their lag rows, sorted by (group, lag).
+    """
+    amps = np.concatenate([first[0], second[0]])
+    rows = np.concatenate([first[1], second[1]])
+    group = np.repeat([0, 1], [len(first[0]), len(second[0])])
+    span = rows.max(axis=0, initial=0) - rows.min(axis=0, initial=0)
+    lattice = _Lattice(-span, span)
+    k, l = np.divmod(np.arange(len(amps) ** 2), len(amps))
+    keys, sums = _sum_by_key(
+        np.concatenate([(2 * group[k] + group[l])[:, None],
+                        lattice.pack(rows[l] - rows[k])], axis=1),
+        amps[k] * amps[l])
+    nonzero = sums != 0
+    keys = keys[nonzero]
+    return (span, np.searchsorted(keys[:, 0], range(5)),
+            lattice.unpack(keys[:, 1:]), sums[nonzero])
 
 
 def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     """Symbolic term-by-term integration of the squared coincidence density.
 
-    The product amplitude A(ws) D(wi) + s B(ws) C(wi) is collected into
-    terms c_k exp(-i (ws a_k + wi b_k)); squaring pairs them, and the
-    rewrite ws a + wi b = (wp + W_plus)(a+b)/2 + W_minus (a-b)/2 turns each
-    pair into a g_plus/g_minus product with half-integer delay arguments.
-    Conjugate pairs merge to real cosine terms, and the whole sum is
-    divided by its own large-delay constant.
+    The product amplitude A(ws) D(wi) + s B(ws) C(wi) is a sum of terms
+    c_k exp(-i (ws x_k + wi y_k)); its square sums c_k c_l at (dx, dy) =
+    (x_l - x_k, y_l - y_k) over all ordered pairs.  The amplitude has rank
+    2 across the signal/idler split, so that sum r(dx, dy) is the sum over
+    u, v of [L_u * L_v](dx) [R_u * R_v](dy), with L = (A, B), R = (D, s C)
+    and [E * F](lag) the sum of e_k f_l over row pairs l - k = lag: four
+    outer products of one-side correlations.  The rewrite ws dx + wi dy =
+    (wp + W_plus)(dx+dy)/2 + W_minus (dx-dy)/2 turns each cell into a
+    g_plus/g_minus product with half-integer delay arguments; sign-folded
+    cells merge to real cosine terms, divided by the constant r(0, 0).
 
     All of this runs on an integer lattice: the entries' integer amplitudes
-    and delay combinations are brought to common scales, and pair
-    arguments are kept doubled, so that the halves stay integral.  Each
-    term's canonical (plus, minus) arguments pack into an int64 key (more
-    words only for very wide lattices) that sorts in their lexicographic
-    order.  The model keeps the merged integers over the least scales.
+    and delay combinations are brought to common scales, and arguments are
+    kept doubled, so that the halves stay integral.  Each term's canonical
+    (plus, minus) arguments pack into an int64 key (more words only for
+    very wide lattices) that sorts in their lexicographic order.  The model
+    keeps the merged integers over the least scales.
     """
     n = tm.n_delays
     amp_scale, combo_scale, scaled = common_scales((tm.A, tm.B, tm.C, tm.D))
     amps, combos = zip(*scaled)
-    # A product entry takes at most one term pair from each route, so it
-    # is at most 2 peak^2; coefficients beyond int64 stay Python integers.
-    peak = max((abs(a) for e in amps for a in e), default=0)
-    exact = np.int64 if 2 * peak ** 2 <= _INT64_MAX else object
+    # Rows within an entry are distinct, so by Cauchy-Schwarz a correlation
+    # is at most |E| |F|.  A term collects one (dx, dy) per sign of each
+    # half from each of the four products, so every sum, partial or not,
+    # is at most 16 max(|A|^2, |B|^2) max(|C|^2, |D|^2); coefficients beyond
+    # int64 stay Python integers.
+    norms = [sum(a * a for a in e) for e in amps]
+    bound = 16 * max(norms[0], norms[1]) * max(norms[2], norms[3])
+    exact = np.int64 if bound <= _INT64_MAX else object
     amps = [np.array(a, dtype=exact) for a in amps]
-    # Pair arguments reach 4x the largest entry; their digits 8x.
-    if 8 * max((abs(c) for e in combos for row in e for c in row), default=0) \
+    amps[2] = int(symmetry) * amps[2]
+    # Lags reach 2x the largest combination, arguments 4x, their digits 8x.
+    if 8 * max(map(abs, chain.from_iterable(chain.from_iterable(combos))), default=0) \
             >= _INT64_MAX:
         raise OverflowError("delay combinations exceed the int64 range of expand")
     combos = [np.array(e, dtype=np.int64).reshape(len(e), n) for e in combos]
+    x_span, x_at, dx, left = _correlations((amps[0], combos[0]), (amps[1], combos[1]))
+    y_span, y_at, dy, right = _correlations((amps[3], combos[3]), (amps[2], combos[2]))
 
-    # Merge the two-route product by the (signal, idler) exponent pair.
-    # The zero row keeps the bounds defined when every entry is empty.
-    every = np.concatenate([np.zeros((1, n), np.int64)] + combos)
-    product = _Lattice(np.tile(every.min(axis=0), 2), np.tile(every.max(axis=0), 2))
-    keys, values = [], []
-    for sign, first, second in ((1, 0, 3), (int(symmetry), 1, 2)):
-        values.append(sign * np.multiply.outer(amps[first], amps[second]).ravel())
-        keys.append(product.pack(np.concatenate(
-            [np.repeat(combos[first], len(combos[second]), axis=0),
-             np.tile(combos[second], (len(combos[first]), 1))], axis=1)))
-    keys, c = _sum_by_key(np.concatenate(keys), np.concatenate(values))
-    nonzero = c != 0
+    # Every (dx, dy) cell of the four outer products, group by group: cell
+    # o of group g pairs left lag x_at[g] + o // ny[g] with right lag
+    # y_at[g] + o % ny[g].
+    nx, ny = np.diff(x_at), np.diff(y_at)
+    g = np.repeat(np.arange(4), nx * ny)
+    o = np.arange(len(g)) - np.repeat(np.cumsum(nx * ny) - nx * ny, nx * ny)
+    i = x_at[g] + o // ny[g]
+    j = y_at[g] + o % ny[g]
+    x, y = dx[i], dy[j]
+    rows = np.concatenate([_canonical_rows(x + y), _canonical_rows(x - y)], axis=1)
+    pair = _Lattice(np.tile(-(x_span + y_span), 2), np.tile(x_span + y_span, 2))
+    keys, sums = _sum_by_key(pair.pack(rows), left[i] * right[j])
+    nonzero = sums != 0
     if not nonzero.any():
         raise ZeroBaselineError("cascade has zero asymptotic coincidence baseline")
-    ab = product.unpack(keys[nonzero])
-    c = c[nonzero]
-    constant = sum(x * x for x in c.tolist())
-    # Under one key an entry pairs with at most four others (one per sign
-    # of each half), so by Cauchy-Schwarz every pair sum, partial or not,
-    # is at most 2 * constant in magnitude.
-    if 2 * constant > _INT64_MAX:
-        c = c.astype(object)
-
-    # Pair every two entries: the doubled sum and difference arguments are
-    # (a+b)_k - (a+b)_l and (a-b)_k - (a-b)_l.
-    s = ab[:, :n] + ab[:, n:]
-    d = ab[:, :n] - ab[:, n:]
-    bounds = np.concatenate([s.max(axis=0) - s.min(axis=0),
-                             d.max(axis=0) - d.min(axis=0)])
-    pair = _Lattice(-bounds, bounds)
-    # Blocks are summed alone, then into the running total once they
-    # outgrow it, so each pair term is re-sorted only a few times.
-    merged = [(np.zeros((0, len(pair.words)), np.int64), np.zeros(0, np.int64))]
-    pending = 0
-    for i, j in _pair_blocks(len(c)):
-        rows = np.concatenate([_canonical_rows(s[i] - s[j]),
-                               _canonical_rows(d[i] - d[j])], axis=1)
-        merged.append(_sum_by_key(pair.pack(rows), c[i] * c[j]))
-        pending += len(merged[-1][1])
-        if pending >= len(merged[0][1]):
-            merged, pending = [_sum_by_key(*map(np.concatenate, zip(*merged)))], 0
-    keys, sums = _sum_by_key(*map(np.concatenate, zip(*merged)))
-
-    nonzero = sums != 0
+    # The zero row sorts first among canonical rows, and its sum is the
+    # constant r(0, 0) = sum c_k^2; every other sum already counts both
+    # (dx, dy) and (-dx, -dy).
     rows = pair.unpack(keys[nonzero])
-    zero = [(0,) * n]
+    coeffs = sums[nonzero].tolist()
+    constant = coeffs[0]
     raw_baseline = Fraction(constant, amp_scale ** 4) / 2 ** (2 * tm.stage_count)
     return AnalyticModel.from_rows(
-        [constant] + [2 * s for s in sums[nonzero].tolist()],
-        zero + list(map(tuple, rows[:, :n].tolist())),
-        zero + list(map(tuple, rows[:, n:].tolist())),
+        coeffs, map(tuple, rows[:, :n].tolist()), map(tuple, rows[:, n:].tolist()),
         n, symmetry, constant, 2 * combo_scale, raw_baseline)
 
 

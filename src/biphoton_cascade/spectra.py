@@ -20,6 +20,7 @@ functions of the marginal intensities:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ __all__ = [
 ]
 
 
-#: Cap on (sigma tau)^2 in the Hermite-Gaussian corr.  exp(-x/2) is exactly
-#: 0 from x = 1491 on, so (1 - x) * exp(-x/2) is -0.0 at and beyond the cap
+#: Cap on (sigma tau)^2 in corr.  exp(-x/2) is exactly 0 from x = 1491 on,
+#: so exp(-x/2) is 0.0 and (1 - x) * exp(-x/2) is -0.0 at and beyond the cap
 #: whether x is capped or not; only an infinite x, which gave NaN, changes.
 _HERMITE_CAP = 1500.0
 
@@ -98,15 +99,17 @@ class SpectralProfile:
         Gaussian: exp(-sigma^2 tau^2 / 2).
         Hermite-Gaussian: (1 - sigma^2 tau^2) exp(-sigma^2 tau^2 / 2),
         obtained by differentiating the Gaussian transform twice
-        (W^2 under the integral maps to -d^2/dtau^2).  Once (sigma tau)^2
-        overflows, that is (1 - inf) * 0; the value there is 0, the limit.
+        (W^2 under the integral maps to -d^2/dtau^2).  |tau| is clamped
+        where (sigma tau)^2 reaches ``_HERMITE_CAP``, so the square never
+        overflows and the value far out is 0, the limit.
         """
-        with np.errstate(over="ignore"):  # an infinite square gives the 0 limit
-            x = (self.sigma * np.asarray(tau, dtype=float)) ** 2
+        x = np.minimum(np.abs(np.asarray(tau, dtype=float)),
+                       math.sqrt(_HERMITE_CAP) / self.sigma)
+        x *= self.sigma  # x is a new array: scaled and squared in place
+        x *= x
         if self.kind is ProfileKind.GAUSSIAN:
-            return np.exp(-x / 2.0)
-        x = np.minimum(x, _HERMITE_CAP)
-        return (1.0 - x) * np.exp(-x / 2.0)
+            return np.exp(-0.5 * x)
+        return (1.0 - x) * np.exp(-0.5 * x)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ The reference below is the plain pairwise expansion: every two product
 terms, their half-sum and half-difference arguments in exact rationals,
 and a dict merge.  It is quadratic in Python objects and only fit for
 small cascades, which is what the property tests draw.  Larger cascades
-are checked against frozen fixtures made by that same pairwise engine.
+are checked against frozen fixtures made by pairwise engines.
 """
 
 import hashlib
+import math
 import time
 from fractions import Fraction
 
@@ -153,10 +154,19 @@ def test_long_delay_free_runs_match_their_short_form(n_stages, preset):
                                 ExchangeSymmetry.SYMMETRIC)
 
 
-@pytest.mark.parametrize("power", [30, 40])
-def test_expand_exact_beyond_int64(power):
-    # 2^30: products fit int64 but pair sums do not; 2^40: neither does.
-    big = ExpSum.from_terms([(F(2) ** power, (F(0),)), (F(3), (F(1),))], 1)
+# expand keeps int64 sums while 16 max(|A|^2, |B|^2) max(|C|^2, |D|^2) fits,
+# here 16 (b^2 + 9)^2 for the amplitude b below: INT64_EDGE is the largest b.
+INT64_EDGE = math.isqrt(math.isqrt(((1 << 63) - 1) // 16) - 9)
+
+
+@pytest.mark.parametrize("amp", [
+    pytest.param(F(2) ** 30, id="30"),  # products fit int64, sums do not
+    pytest.param(F(2) ** 40, id="40"),  # products do not fit either
+    pytest.param(F(INT64_EDGE), id="int64-edge"),
+    pytest.param(F(INT64_EDGE + 1), id="past-int64-edge"),
+])
+def test_expand_exact_beyond_int64(amp):
+    big = ExpSum.from_terms([(amp, (F(0),)), (F(3), (F(1),))], 1)
     small = ExpSum.from_terms([(F(1), (F(0),)), (F(-5), (F(2),))], 1)
     tm = TransferMatrix(big, small, big, -big, stage_count=1, n_delays=1)
     for symmetry in ExchangeSymmetry:
@@ -179,8 +189,10 @@ def test_zero_baseline_has_its_own_error():
 
 
 # ---------------------------------------------------------------------------
-# Frozen four- and five-delay models, one delay per splitter, made by the
-# pairwise Fraction engine: (term count, SHA-256 of render_text).
+# Frozen four- to seven-delay models, one delay per splitter, made by
+# pairwise engines (the Fraction reference up to five delays, an integer
+# pairing of every two product terms for six and seven): (term count,
+# SHA-256 of render_text).
 
 FROZEN = {
     (4, ExchangeSymmetry.SYMMETRIC):
@@ -191,6 +203,14 @@ FROZEN = {
         (1263, "7186d9871036140b89548d5079d8f0a98aa4b3c543c4fa30579cf59ea6150d40"),
     (5, ExchangeSymmetry.ANTISYMMETRIC):
         (1263, "22341fb64c1d7381f39eac2de4398bc03520b842809b4adb3fd3f2c800eeb429"),
+    (6, ExchangeSymmetry.SYMMETRIC):
+        (9241, "5ea6baf575ad94bc9661e337215e3decb8165abc3f0a691e436ae0ae07f09649"),
+    (6, ExchangeSymmetry.ANTISYMMETRIC):
+        (9241, "3c5aa71edf6ce20f6446aa61a7503683ae676f1434d7fcdb544d785199fba738"),
+    (7, ExchangeSymmetry.SYMMETRIC):
+        (68477, "1b199aea7c593622b9cf889f9b50328db12159b1118d6e4dc1692cded4d1056a"),
+    (7, ExchangeSymmetry.ANTISYMMETRIC):
+        (68477, "802ae3567d2300a58f7f59222d09decf536d8ee75027c5ca0b2b8a6e35ca69e9"),
 }
 
 

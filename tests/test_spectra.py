@@ -4,6 +4,8 @@ The correlation functions g+ and g- are read off the one-delay closed
 forms: ``homi`` gives R = 1 - g-(t1) and ``noon`` gives R = 1 + g+(t1).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,32 @@ def test_hermite_gaussian_corr_is_zero_where_its_argument_overflows():
     tau = np.concatenate([np.linspace(-60.0, 60.0, 20001), [1e3, -4e10, 1e150]])
     x = (0.7 * tau) ** 2
     assert profile.corr(tau).tobytes() == ((1.0 - x) * np.exp(-x / 2.0)).tobytes()
+
+
+def test_corr_is_silent_and_keeps_the_bits_of_the_unclamped_formula():
+    # The clamp on |tau| changes no bit of exp(-x / 2) or (1 - x) exp(-x / 2)
+    # with x = min((sigma tau)^2, 1500) computed with its overflow silenced,
+    # not even the sign of a zero, and warns of nothing.
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324]
+    far = np.geomspace(5e-324, 1e308, 4001)
+    tau = np.concatenate([special, np.linspace(-80.0, 80.0, 16001), far, -far])
+    for kind in ProfileKind:
+        for sigma in (1e-3, 0.7, 1.0, 1e10, 1e150):
+            profile = SpectralProfile(kind, sigma)
+            with np.errstate(over="ignore"):
+                x = np.minimum((sigma * tau) ** 2, 1500.0)
+            expected = np.exp(-x / 2.0)
+            if kind is ProfileKind.HERMITE_GAUSSIAN1:
+                expected = (1.0 - x) * expected
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.concatenate(
+                    [profile.corr(tau), [profile.corr(t) for t in special]])
+            expected = np.concatenate([expected, expected[:len(special)]])
+            # NaN signs follow no rule; NaN places and all other bits do.
+            nan = np.isnan(expected)
+            assert np.array_equal(np.isnan(values), nan)
+            assert values[~nan].tobytes() == expected[~nan].tobytes()
 
 
 def test_hermite_gaussian_amplitude_is_odd():
