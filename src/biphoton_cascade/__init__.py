@@ -25,7 +25,6 @@ from .cascade import (
     CascadeConfig,
     Stage,
     TransferMatrix,
-    bs_matrix,
     coincidence_density,
     compose,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "ZeroBaselineError",
     "antisymmetric_equivalence_check",
     "asymptotic_prune",
-    "bs_matrix",
     "coincidence_density",
     "compose",
     "convergence_report",

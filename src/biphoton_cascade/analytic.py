@@ -28,7 +28,7 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .cascade import TransferMatrix, combo_dot, combo_is_zero, common_scales
+from .cascade import TransferMatrix, combo_dot, common_scales
 from .spectra import _HERMITE_CAP, ExchangeSymmetry, JointSpectrum
 
 __all__ = [
@@ -53,10 +53,6 @@ class CosTerm:
     coeff: Fraction
     plus_arg: tuple
     minus_arg: tuple
-
-    @property
-    def is_constant(self) -> bool:
-        return combo_is_zero(self.plus_arg) and combo_is_zero(self.minus_arg)
 
 
 @dataclass(frozen=True)
@@ -147,45 +143,38 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 class _Lattice:
     """Mixed-radix packing of integer rows whose columns lie in lo..hi.
 
-    Columns are grouped left to right into as few int64 words as fit, each
-    with non-negative digits and its first column most significant, so the
-    packed words sort in the rows' lexicographic order.  A cascade with
-    each delay on one splitter fits one word up to 13 delays.
+    Each row packs into one key of non-negative digits, its first column
+    most significant, so keys sort in the rows' lexicographic order.  Keys
+    are int64 while the lattice size fits, Python integers past that; a
+    cascade with each delay on one splitter fits int64 up to 13 delays.
     """
 
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=np.int64)
         self.radix = np.asarray(hi, dtype=np.int64) - self.lo + 1
-        self.place = np.ones_like(self.radix)
-        stops, size = [len(self.radix)], 1
-        for col in reversed(range(len(self.radix))):
-            if size * int(self.radix[col]) - 1 > _INT64_MAX:
-                stops.append(col + 1)
-                size = 1
-            self.place[col] = size
-            size *= int(self.radix[col])
-        bounds = sorted(stops + [0])
-        self.words = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-        self.word_of = np.repeat(np.arange(len(self.words)),
-                                 [w.stop - w.start for w in self.words])
+        radix = self.radix.tolist()
+        self.dtype = np.int64 if math.prod(radix) - 1 <= _INT64_MAX else object
+        self.place = np.array([math.prod(radix[col + 1:]) for col in range(len(radix))],
+                              dtype=self.dtype)
 
     def pack(self, rows):
-        digits = (rows - self.lo) * self.place
-        return np.stack([digits[:, w].sum(axis=1) for w in self.words], axis=1)
+        digits = (rows - self.lo).astype(self.dtype, copy=False)
+        digits *= self.place  # in place: one (rows, columns) array at a time
+        return digits.sum(axis=1)
 
     def unpack(self, keys):
-        return keys[:, self.word_of] // self.place % self.radix + self.lo
+        # Column-major digits: each column divides the keys by one scalar.
+        digits = keys // self.place[:, None] % self.radix[:, None]
+        return digits.T.astype(np.int64, copy=False) + self.lo
 
 
 def _sum_by_key(keys, values):
-    """Unique key rows in lexicographic order and the sum of ``values`` over each."""
+    """Unique keys in ascending order and the sum of ``values`` over each."""
     if len(keys) == 0:
         return keys, values
-    order = np.argsort(keys[:, -1])
-    for word in reversed(range(keys.shape[1] - 1)):
-        order = order[np.argsort(keys[order, word], kind="stable")]
+    order = np.argsort(keys)
     keys, values = keys[order], values[order]
-    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     return keys[starts], np.add.reduceat(values, starts)
 
 
@@ -204,24 +193,23 @@ def _correlations(first, second):
     """The four cross-correlations [E_u * E_v](lag) of one side's two entries.
 
     Entries are (amps, rows) arrays; row k of entry u and row l of entry v
-    add amp_k * amp_l at lag row_l - row_k to group 2u + v.  Returns the
-    rows' span per column, which bounds every lag, the group boundaries,
-    and the nonzero sums with their lag rows, sorted by (group, lag).
+    add amp_k * amp_l at lag row_l - row_k to group 2u + v, which packs as
+    the key's top digit.  Returns the rows' span per column, which bounds
+    every lag, the group boundaries, and the nonzero sums with their lag
+    rows, sorted by (group, lag).
     """
     amps = np.concatenate([first[0], second[0]])
     rows = np.concatenate([first[1], second[1]])
     group = np.repeat([0, 1], [len(first[0]), len(second[0])])
     span = rows.max(axis=0, initial=0) - rows.min(axis=0, initial=0)
-    lattice = _Lattice(-span, span)
+    lattice = _Lattice(np.r_[0, -span], np.r_[3, span])
     k, l = np.divmod(np.arange(len(amps) ** 2), len(amps))
     keys, sums = _sum_by_key(
-        np.concatenate([(2 * group[k] + group[l])[:, None],
-                        lattice.pack(rows[l] - rows[k])], axis=1),
+        lattice.pack(np.column_stack([2 * group[k] + group[l], rows[l] - rows[k]])),
         amps[k] * amps[l])
     nonzero = sums != 0
-    keys = keys[nonzero]
-    return (span, np.searchsorted(keys[:, 0], range(5)),
-            lattice.unpack(keys[:, 1:]), sums[nonzero])
+    lags = lattice.unpack(keys[nonzero])
+    return span, np.searchsorted(lags[:, 0], range(5)), lags[:, 1:], sums[nonzero]
 
 
 def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
@@ -241,9 +229,9 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     All of this runs on an integer lattice: the entries' integer amplitudes
     and delay combinations are brought to common scales, and arguments are
     kept doubled, so that the halves stay integral.  Each term's canonical
-    (plus, minus) arguments pack into an int64 key (more words only for
-    very wide lattices) that sorts in their lexicographic order.  The model
-    keeps the merged integers over the least scales.
+    (plus, minus) arguments pack into one key (int64 unless the lattice is
+    very wide) that sorts in their lexicographic order.  The model keeps
+    the merged integers over the least scales.
     """
     n = tm.n_delays
     amp_scale, combo_scale, scaled = common_scales((tm.A, tm.B, tm.C, tm.D))

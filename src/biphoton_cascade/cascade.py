@@ -7,14 +7,15 @@ holds integer amplitude numerators and integer delay-combination rows,
 each set over one denominator (``amp_scale``, ``combo_scale``) kept in
 lowest terms, so symbolic equality checks are exact and structural.  The
 global ``(1/sqrt 2)^stages`` factor is bookkept separately via
-``stage_count``.  ``ExpSum.terms`` is the rational view of an entry, built
-on demand, and ``ExpSum.arrays`` its float view.
+``stage_count``.  ``ExpSum.arrays`` is the float view of an entry, compiled
+once and read by every numeric caller; ``ExpSum.terms`` is its rational
+view, built on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -27,14 +28,9 @@ __all__ = [
     "ExpSum",
     "CascadeConfig",
     "TransferMatrix",
-    "bs_matrix",
     "compose",
     "coincidence_density",
 ]
-
-
-def combo_is_zero(a) -> bool:
-    return all(x == 0 for x in a)
 
 
 def combo_dot(combo, taus):
@@ -91,24 +87,6 @@ class ExpSum:
             {tuple(int(c * combo_scale) for c in combo): int(amp * amp_scale)
              for combo, amp in kept.items()}, n_delays, amp_scale, combo_scale)
 
-    @staticmethod
-    def zero(n_delays: int) -> "ExpSum":
-        return ExpSum((), (), n_delays)
-
-    @staticmethod
-    def phase(delay_label: int, n_delays: int, amp=1) -> "ExpSum":
-        if not 0 <= delay_label < n_delays:
-            raise ValueError(
-                f"delay label {delay_label} out of range for {n_delays} delays")
-        unit = tuple(int(i == delay_label) for i in range(n_delays))
-        return ExpSum.from_terms([(amp, unit)], n_delays)
-
-    def __add__(self, other: "ExpSum") -> "ExpSum":
-        return ExpSum.from_terms(self.terms + other.terms, self.n_delays)
-
-    def __neg__(self) -> "ExpSum":
-        return replace(self, amps=tuple(-amp for amp in self.amps))
-
     @cached_property
     def terms(self):
         """Rational view: ``(amp, combo)`` pairs of ``Fraction``s, in row order."""
@@ -123,12 +101,11 @@ class ExpSum:
         return _compile_terms(self)
 
     def evaluate(self, omega, taus) -> complex:
-        """Numeric value at frequency omega (scalar or array)."""
-        omega = np.asarray(omega, dtype=float)
-        total = np.zeros(omega.shape, dtype=complex)
-        for amp, combo in self.terms:
-            total += float(amp) * np.exp(-1j * omega * combo_dot(combo, taus))
-        return total
+        """Numeric value at frequency omega (scalar or array), one scalar per delay."""
+        amps, combos = self.arrays
+        phases = np.multiply.outer(np.asarray(omega, dtype=float),
+                                   combo_dot(combos, taus))
+        return np.tensordot(np.exp(-1j * phases), amps, axes=1)
 
 
 def _compile_terms(entry: ExpSum):
@@ -167,6 +144,8 @@ class CascadeConfig:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("cascade needs at least one stage")
+        if self.n_delays < 0:
+            raise ValueError(f"n_delays must be >= 0, got {self.n_delays}")
         labels = [s.delay_label for s in self.stages if s.delay_label is not None]
         if self.input_delay is not None:
             labels.append(self.input_delay)
@@ -218,13 +197,8 @@ class TransferMatrix:
     def evaluate(self, omega, taus) -> np.ndarray:
         """Numeric 2x2 matrix at a single frequency, normalization included."""
         scale = 2.0 ** (-self.stage_count / 2.0)
-        return scale * np.array(
-            [
-                [self.A.evaluate(omega, taus), self.B.evaluate(omega, taus)],
-                [self.C.evaluate(omega, taus), self.D.evaluate(omega, taus)],
-            ],
-            dtype=complex,
-        )
+        entries = [e.evaluate(omega, taus) for e in (self.A, self.B, self.C, self.D)]
+        return scale * np.array(entries, dtype=complex).reshape(2, 2)
 
 
 def _large_delay_moments(tm: TransferMatrix):
@@ -245,15 +219,6 @@ def _large_delay_moments(tm: TransferMatrix):
     even = inner(a, a) * inner(d, d) + inner(b, b) * inner(c, c)
     return (Fraction(even, amp_scale ** 4),
             Fraction(2 * inner(a, b) * inner(d, c), amp_scale ** 4))
-
-
-def bs_matrix(delay_label: Optional[int], n_delays: int) -> TransferMatrix:
-    """Single 50:50 beam splitter with an optional delay on the idler arm.
-
-    [[1, e^{-i omega tau}], [1, -e^{-i omega tau}]] up to the deferred
-    1/sqrt(2); with no delay this is the Hadamard-like matrix.
-    """
-    return compose(CascadeConfig.from_labels([delay_label], n_delays))
 
 
 def _shift(entry: dict, column: int) -> dict:

@@ -86,6 +86,8 @@ def generate_figures(out_dir: str) -> list[str]:
 
 #: Points per formatted block of an SVG polyline.
 _SVG_BLOCK = 4096
+#: SVG canvas size in pixels.
+_SVG_WIDTH, _SVG_HEIGHT = 720, 360
 
 
 def _write_polyline(fh, xs, ys, x0, x1, y0, y1, width, height, pad) -> None:
@@ -103,12 +105,12 @@ def _write_polyline(fh, xs, ys, x0, x1, y0, y1, width, height, pad) -> None:
 
 
 def render_svg(path: str, trace: Trace, env: EnvelopePair = None,
-               title: str = "", width: int = 720, height: int = 360) -> None:
+               title: str = "") -> None:
     """Minimal line-plot renderer: trace in black, envelopes dashed gray.
 
     The polylines are streamed to the file in blocks of points.
     """
-    pad = 40.0
+    pad, width, height = 40.0, _SVG_WIDTH, _SVG_HEIGHT
     x0, x1 = float(trace.taus[0]), float(trace.taus[-1])
     series = [trace.values]
     if env is not None:

@@ -63,6 +63,10 @@ _ARRAYS_PER_SAMPLE = 24
 #: before anything is allocated.
 SWEEP_MEMORY_BUDGET = 1 << 30
 MAX_SWEEP_SAMPLES = SWEEP_MEMORY_BUDGET // (8 * _ARRAYS_PER_SAMPLE)
+#: Rounds of replica subtraction in ``_subtract_satellites``.
+_SATELLITE_ITERATIONS = 3
+#: ``detect_structures`` ignores deviations below this share of the largest.
+_MIN_PROMINENCE = 0.02
 
 
 @dataclass(frozen=True)
@@ -240,7 +244,7 @@ def _dft_intensity(taus: np.ndarray, signal: np.ndarray):
     return omega, spectrum
 
 
-def _subtract_satellites(taus, signal, separation, iterations=3):
+def _subtract_satellites(taus, signal, separation):
     """Isolate the central lobe of a signal with +-separation replicas.
 
     The replicas carry half the central amplitude; alternate between
@@ -249,7 +253,7 @@ def _subtract_satellites(taus, signal, separation, iterations=3):
     """
     mask = np.abs(taus) <= separation / 2.0
     central = np.where(mask, signal, 0.0)
-    for _ in range(iterations):
+    for _ in range(_SATELLITE_ITERATIONS):
         left = np.interp(taus + separation, taus, central, left=0.0, right=0.0)
         right = np.interp(taus - separation, taus, central, left=0.0, right=0.0)
         central = signal - 0.5 * (left + right)
@@ -318,8 +322,7 @@ class Structure:
 
 
 def detect_structures(trace: Trace, baseline: float,
-                      carrier_freq: Optional[float] = None,
-                      min_prominence: float = 0.02):
+                      carrier_freq: Optional[float] = None):
     """Locate localized interference structures and their visibilities.
 
     A structure shows up either as a baseband shift of the mean away from
@@ -338,7 +341,7 @@ def detect_structures(trace: Trace, baseline: float,
     else:
         deviation = np.abs(trace.values - baseline)
     noise = float(np.median(deviation)) * 1.4826
-    threshold = max(3.0 * noise, min_prominence * float(deviation.max()))
+    threshold = max(3.0 * noise, _MIN_PROMINENCE * float(deviation.max()))
     active = deviation > threshold
 
     structures = []

@@ -42,6 +42,10 @@ MAX_NODES_PER_AXIS = math.isqrt(GRID_MEMORY_BUDGET // _BYTES_PER_NODE)
 #: (n-1)/2, and beyond this many nodes exp(x_max^2) must overflow: such
 #: rules are refused before they are built.
 _MAX_HERMITE_NODES = int(2 * math.log(np.finfo(float).max) + 1)
+#: ``suggested_grid``'s half-width in linewidths, and its nodes per cycle
+#: of the fastest fringe.
+_SUGGESTED_EXTENT = 8.0
+_POINTS_PER_CYCLE = 4.0
 
 
 class GridTooLargeError(ValueError):
@@ -186,9 +190,7 @@ def convergence_report(tm: TransferMatrix, js: JointSpectrum, taus, grids):
     return rows
 
 
-def suggested_grid(tm: TransferMatrix, js: JointSpectrum, taus,
-                   extent_sigmas: float = 8.0,
-                   points_per_cycle: float = 4.0) -> GridSpec:
+def suggested_grid(tm: TransferMatrix, js: JointSpectrum, taus) -> GridSpec:
     """Trapezoid grid sized to resolve the fastest delay-induced fringe.
 
     The density oscillates in each detuning no faster than the largest
@@ -200,6 +202,6 @@ def suggested_grid(tm: TransferMatrix, js: JointSpectrum, taus,
     # Exponent differences in the squared density reach 2 * u_max, and the
     # detuning enters with a factor 1/2: fringe rate u_max per axis unit.
     sigma = max(js.plus.sigma, js.minus.sigma)
-    window = 2.0 * extent_sigmas * sigma
-    nodes = int(window * u_max / (2.0 * math.pi) * points_per_cycle) + 64
-    return GridSpec(max(nodes, 256), extent_sigmas, Rule.TRAPEZOID)
+    window = 2.0 * _SUGGESTED_EXTENT * sigma
+    nodes = int(window * u_max / (2.0 * math.pi) * _POINTS_PER_CYCLE) + 64
+    return GridSpec(max(nodes, 256), _SUGGESTED_EXTENT, Rule.TRAPEZOID)

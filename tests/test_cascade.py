@@ -11,11 +11,12 @@ from biphoton_cascade import cascade as cascade_module
 from biphoton_cascade.cascade import (
     CascadeConfig,
     ExpSum,
-    bs_matrix,
     coincidence_density,
+    combo_dot,
     compose,
 )
 from biphoton_cascade.presets import (
+    CLASS_SIGMAS,
     make_spectrum,
     preset_cascade,
     single_delay_chain,
@@ -31,7 +32,7 @@ def numeric_matrix(tm, omega, taus):
 
 
 def test_bs_matrix_numeric_form():
-    tm = bs_matrix(0, 1)
+    tm = compose(CascadeConfig.from_labels([0], 1))
     omega, tau = 3.7, 1.3
     expected = np.array(
         [[1.0, np.exp(-1j * omega * tau)], [1.0, -np.exp(-1j * omega * tau)]]
@@ -41,7 +42,7 @@ def test_bs_matrix_numeric_form():
 
 
 def test_delay_free_stage_is_hadamard():
-    tm = bs_matrix(None, 1)
+    tm = compose(CascadeConfig.from_labels([None], 1))
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     np.testing.assert_allclose(numeric_matrix(tm, 5.0, [2.0]), h, atol=1e-15)
 
@@ -138,9 +139,9 @@ def test_delay_label_out_of_range():
 
 
 def test_expsum_merges_amplitudes_exactly():
-    half = ExpSum.phase(0, 1, amp=Fraction(1, 2))
-    merged = half + half
-    assert merged.terms == ExpSum.phase(0, 1).terms
+    half = (Fraction(1, 2), (1,))
+    merged = ExpSum.from_terms([half, half], 1)
+    assert merged.terms == ExpSum.from_terms([(1, (1,))], 1).terms
 
 
 @given(
@@ -235,6 +236,56 @@ def test_large_delay_constant_on_rational_matrices(tm):
     assert_constants_match(tm)
 
 
+# ---------------------------------------------------------------------------
+# Numeric entries from the compiled arrays against the rational-term walk
+
+
+def reference_entry(entry, omega, taus):
+    """An entry's value as a walk over its ``Fraction`` terms, and the sum
+    of its terms' magnitudes, the scale of rounding in either."""
+    total = 0j
+    for amp, combo in entry.terms:
+        total += float(amp) * np.exp(-1j * omega * combo_dot(combo, taus))
+    return total, sum(abs(float(amp)) for amp, _ in entry.terms)
+
+
+def assert_numeric_entries_match_reference(tm, data):
+    omega = data.draw(st.floats(-40.0, 40.0))
+    taus = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=tm.n_delays,
+                              max_size=tm.n_delays))
+    norm = 2.0 ** (-tm.stage_count / 2.0)
+    matrix = numeric_matrix(tm, omega, taus)
+    for value, entry in zip(matrix.ravel(), (tm.A, tm.B, tm.C, tm.D)):
+        expected, scale = reference_entry(entry, omega, taus)
+        assert abs(value - norm * expected) <= 1e-12 * max(1.0, norm * scale)
+
+    symmetry = data.draw(st.sampled_from(ExchangeSymmetry))
+    js = make_spectrum(*CLASS_SIGMAS[data.draw(st.sampled_from(sorted(CLASS_SIGMAS)))],
+                       symmetry)
+    ws, wi = (js.pump_frequency / 2.0 + data.draw(st.floats(-4.0, 4.0))
+              for _ in range(2))
+    (a, a_scale), (b, b_scale), (c, c_scale), (d, d_scale) = (
+        reference_entry(entry, w, taus)
+        for entry, w in ((tm.A, ws), (tm.B, ws), (tm.C, wi), (tm.D, wi)))
+    f = js.plus.amplitude(ws + wi - js.pump_frequency) * js.minus.amplitude(ws - wi)
+    expected = abs(f * a * d + int(symmetry) * f * b * c) ** 2
+    scale = (abs(f) * (a_scale * d_scale + b_scale * c_scale)) ** 2
+    assert abs(coincidence_density(tm, js, ws, wi, taus) - expected) <= \
+        1e-12 * max(1.0, scale)
+
+
+@given(config=cascades(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_numeric_entries_match_fraction_walk_on_cascades(config, data):
+    assert_numeric_entries_match_reference(compose(config), data)
+
+
+@given(tm=rational_matrices(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_numeric_entries_match_fraction_walk_on_rational_matrices(tm, data):
+    assert_numeric_entries_match_reference(tm, data)
+
+
 def test_expsum_scales_are_in_lowest_terms():
     entry = ExpSum.from_terms(
         [(F(2, 3), (F(1, 2), F(0))), (F(4, 3), (F(3, 2), F(1)))], 2)
@@ -243,9 +294,10 @@ def test_expsum_scales_are_in_lowest_terms():
     halves = ExpSum.from_terms([(F(1, 2), (F(1, 2),)), (F(3, 2), (F(1),))], 1)
     assert (halves.amps, halves.rows, halves.amp_scale, halves.combo_scale) == \
         ((1, 3), ((1,), (2,)), 2, 2)
-    whole = halves + ExpSum.from_terms([(F(-1, 2), (F(1, 2),)), (F(1, 2), (1,))], 1)
+    whole = ExpSum.from_terms(
+        halves.terms + ((F(-1, 2), (F(1, 2),)), (F(1, 2), (1,))), 1)
     assert (whole.amps, whole.rows, whole.amp_scale, whole.combo_scale) == \
         ((2,), ((1,),), 1, 1)
-    assert -(-entry) == entry and entry + ExpSum.zero(2) == entry
+    assert ExpSum.from_terms(entry.terms, 2) == entry
     cancelled = ExpSum.from_terms([(1, (F(2, 4),)), (F(-1), (F(1, 2),))], 1)
-    assert cancelled == ExpSum.zero(1)
+    assert cancelled == ExpSum((), (), 1)

@@ -92,6 +92,8 @@ def test_parse_config_grid_section():
         "cascade.preset = noon\nsweep.swept = 0\nprune.threshold = -1\n",
         # over the sweep memory budget
         "cascade.preset = noon\nsweep.swept = 0\nsweep.samples = 100000000\n",
+        "cascade.stages = -, -\ncascade.n_delays = -2\n",  # negative delay count
+        "cascade.stages = -\ncascade.n_delays = -2\n",
     ],
 )
 def test_parse_config_rejects_malformed(text):
@@ -214,6 +216,16 @@ def test_zero_baseline_cascade_is_config_error(tmp_path):
     assert "Traceback" not in result.stderr
     assert result.stderr.count("\n") == 1
     assert "zero asymptotic coincidence baseline" in result.stderr
+
+
+def test_negative_delay_count_is_config_error(tmp_path):
+    path = write(tmp_path, "negative.cfg", "cascade.stages = -, -\ncascade.n_delays = -2\n")
+    for command in ("derive", "sweep"):
+        result = run_cli(command, "--config", path, "--out", str(tmp_path / "x.csv"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert "n_delays" in result.stderr
 
 
 def test_non_finite_pump_frequency_is_config_error(tmp_path):

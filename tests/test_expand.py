@@ -12,6 +12,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,8 @@ from biphoton_cascade.analytic import (
     AnalyticModel,
     CosTerm,
     ZeroBaselineError,
+    _Lattice,
+    _sum_by_key,
     expand,
     render_text,
 )
@@ -131,7 +134,7 @@ def test_expand_hand_built_rational_matrix():
 
 def test_expand_wide_lattice_spans_several_int64_words():
     # Delay coefficients near 2^40 give pair digits near 2^43 per column:
-    # one int64 word holds only one of the four columns.
+    # the four columns' lattice is far past int64, so keys are Python ints.
     wide = F(2) ** 40 + F(1, 3)
     tm = TransferMatrix(
         A=ExpSum.from_terms([(F(1), (F(0), F(0))), (F(2), (wide, F(-1)))], 2),
@@ -167,8 +170,9 @@ INT64_EDGE = math.isqrt(math.isqrt(((1 << 63) - 1) // 16) - 9)
 ])
 def test_expand_exact_beyond_int64(amp):
     big = ExpSum.from_terms([(amp, (F(0),)), (F(3), (F(1),))], 1)
+    neg_big = ExpSum.from_terms([(-amp, (F(0),)), (F(-3), (F(1),))], 1)
     small = ExpSum.from_terms([(F(1), (F(0),)), (F(-5), (F(2),))], 1)
-    tm = TransferMatrix(big, small, big, -big, stage_count=1, n_delays=1)
+    tm = TransferMatrix(big, small, big, neg_big, stage_count=1, n_delays=1)
     for symmetry in ExchangeSymmetry:
         assert expand(tm, symmetry) == reference_expand(tm, symmetry)
 
@@ -178,6 +182,63 @@ def test_expand_refuses_delay_combinations_beyond_int64():
     tm = TransferMatrix(huge, huge, huge, huge, stage_count=1, n_delays=1)
     with pytest.raises(OverflowError):
         expand(tm, ExchangeSymmetry.SYMMETRIC)
+
+
+# ---------------------------------------------------------------------------
+# The packing itself: one key per row, sorting in the rows' lexicographic order
+
+
+def assert_lattice_packs(lo, hi, rows, dtype):
+    lattice = _Lattice(lo, hi)
+    keys = lattice.pack(rows)
+    assert keys.shape == (len(rows),) and keys.dtype == dtype
+    unpacked = lattice.unpack(keys)
+    assert unpacked.dtype == np.int64
+    np.testing.assert_array_equal(unpacked, rows)
+    np.testing.assert_array_equal(np.argsort(keys, kind="stable"),
+                                  np.lexsort(rows.T[::-1]))
+    unique, counts = _sum_by_key(keys, np.ones(len(rows), dtype=np.int64))
+    expected = {}
+    for row in map(tuple, rows.tolist()):
+        expected[row] = expected.get(row, 0) + 1
+    assert [tuple(row) for row in lattice.unpack(unique).tolist()] == sorted(expected)
+    assert counts.tolist() == [expected[row] for row in sorted(expected)]
+
+
+@pytest.mark.parametrize("radix,dtype", [
+    pytest.param((5, 3, 7), np.int64, id="small"),
+    # Sizes 2^63, whose largest key is int64 max, and 2^63 + 1 (its factors).
+    pytest.param((1 << 31, 1 << 32), np.int64, id="size-2^63"),
+    pytest.param((119537721, 77158673929), object, id="size-2^63+1"),
+])
+def test_lattice_round_trip_and_row_order(radix, dtype):
+    rng = np.random.default_rng(7)
+    lo = -np.array(radix, dtype=np.int64) // 3
+    hi = lo + np.array(radix, dtype=np.int64) - 1
+    rows = rng.integers(lo, hi, size=(300, len(radix)), endpoint=True)
+    # The corners, and repeated rows for the sums.
+    rows = np.concatenate([rows, [lo, hi], rows[:40]])
+    assert_lattice_packs(lo, hi, rows, dtype)
+    assert (math.prod(radix) - 1 <= np.iinfo(np.int64).max) == (dtype is np.int64)
+
+
+@st.composite
+def lattices(draw):
+    """Column bounds up to 2^41 wide (some lattices pass int64) and rows in them."""
+    lo = draw(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1, max_size=4))
+    hi = [low + draw(st.integers(0, 1 << 41)) for low in lo]
+    row = st.tuples(*(st.integers(low, high) for low, high in zip(lo, hi)))
+    rows = draw(st.lists(row, min_size=1, max_size=30))
+    return lo, hi, np.array(rows, dtype=np.int64).reshape(len(rows), len(lo))
+
+
+@given(lattice=lattices())
+@settings(max_examples=100, deadline=None)
+def test_lattice_round_trip_and_row_order_on_random_rows(lattice):
+    lo, hi, rows = lattice
+    size = math.prod(high - low + 1 for low, high in zip(lo, hi))
+    dtype = np.int64 if size - 1 <= np.iinfo(np.int64).max else object
+    assert_lattice_packs(lo, hi, rows, dtype)
 
 
 def test_zero_baseline_has_its_own_error():

@@ -197,7 +197,7 @@ def test_stacked_combo_dot_matches_each_term():
         assert a == float(amp)
         assert u == pytest.approx(combo_dot(combo, taus), abs=1e-14)
     assert not amps.flags.writeable and not combos.flags.writeable
-    assert ExpSum.zero(3).arrays[1].shape == (0, 3)
+    assert ExpSum.from_terms([], 3).arrays[1].shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
