@@ -273,12 +273,18 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     # constant r(0, 0) = sum c_k^2; every other sum already counts both
     # (dx, dy) and (-dx, -dy).
     rows = pair.unpack(keys[nonzero])
-    coeffs = sums[nonzero].tolist()
-    constant = coeffs[0]
+    sums = sums[nonzero]
+    constant = int(sums[0])
     raw_baseline = Fraction(constant, amp_scale ** 4) / 2 ** (2 * tm.stage_count)
-    return AnalyticModel.from_rows(
-        coeffs, map(tuple, rows[:, :n].tolist()), map(tuple, rows[:, n:].tolist()),
-        n, symmetry, constant, 2 * combo_scale, raw_baseline)
+    # The least scales, reduced on the arrays before they become tuples.
+    coeff_gcd = int(np.gcd.reduce(sums))
+    arg_gcd = math.gcd(2 * combo_scale, int(np.gcd.reduce(rows, axis=None)))
+    sums //= coeff_gcd
+    rows //= arg_gcd
+    return AnalyticModel(
+        tuple(sums.tolist()), tuple(map(tuple, rows[:, :n].tolist())),
+        tuple(map(tuple, rows[:, n:].tolist())), n, symmetry,
+        constant // coeff_gcd, 2 * combo_scale // arg_gcd, raw_baseline)
 
 
 #: Samples per block of the broadcast delays in ``evaluate`` and

@@ -6,7 +6,7 @@ memory budget, a missing one where a command sweeps or prunes, a
 negative prune threshold, a sweep window too short to reconstruct from,
 a cascade with no large-delay coincidences, delays whose suggested
 quadrature grid exceeds the memory budget, or delays and a pump frequency
-whose sweep values overflow; 3
+whose sweep values or quadrature density overflow; 3
 cross-backend disagreement above tolerance; 4 missing or undersampled
 carrier; 5 I/O failure.
 """
@@ -43,7 +43,7 @@ from .interferogram import (
     write_csv_columns,
     write_trace_csv,
 )
-from .quadrature import GridTooLargeError
+from .quadrature import GridTooLargeError, NonFiniteDensityError
 from .spectra import correlation_class
 
 EXIT_OK = 0
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, SweepWindowError, ZeroBaselineError,
-            GridTooLargeError, NonFiniteTraceError) as exc:
+            GridTooLargeError, NonFiniteTraceError, NonFiniteDensityError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except UndersampledCarrierError as exc:

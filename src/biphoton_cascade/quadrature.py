@@ -5,7 +5,9 @@ density over the sum/difference detunings, with the integration domain
 extended to the full real plane (exact to spectral-tail accuracy given the
 pump-frequency guard on the joint spectrum).  Deliberately independent of
 the closed-form engine: nothing here knows about g functions or term
-lists, only about evaluating the density on a grid.
+lists, only about evaluating the density on a grid.  The density is
+summed in blocks of ``ROW_BLOCK`` grid rows, so a call's memory grows
+with N, not N^2.
 """
 
 from __future__ import annotations
@@ -17,24 +19,30 @@ from functools import cached_property
 
 import numpy as np
 
-from .cascade import ExpSum, TransferMatrix, combo_dot
+from .cascade import TransferMatrix, combo_dot
 from .spectra import JointSpectrum
 
 __all__ = [
     "Rule",
     "GridSpec",
     "GridTooLargeError",
+    "NonFiniteDensityError",
     "MAX_NODES_PER_AXIS",
     "integrate_R",
     "convergence_report",
     "suggested_grid",
 ]
 
-#: Bytes per (W+, W-) node of the N x N temporaries integrate_R holds at
-#: once: at most three complex fields.
+#: Rows of the W+ axis per block of ``integrate_R``: four complex blocks of
+#: 32 x 256 nodes take 512 KiB, which stays in cache and is reused from the
+#: heap on every call.
+ROW_BLOCK = 32
+#: Bytes per (W+, W-) node the node cap charges: three complex N x N
+#: fields.  ``integrate_R`` holds only four ``ROW_BLOCK`` x N blocks and
+#: (N, K) factors, so the cap over-states its memory.
 _BYTES_PER_NODE = 3 * 16
-#: Memory budget for those temporaries (1 GiB); larger grids are refused
-#: before anything is allocated.
+#: Memory budget for those fields (1 GiB); larger grids are refused before
+#: anything is allocated.
 GRID_MEMORY_BUDGET = 1 << 30
 MAX_NODES_PER_AXIS = math.isqrt(GRID_MEMORY_BUDGET // _BYTES_PER_NODE)
 #: Gauss-Hermite weights are compensated by exp(x^2) at every node.  The
@@ -49,7 +57,11 @@ _POINTS_PER_CYCLE = 4.0
 
 
 class GridTooLargeError(ValueError):
-    """Grid whose N x N temporaries would exceed the memory budget."""
+    """Grid past the node cap that the memory budget sets."""
+
+
+class NonFiniteDensityError(FloatingPointError):
+    """The density is not finite on the grid: its inputs overflow the float range."""
 
 
 class Rule(enum.Enum):
@@ -120,18 +132,39 @@ def _axis(grid: GridSpec, sigma: float):
     return scale * x, scale * w * gauss_inverse
 
 
-def _entry_field(entry: ExpSum, taus, pump: float, w_plus, w_minus, minus_sign):
-    """Entry values on the (W_plus, W_minus) grid for omega = wp/2 + (W+ +- W-)/2.
+def _cis(phase):
+    """exp(i * phase) of a real array, as one cosine and one sine."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
-    Each exponential is separable across the two axes, so the 2D field is
-    the rank-K product P diag(amp * carrier) M^T, one complex GEMM.
+
+def _factors(tm: TransferMatrix, taus, pump: float, w_plus, w_minus):
+    """Factor stacks whose products are the A, B, C and D grid fields.
+
+    Each exponential is separable across the two axes, so entry e's field
+    on the (W_plus, W_minus) grid, at omega = wp/2 + (W+ +- W-)/2, is the
+    rank-K product ``plus[e] @ minus[e]``: ``plus[e]`` is (N, K) and
+    carries the amplitudes and the pump carrier, ``minus[e]`` is (K, N).
+    The entries are zero-padded to one K, so one batched product forms a
+    block of all four fields.  Phases that overflow come out NaN, silently.
     """
-    amps, combos = entry.arrays
-    u = combo_dot(combos, taus)
-    plus = np.exp(-0.5j * np.outer(w_plus, u))
-    plus *= amps * np.exp(-0.5j * pump * u)
-    minus = np.exp((-0.5j * minus_sign) * np.outer(w_minus, u))
-    return plus @ minus.T
+    entries = (tm.A, tm.B, tm.C, tm.D)
+    width = max(len(entry.arrays[0]) for entry in entries)
+    amps = np.zeros((4, width))
+    u = np.zeros((4, width))
+    for index, entry in enumerate(entries):
+        entry_amps, combos = entry.arrays
+        amps[index, :len(entry_amps)] = entry_amps
+        u[index, :len(entry_amps)] = combo_dot(combos, taus)
+    # C and D take W_minus with the opposite sign
+    minus_sign = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        plus = _cis(u[:, None, :] * (-0.5 * w_plus)[:, None])
+        plus *= (amps * _cis(-0.5 * pump * u))[:, None, :]
+        minus = _cis((-0.5 * minus_sign) * u[:, :, None] * w_minus)
+    return plus, minus
 
 
 def integrate_R(tm: TransferMatrix, js: JointSpectrum, taus,
@@ -140,9 +173,12 @@ def integrate_R(tm: TransferMatrix, js: JointSpectrum, taus,
 
     The raw integral is divided by the large-delay baseline (the same
     asymptotic constant the closed-form engine normalizes with) so values
-    are directly comparable across backends.  The joint weights are an
-    outer product, so the integral contracts as j+^T density j- without
-    forming them.
+    are directly comparable across backends.  The joint weights j+ j- are
+    an outer product of non-negative vectors, so their square roots fold
+    into the A and B factors: the weighted amplitude sqrt(j+ j-) (A D +- B C)
+    has the weighted density as its squared modulus.  It is formed
+    ``ROW_BLOCK`` rows of W_plus at a time, all four fields by one batched
+    product, and its squared modulus summed, so no N x N array is held.
     """
     if len(taus) != tm.n_delays:
         raise ValueError(f"expected {tm.n_delays} delays, got {len(taus)}")
@@ -156,23 +192,31 @@ def integrate_R(tm: TransferMatrix, js: JointSpectrum, taus,
     j_minus = js.minus.intensity(wm_nodes) * wm_weights
 
     sym = int(js.symmetry)
-    amp = _entry_field(tm.A, taus, pump, wp_nodes, wm_nodes, +1)
-    amp *= _entry_field(tm.D, taus, pump, wp_nodes, wm_nodes, -1)
-    swapped = _entry_field(tm.B, taus, pump, wp_nodes, wm_nodes, +1)
-    swapped *= _entry_field(tm.C, taus, pump, wp_nodes, wm_nodes, -1)
-    if sym > 0:
-        amp += swapped
-    else:
-        amp -= swapped
-    del swapped  # before the real arrays, so at most three N x N fields live
-    density = np.square(amp.real)
-    density += np.square(amp.imag)
-    if not np.all(np.isfinite(density)):
-        raise FloatingPointError("non-finite coincidence density on the grid")
+    plus, minus = _factors(tm, taus, pump, wp_nodes, wm_nodes)
+    root_plus = np.sqrt(j_plus)[:, None]
+    plus[0] *= root_plus
+    plus[1] *= sym * root_plus
+    minus[:2] *= np.sqrt(j_minus)
 
-    numerator = float(j_plus @ density @ j_minus)
+    rows = len(wp_nodes)
+    fields = np.empty((4, min(ROW_BLOCK, rows), len(wm_nodes)), dtype=complex)
+    numerator = 0.0
+    for start in range(0, rows, ROW_BLOCK):
+        a, b, c, d = np.matmul(plus[:, start:start + ROW_BLOCK], minus,
+                               out=fields[:, :rows - start])
+        a *= d
+        b *= c
+        a += b
+        numerator += np.vdot(a, a).real
+    # any non-finite density value makes the sum non-finite
+    if not math.isfinite(numerator):
+        delays = ", ".join(f"{t:g}" for t in taus)
+        raise NonFiniteDensityError(
+            f"non-finite coincidence density at pump frequency {pump:g} "
+            f"and delays ({delays})")
+
     norm = tm.large_delay_constant(sym) * float(np.sum(j_plus) * np.sum(j_minus))
-    return numerator / norm
+    return float(numerator) / norm
 
 
 def convergence_report(tm: TransferMatrix, js: JointSpectrum, taus, grids):

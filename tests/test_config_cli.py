@@ -302,6 +302,23 @@ def test_overflowing_carrier_is_refused_in_one_line(tmp_path, command):
     assert result.stderr == "config error: trace contains non-finite values\n"
 
 
+def test_overflowing_carrier_is_refused_by_the_quadrature_sweep(tmp_path):
+    # The same pump through the oracle alone: its carrier phases overflow
+    # to NaN without a NumPy warning, and the refusal is one line.
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "noon_correlated.cfg"
+    text = shipped.read_text().replace("spectrum.pump_frequency = 20.0",
+                                       "spectrum.pump_frequency = 1e308")
+    path = write(tmp_path, "pump.cfg", text.replace("sweep.samples = 4001",
+                                                    "sweep.samples = 5"))
+    result = run_cli("sweep", "--config", path, "--backend", "quadrature",
+                     "--out", str(tmp_path / "x.csv"))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "Warning" not in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("config error: non-finite coincidence density")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -2,6 +2,7 @@
 
 import gc
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -70,10 +71,15 @@ def test_gauss_hermite_handles_odd_profiles():
 
 
 def test_convergence_report_monotone():
-    grids = [GridSpec(n) for n in (64, 128, 256)]
+    # At 5.5 linewidths the density's slope at the window's ends is not
+    # negligible, so the trapezoid rule converges at second order (the
+    # deltas fall about 4x per halved step, from ~2.6e-9) instead of
+    # reaching rounding noise by 64 nodes, as it does at 8 linewidths.
+    grids = [GridSpec(n, extent_sigmas=5.5) for n in (64, 128, 256)]
     rows = convergence_report(HOMI, JS, [0.8], grids)
     assert rows[0][2] is None
     deltas = [row[2] for row in rows[1:]]
+    assert deltas[-1] >= 1e-12  # refinement, not rounding
     assert deltas[-1] <= deltas[0]
     assert deltas[-1] < 1e-9
 
@@ -142,10 +148,16 @@ def reference_integrate_R(tm, js, taus, grid):
     return float(np.sum(joint * density)) / (baseline * float(np.sum(joint)))
 
 
+#: Node counts that end on a short row block of ``integrate_R``.
+RAGGED_NODES = (33, 257, 269)
+
 grids = st.one_of(
     st.none(),  # the suggested trapezoid grid
     st.builds(GridSpec, st.integers(32, 256), st.floats(5.0, 10.0)),
     st.builds(GridSpec, st.integers(32, 256), st.just(8.0),
+              st.just(Rule.GAUSS_HERMITE)),
+    st.builds(GridSpec, st.sampled_from(RAGGED_NODES), st.floats(5.0, 10.0)),
+    st.builds(GridSpec, st.sampled_from(RAGGED_NODES), st.just(8.0),
               st.just(Rule.GAUSS_HERMITE)),
 )
 
@@ -179,11 +191,15 @@ def test_contraction_on_rational_hand_built_matrix():
         D=ExpSum.from_terms([(F(1), (F(0), F(0))), (F(-1, 6), (F(2, 3), F(1)))], 2),
         stage_count=3, n_delays=2,
     )
+    # Its entries have 1 and 2 terms, which integrate_R zero-pads to one
+    # count; the ragged grids end on a short row block.
+    assert all(nodes % quadrature.ROW_BLOCK for nodes in RAGGED_NODES)
+    ragged = [GridSpec(nodes, rule=rule) for nodes in RAGGED_NODES for rule in Rule]
     for symmetry in ExchangeSymmetry:
         js = make_spectrum(1.0, 0.5, symmetry)
         for taus in ([0.0, 0.0], [1.7, -2.4], [-6.5, 3.1]):
             for grid in (suggested_grid(tm, js, taus),
-                         GridSpec(160, rule=Rule.GAUSS_HERMITE)):
+                         GridSpec(160, rule=Rule.GAUSS_HERMITE), *ragged):
                 assert abs(integrate_R(tm, js, taus, grid)
                            - reference_integrate_R(tm, js, taus, grid)) <= 1e-12
 
@@ -270,6 +286,20 @@ def test_nothing_module_level_outlives_the_matrices():
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert _module_containers() == before
+
+
+def test_one_call_holds_row_blocks_not_fields():
+    # An N x N complex field alone takes 64 MiB at 2048 nodes.
+    tm = compose(preset_cascade("three_param_2002"))
+    js = make_spectrum(1.0, 0.1)
+    tracemalloc.start()
+    try:
+        value = integrate_R(tm, js, [0.5, 1.0, -2.0], GridSpec(2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
