@@ -13,8 +13,9 @@ three-delay cascades, including the 28-term three-delay expansion.
 
 A model holds its terms as integers: coefficient numerators over one
 least denominator, and (p_k, m_k) argument rows over one least argument
-scale.  Rendering, pruning, the swap rule and evaluation read those rows
-directly; ``AnalyticModel.terms``, the ``CosTerm`` view with ``Fraction``
+scale.  Rendering and the swap rule read those rows; pruning and evaluation
+read ``AnalyticModel.arrays``, the one float view, compiled once per model.
+``AnalyticModel.terms``, the ``CosTerm`` view with ``Fraction``
 coefficients and arguments, is built only when something asks for it.
 """
 
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
@@ -64,7 +65,8 @@ class AnalyticModel:
     numerators and integer rows, each set over one denominator kept in
     lowest terms, so structural equality is semantic equality.  ``expand``
     sorts the terms by their (plus, minus) rows, which puts the constant
-    first.  ``terms`` is the rational ``CosTerm`` view, built on demand.
+    first.  ``arrays`` is the float view that pruning and evaluation read,
+    and ``terms`` the rational ``CosTerm`` view; each is built on demand.
     """
 
     coeffs: tuple  # tuple[int, ...]
@@ -81,19 +83,20 @@ class AnalyticModel:
     def from_rows(coeffs, plus, minus, n_delays: int, symmetry: ExchangeSymmetry,
                   coeff_scale: int = 1, arg_scale: int = 1,
                   raw_baseline: Fraction = Fraction(1)) -> "AnalyticModel":
-        """The model of integer terms in the order given, over the least scales."""
-        coeffs, plus, minus = tuple(coeffs), tuple(plus), tuple(minus)
+        """The model of integer terms in the order given, over the least scales.
+
+        Numerators and rows are sequences or arrays, int64 or ``object``.
+        """
+        coeffs, rows = _int_array(coeffs), _int_array((plus, minus))
         # Reducing by the common divisor leaves each scale the least one.
-        coeff_gcd = math.gcd(coeff_scale, *coeffs)
-        arg_gcd = math.gcd(arg_scale, *chain(*plus, *minus))
-        if coeff_gcd > 1:
-            coeffs = tuple(c // coeff_gcd for c in coeffs)
-        if arg_gcd > 1:
-            plus, minus = ([tuple(v // arg_gcd for v in row) for row in rows]
-                           for rows in (plus, minus))
-        return AnalyticModel(coeffs, tuple(plus), tuple(minus), n_delays, symmetry,
-                             coeff_scale // coeff_gcd, arg_scale // arg_gcd,
-                             raw_baseline)
+        coeff_gcd = math.gcd(coeff_scale, int(np.gcd.reduce(coeffs)))
+        arg_gcd = math.gcd(arg_scale, int(np.gcd.reduce(rows, axis=None)))
+        rows //= arg_gcd  # a new (2, K, n_delays) array, never the caller's
+        plus, minus = (tuple(map(tuple, side)) for side in
+                       rows.reshape(2, len(coeffs), n_delays).tolist())
+        return AnalyticModel(tuple((coeffs // coeff_gcd).tolist()), plus, minus,
+                             n_delays, symmetry, coeff_scale // coeff_gcd,
+                             arg_scale // arg_gcd, raw_baseline)
 
     @staticmethod
     def from_terms(terms, n_delays: int, symmetry: ExchangeSymmetry,
@@ -104,9 +107,9 @@ class AnalyticModel:
         coeff_scale = math.lcm(*(c.denominator for c, _, _ in terms))
         arg_scale = math.lcm(*(v.denominator for _, p, m in terms for v in p + m))
         return AnalyticModel.from_rows(
-            (int(c * coeff_scale) for c, _, _ in terms),
-            (tuple(int(v * arg_scale) for v in p) for _, p, _ in terms),
-            (tuple(int(v * arg_scale) for v in m) for _, _, m in terms),
+            [int(c * coeff_scale) for c, _, _ in terms],
+            [tuple(int(v * arg_scale) for v in p) for _, p, _ in terms],
+            [tuple(int(v * arg_scale) for v in m) for _, _, m in terms],
             n_delays, symmetry, coeff_scale, arg_scale, raw_baseline)
 
     @cached_property
@@ -118,6 +121,14 @@ class AnalyticModel:
         rows = {row: tuple(map(arg.__getitem__, row)) for row in rows}
         return tuple(CosTerm(coeff[c], rows[p], rows[m])
                      for c, p, m in zip(self.coeffs, self.plus, self.minus))
+
+    @cached_property
+    def arrays(self):
+        """Read-only float ``(coeffs, plus, minus, index)``, built once per model:
+        the ``(K,)`` coefficients, each side's distinct nonzero arguments in
+        order of first use and then one zero row, and in ``index`` ``(K, 2)``
+        each term's plus and minus row, -1 (the zero row) for a zero argument."""
+        return _compile_model(self)
 
     @property
     def constant(self) -> Fraction:
@@ -131,6 +142,35 @@ class AnalyticModel:
         return (self.coeffs, self.plus, self.minus, self.coeff_scale,
                 self.arg_scale) == (other.coeffs, other.plus, other.minus,
                                     other.coeff_scale, other.arg_scale)
+
+
+def _int_array(values):
+    """Integers as an int64 array, or as an ``object`` array past int64."""
+    if isinstance(values, np.ndarray):
+        return values
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _compile_model(model: AnalyticModel):
+    # The zero row is keyed first, as -1, and stored last.  int / int is
+    # correctly rounded: the floats of the reduced fractions, converted
+    # once per distinct argument.
+    n, zero = model.n_delays, (0,) * model.n_delays
+    sides, index = [], []
+    for rows in (model.plus, model.minus):
+        at = {zero: -1}
+        index.append([at.setdefault(row, len(at) - 1) for row in rows])
+        at = list(at)
+        sides.append(np.array([v / model.arg_scale for row in at[1:] + at[:1] for v in row])
+                     .reshape(len(at), n))
+    coeffs = np.array([c / model.coeff_scale for c in model.coeffs], dtype=float)
+    index = np.array(index, dtype=np.intp).T
+    for array in (coeffs, *sides, index):  # shared by every caller of the model
+        array.flags.writeable = False
+    return coeffs, *sides, index
 
 
 class ZeroBaselineError(ValueError):
@@ -276,15 +316,8 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     sums = sums[nonzero]
     constant = int(sums[0])
     raw_baseline = Fraction(constant, amp_scale ** 4) / 2 ** (2 * tm.stage_count)
-    # The least scales, reduced on the arrays before they become tuples.
-    coeff_gcd = int(np.gcd.reduce(sums))
-    arg_gcd = math.gcd(2 * combo_scale, int(np.gcd.reduce(rows, axis=None)))
-    sums //= coeff_gcd
-    rows //= arg_gcd
-    return AnalyticModel(
-        tuple(sums.tolist()), tuple(map(tuple, rows[:, :n].tolist())),
-        tuple(map(tuple, rows[:, n:].tolist())), n, symmetry,
-        constant // coeff_gcd, 2 * combo_scale // arg_gcd, raw_baseline)
+    return AnalyticModel.from_rows(sums, rows[:, :n], rows[:, n:], n, symmetry,
+                                   constant, 2 * combo_scale, raw_baseline)
 
 
 #: Samples per block of the broadcast delays in ``evaluate`` and
@@ -305,24 +338,21 @@ def term_blocks(model: AnalyticModel, js: JointSpectrum, taus, carrier=True):
     one).  ``factors`` holds ``(coeff, cos, plus, minus)`` per
     term, in model order: cos(pump_frequency * p), corr_plus(p) and
     corr_minus(m) at the term's arguments, each None for a zero argument,
-    and ``cos`` None unless ``carrier``.  Every distinct argument is
-    evaluated once per block, through ``combo_dot``, and its rows are
-    shared by every term that has it.  Rows of arguments that only read
-    scalar delays are scalars.
+    and ``cos`` None unless ``carrier``.  Every distinct nonzero argument
+    of ``model.arrays`` is evaluated once per block, through ``combo_dot``,
+    and its rows are shared by every term that has it.  Rows of arguments
+    that only read scalar delays are scalars.
     """
     if js.symmetry is not model.symmetry:
         raise ValueError("joint spectrum symmetry does not match the model")
     if len(taus) != model.n_delays:
         raise ValueError(f"expected {model.n_delays} delays, got {len(taus)}")
-    plus_args, minus_args, plan = {}, {}, []
-    for c, p, m in zip(model.coeffs, model.plus, model.minus):
-        plan.append((c / model.coeff_scale,
-                     plus_args.setdefault(p, len(plus_args)) if any(p) else None,
-                     minus_args.setdefault(m, len(minus_args)) if any(m) else None))
-    # int / int is correctly rounded: the floats of the reduced fractions,
-    # which give combo_dot the same products, converted once per argument.
-    plus_args = [tuple(v / model.arg_scale for v in arg) for arg in plus_args]
-    minus_args = [tuple(v / model.arg_scale for v in arg) for arg in minus_args]
+    coeffs, plus_args, minus_args, index = model.arrays
+    plan = [(c, None if p < 0 else p, None if m < 0 else m)
+            for c, (p, m) in zip(coeffs.tolist(), index.tolist())]
+    # Each argument but the zero row as a list of floats, so that combo_dot
+    # sums one product per delay rather than taking a matrix product.
+    plus_args, minus_args = plus_args[:-1].tolist(), minus_args[:-1].tolist()
     taus = [np.asarray(t, dtype=float) for t in taus]
     shape = np.broadcast_shapes(*(t.shape for t in taus))
     # A basic slice of a 1-D delay is a view; more dimensions are read
@@ -467,25 +497,22 @@ def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
+    if not 0 <= swept < model.n_delays:
+        raise ValueError(f"swept delay {swept} out of range for {model.n_delays} delays")
     missing = set(range(model.n_delays)) - {swept} - set(fixed)
     if missing:
         raise ValueError(f"fixed delays missing indices {sorted(missing)}")
     # The swept delay at 0.0 adds an exact zero, leaving the fixed part.
     at_origin = [0.0 if i == swept else fixed[i] for i in range(model.n_delays)]
-    ints = np.stack([np.array(rows).reshape(-1, model.n_delays)
-                     for rows in (model.plus, model.minus)], axis=1)
-    # int / int is correctly rounded: one division per distinct value.
-    values, index = np.unique(ints, return_inverse=True)
-    args = np.array([v / model.arg_scale for v in values.tolist()])[index] \
-        .reshape(ints.shape)
-    coeffs = np.array([c / model.coeff_scale for c in model.coeffs])
+    coeffs, plus, minus, index = model.arrays
+    args = np.stack([plus[index[:, 0]], minus[index[:, 1]]], axis=1)
     peaks = np.abs(coeffs) * _corr_product_peaks(
         js, combo_dot(args, at_origin), args[:, :, swept])
-    keep = ~(peaks < threshold) | ~args.any(axis=(1, 2))
+    kept = np.flatnonzero(~(peaks < threshold) | (index < 0).all(axis=1)).tolist()
     return AnalyticModel.from_rows(
-        compress(model.coeffs, keep), compress(model.plus, keep),
-        compress(model.minus, keep), model.n_delays, model.symmetry,
-        model.coeff_scale, model.arg_scale, model.raw_baseline)
+        *([rows[k] for k in kept] for rows in (model.coeffs, model.plus, model.minus)),
+        model.n_delays, model.symmetry, model.coeff_scale, model.arg_scale,
+        model.raw_baseline)
 
 
 def _render(model: AnalyticModel, latex: bool) -> str:

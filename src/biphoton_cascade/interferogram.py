@@ -94,6 +94,8 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.samples)
 
     def delay_vectors(self, n_delays: int):
+        if not 0 <= self.swept < n_delays:
+            raise ValueError(f"swept delay {self.swept} out of range for {n_delays} delays")
         missing = set(range(n_delays)) - {self.swept} - set(self.fixed)
         if missing:
             raise ValueError(f"fixed delays missing indices {sorted(missing)}")

@@ -8,6 +8,8 @@ a negative control that failures are detected and reported.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import presets
@@ -20,17 +22,6 @@ from .spectra import ExchangeSymmetry
 __all__ = ["run_suite", "CHECK_NAMES"]
 
 _SEED = 20240817
-
-CHECK_NAMES = (
-    "transfer-unitarity",
-    "oracle-equivalence",
-    "parity-single-delay",
-    "parity-two-delay",
-    "parity-three-delay",
-    "swap-rule",
-    "fermionic-indistinguishability",
-    "envelope-bounds",
-)
 
 
 def _spectra(symmetry):
@@ -73,60 +64,18 @@ def _check_oracle(rng, corrupt):
     return worst <= 1e-6, f"max |closed-form - quadrature| {worst:.2e}"
 
 
-def _check_parity_single(rng, corrupt):
-    homi = expand(compose(presets.preset_cascade("homi")), ExchangeSymmetry.SYMMETRIC)
-    noon = expand(compose(presets.preset_cascade("noon")), ExchangeSymmetry.SYMMETRIC)
-    pattern = []
-    ok = True
-    for n in range(1, 7):
-        model = expand(
-            compose(presets.single_delay_chain(n)), ExchangeSymmetry.SYMMETRIC
-        )
-        expected = homi if n % 2 == 1 else noon
-        if corrupt and n == 4:
-            expected = homi
-        match = model.same_terms(expected)
-        ok = ok and match
-        pattern.append("H" if n % 2 == 1 else "N")
-    return ok, f"n=1..6 alternation {'/'.join(pattern)}"
+def _check_parity(chain, counts, odd, even, detail, rng, corrupt):
+    """Each chain of ``counts`` splitters matches the preset of its parity.
 
-
-def _check_parity_two(rng, corrupt):
-    even = expand(
-        compose(presets.preset_cascade("two_param_11")), ExchangeSymmetry.SYMMETRIC
-    )
-    odd = expand(
-        compose(presets.preset_cascade("two_param_2002")), ExchangeSymmetry.SYMMETRIC
-    )
-    ok = True
-    for n in range(2, 6):
-        model = expand(
-            compose(presets.two_delay_chain(n)), ExchangeSymmetry.SYMMETRIC
-        )
-        expected = even if n % 2 == 0 else odd
-        if corrupt and n == 5:
-            expected = even
-        ok = ok and model.same_terms(expected)
-    return ok, "n=2..5 matches the two-splitter/three-splitter models"
-
-
-def _check_parity_three(rng, corrupt):
-    odd = expand(
-        compose(presets.preset_cascade("three_param_11")), ExchangeSymmetry.SYMMETRIC
-    )
-    even = expand(
-        compose(presets.preset_cascade("three_param_2002")), ExchangeSymmetry.SYMMETRIC
-    )
-    ok = True
-    for n in range(3, 7):
-        model = expand(
-            compose(presets.three_delay_chain(n)), ExchangeSymmetry.SYMMETRIC
-        )
-        expected = even if n % 2 == 0 else odd
-        if corrupt and n == 6:
-            expected = odd
-        ok = ok and model.same_terms(expected)
-    return ok, "n=3..6 matches the three-splitter/four-splitter models"
+    ``odd`` and ``even`` name those presets; ``corrupt`` expects the other
+    parity's model for the last chain.
+    """
+    odd, even = (expand(compose(presets.preset_cascade(name)), ExchangeSymmetry.SYMMETRIC)
+                 for name in (odd, even))
+    ok = all(expand(compose(chain(n)), ExchangeSymmetry.SYMMETRIC).same_terms(
+        odd if (n % 2 == 1) != (corrupt and n == counts[-1]) else even)
+        for n in counts)
+    return ok, detail
 
 
 def _check_swap(rng, corrupt):
@@ -180,13 +129,21 @@ def _check_envelopes(rng, corrupt):
 _CHECKS = {
     "transfer-unitarity": _check_unitarity,
     "oracle-equivalence": _check_oracle,
-    "parity-single-delay": _check_parity_single,
-    "parity-two-delay": _check_parity_two,
-    "parity-three-delay": _check_parity_three,
+    "parity-single-delay": partial(_check_parity, presets.single_delay_chain,
+                                   range(1, 7), "homi", "noon",
+                                   "n=1..6 alternation H/N/H/N/H/N"),
+    "parity-two-delay": partial(_check_parity, presets.two_delay_chain, range(2, 6),
+                                "two_param_2002", "two_param_11",
+                                "n=2..5 matches the two-splitter/three-splitter models"),
+    "parity-three-delay": partial(
+        _check_parity, presets.three_delay_chain, range(3, 7), "three_param_11",
+        "three_param_2002", "n=3..6 matches the three-splitter/four-splitter models"),
     "swap-rule": _check_swap,
     "fermionic-indistinguishability": _check_fermionic,
     "envelope-bounds": _check_envelopes,
 }
+
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_suite(corrupt: str = None):
@@ -197,7 +154,7 @@ def run_suite(corrupt: str = None):
         )
     rng = np.random.default_rng(_SEED)
     results = []
-    for name in CHECK_NAMES:
-        passed, detail = _CHECKS[name](rng, corrupt == name)
+    for name, check in _CHECKS.items():
+        passed, detail = check(rng, corrupt == name)
         results.append((name, bool(passed), detail))
     return results

@@ -251,6 +251,19 @@ def test_prune_drops_terms_zero_beyond_the_cap(symmetry):
     assert dropped
 
 
+@pytest.mark.parametrize("swept", [3, -1])
+def test_out_of_range_swept_delay_is_refused(swept):
+    model = model_for("three_param_2002")
+    js = make_spectrum(1.0, 0.1)
+    fixed = {0: 8.0, 1: 22.0, 2: 3.0}
+    message = f"swept delay {swept} out of range for 3 delays"
+    with pytest.raises(ValueError, match=message):
+        asymptotic_prune(model, fixed, swept, js, 1e-2)
+    spec = SweepSpec(fixed=fixed, swept=swept, start=-40.0, stop=40.0, samples=101)
+    with pytest.raises(ValueError, match=message):
+        sweep(AnalyticBackend(model, js), spec)
+
+
 def sampled_peak(js, fix, slope):
     """Largest sampled |corr_plus * corr_minus| along t, independent of the
     closed form: a grid over both centres, refined around each local maximum."""
@@ -607,6 +620,35 @@ def test_integer_consumers_leave_the_rational_view_unbuilt(monkeypatch):
     assert made == []
     assert all("terms" not in vars(m) for m in (model, pruned, swapped))
     assert len(model.terms) == len(made) == 28  # built when asked for
+
+
+def test_one_float_view_is_built_once_and_shared(monkeypatch):
+    built = []
+    compile_model = analytic._compile_model
+
+    def counting(model):
+        built.append(model)
+        return compile_model(model)
+
+    monkeypatch.setattr(analytic, "_compile_model", counting)
+    model = model_for("three_param_2002")
+    js = make_spectrum(1.0, 0.1)
+    spec = SweepSpec(fixed={0: 8.0, 1: 22.0}, swept=2, start=-40.0, stop=40.0,
+                     samples=101)
+    pruned = asymptotic_prune(model, spec.fixed, spec.swept, js, 1e-6)
+    evaluate(model, js, spec.delay_vectors(3))
+    envelopes_analytic(model, js, spec)
+    assert built == [model]
+    coeffs, plus, minus, index = model.arrays
+    assert built == [model]
+    assert coeffs.shape == (28,) and index.shape == (28, 2)
+    assert not (plus[-1].any() or minus[-1].any())  # the zero row, last
+    for array in model.arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    evaluate(pruned, js, [8.0, 22.0, 3.0])
+    assert built == [model, pruned]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biphoton_cascade
-from biphoton_cascade import cli
+from biphoton_cascade import cli, validation
 from biphoton_cascade.config import ConfigError, parse_config
 from biphoton_cascade.interferogram import read_trace_csv
 from biphoton_cascade.presets import preset_cascade
@@ -387,6 +387,16 @@ def test_validate_negative_control(tmp_path, capsys):
     assert code == 1
     assert "FAIL swap-rule" in capsys.readouterr().out
     assert '"passed": false' in open(report).read()
+
+
+@pytest.mark.parametrize("name", [
+    "parity-single-delay", "parity-two-delay", "parity-three-delay"])
+def test_parity_check_fails_its_negative_control(name):
+    check = validation._CHECKS[name]
+    rng = np.random.default_rng(0)
+    passed, detail = check(rng, False)
+    assert passed is True
+    assert check(rng, True) == (False, detail)
 
 
 def test_figures_writes_complete_set(tmp_path):

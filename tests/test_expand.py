@@ -23,11 +23,19 @@ from biphoton_cascade.analytic import (
     ZeroBaselineError,
     _Lattice,
     _sum_by_key,
+    asymptotic_prune,
+    evaluate,
     expand,
     render_text,
 )
-from biphoton_cascade.cascade import CascadeConfig, ExpSum, TransferMatrix, compose
-from biphoton_cascade.presets import preset_cascade, single_delay_chain
+from biphoton_cascade.cascade import (
+    CascadeConfig,
+    ExpSum,
+    TransferMatrix,
+    combo_dot,
+    compose,
+)
+from biphoton_cascade.presets import make_spectrum, preset_cascade, single_delay_chain
 from biphoton_cascade.spectra import ExchangeSymmetry
 
 F = Fraction
@@ -173,8 +181,31 @@ def test_expand_exact_beyond_int64(amp):
     neg_big = ExpSum.from_terms([(-amp, (F(0),)), (F(-3), (F(1),))], 1)
     small = ExpSum.from_terms([(F(1), (F(0),)), (F(-5), (F(2),))], 1)
     tm = TransferMatrix(big, small, big, neg_big, stage_count=1, n_delays=1)
+    delays = np.linspace(-6.0, 6.0, 41)
     for symmetry in ExchangeSymmetry:
-        assert expand(tm, symmetry) == reference_expand(tm, symmetry)
+        model = expand(tm, symmetry)
+        assert model == reference_expand(tm, symmetry)
+        # Pruned, the coefficients pass through from_rows and the float view
+        # again; every value keeps the bits of a loop over the rational terms.
+        js = make_spectrum(1.0, 0.3, symmetry)
+        for m in (model, *(asymptotic_prune(model, {}, 0, js, threshold)
+                           for threshold in (1e-12, 1e-6))):
+            for taus in ([0.7], [delays]):
+                assert evaluate(m, js, taus).tobytes() == \
+                    term_by_term(m, js, taus).tobytes()
+
+
+def term_by_term(model, js, taus):
+    total = np.zeros(np.shape(taus[0]))
+    for t in model.terms:
+        value = float(t.coeff)
+        if any(t.plus_arg):
+            arg = combo_dot(t.plus_arg, taus)
+            value = value * np.cos(js.pump_frequency * arg) * js.plus.corr(arg)
+        if any(t.minus_arg):
+            value = value * js.minus.corr(combo_dot(t.minus_arg, taus))
+        total = total + value
+    return total
 
 
 def test_expand_refuses_delay_combinations_beyond_int64():
