@@ -1,9 +1,9 @@
 """Command-line surface: experiment configs in, derivations/CSV/SVG out.
 
 Exit codes: 0 success; 1 validation invariant failure; 2 config parse
-failure, including a bad sweep section or one longer than the sweep
-memory budget, a missing one where a command sweeps or prunes, a
-negative prune threshold, a sweep window too short to reconstruct from,
+failure, including an unknown, repeated or no-effect key, a bad sweep
+section or one longer than the sweep memory budget, a missing one where
+a command sweeps or prunes, a negative prune threshold, a sweep window too short to reconstruct from,
 a cascade with no large-delay coincidences, delays whose suggested
 quadrature grid exceeds the memory budget, or delays and a pump frequency
 whose sweep values or quadrature density overflow; 3
@@ -87,11 +87,8 @@ def cmd_derive(args) -> int:
     tm, model = _model(config)
     if args.prune:
         spec = _require_sweep(config)
-        threshold = config.prune_threshold
-        if threshold is None:
-            threshold = 1e-6
         model = asymptotic_prune(model, spec.fixed, spec.swept,
-                                 config.spectrum, threshold)
+                                 config.spectrum, config.prune_threshold)
     lines = [render_text(model)]
     if args.latex:
         lines.append(render_latex(model))

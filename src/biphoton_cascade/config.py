@@ -1,28 +1,16 @@
-"""Flat key = value experiment configuration files.
+"""Flat key = value experiment configuration files, one experiment per file.
 
-One experiment per file; sections are dotted prefixes, e.g.::
-
-    cascade.preset = two_param_2002
-    spectrum.sigma_plus = 1.0
-    spectrum.sigma_minus = 10.0
-    spectrum.symmetry = symmetric
-    sweep.swept = 1
-    sweep.fixed.0 = 5.0
-    sweep.start = -20
-    sweep.stop = 20
-    sweep.samples = 4096
-    backend = analytic
-
-Lines starting with '#' are comments.  Custom topologies replace
-``cascade.preset`` with ``cascade.stages`` (comma-separated delay labels,
-'-' for a delay-free splitter) and ``cascade.n_delays``.
+Keys are dotted by section (``sweep.fixed.0 = 5.0``); '#' starts a comment
+line.  ``_KEYS`` names every key once, with its reader, its default and the
+key without which it has no effect.  A bad value, an unknown or repeated key
+and a key with no effect (``cascade.stages`` next to ``cascade.preset``, say)
+each end in one one-line ``ConfigError``.  README's Defaults table lists them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .cascade import CascadeConfig
 from .interferogram import SweepSpec
@@ -41,179 +29,146 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     cascade: CascadeConfig
     spectrum: JointSpectrum
-    sweep: Optional[SweepSpec]
-    backend: str = "analytic"
-    grid: Optional[GridSpec] = None
-    prune_threshold: Optional[float] = None
+    sweep: SweepSpec | None
+    backend: str
+    grid: GridSpec | None
+    prune_threshold: float
 
 
-def _parse_lines(text: str) -> dict:
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _finite(key: str, text: str) -> float:
+def _convert(convert, key: str, text: str, fault: str):
     try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: not a number: {text!r}") from None
+        return convert(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"{key}: {fault}") from None
+
+
+def _number(key: str, text: str) -> float:
+    value = _convert(float, key, text, f"not a number: {text!r}")
     if not math.isfinite(value):
-        raise ConfigError(f"{key}: not a finite number: {text!r}")
+        raise ValueError(f"{key}: not a finite number: {text!r}")
     return value
 
 
-def _get_float(values: dict, key: str, default=None) -> Optional[float]:
-    if key not in values:
-        return default
-    return _finite(key, values[key])
+def _integer(key: str, text: str) -> int:
+    return _convert(int, key, text, f"not an integer: {text!r}")
 
 
-def _get_int(values: dict, key: str, default=None) -> Optional[int]:
-    if key not in values:
-        return default
-    try:
-        return int(values[key])
-    except ValueError:
-        raise ConfigError(f"{key}: not an integer: {values[key]!r}") from None
+def _threshold(key: str, text: str) -> float:
+    value = _number(key, text)
+    if value < 0:
+        raise ValueError(f"{key}: must be >= 0, got {value!r}")
+    return value
 
 
-def _parse_cascade(values: dict) -> CascadeConfig:
-    preset = values.get("cascade.preset")
-    if preset is not None:
-        try:
-            return preset_cascade(preset)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    stages = values.get("cascade.stages")
-    if stages is None:
-        raise ConfigError("missing cascade.preset or cascade.stages")
-    labels = []
-    for token in stages.split(","):
-        token = token.strip()
-        if token in ("-", "", "none"):
-            labels.append(None)
-        else:
-            try:
-                labels.append(int(token))
-            except ValueError:
-                raise ConfigError(f"cascade.stages: bad label {token!r}") from None
-    n_delays = _get_int(values, "cascade.n_delays")
+def _labels(key: str, text: str) -> list:
+    return [None if token in ("-", "", "none")
+            else _convert(int, key, token, f"bad label {token!r}")
+            for token in map(str.strip, text.split(","))]
+
+
+def _one_of(choices: dict):
+    return lambda key, text: _convert(choices.__getitem__, key, text,
+                                      f"{text!r} is not {'/'.join(choices)}")
+
+
+_FIXED = "sweep.fixed."
+_ANY_FIXED = _FIXED + "<i>"
+
+#: Every key: (reader, default, the key without which it has no effect).  A reader
+#: raises a ValueError naming the key; a default of None means the key is absent.
+_KEYS = {
+    "cascade.preset": (lambda key, name: preset_cascade(name), None, None),
+    "cascade.stages": (_labels, None, None),
+    "cascade.n_delays": (_integer, None, "cascade.stages"),
+    "cascade.input_delay": (_integer, None, "cascade.stages"),
+    "spectrum.sigma_plus": (_number, 1.0, None),
+    "spectrum.sigma_minus": (_number, 1.0, None),
+    "spectrum.symmetry": (_one_of({s.name.lower(): s for s in ExchangeSymmetry}),
+                          ExchangeSymmetry.SYMMETRIC, None),
+    "spectrum.pump_frequency": (_number, 20.0, None),
+    "sweep.swept": (_integer, None, None),
+    _ANY_FIXED: (_number, None, "sweep.swept"),
+    "sweep.start": (_number, -10.0, "sweep.swept"),
+    "sweep.stop": (_number, 10.0, "sweep.swept"),
+    "sweep.samples": (_integer, 1001, "sweep.swept"),
+    "grid.nodes": (_integer, None, None),
+    "grid.extent": (_number, 8.0, "grid.nodes"),
+    "grid.rule": (_one_of({r.value: r for r in Rule}), Rule.TRAPEZOID, "grid.nodes"),
+    "backend": (_one_of({b: b for b in ("analytic", "quadrature", "both")}),
+                "analytic", None),
+    "prune.threshold": (_threshold, 1e-6, None),
+    "outputs": (lambda key, text: text, None, None),  # legacy; read and ignored
+}
+
+
+def _cascade(values: dict) -> CascadeConfig:
+    labels = values["cascade.stages"]
+    if values["cascade.preset"] is not None:
+        if labels is not None:
+            raise ValueError("cascade.stages: has no effect with cascade.preset")
+        return values["cascade.preset"]
+    if labels is None:
+        raise ValueError("missing cascade.preset or cascade.stages")
+    n_delays = values["cascade.n_delays"]
     if n_delays is None:
         n_delays = max((l for l in labels if l is not None), default=-1) + 1
-    input_delay = _get_int(values, "cascade.input_delay")
-    try:
-        return CascadeConfig.from_labels(labels, n_delays, input_delay)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return CascadeConfig.from_labels(labels, n_delays, values["cascade.input_delay"])
 
 
-def _parse_spectrum(values: dict) -> JointSpectrum:
-    symmetry_name = values.get("spectrum.symmetry", "symmetric")
-    try:
-        symmetry = {
-            "symmetric": ExchangeSymmetry.SYMMETRIC,
-            "antisymmetric": ExchangeSymmetry.ANTISYMMETRIC,
-        }[symmetry_name]
-    except KeyError:
-        raise ConfigError(
-            f"spectrum.symmetry: {symmetry_name!r} is not "
-            "symmetric/antisymmetric"
-        ) from None
-    try:
-        return make_spectrum(
-            sigma_plus=_get_float(values, "spectrum.sigma_plus", 1.0),
-            sigma_minus=_get_float(values, "spectrum.sigma_minus", 1.0),
-            symmetry=symmetry,
-            pump_frequency=_get_float(values, "spectrum.pump_frequency", 20.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _parse_sweep(values: dict, n_delays: int) -> Optional[SweepSpec]:
-    if "sweep.swept" not in values:
+def _sweep(values: dict, n_delays: int) -> SweepSpec | None:
+    swept = values["sweep.swept"]
+    if swept is None:
         return None
-    swept = _get_int(values, "sweep.swept")
     if not 0 <= swept < n_delays:
-        raise ConfigError(
-            f"sweep.swept: delay {swept} out of range for {n_delays} delays"
-        )
-    fixed = {}
-    for key, value in values.items():
-        if key.startswith("sweep.fixed."):
-            try:
-                index = int(key.rsplit(".", 1)[1])
-            except ValueError:
-                raise ConfigError(f"{key}: not a delay index") from None
-            fixed[index] = _finite(key, value)
+        raise ValueError(f"sweep.swept: delay {swept} out of range for {n_delays} delays")
+    fixed = {int(key[len(_FIXED):]): x for key, x in values.items()
+             if key.startswith(_FIXED) and key != _ANY_FIXED}
     expected = set(range(n_delays)) - {swept}
     if set(fixed) != expected:
-        raise ConfigError(
-            f"sweep.fixed: indices {sorted(fixed)}, expected {sorted(expected)} "
-            f"(delay {swept} is swept)"
-        )
-    try:
-        return SweepSpec(
-            fixed=fixed,
-            swept=swept,
-            start=_get_float(values, "sweep.start", -10.0),
-            stop=_get_float(values, "sweep.stop", 10.0),
-            samples=_get_int(values, "sweep.samples", 1001),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _parse_grid(values: dict) -> Optional[GridSpec]:
-    if "grid.nodes" not in values:
-        return None
-    rule_name = values.get("grid.rule", "trapezoid")
-    try:
-        rule = Rule(rule_name)
-    except ValueError:
-        raise ConfigError(f"grid.rule: unknown rule {rule_name!r}") from None
-    try:
-        return GridSpec(
-            nodes_per_axis=_get_int(values, "grid.nodes"),
-            extent_sigmas=_get_float(values, "grid.extent", 8.0),
-            rule=rule,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ValueError(f"sweep.fixed: indices {sorted(fixed)}, expected "
+                         f"{sorted(expected)} (delay {swept} is swept)")
+    return SweepSpec(fixed, swept, values["sweep.start"], values["sweep.stop"],
+                     values["sweep.samples"])
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    values = _parse_lines(text)
-    cascade = _parse_cascade(values)
-    spectrum = _parse_spectrum(values)
-    sweep = _parse_sweep(values, cascade.n_delays)
-    backend = values.get("backend", "analytic")
-    if backend not in ("analytic", "quadrature", "both"):
-        raise ConfigError(f"backend: {backend!r} is not analytic/quadrature/both")
-    prune_threshold = _get_float(values, "prune.threshold")
-    if prune_threshold is not None and prune_threshold < 0:
-        raise ConfigError(f"prune.threshold: must be >= 0, got {prune_threshold!r}")
-    return ExperimentConfig(
-        cascade=cascade,
-        spectrum=spectrum,
-        sweep=sweep,
-        backend=backend,
-        grid=_parse_grid(values),
-        prune_threshold=prune_threshold,
-    )
+    """Read the lines in file order, cross-check and build; any ValueError is a ConfigError."""
+    given, needs = {}, {}
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            key, _, item = (part.strip() for part in line.partition("="))
+            if key.startswith(_FIXED):  # one spelling per delay index
+                key = _FIXED + str(_convert(int, key, key[len(_FIXED):],
+                                            "not a delay index"))
+            row = _KEYS.get(_ANY_FIXED if key.startswith(_FIXED) else key)
+            if row is None:
+                raise ValueError(f"line {lineno}: unknown key {key!r}")
+            if key in given:
+                raise ValueError(f"line {lineno}: repeated key {key!r}")
+            given[key] = row[0](key, item)
+            needs[key] = row[2]
+        for key, need in needs.items():
+            if need is not None and need not in given:
+                raise ValueError(f"{key}: has no effect without {need}")
+        values = {key: default for key, (_, default, _) in _KEYS.items()} | given
+        cascade = _cascade(values)
+        spectrum = make_spectrum(values["spectrum.sigma_plus"], values["spectrum.sigma_minus"],
+                                 values["spectrum.symmetry"], values["spectrum.pump_frequency"])
+        sweep = _sweep(values, cascade.n_delays)
+        grid = None if values["grid.nodes"] is None else GridSpec(
+            values["grid.nodes"], values["grid.extent"], values["grid.rule"])
+        return ExperimentConfig(cascade, spectrum, sweep, values["backend"], grid,
+                                values["prune.threshold"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a config file; OSError propagates so callers can distinguish
-    unreadable files from malformed contents."""
+    """Parse a config file; an unreadable file raises OSError, not ConfigError."""
     with open(path) as handle:
-        text = handle.read()
-    return parse_config(text)
+        return parse_config(handle.read())

@@ -159,14 +159,12 @@ class QuadratureBackend:
         return self.tm.n_delays
 
     def response(self, taus):
-        arrays = [np.atleast_1d(np.asarray(t, dtype=float)) for t in taus]
-        length = max(a.size for a in arrays)
-        out = np.empty(length)
-        for k in range(length):
-            point = [a[k] if a.size > 1 else a[0] for a in arrays]
-            grid = self.grid or suggested_grid(self.tm, self.js, point)
-            out[k] = integrate_R(self.tm, self.js, point, grid)
-        return out if length > 1 else out[0]
+        """The oracle at each point of the delays' broadcast shape, as ``evaluate``."""
+        arrays = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in taus))
+        values = [integrate_R(self.tm, self.js, point,
+                              self.grid or suggested_grid(self.tm, self.js, point))
+                  for point in map(list, zip(*(a.flat for a in arrays)))]
+        return np.reshape(values, arrays[0].shape)[()]
 
 
 def sweep(backend, spec: SweepSpec) -> Trace:

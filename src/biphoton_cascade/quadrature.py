@@ -45,11 +45,12 @@ _BYTES_PER_NODE = 3 * 16
 #: anything is allocated.
 GRID_MEMORY_BUDGET = 1 << 30
 MAX_NODES_PER_AXIS = math.isqrt(GRID_MEMORY_BUDGET // _BYTES_PER_NODE)
-#: Gauss-Hermite weights are compensated by exp(x^2) at every node.  The
-#: squared roots of H_n sum to n(n-1)/2, so the largest is at least
-#: (n-1)/2, and beyond this many nodes exp(x_max^2) must overflow: such
-#: rules are refused before they are built.
-_MAX_HERMITE_NODES = int(2 * math.log(np.finfo(float).max) + 1)
+#: Gauss-Hermite weights fall as exp(-x^2) towards the largest root x_max of
+#: H_n, which the Airy asymptote sqrt(2n+1) - 1.85575 (2n+1)^(-1/6) gives to
+#: within 0.002 at these sizes.  Rules whose x_max^2 passes -ln of the
+#: smallest normal double (371 nodes and up) lose their outer weights to
+#: underflow, so they are refused before they are built.
+_HERMITE_X2_MAX = -math.log(np.finfo(float).tiny)
 #: ``suggested_grid``'s half-width in linewidths, and its nodes per cycle
 #: of the fastest fringe.
 _SUGGESTED_EXTENT = 8.0
@@ -95,9 +96,10 @@ class GridSpec:
         """Gauss-Hermite (nodes, weights, exp(nodes^2)), computed once per grid.
 
         Rules whose compensated weights are zero or not finite are refused;
-        those beyond ``_MAX_HERMITE_NODES`` before they are built.
+        those past ``_HERMITE_X2_MAX`` before they are built.
         """
-        usable = self.nodes_per_axis <= _MAX_HERMITE_NODES
+        m = 2 * self.nodes_per_axis + 1
+        usable = (math.sqrt(m) - 1.85575 * m ** (-1 / 6)) ** 2 <= _HERMITE_X2_MAX
         if usable:
             with np.errstate(all="ignore"):  # large rules under/overflow
                 x, w = np.polynomial.hermite.hermgauss(self.nodes_per_axis)

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import re
 import subprocess
 import sys
 import tempfile
@@ -99,6 +100,45 @@ def test_parse_config_grid_section():
 def test_parse_config_rejects_malformed(text):
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+def test_value_errors_come_in_file_order_before_cross_key_errors():
+    text = ("cascade.preset = homi\nsweep.swept = 5\nsweep.start = y\n"
+            "spectrum.sigma_plus = x\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == "sweep.start: not a number: 'y'"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text.replace("y", "1").replace("x", "1"))
+    assert str(info.value) == "sweep.swept: delay 5 out of range for 1 delays"
+
+
+def test_legacy_outputs_key_is_accepted_and_ignored():
+    assert parse_config(BASE_CONFIG + "outputs = figs\n") == parse_config(BASE_CONFIG)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_example_parses():
+    example = README.read_text().split("### Config format", 1)[1].split("```\n", 2)[1]
+    config = parse_config(example)
+    assert config.cascade == preset_cascade("two_param_2002")
+    assert (config.sweep.swept, config.backend) == (1, "analytic")
+
+
+def test_readme_defaults_table_matches_the_key_table():
+    from biphoton_cascade.config import _KEYS
+
+    table = README.read_text().split("### Defaults", 1)[1].split("\n#", 1)[0]
+    rows = dict(re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", table, re.MULTILINE))
+    assert set(rows) == set(_KEYS)
+    for key, cell in rows.items():
+        reader, default, _ = _KEYS[key]
+        if default is None:
+            assert cell in ("none", "adaptive", "largest label + 1"), key
+        else:
+            assert reader(key, cell.replace("\u2212", "-")) == default, key
 
 
 def write(tmp_path, name, text):
@@ -356,6 +396,43 @@ def test_derive_prune_needs_a_usable_sweep_and_threshold(tmp_path, text, message
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (BASE_CONFIG + "sweep.sampels = 5\n", "line 10: unknown key 'sweep.sampels'"),
+        (BASE_CONFIG + "spectrum.sigma_plsu = 3\n",
+         "line 10: unknown key 'spectrum.sigma_plsu'"),
+        (BASE_CONFIG + "sweep.samples = 5\n", "line 10: repeated key 'sweep.samples'"),
+        (TWO_PARAM_CONFIG + "sweep.fixed.00 = 6\n",
+         "line 10: repeated key 'sweep.fixed.0'"),
+        (BASE_CONFIG + "cascade.stages = 0, 1\n",
+         "cascade.stages: has no effect with cascade.preset"),
+        (BASE_CONFIG + "cascade.n_delays = 1\n",
+         "cascade.n_delays: has no effect without cascade.stages"),
+        (BASE_CONFIG + "cascade.input_delay = 0\n",
+         "cascade.input_delay: has no effect without cascade.stages"),
+        ("cascade.preset = noon\ngrid.extent = 2\n",
+         "grid.extent: has no effect without grid.nodes"),
+        ("cascade.preset = noon\ngrid.rule = gauss-hermite\n",
+         "grid.rule: has no effect without grid.nodes"),
+        ("cascade.preset = noon\nsweep.samples = 5\n",
+         "sweep.samples: has no effect without sweep.swept"),
+        ("cascade.preset = noon\nsweep.fixed.0 = 5\n",
+         "sweep.fixed.0: has no effect without sweep.swept"),
+    ],
+    ids=["misspelled_sweep", "misspelled_spectrum", "repeated", "repeated_fixed",
+         "stages_with_preset", "n_delays_with_preset", "input_delay_with_preset",
+         "extent_without_nodes", "rule_without_nodes", "samples_without_swept",
+         "fixed_without_swept"],
+)
+def test_unknown_repeated_and_idle_keys_are_refused_in_one_line(tmp_path, capsys,
+                                                                text, message):
+    path = write(tmp_path, "keys.cfg", text)
+    assert cli.main(["derive", "--config", path, "--out", str(tmp_path / "x.txt")]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_package_import_loads_no_scipy():
     result = subprocess.run(
         [sys.executable, "-c", "import sys, biphoton_cascade; "
@@ -520,6 +597,7 @@ SHIPPED_CONFIGS = sorted(
     (Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 FUZZ_COMMANDS = [["derive"], ["derive", "--prune", "--latex"], ["sweep"],
                  ["envelope"]]
+MISSPELLED = ["sweep.sampels = 5", "spectrum.sigma_plsu = 3", "backnd = analytic"]
 
 
 @st.composite
@@ -538,7 +616,7 @@ def fuzzed_configs(draw):
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(["no equals sign", "# comment", "= 1",
-                                           "sweep.fixed.x = 1"])))
+                                           "sweep.fixed.x = 1", *MISSPELLED])))
     return "\n".join(lines) + "\n"
 
 
@@ -555,3 +633,5 @@ def test_fuzzed_configs_end_in_documented_exit_codes(text, command):
                              "--out", str(Path(tmp) / "out.csv")])
     assert code in {0, 2, 3, 4, 5}, err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if any(line in text.splitlines() for line in MISSPELLED):
+        assert code == 2, err.getvalue()

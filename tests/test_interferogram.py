@@ -76,6 +76,21 @@ def test_backends_produce_matching_sweeps():
     )
 
 
+def test_backends_broadcast_delays_alike():
+    tm = compose(preset_cascade("two_param_11"))
+    analytic, quad = backend_for("two_param_11"), QuadratureBackend(tm, JS)
+    taus = [np.array([[0.5, 1.0], [2.0, 3.0]]), np.array([[1.5], [0.2]])]
+    values = quad.response(taus)
+    assert values.shape == (2, 2)
+    np.testing.assert_allclose(values, analytic.response(taus), atol=1e-6)
+    errors = []
+    for backend in (analytic, quad):
+        with pytest.raises(ValueError) as info:
+            backend.response([np.zeros(3), np.zeros(5)])
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and "broadcast" in errors[0]
+
+
 def test_analytic_envelopes_bound_trace():
     spec = SweepSpec(fixed={0: 5.0}, swept=1, start=-15.0, stop=15.0,
                      samples=3001)
