@@ -5,7 +5,8 @@ failure, including an unknown, repeated or no-effect key, a bad sweep
 section or one longer than the sweep memory budget, a missing one where
 a command sweeps or prunes, a negative prune threshold, a sweep window too short to reconstruct from,
 a cascade with no large-delay coincidences, delays whose suggested
-quadrature grid exceeds the memory budget, or delays and a pump frequency
+quadrature grid exceeds the memory budget, a trapezoid grid so wide that
+its weights underflow, or delays and a pump frequency
 whose sweep values or quadrature density overflow; 3
 cross-backend disagreement above tolerance; 4 missing or undersampled
 carrier; 5 I/O failure.

@@ -5,9 +5,19 @@ density over the sum/difference detunings, with the integration domain
 extended to the full real plane (exact to spectral-tail accuracy given the
 pump-frequency guard on the joint spectrum).  Deliberately independent of
 the closed-form engine: nothing here knows about g functions or term
-lists, only about evaluating the density on a grid.  The density is
-summed in blocks of ``ROW_BLOCK`` grid rows, so a call's memory grows
-with N, not N^2.
+lists, only about evaluating the density on a grid.
+
+Each entry's field is a rank-K product of per-axis factors, so the
+weighted density sum can be contracted in two orders, and ``integrate_R``
+picks the cheaper from the node count N per axis and the term width K:
+
+* row blocks (K^3 > N): the four fields are formed ``ROW_BLOCK`` grid
+  rows at a time and their squared combination summed, O(N^2 K);
+* Gram form (K^3 <= N): the face-split (Khatri-Rao) factors U (N x 2K^2)
+  and V (2K^2 x N) of the combined amplitude give the sum as
+  tr(U^H U . V V^H), O(N K^4).
+
+Either way a call's memory grows with N, not N^2.
 """
 
 from __future__ import annotations
@@ -33,24 +43,32 @@ __all__ = [
     "suggested_grid",
 ]
 
-#: Rows of the W+ axis per block of ``integrate_R``: four complex blocks of
-#: 32 x 256 nodes take 512 KiB, which stays in cache and is reused from the
-#: heap on every call.
+#: Rows of the W+ axis per block of the row-block order (K^3 > N): four
+#: complex blocks of 32 x 256 nodes take 512 KiB, which stays in cache and
+#: is reused from the heap on every call.
 ROW_BLOCK = 32
 #: Bytes per (W+, W-) node the node cap charges: three complex N x N
-#: fields.  ``integrate_R`` holds only four ``ROW_BLOCK`` x N blocks and
-#: (N, K) factors, so the cap over-states its memory.
+#: fields.  ``integrate_R`` holds (N, K) factors and either four
+#: ``ROW_BLOCK`` x N blocks or, when K^3 <= N, the N x 2K^2 factors U and V
+#: and two 2K^2 x 2K^2 Grams, so the cap over-states its memory.
 _BYTES_PER_NODE = 3 * 16
 #: Memory budget for those fields (1 GiB); larger grids are refused before
 #: anything is allocated.
 GRID_MEMORY_BUDGET = 1 << 30
 MAX_NODES_PER_AXIS = math.isqrt(GRID_MEMORY_BUDGET // _BYTES_PER_NODE)
+#: -ln of the smallest normal double: exp(-x^2) stays normal up to this x^2.
 #: Gauss-Hermite weights fall as exp(-x^2) towards the largest root x_max of
 #: H_n, which the Airy asymptote sqrt(2n+1) - 1.85575 (2n+1)^(-1/6) gives to
-#: within 0.002 at these sizes.  Rules whose x_max^2 passes -ln of the
-#: smallest normal double (371 nodes and up) lose their outer weights to
-#: underflow, so they are refused before they are built.
-_HERMITE_X2_MAX = -math.log(np.finfo(float).tiny)
+#: within 0.002 at these sizes.  Rules whose x_max^2 passes it (371 nodes
+#: and up) lose their outer weights to underflow, so they are refused
+#: before they are built.
+_X2_MAX = -math.log(np.finfo(float).tiny)
+#: Widest trapezoid step, in linewidths.  Some node other than the centre
+#: lies within one step of it, where the intensity on each axis is about
+#: exp(-step^2 / 2), so the joint weight there stays normal while step^2 is
+#: at most ``_X2_MAX``.  Wider steps are refused before any intensity is
+#: evaluated; far enough past it every weight underflows to 0.
+_MAX_STEP_SIGMAS = math.sqrt(_X2_MAX)
 #: ``suggested_grid``'s half-width in linewidths, and its nodes per cycle
 #: of the fastest fringe.
 _SUGGESTED_EXTENT = 8.0
@@ -86,8 +104,15 @@ class GridSpec:
                 f"of quadrature temporaries; at most {MAX_NODES_PER_AXIS} fit "
                 f"the {GRID_MEMORY_BUDGET >> 30} GiB budget"
             )
-        if self.rule is Rule.TRAPEZOID and self.extent_sigmas < 5:
-            raise ValueError("extent_sigmas must be >= 5 for the trapezoid rule")
+        if self.rule is Rule.TRAPEZOID:
+            if self.extent_sigmas < 5:
+                raise ValueError("extent_sigmas must be >= 5 for the trapezoid rule")
+            step = 2.0 * self.extent_sigmas / (self.nodes_per_axis - 1)
+            if step > _MAX_STEP_SIGMAS:
+                raise ValueError(
+                    f"extent_sigmas {self.extent_sigmas:g} over {self.nodes_per_axis} "
+                    f"nodes spaces them {step:.3g} linewidths apart; past "
+                    f"{_MAX_STEP_SIGMAS:.3g} the quadrature weights underflow")
         if self.rule is Rule.GAUSS_HERMITE:
             self._hermite  # builds the rule once and refuses unusable weights
 
@@ -96,10 +121,10 @@ class GridSpec:
         """Gauss-Hermite (nodes, weights, exp(nodes^2)), computed once per grid.
 
         Rules whose compensated weights are zero or not finite are refused;
-        those past ``_HERMITE_X2_MAX`` before they are built.
+        those past ``_X2_MAX`` before they are built.
         """
         m = 2 * self.nodes_per_axis + 1
-        usable = (math.sqrt(m) - 1.85575 * m ** (-1 / 6)) ** 2 <= _HERMITE_X2_MAX
+        usable = (math.sqrt(m) - 1.85575 * m ** (-1 / 6)) ** 2 <= _X2_MAX
         if usable:
             with np.errstate(all="ignore"):  # large rules under/overflow
                 x, w = np.polynomial.hermite.hermgauss(self.nodes_per_axis)
@@ -169,6 +194,50 @@ def _factors(tm: TransferMatrix, taus, pump: float, w_plus, w_minus):
     return plus, minus
 
 
+def _row_block_sum(plus, minus) -> float:
+    """Weighted density sum with the fields formed ``ROW_BLOCK`` rows at a time.
+
+    All four fields of a block come from one batched product, and the
+    squared modulus of A D + B C is summed, so no N x N array is held.
+    """
+    rows, cols = plus.shape[1], minus.shape[2]
+    fields = np.empty((4, min(ROW_BLOCK, rows), cols), dtype=complex)
+    total = 0.0
+    for start in range(0, rows, ROW_BLOCK):
+        a, b, c, d = np.matmul(plus[:, start:start + ROW_BLOCK], minus,
+                               out=fields[:, :rows - start])
+        a *= d
+        b *= c
+        a += b
+        total += np.vdot(a, a).real
+    return total
+
+
+def _gram_sum(plus, minus) -> float:
+    """Weighted density sum as tr(U^H U . V V^H), from two R x R Grams.
+
+    The amplitude A D + B C is U @ V with R = 2K^2: row n of U holds the
+    face-split products of the W+ factors (A with D, then B with C) at
+    node n, column m of V the same of the W- factors.  Its squared
+    Frobenius norm is the sum over the two Grams.  Both axes have N nodes,
+    so U^H fits V's buffer and V^H U's: the products and their conjugate
+    transposes are written into those two buffers, and nothing else of
+    size N x R is allocated.
+    """
+    nodes, width = plus.shape[1:]
+    u = np.empty((nodes, 2, width, width), dtype=complex)
+    v = np.empty((2, width, width, nodes), dtype=complex)
+    u_flat, v_flat = u.reshape(nodes, -1), v.reshape(-1, nodes)
+    pairs = ((0, 3), (1, 2))  # A with D, B with C
+    for pair, (first, second) in enumerate(pairs):
+        np.multiply(plus[first, :, :, None], plus[second, :, None, :], out=u[:, pair])
+    plus_gram = np.conjugate(u_flat.T, out=v_flat) @ u_flat
+    for pair, (first, second) in enumerate(pairs):
+        np.multiply(minus[first, :, None, :], minus[second, None], out=v[pair])
+    minus_gram = v_flat @ np.conjugate(v_flat.T, out=u_flat)
+    return np.vdot(minus_gram, plus_gram).real
+
+
 def integrate_R(tm: TransferMatrix, js: JointSpectrum, taus,
                 grid: GridSpec) -> float:
     """Normalized coincidence probability by 2D quadrature of the density.
@@ -178,9 +247,11 @@ def integrate_R(tm: TransferMatrix, js: JointSpectrum, taus,
     are directly comparable across backends.  The joint weights j+ j- are
     an outer product of non-negative vectors, so their square roots fold
     into the A and B factors: the weighted amplitude sqrt(j+ j-) (A D +- B C)
-    has the weighted density as its squared modulus.  It is formed
-    ``ROW_BLOCK`` rows of W_plus at a time, all four fields by one batched
-    product, and its squared modulus summed, so no N x N array is held.
+    has the weighted density as its squared modulus.  Its sum is contracted
+    in the Gram form when K^3 <= N, K being the entries' zero-padded term
+    width and N the nodes per axis, and in ``ROW_BLOCK`` row blocks
+    otherwise: the Gram form's work grows as N K^4, the row blocks' as
+    N^2 K.
     """
     if len(taus) != tm.n_delays:
         raise ValueError(f"expected {tm.n_delays} delays, got {len(taus)}")
@@ -200,16 +271,9 @@ def integrate_R(tm: TransferMatrix, js: JointSpectrum, taus,
     plus[1] *= sym * root_plus
     minus[:2] *= np.sqrt(j_minus)
 
-    rows = len(wp_nodes)
-    fields = np.empty((4, min(ROW_BLOCK, rows), len(wm_nodes)), dtype=complex)
-    numerator = 0.0
-    for start in range(0, rows, ROW_BLOCK):
-        a, b, c, d = np.matmul(plus[:, start:start + ROW_BLOCK], minus,
-                               out=fields[:, :rows - start])
-        a *= d
-        b *= c
-        a += b
-        numerator += np.vdot(a, a).real
+    width = plus.shape[2]
+    contract = _gram_sum if width ** 3 <= len(wp_nodes) else _row_block_sum
+    numerator = contract(plus, minus)
     # any non-finite density value makes the sum non-finite
     if not math.isfinite(numerator):
         delays = ", ".join(f"{t:g}" for t in taus)

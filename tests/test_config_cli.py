@@ -379,6 +379,24 @@ def test_unusable_quadrature_grid_is_config_error(tmp_path, text, message):
     assert message in result.stderr
 
 
+@pytest.mark.parametrize("extent", ["1e5", "1e300"])
+def test_wide_trapezoid_grid_is_refused_in_one_line(tmp_path, extent):
+    # 256 nodes over +-1e5 linewidths: every quadrature weight underflows
+    # and the normalization is 0; over +-1e300 the intensities' squares
+    # overflow as well.  Refused at parse time, before either happens.
+    text = ("cascade.preset = homi\nsweep.swept = 0\nsweep.samples = 3\n"
+            f"grid.nodes = 256\ngrid.extent = {extent}\n")
+    path = write(tmp_path, "wide.cfg", text)
+    result = run_cli("sweep", "--config", path, "--backend", "quadrature",
+                     "--out", str(tmp_path / "x.csv"))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"config error: extent_sigmas {float(extent):g} "
+                                    "over 256 nodes spaces them")
+    assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -598,6 +616,10 @@ SHIPPED_CONFIGS = sorted(
 FUZZ_COMMANDS = [["derive"], ["derive", "--prune", "--latex"], ["sweep"],
                  ["envelope"]]
 MISSPELLED = ["sweep.sampels = 5", "spectrum.sigma_plsu = 3", "backnd = analytic"]
+#: A trapezoid grid whose weights underflow (the rule is named, so that a
+#: fuzzed gauss-hermite rule, which ignores the extent, is a repeated key).
+WIDE_GRID = "grid.nodes = 256\ngrid.extent = 1e5\ngrid.rule = trapezoid"
+REFUSED_LINES = [*MISSPELLED, WIDE_GRID]
 
 
 @st.composite
@@ -616,7 +638,7 @@ def fuzzed_configs(draw):
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(["no equals sign", "# comment", "= 1",
-                                           "sweep.fixed.x = 1", *MISSPELLED])))
+                                           "sweep.fixed.x = 1", *REFUSED_LINES])))
     return "\n".join(lines) + "\n"
 
 
@@ -633,5 +655,5 @@ def test_fuzzed_configs_end_in_documented_exit_codes(text, command):
                              "--out", str(Path(tmp) / "out.csv")])
     assert code in {0, 2, 3, 4, 5}, err.getvalue()
     assert "Traceback" not in err.getvalue()
-    if any(line in text.splitlines() for line in MISSPELLED):
+    if any(line in text for line in REFUSED_LINES):
         assert code == 2, err.getvalue()

@@ -12,12 +12,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biphoton_cascade import cascade, quadrature
-from biphoton_cascade.cascade import ExpSum, TransferMatrix, combo_dot, compose
+from biphoton_cascade.cascade import (
+    CascadeConfig,
+    ExpSum,
+    TransferMatrix,
+    combo_dot,
+    compose,
+)
 from biphoton_cascade.presets import CLASS_SIGMAS, PRESETS, make_spectrum, preset_cascade
 from biphoton_cascade.quadrature import (
     MAX_NODES_PER_AXIS,
     GridSpec,
     GridTooLargeError,
+    NonFiniteDensityError,
     Rule,
     _axis,
     convergence_report,
@@ -96,6 +103,19 @@ def test_grid_validation():
         GridSpec(nodes_per_axis=64, extent_sigmas=2.0)
 
 
+@pytest.mark.parametrize("nodes", [32, 33, 256, 257])
+def test_trapezoid_steps_past_the_underflow_bound_are_refused(nodes):
+    widest = quadrature._MAX_STEP_SIGMAS * (nodes - 1) / 2
+    for symmetry in ExchangeSymmetry:
+        js = make_spectrum(1.0, 1.0, symmetry)
+        grid = GridSpec(nodes, widest * (1 - 1e-12))
+        assert np.isfinite(integrate_R(HOMI, js, [0.5], grid))
+    for extent in (widest * (1 + 1e-12), 1e5, 1e300):
+        with pytest.raises(ValueError, match="linewidths apart"):
+            GridSpec(nodes, extent)
+    GridSpec(nodes, 1e300, Rule.GAUSS_HERMITE)  # its nodes ignore the extent
+
+
 def test_suggested_grid_scales_with_delay():
     small = suggested_grid(NOON, JS, [0.5])
     large = suggested_grid(NOON, JS, [40.0])
@@ -148,7 +168,7 @@ def reference_integrate_R(tm, js, taus, grid):
     return float(np.sum(joint * density)) / (baseline * float(np.sum(joint)))
 
 
-#: Node counts that end on a short row block of ``integrate_R``.
+#: Node counts that end on a short row block when the row-block order runs.
 RAGGED_NODES = (33, 257, 269)
 
 grids = st.one_of(
@@ -191,8 +211,9 @@ def test_contraction_on_rational_hand_built_matrix():
         D=ExpSum.from_terms([(F(1), (F(0), F(0))), (F(-1, 6), (F(2, 3), F(1)))], 2),
         stage_count=3, n_delays=2,
     )
-    # Its entries have 1 and 2 terms, which integrate_R zero-pads to one
-    # count; the ragged grids end on a short row block.
+    # Its entries have 1 and 2 terms, which integrate_R zero-pads to K = 2,
+    # so every grid here takes the Gram form; the row blocks on ragged
+    # grids are checked with a wider matrix below.
     assert all(nodes % quadrature.ROW_BLOCK for nodes in RAGGED_NODES)
     ragged = [GridSpec(nodes, rule=rule) for nodes in RAGGED_NODES for rule in Rule]
     for symmetry in ExchangeSymmetry:
@@ -202,6 +223,124 @@ def test_contraction_on_rational_hand_built_matrix():
                          GridSpec(160, rule=Rule.GAUSS_HERMITE), *ragged):
                 assert abs(integrate_R(tm, js, taus, grid)
                            - reference_integrate_R(tm, js, taus, grid)) <= 1e-12
+
+
+# Both contraction orders: integrate_R takes the Gram form when K^3 <= N.
+
+CONTRACTIONS = {"gram": quadrature._gram_sum, "row blocks": quadrature._row_block_sum}
+
+
+def _spy_orders(monkeypatch):
+    """Record the contraction order of every integrate_R call."""
+    used = []
+    for order, contract in CONTRACTIONS.items():
+        def spy(*args, order=order, contract=contract):
+            used.append(order)
+            return contract(*args)
+        monkeypatch.setattr(quadrature, contract.__name__, spy)
+    return used
+
+
+def _force_order(monkeypatch, order):
+    """Route integrate_R to one contraction order whatever K and N are."""
+    for contract in CONTRACTIONS.values():
+        monkeypatch.setattr(quadrature, contract.__name__, CONTRACTIONS[order])
+
+
+@pytest.mark.parametrize(
+    "preset, nodes, chosen",
+    [
+        ("two_param_2002", 32, "row blocks"),  # K = 4, K^3 = 64
+        ("two_param_2002", 64, "gram"),
+        ("two_param_2002", 128, "gram"),
+        ("three_param_2002", 256, "row blocks"),  # K = 8, K^3 = 512
+        ("three_param_2002", 512, "gram"),
+    ],
+)
+def test_each_contraction_order_matches_the_reference(monkeypatch, preset, nodes,
+                                                      chosen):
+    tm = compose(preset_cascade(preset))
+    grid = GridSpec(nodes)
+    cases = [(make_spectrum(1.0, 0.5, symmetry), taus)
+             for symmetry in ExchangeSymmetry
+             for taus in ([0.0] * tm.n_delays, [1.7, -2.4, 0.6][:tm.n_delays])]
+    references = [reference_integrate_R(tm, js, taus, grid) for js, taus in cases]
+    used = _spy_orders(monkeypatch)
+    for (js, taus), reference in zip(cases, references):
+        assert abs(integrate_R(tm, js, taus, grid) - reference) <= 1e-12
+    assert set(used) == {chosen}
+    for order in CONTRACTIONS:
+        _force_order(monkeypatch, order)
+        for (js, taus), reference in zip(cases, references):
+            assert abs(integrate_R(tm, js, taus, grid) - reference) <= 1e-12
+
+
+def test_contraction_orders_on_zero_padded_entries_at_ragged_nodes(monkeypatch):
+    F = Fraction
+    tm = TransferMatrix(
+        A=ExpSum.from_terms([(F(1, 2), (F(0), F(0))), (F(-3, 4), (F(1, 3), F(0))),
+                             (F(1, 5), (F(1), F(-1, 2))), (F(2, 9), (F(0), F(3, 2)))],
+                            2),
+        B=ExpSum.from_terms([(F(2, 3), (F(0), F(1, 2)))], 2),
+        C=ExpSum.from_terms([(F(5, 7), (F(1, 5), F(-1, 2))), (F(-1, 3), (F(2), F(0)))],
+                            2),
+        D=ExpSum.from_terms([(F(1), (F(0), F(0)))], 2),
+        stage_count=3, n_delays=2,
+    )
+    # K = 4 after zero-padding B, C and D: 33 nodes take the row blocks
+    # (ending on a one-row block), 65 the Gram form; both are ragged.
+    assert [nodes % quadrature.ROW_BLOCK for nodes in (33, 65)] == [1, 1]
+    for nodes, chosen in ((33, "row blocks"), (65, "gram")):
+        for rule in Rule:
+            grid = GridSpec(nodes, rule=rule)
+            for symmetry in ExchangeSymmetry:
+                js = make_spectrum(1.0, 0.5, symmetry)
+                taus = [1.7, -2.4]
+                reference = reference_integrate_R(tm, js, taus, grid)
+                used = _spy_orders(monkeypatch)
+                assert abs(integrate_R(tm, js, taus, grid) - reference) <= 1e-12
+                assert used == [chosen]
+                for order in CONTRACTIONS:
+                    _force_order(monkeypatch, order)
+                    assert abs(integrate_R(tm, js, taus, grid) - reference) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "preset, taus, chosen",
+    [
+        ("noon", [40.0], "gram"),  # K = 2
+        ("noon", [-40.0], "gram"),
+        ("three_param_2002", [40.0, 1.0, 2.0], "row blocks"),  # K = 8
+    ],
+)
+def test_overflowing_carrier_is_refused_by_each_order(monkeypatch, preset, taus,
+                                                      chosen):
+    tm = compose(preset_cascade(preset))
+    js = make_spectrum(1.0, 1.0, pump_frequency=1e308)
+    used = _spy_orders(monkeypatch)
+    with pytest.raises(NonFiniteDensityError,
+                       match=r"non-finite coincidence density at pump frequency 1e\+308"):
+        integrate_R(tm, js, taus, GRID)
+    assert used == [chosen]
+
+
+def test_wide_cascade_keeps_the_row_blocks_and_their_memory(monkeypatch):
+    # Four delays give K = 16: at 2048 nodes the Gram form would hold U and
+    # V of 2048 x 512 complex (16 MiB each) and two 4 MiB Grams; K^3 = 4096
+    # keeps the row blocks.
+    tm = compose(CascadeConfig.from_labels([None, 0, 1, 2, 3], 4))
+    assert max(len(entry.arrays[0]) for entry in (tm.A, tm.B, tm.C, tm.D)) == 16
+    used = _spy_orders(monkeypatch)
+    tracemalloc.start()
+    try:
+        value = integrate_R(tm, make_spectrum(1.0, 0.1), [0.5, 1.0, -2.0, 3.0],
+                            GridSpec(2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert used == ["row blocks"]
+    assert peak < 32 * 2**20
 
 
 def test_stacked_combo_dot_matches_each_term():
