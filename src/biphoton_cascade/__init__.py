@@ -59,8 +59,8 @@ from .quadrature import (
     GridSpec,
     GridTooLargeError,
     Rule,
-    convergence_report,
     integrate_R,
+    integrate_R_with_error,
     suggested_grid,
 )
 from .spectra import (
@@ -104,7 +104,6 @@ __all__ = [
     "asymptotic_prune",
     "coincidence_density",
     "compose",
-    "convergence_report",
     "correlation_class",
     "detect_structures",
     "envelopes_analytic",
@@ -114,6 +113,7 @@ __all__ = [
     "fit_gaussian_sigma",
     "generate_figures",
     "integrate_R",
+    "integrate_R_with_error",
     "load_config",
     "make_spectrum",
     "parse_config",

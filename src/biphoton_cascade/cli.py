@@ -6,7 +6,8 @@ section or one longer than the sweep memory budget, a missing one where
 a command sweeps or prunes, a negative prune threshold, a sweep window too short to reconstruct from,
 a cascade with no large-delay coincidences, delays whose suggested
 quadrature grid exceeds the memory budget, a trapezoid grid so wide that
-its weights underflow, or delays and a pump frequency
+its weights underflow, linewidths at which every quadrature weight
+underflows, or delays and a pump frequency
 whose sweep values or quadrature density overflow; 3
 cross-backend disagreement above tolerance; 4 missing or undersampled
 carrier; 5 I/O failure.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,7 +46,11 @@ from .interferogram import (
     write_csv_columns,
     write_trace_csv,
 )
-from .quadrature import GridTooLargeError, NonFiniteDensityError
+from .quadrature import (
+    GridTooLargeError,
+    NonFiniteDensityError,
+    UnderflowedWeightsError,
+)
 from .spectra import correlation_class
 
 EXIT_OK = 0
@@ -126,6 +132,10 @@ def cmd_sweep(args) -> int:
         write_trace_csv(quad_out, secondary)
         delta = float(np.abs(primary.values - secondary.values).max())
         sys.stderr.write(f"backend max |delta| = {delta:.3e}\n")
+        estimate = secondary.meta["max_error_estimate"]
+        sys.stderr.write("quadrature max half-grid estimate = "
+                         + ("none (the grid has no half grid)" if math.isnan(estimate)
+                            else f"{estimate:.3e}") + "\n")
         if delta > _BACKEND_TOLERANCE:
             return EXIT_BACKEND_MISMATCH
     return EXIT_OK
@@ -255,7 +265,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, SweepWindowError, ZeroBaselineError,
-            GridTooLargeError, NonFiniteTraceError, NonFiniteDensityError) as exc:
+            GridTooLargeError, NonFiniteTraceError, NonFiniteDensityError,
+            UnderflowedWeightsError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except UndersampledCarrierError as exc:

@@ -18,7 +18,7 @@ import numpy as np
 from . import analytic
 from .analytic import AnalyticModel
 from .cascade import TransferMatrix
-from .quadrature import GridSpec, integrate_R, suggested_grid
+from .quadrature import GridSpec, integrate_R_with_error, suggested_grid
 from .spectra import JointSpectrum
 
 __all__ = [
@@ -160,20 +160,38 @@ class QuadratureBackend:
 
     def response(self, taus):
         """The oracle at each point of the delays' broadcast shape, as ``evaluate``."""
+        return self.response_with_error(taus)[0]
+
+    def response_with_error(self, taus):
+        """The oracle's values and half-grid error estimates, as ``response``.
+
+        A point whose grid holds no half grid has a NaN estimate.
+        """
         arrays = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in taus))
-        values = [integrate_R(self.tm, self.js, point,
-                              self.grid or suggested_grid(self.tm, self.js, point))
-                  for point in map(list, zip(*(a.flat for a in arrays)))]
-        return np.reshape(values, arrays[0].shape)[()]
+        pairs = [integrate_R_with_error(
+                     self.tm, self.js, point,
+                     self.grid or suggested_grid(self.tm, self.js, point))
+                 for point in map(list, zip(*(a.flat for a in arrays)))]
+        # dtype=float turns a None estimate into NaN
+        pairs = np.array(pairs, dtype=float).reshape(arrays[0].shape + (2,))
+        return pairs[..., 0][()], pairs[..., 1][()]
 
 
 def sweep(backend, spec: SweepSpec) -> Trace:
-    """Uniformly sample the normalized coincidence along one delay."""
+    """Uniformly sample the normalized coincidence along one delay.
+
+    A quadrature sweep's meta also holds ``max_error_estimate``, the
+    largest half-grid estimate of its points (NaN if no grid had one).
+    """
     taus = spec.delay_vectors(backend.n_delays)
     grid = taus[spec.swept]
-    values = np.asarray(backend.response(taus), dtype=float)
     meta = {"fixed": dict(spec.fixed), "swept": spec.swept}
-    return Trace(grid, values, meta)
+    if isinstance(backend, QuadratureBackend):
+        values, estimates = backend.response_with_error(taus)
+        meta["max_error_estimate"] = float(np.fmax.reduce(estimates))
+    else:
+        values = backend.response(taus)
+    return Trace(grid, np.asarray(values, dtype=float), meta)
 
 
 def envelopes_analytic(model: AnalyticModel, js: JointSpectrum,

@@ -15,15 +15,30 @@ picks the cheaper from the node count N per axis and the term width K:
   rows at a time and their squared combination summed, O(N^2 K);
 * Gram form (K^3 <= N): the face-split (Khatri-Rao) factors U (N x 2K^2)
   and V (2K^2 x N) of the combined amplitude give the sum as
-  tr(U^H U . V V^H), O(N K^4).
+  tr(U^H U . V V^H), O(N K^4); the Grams are accumulated over fixed
+  blocks of nodes, so U and V are never held whole.
 
 Either way a call's memory grows with N, not N^2.
+
+The oracle certifies itself.  On an odd trapezoid grid the M = (N+1)/2
+nodes of even index form the trapezoid grid of M nodes over the same
+window, the half grid.  Both orders also sum the even-row, even-column
+share of the weighted density; normalised by the even-node sums of j+
+and j-, that is the value on the half grid (the factor 2 of its weights
+cancels).  The trapezoid error of a smooth, decaying integrand falls
+faster than geometrically with N, so the half grid's error dominates
+|R_N - R_half|, which ``integrate_R_with_error`` reports as the estimate;
+on a grid too coarse to sample the density's fastest fringe both values
+alias, the difference bounds nothing, and the estimate is inf.
+``suggested_grid`` returns odd grids whose half grid already resolves
+the density, so the estimate is what says they were fine enough.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,9 +52,10 @@ __all__ = [
     "GridSpec",
     "GridTooLargeError",
     "NonFiniteDensityError",
+    "UnderflowedWeightsError",
     "MAX_NODES_PER_AXIS",
     "integrate_R",
-    "convergence_report",
+    "integrate_R_with_error",
     "suggested_grid",
 ]
 
@@ -47,10 +63,14 @@ __all__ = [
 #: complex blocks of 32 x 256 nodes take 512 KiB, which stays in cache and
 #: is reused from the heap on every call.
 ROW_BLOCK = 32
+#: Complex elements in each node block of the Gram form (K^3 <= N): 124
+#: KiB, under glibc's default 128 KiB mmap threshold, so the blocks of U
+#: and V come from the heap instead of being page-faulted per call.
+_GRAM_BLOCK_ELEMENTS = 124 * 1024 // 16
 #: Bytes per (W+, W-) node the node cap charges: three complex N x N
 #: fields.  ``integrate_R`` holds (N, K) factors and either four
-#: ``ROW_BLOCK`` x N blocks or, when K^3 <= N, the N x 2K^2 factors U and V
-#: and two 2K^2 x 2K^2 Grams, so the cap over-states its memory.
+#: ``ROW_BLOCK`` x N blocks or, when K^3 <= N, node blocks of U and V and
+#: 2K^2 x 2K^2 Grams, so the cap over-states its memory.
 _BYTES_PER_NODE = 3 * 16
 #: Memory budget for those fields (1 GiB); larger grids are refused before
 #: anything is allocated.
@@ -69,10 +89,15 @@ _X2_MAX = -math.log(np.finfo(float).tiny)
 #: at most ``_X2_MAX``.  Wider steps are refused before any intensity is
 #: evaluated; far enough past it every weight underflows to 0.
 _MAX_STEP_SIGMAS = math.sqrt(_X2_MAX)
-#: ``suggested_grid``'s half-width in linewidths, and its nodes per cycle
-#: of the fastest fringe.
+#: ``suggested_grid``'s half-width in linewidths.
 _SUGGESTED_EXTENT = 8.0
-_POINTS_PER_CYCLE = 4.0
+#: How far, in inverse linewidths, the half grid's first alias must lie
+#: past the density's fastest fringe: its aliasing term is then about
+#: exp(-8^2 / 2) = e^-32.
+_ALIAS_MARGIN = 8.0
+#: Fewest intervals of a suggested grid's half grid: 32, so that N >= 65
+#: and the half grid's 33 nodes clear the 32-node floor.
+_MIN_HALF_INTERVALS = 32
 
 
 class GridTooLargeError(ValueError):
@@ -81,6 +106,25 @@ class GridTooLargeError(ValueError):
 
 class NonFiniteDensityError(FloatingPointError):
     """The density is not finite on the grid: its inputs overflow the float range."""
+
+
+class UnderflowedWeightsError(FloatingPointError):
+    """Every joint quadrature weight underflows to 0, so nothing normalises R."""
+
+
+def _too_large(nodes) -> GridTooLargeError:
+    """The refusal of a grid of ``nodes`` per axis, sized in floats.
+
+    ``nodes`` may be an int or a float of any size, infinity included; the
+    memory in the message is inf past the float range rather than an
+    ``OverflowError``.
+    """
+    nodes = math.inf if nodes > sys.float_info.max else float(nodes)
+    gib = nodes * nodes * _BYTES_PER_NODE / 2**30
+    return GridTooLargeError(
+        f"{nodes:.6g} nodes per axis would need {gib:.3g} GiB of quadrature "
+        f"temporaries; at most {MAX_NODES_PER_AXIS} fit the "
+        f"{GRID_MEMORY_BUDGET >> 30} GiB budget")
 
 
 class Rule(enum.Enum):
@@ -98,12 +142,7 @@ class GridSpec:
         if self.nodes_per_axis < 32:
             raise ValueError("nodes_per_axis must be >= 32")
         if self.nodes_per_axis > MAX_NODES_PER_AXIS:
-            gib = self.nodes_per_axis ** 2 * _BYTES_PER_NODE / 2**30
-            raise GridTooLargeError(
-                f"{self.nodes_per_axis} nodes per axis would need {gib:.3g} GiB "
-                f"of quadrature temporaries; at most {MAX_NODES_PER_AXIS} fit "
-                f"the {GRID_MEMORY_BUDGET >> 30} GiB budget"
-            )
+            raise _too_large(self.nodes_per_axis)
         if self.rule is Rule.TRAPEZOID:
             if self.extent_sigmas < 5:
                 raise ValueError("extent_sigmas must be >= 5 for the trapezoid rule")
@@ -167,15 +206,10 @@ def _cis(phase):
     return out
 
 
-def _factors(tm: TransferMatrix, taus, pump: float, w_plus, w_minus):
-    """Factor stacks whose products are the A, B, C and D grid fields.
+def _phases(tm: TransferMatrix, taus):
+    """Amplitudes and delay combinations u of the A, B, C and D terms.
 
-    Each exponential is separable across the two axes, so entry e's field
-    on the (W_plus, W_minus) grid, at omega = wp/2 + (W+ +- W-)/2, is the
-    rank-K product ``plus[e] @ minus[e]``: ``plus[e]`` is (N, K) and
-    carries the amplitudes and the pump carrier, ``minus[e]`` is (K, N).
-    The entries are zero-padded to one K, so one batched product forms a
-    block of all four fields.  Phases that overflow come out NaN, silently.
+    Both are (4, K) arrays, the entries zero-padded to the widest, K terms.
     """
     entries = (tm.A, tm.B, tm.C, tm.D)
     width = max(len(entry.arrays[0]) for entry in entries)
@@ -185,6 +219,29 @@ def _factors(tm: TransferMatrix, taus, pump: float, w_plus, w_minus):
         entry_amps, combos = entry.arrays
         amps[index, :len(entry_amps)] = entry_amps
         u[index, :len(entry_amps)] = combo_dot(combos, taus)
+    return amps, u
+
+
+def _fastest_delay(u) -> float:
+    """u_max, the largest absolute delay combination of ``_phases``' u.
+
+    The density's fastest fringe along either axis is 2 u_max (see
+    ``suggested_grid``).
+    """
+    return float(np.abs(u).max(initial=0.0))
+
+
+def _factors(amps, u, pump: float, w_plus, w_minus):
+    """Factor stacks whose products are the A, B, C and D grid fields.
+
+    Each exponential is separable across the two axes, so entry e's field
+    on the (W_plus, W_minus) grid, at omega = wp/2 + (W+ +- W-)/2, is the
+    rank-K product ``plus[e] @ minus[e]``: ``plus[e]`` is (N, K) and
+    carries the amplitudes and the pump carrier, ``minus[e]`` is (K, N).
+    The entries are zero-padded to one K (``_phases``), so one batched
+    product forms a block of all four fields.  Phases that overflow come
+    out NaN, silently.
+    """
     # C and D take W_minus with the opposite sign
     minus_sign = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,15 +251,17 @@ def _factors(tm: TransferMatrix, taus, pump: float, w_plus, w_minus):
     return plus, minus
 
 
-def _row_block_sum(plus, minus) -> float:
-    """Weighted density sum with the fields formed ``ROW_BLOCK`` rows at a time.
+def _row_block_sum(plus, minus):
+    """Weighted density sums with the fields formed ``ROW_BLOCK`` rows at a time.
 
     All four fields of a block come from one batched product, and the
     squared modulus of A D + B C is summed, so no N x N array is held.
+    Returns the sum over the grid and over its even rows and columns:
+    ``ROW_BLOCK`` is even, so a block's even rows are the grid's.
     """
     rows, cols = plus.shape[1], minus.shape[2]
     fields = np.empty((4, min(ROW_BLOCK, rows), cols), dtype=complex)
-    total = 0.0
+    total = half = 0.0
     for start in range(0, rows, ROW_BLOCK):
         a, b, c, d = np.matmul(plus[:, start:start + ROW_BLOCK], minus,
                                out=fields[:, :rows - start])
@@ -210,32 +269,147 @@ def _row_block_sum(plus, minus) -> float:
         b *= c
         a += b
         total += np.vdot(a, a).real
-    return total
+        even = a[::2, ::2]
+        half += np.vdot(even, even).real
+    return total, half
 
 
-def _gram_sum(plus, minus) -> float:
-    """Weighted density sum as tr(U^H U . V V^H), from two R x R Grams.
+#: Factor pairs whose face-split products make the amplitude: A with D,
+#: then B with C.
+_PAIRS = ((0, 3), (1, 2))
+
+
+def _face_split(chunk, conjugate_left: bool, rows, conj):
+    """The face-split rows of a (4, n, K) chunk of factors, as two operands.
+
+    Row i holds the products of A's factors with D's, then B's with C's, at
+    the chunk's node i; they and their conjugates are written into the
+    first n rows of ``rows`` and ``conj``.  Returns (left, right) such that
+    left.T @ right is the chunk's Gram, conj(F)^T F when ``conjugate_left``
+    and F^T conj(F) otherwise.
+    """
+    count = chunk.shape[1]
+    for pair, (first, second) in enumerate(_PAIRS):
+        np.multiply(chunk[first, :, :, None], chunk[second, :, None, :],
+                    out=rows[:count, pair])
+    flat = rows[:count].reshape(count, -1)
+    np.conjugate(flat, out=conj[:count])
+    return (conj[:count], flat) if conjugate_left else (flat, conj[:count])
+
+
+def _grams(factors, conjugate_left: bool):
+    """Even-node and all-node Grams of one axis's face-split rows.
+
+    ``factors`` is (4, N, K), and F is its face-split matrix (N x 2K^2).
+    The Grams are F^H F when ``conjugate_left`` (the W+ axis's U^H U) and
+    F^T conj(F) otherwise (V V^H, the W- axis's V being F^T).  F is formed
+    in chunks of at most ``_GRAM_BLOCK_ELEMENTS`` elements: one chunk
+    when the whole axis fits, whose even and odd rows then go to their
+    Grams by two products; otherwise the nodes of even index, then those
+    of odd index, a chunk at a time.
+    """
+    nodes, width = factors.shape[1:]
+    rank = 2 * width * width
+    block = max(1, _GRAM_BLOCK_ELEMENTS // rank)
+    rows = np.empty((min(block, nodes), 2, width, width), dtype=complex)
+    conj = np.empty((len(rows), rank), dtype=complex)
+    grams = np.empty((2, rank, rank), dtype=complex)  # even, then odd nodes
+    if nodes <= block:
+        left, right = _face_split(factors, conjugate_left, rows, conj)
+        for parity in (0, 1):
+            np.matmul(left[parity::2].T, right[parity::2], out=grams[parity])
+    else:
+        part = np.empty((rank, rank), dtype=complex)
+        for parity in (0, 1):
+            side = factors[:, parity::2]
+            for start in range(0, side.shape[1], block):
+                left, right = _face_split(side[:, start:start + block],
+                                          conjugate_left, rows, conj)
+                np.matmul(left.T, right, out=part if start else grams[parity])
+                if start:
+                    grams[parity] += part
+    grams[1] += grams[0]
+    return grams  # even nodes, all nodes
+
+
+def _gram_sum(plus, minus):
+    """Weighted density sums as tr(U^H U . V V^H), from two R x R Grams.
 
     The amplitude A D + B C is U @ V with R = 2K^2: row n of U holds the
     face-split products of the W+ factors (A with D, then B with C) at
     node n, column m of V the same of the W- factors.  Its squared
-    Frobenius norm is the sum over the two Grams.  Both axes have N nodes,
-    so U^H fits V's buffer and V^H U's: the products and their conjugate
-    transposes are written into those two buffers, and nothing else of
-    size N x R is allocated.
+    Frobenius norm is the sum over the two Grams, and the same sum over
+    the even-node Grams is the even-row, even-column share.  Returns both.
     """
-    nodes, width = plus.shape[1:]
-    u = np.empty((nodes, 2, width, width), dtype=complex)
-    v = np.empty((2, width, width, nodes), dtype=complex)
-    u_flat, v_flat = u.reshape(nodes, -1), v.reshape(-1, nodes)
-    pairs = ((0, 3), (1, 2))  # A with D, B with C
-    for pair, (first, second) in enumerate(pairs):
-        np.multiply(plus[first, :, :, None], plus[second, :, None, :], out=u[:, pair])
-    plus_gram = np.conjugate(u_flat.T, out=v_flat) @ u_flat
-    for pair, (first, second) in enumerate(pairs):
-        np.multiply(minus[first, :, None, :], minus[second, None], out=v[pair])
-    minus_gram = v_flat @ np.conjugate(v_flat.T, out=u_flat)
-    return np.vdot(minus_gram, plus_gram).real
+    plus_grams = _grams(plus, True)
+    minus_grams = _grams(minus.transpose(0, 2, 1), False)
+    return (np.vdot(minus_grams[1], plus_grams[1]).real,
+            np.vdot(minus_grams[0], plus_grams[0]).real)
+
+
+def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
+                           grid: GridSpec):
+    """``integrate_R``'s value and its half-grid error estimate, as a pair.
+
+    On an odd trapezoid grid the estimate is |R_N - R_half|, R_half being
+    the value on the (N+1)/2 nodes of even index, summed in the same
+    contraction.  The difference measures the error only once the grid
+    samples the density's fastest fringe, 2 u_max, with its first alias
+    past it: pi (N - 1) / E >= 2 sigma u_max, E the extent and sigma the
+    wider linewidth (``suggested_grid``'s bound for the full grid at zero
+    margin).  On coarser grids both rules fold the fringes back, their
+    difference can cancel while each is far off, and the estimate is inf;
+    so it is when only the half grid's weights underflow.  Even grids and
+    Gauss-Hermite rules hold no half grid and report None.  Weights that
+    all underflow are refused with ``UnderflowedWeightsError``, a
+    non-finite density with ``NonFiniteDensityError``.
+    """
+    if len(taus) != tm.n_delays:
+        raise ValueError(f"expected {tm.n_delays} delays, got {len(taus)}")
+    wp_nodes, wp_weights = _axis(grid, js.plus.sigma)
+    wm_nodes, wm_weights = _axis(grid, js.minus.sigma)
+    pump = js.pump_frequency
+
+    # the Gauss-Hermite weights from _axis already absorb the exp(x^2)
+    # compensation, so both rules consume the plain intensities here
+    j_plus = js.plus.intensity(wp_nodes) * wp_weights
+    j_minus = js.minus.intensity(wm_nodes) * wm_weights
+    weights = float(j_plus.sum() * j_minus.sum())
+    if weights == 0.0:
+        raise UnderflowedWeightsError(
+            f"every quadrature weight underflows to 0 at sigma_plus "
+            f"{js.plus.sigma:g} and sigma_minus {js.minus.sigma:g}")
+
+    sym = int(js.symmetry)
+    amps, u = _phases(tm, taus)
+    plus, minus = _factors(amps, u, pump, wp_nodes, wm_nodes)
+    root_plus = np.sqrt(j_plus)[:, None]
+    plus[0] *= root_plus
+    plus[1] *= sym * root_plus
+    minus[:2] *= np.sqrt(j_minus)
+
+    width = plus.shape[2]
+    contract = _gram_sum if width ** 3 <= len(wp_nodes) else _row_block_sum
+    numerator, half = contract(plus, minus)
+    # any non-finite density value makes the sum non-finite
+    if not math.isfinite(numerator):
+        delays = ", ".join(f"{t:g}" for t in taus)
+        raise NonFiniteDensityError(
+            f"non-finite coincidence density at pump frequency {pump:g} "
+            f"and delays ({delays})")
+
+    constant = tm.large_delay_constant(sym)
+    value = float(numerator) / (constant * weights)
+    if grid.rule is not Rule.TRAPEZOID or grid.nodes_per_axis % 2 == 0:
+        return value, None
+    sigma = max(js.plus.sigma, js.minus.sigma)
+    if (math.pi * (grid.nodes_per_axis - 1) / grid.extent_sigmas
+            < 2.0 * sigma * _fastest_delay(u)):
+        return value, math.inf
+    half_norm = constant * float(j_plus[::2].sum() * j_minus[::2].sum())
+    if half_norm == 0.0:
+        return value, math.inf
+    return value, abs(value - float(half) / half_norm)
 
 
 def integrate_R(tm: TransferMatrix, js: JointSpectrum, taus,
@@ -251,67 +425,42 @@ def integrate_R(tm: TransferMatrix, js: JointSpectrum, taus,
     in the Gram form when K^3 <= N, K being the entries' zero-padded term
     width and N the nodes per axis, and in ``ROW_BLOCK`` row blocks
     otherwise: the Gram form's work grows as N K^4, the row blocks' as
-    N^2 K.
+    N^2 K.  ``integrate_R_with_error`` also returns the value's half-grid
+    error estimate.
     """
-    if len(taus) != tm.n_delays:
-        raise ValueError(f"expected {tm.n_delays} delays, got {len(taus)}")
-    wp_nodes, wp_weights = _axis(grid, js.plus.sigma)
-    wm_nodes, wm_weights = _axis(grid, js.minus.sigma)
-    pump = js.pump_frequency
-
-    # the Gauss-Hermite weights from _axis already absorb the exp(x^2)
-    # compensation, so both rules consume the plain intensities here
-    j_plus = js.plus.intensity(wp_nodes) * wp_weights
-    j_minus = js.minus.intensity(wm_nodes) * wm_weights
-
-    sym = int(js.symmetry)
-    plus, minus = _factors(tm, taus, pump, wp_nodes, wm_nodes)
-    root_plus = np.sqrt(j_plus)[:, None]
-    plus[0] *= root_plus
-    plus[1] *= sym * root_plus
-    minus[:2] *= np.sqrt(j_minus)
-
-    width = plus.shape[2]
-    contract = _gram_sum if width ** 3 <= len(wp_nodes) else _row_block_sum
-    numerator = contract(plus, minus)
-    # any non-finite density value makes the sum non-finite
-    if not math.isfinite(numerator):
-        delays = ", ".join(f"{t:g}" for t in taus)
-        raise NonFiniteDensityError(
-            f"non-finite coincidence density at pump frequency {pump:g} "
-            f"and delays ({delays})")
-
-    norm = tm.large_delay_constant(sym) * float(np.sum(j_plus) * np.sum(j_minus))
-    return float(numerator) / norm
-
-
-def convergence_report(tm: TransferMatrix, js: JointSpectrum, taus, grids):
-    """Successive-refinement table: list of (grid, value, delta-to-previous)."""
-    grids = list(grids)
-    if len(grids) < 2:
-        raise ValueError("need at least two grids for a convergence report")
-    rows = []
-    previous = None
-    for grid in grids:
-        value = integrate_R(tm, js, taus, grid)
-        delta = None if previous is None else abs(value - previous)
-        rows.append((grid, value, delta))
-        previous = value
-    return rows
+    return integrate_R_with_error(tm, js, taus, grid)[0]
 
 
 def suggested_grid(tm: TransferMatrix, js: JointSpectrum, taus) -> GridSpec:
-    """Trapezoid grid sized to resolve the fastest delay-induced fringe.
+    """Odd trapezoid grid whose half grid resolves the fastest fringe.
 
-    The density oscillates in each detuning no faster than the largest
-    absolute delay combination appearing in the matrix entries; node count
-    follows from Nyquist with margin.
+    With step h the trapezoid rule integrates f up to its aliases, the sum
+    over k != 0 of f's Fourier transform at 2 pi k / h.  Along each axis
+    the weighted density is a Gaussian of linewidth sigma (times a
+    polynomial for an odd profile) times fringes exp(i w W): each factor of
+    the amplitude turns at half a delay combination, so the amplitude's
+    rates reach u_max, the largest absolute combination in the entries,
+    and its squared modulus's |w| <= 2 u_max.  Such a term's transform is
+    a Gaussian of width 1/sigma centred on w, so the first alias is about
+    exp(-(sigma (2 pi / h - 2 u_max))^2 / 2).  Asking the half grid, of
+    M nodes and step h = 2 E sigma / (M - 1) over +-E sigma, for
+    sigma (2 pi / h - 2 u_max) >= 8 puts that term near e^-32:
+
+        M - 1 >= (2 sigma u_max + 8) E / pi,
+
+    with sigma the wider axis's linewidth and E = 8.  The grid is the
+    N = 2M - 1 nodes that nest it, with twice the margin, and M - 1 is at
+    least 32, so N >= 65.  Its slope, 32 sigma u_max / pi (about
+    10.2 sigma u_max) nodes, is that of four nodes per fringe cycle over
+    the window.  The count is formed in floats and refused with
+    ``GridTooLargeError`` past the node cap, infinity included, before it
+    becomes an int.
     """
-    u_max = max(float(np.abs(combo_dot(entry.arrays[1], taus)).max(initial=0.0))
-                for entry in (tm.A, tm.B, tm.C, tm.D))
-    # Exponent differences in the squared density reach 2 * u_max, and the
-    # detuning enters with a factor 1/2: fringe rate u_max per axis unit.
+    u_max = _fastest_delay(_phases(tm, taus)[1])
     sigma = max(js.plus.sigma, js.minus.sigma)
-    window = 2.0 * _SUGGESTED_EXTENT * sigma
-    nodes = int(window * u_max / (2.0 * math.pi) * _POINTS_PER_CYCLE) + 64
-    return GridSpec(max(nodes, 256), _SUGGESTED_EXTENT, Rule.TRAPEZOID)
+    intervals = max((2.0 * sigma * u_max + _ALIAS_MARGIN) * _SUGGESTED_EXTENT
+                    / math.pi, _MIN_HALF_INTERVALS)
+    nodes = 2.0 * intervals + 1.0
+    if not nodes <= MAX_NODES_PER_AXIS:  # also refuses inf and nan
+        raise _too_large(nodes)
+    return GridSpec(2 * math.ceil(intervals) + 1, _SUGGESTED_EXTENT, Rule.TRAPEZOID)

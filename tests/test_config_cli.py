@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import re
 import subprocess
 import sys
@@ -177,7 +178,20 @@ def test_sweep_both_backends_agree(tmp_path, capsys):
     assert cli.main(["sweep", "--config", path, "--backend", "both",
                      "--out", out]) == 0
     assert (tmp_path / "trace.quad.csv").exists()
-    assert "max |delta|" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("backend max |delta| = ")
+    # the suggested grids certify every point far inside the tolerance
+    assert re.fullmatch(r"quadrature max half-grid estimate = (\S+)", err[1])
+    assert float(err[1].split("= ")[1]) <= 1e-9
+
+
+def test_sweep_both_reports_grids_without_a_half_grid(tmp_path, capsys):
+    config = BASE_CONFIG.replace("samples = 801", "samples = 5") + "grid.nodes = 256\n"
+    path = write(tmp_path, "noon.cfg", config)
+    assert cli.main(["sweep", "--config", path, "--backend", "both",
+                     "--out", str(tmp_path / "trace.csv")]) == 0
+    assert capsys.readouterr().err.splitlines()[1] == \
+        "quadrature max half-grid estimate = none (the grid has no half grid)"
 
 
 def test_sweep_detects_backend_disagreement(tmp_path):
@@ -379,6 +393,50 @@ def test_unusable_quadrature_grid_is_config_error(tmp_path, text, message):
     assert message in result.stderr
 
 
+#: A homi sweep through the oracle alone, at sigma_plus 1e300 (so a pump
+#: of 1e308 passes the spectrum's guard).
+HUGE_LINEWIDTH = ("cascade.preset = homi\nspectrum.sigma_plus = 1e300\n"
+                  "spectrum.pump_frequency = 1e308\nsweep.swept = 0\n"
+                  "sweep.samples = 3\nbackend = quadrature\n")
+
+
+@pytest.mark.parametrize(
+    "text, nodes",
+    [
+        # about 1e302 nodes per axis: the GiB message once overflowed an
+        # int division
+        (HUGE_LINEWIDTH, "1.01859e+302"),
+        # an infinite count once overflowed the int conversion
+        (HUGE_LINEWIDTH + "sweep.start = -1e300\nsweep.stop = 1e300\n", "inf"),
+    ],
+    ids=["finite-count", "infinite-count"],
+)
+def test_huge_suggested_grids_are_refused_in_one_line(tmp_path, text, nodes):
+    path = write(tmp_path, "huge.cfg", text)
+    result = run_cli("sweep", "--config", path, "--out", str(tmp_path / "x.csv"))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"config error: {nodes} nodes per axis would need inf GiB of quadrature "
+        "temporaries; at most 4729 fit the 1 GiB budget\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_underflowed_quadrature_weights_are_refused_in_one_line(tmp_path):
+    # the odd minus profile's intensity scales as (sigma- x)^2, so at
+    # sigma_minus 1e-160 every minus weight underflows to 0
+    text = ("cascade.preset = homi\nspectrum.symmetry = antisymmetric\n"
+            "spectrum.sigma_minus = 1e-160\nsweep.swept = 0\nsweep.samples = 3\n"
+            "backend = quadrature\n")
+    path = write(tmp_path, "tiny.cfg", text)
+    result = run_cli("sweep", "--config", path, "--out", str(tmp_path / "x.csv"))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("config error: every quadrature weight underflows to 0 "
+                             "at sigma_plus 1 and sigma_minus 1e-160\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("extent", ["1e5", "1e300"])
 def test_wide_trapezoid_grid_is_refused_in_one_line(tmp_path, extent):
     # 256 nodes over +-1e5 linewidths: every quadrature weight underflows
@@ -473,6 +531,31 @@ def test_validate_passes(capsys):
     assert cli.main(["validate"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 8 and "FAIL" not in out
+
+
+def test_validate_states_the_oracle_estimate(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert cli.main(["validate", "--json", str(report)]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if "oracle-equivalence" in line)
+    match = re.fullmatch(r"PASS oracle-equivalence: max \|closed-form - quadrature\| "
+                         r"(\S+), max half-grid estimate (\S+)", line)
+    assert match and float(match[2]) <= 1e-9
+    detail = next(row["detail"] for row in json.loads(report.read_text())
+                  if row["check"] == "oracle-equivalence")
+    assert line.endswith(detail)
+
+
+def test_validate_fails_an_uncertified_oracle(monkeypatch):
+    # values that agree with the closed form but carry a large estimate
+    # fail the check: agreement is not taken on trust
+    certified = validation.integrate_R_with_error
+    monkeypatch.setattr(validation, "integrate_R_with_error",
+                        lambda *args: (certified(*args)[0], 2e-6))
+    passed, detail = validation._CHECKS["oracle-equivalence"](np.random.default_rng(0),
+                                                              False)
+    assert not passed
+    assert detail.endswith("max half-grid estimate 2.00e-06")
 
 
 def test_validate_negative_control(tmp_path, capsys):

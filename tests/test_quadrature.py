@@ -1,14 +1,16 @@
 """Brute-force quadrature backend against closed-form reference values."""
 
 import gc
+import math
 import time
 import tracemalloc
 import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from biphoton_cascade import cascade, quadrature
@@ -27,10 +29,11 @@ from biphoton_cascade.quadrature import (
     NonFiniteDensityError,
     Rule,
     _axis,
-    convergence_report,
     integrate_R,
+    integrate_R_with_error,
     suggested_grid,
 )
+from biphoton_cascade.analytic import evaluate, expand
 from biphoton_cascade.spectra import ExchangeSymmetry
 
 from test_expand import cascades
@@ -77,23 +80,33 @@ def test_gauss_hermite_handles_odd_profiles():
     assert integrate_R(HOMI, js, [0.9], gh) == pytest.approx(expected, abs=1e-9)
 
 
-def test_convergence_report_monotone():
+def test_half_grid_estimate_tracks_second_order_convergence():
     # At 5.5 linewidths the density's slope at the window's ends is not
     # negligible, so the trapezoid rule converges at second order (the
-    # deltas fall about 4x per halved step, from ~2.6e-9) instead of
-    # reaching rounding noise by 64 nodes, as it does at 8 linewidths.
-    grids = [GridSpec(n, extent_sigmas=5.5) for n in (64, 128, 256)]
-    rows = convergence_report(HOMI, JS, [0.8], grids)
-    assert rows[0][2] is None
-    deltas = [row[2] for row in rows[1:]]
-    assert deltas[-1] >= 1e-12  # refinement, not rounding
-    assert deltas[-1] <= deltas[0]
-    assert deltas[-1] < 1e-9
+    # estimates fall about 4x per halved step, from ~1e-8) instead of
+    # reaching rounding noise by 65 nodes, as it does at 8 linewidths.
+    estimates = []
+    for nodes in (65, 129, 257):
+        value, estimate = integrate_R_with_error(HOMI, JS, [0.8],
+                                                 GridSpec(nodes, 5.5))
+        half = integrate_R(HOMI, JS, [0.8], GridSpec((nodes + 1) // 2, 5.5))
+        assert estimate == pytest.approx(abs(value - half), abs=1e-15)
+        estimates.append(estimate)
+    assert estimates[-1] >= 1e-12  # refinement, not rounding
+    assert estimates[2] <= estimates[1] <= estimates[0]
+    assert estimates[-1] < 1e-9
+    assert 3.0 <= estimates[1] / estimates[2] <= 5.0
 
 
-def test_convergence_report_needs_two_grids():
-    with pytest.raises(ValueError):
-        convergence_report(HOMI, JS, [0.8], [GRID])
+def test_estimate_is_none_off_nested_grids():
+    # Even trapezoid grids and Gauss-Hermite rules hold no half grid.
+    for grid in (GRID, GridSpec(65, rule=Rule.GAUSS_HERMITE),
+                 GridSpec(96, rule=Rule.GAUSS_HERMITE)):
+        value, estimate = integrate_R_with_error(HOMI, JS, [0.8], grid)
+        assert estimate is None
+        assert value == integrate_R(HOMI, JS, [0.8], grid)
+    value, estimate = integrate_R_with_error(HOMI, JS, [0.8], GridSpec(257))
+    assert 0.0 <= estimate < 1e-12
 
 
 def test_grid_validation():
@@ -448,7 +461,7 @@ def test_one_call_holds_row_blocks_not_fields():
 def test_grid_over_memory_budget_is_refused():
     assert MAX_NODES_PER_AXIS >= 2000  # far above the ~780 nodes of real sweeps
     GridSpec(MAX_NODES_PER_AXIS)
-    for nodes in (MAX_NODES_PER_AXIS + 1, 100_000_000):
+    for nodes in (MAX_NODES_PER_AXIS + 1, 100_000_000, 10**400):
         with pytest.raises(GridTooLargeError):
             GridSpec(nodes)
     with pytest.raises(GridTooLargeError):
@@ -497,3 +510,176 @@ def test_gauss_hermite_at_the_last_finite_rule_is_built():
 def test_gauss_hermite_below_the_limit_stays_finite():
     grid = GridSpec(320, rule=Rule.GAUSS_HERMITE)
     assert np.isfinite(integrate_R(HOMI, JS, [0.9], grid))
+
+
+# ---------------------------------------------------------------------------
+# Odd nested grids and the half-grid error estimate
+
+
+@pytest.fixture(scope="module")
+def models():
+    """Each preset's transfer matrix and closed-form model per symmetry."""
+    table = {}
+    for preset in PRESETS:
+        tm = compose(preset_cascade(preset))
+        for symmetry in ExchangeSymmetry:
+            table[preset, symmetry] = tm, expand(tm, symmetry)
+    return table
+
+
+def _half_value(tm, js, taus, grid):
+    """``integrate_R`` on the grid of ``grid``'s nodes of even index."""
+    half = GridSpec((grid.nodes_per_axis + 1) // 2, grid.extent_sigmas)
+    return integrate_R(tm, js, taus, half)
+
+
+#: Delays in +-8, half of them drawn from the outer quarters, where the
+#: fringes are fastest and grids of 65-97 nodes under-resolve them.
+DELAYS = st.one_of(st.floats(-8.0, 8.0), st.floats(6.0, 8.0), st.floats(-8.0, -6.0))
+
+
+@given(preset=st.sampled_from(PRESETS), symmetry=st.sampled_from(ExchangeSymmetry),
+       class_name=st.sampled_from(sorted(CLASS_SIGMAS)),
+       half_intervals=st.one_of(st.integers(32, 48), st.integers(32, 160)),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_half_grid_estimate_bounds_the_true_error(models, preset, symmetry, class_name,
+                                                  half_intervals, data):
+    # odd grids from 65 nodes up, the small ones under-resolved at the
+    # larger delays; the search is steered towards large errors
+    tm, model = models[preset, symmetry]
+    js = make_spectrum(*CLASS_SIGMAS[class_name], symmetry)
+    taus = data.draw(st.lists(DELAYS, min_size=tm.n_delays, max_size=tm.n_delays))
+    value, estimate = integrate_R_with_error(tm, js, taus,
+                                             GridSpec(2 * half_intervals + 1))
+    error = abs(value - float(evaluate(model, js, taus)))
+    target(math.log10(error + 1e-300))
+    if error > 1e-12:
+        assert estimate >= error
+
+
+@pytest.mark.parametrize("order", ["gram", "row blocks"])
+@pytest.mark.parametrize(
+    "preset, nodes",
+    [
+        ("two_param_2002", 65),    # K = 4: the Gram form's one block of nodes
+        ("two_param_2002", 257),   # two 128-node blocks and a one-node block
+        ("three_param_2002", 65),  # K = 8: one ragged row block
+        ("three_param_2002", 545),  # seventeen 32-node blocks and one node
+    ],
+)
+def test_half_value_is_the_value_on_the_half_grid(monkeypatch, models, order,
+                                                  preset, nodes):
+    tm, _ = models[preset, ExchangeSymmetry.SYMMETRIC]
+    grid = GridSpec(nodes)
+    cases = [(make_spectrum(1.0, 0.5, symmetry), taus)
+             for symmetry in ExchangeSymmetry
+             for taus in ([0.0] * tm.n_delays, [1.7, -2.4, 6.6][:tm.n_delays])]
+    _force_order(monkeypatch, order)
+    for js, taus in cases:
+        value, estimate = integrate_R_with_error(tm, js, taus, grid)
+        assert value == integrate_R(tm, js, taus, grid) and math.isfinite(estimate)
+        half = _half_value(tm, js, taus, grid)
+        assert abs(abs(value - half) - estimate) <= 1e-12
+
+
+def test_estimate_catches_under_resolved_grids(models):
+    tm, model = models["three_param_2002", ExchangeSymmetry.ANTISYMMETRIC]
+    # delays -8, 8 and 4.5 on 65 nodes: the grid samples the fastest fringe,
+    # and the half grid's difference bounds an error of 2.8e-5
+    js = make_spectrum(1.0, 1.0, ExchangeSymmetry.ANTISYMMETRIC)
+    taus = [-8.0, 8.0, 4.5]
+    value, estimate = integrate_R_with_error(tm, js, taus, GridSpec(65))
+    error = abs(value - float(evaluate(model, js, taus)))
+    assert error > 1e-5 and math.isfinite(estimate)
+    assert abs(estimate - abs(value - _half_value(tm, js, taus, GridSpec(65)))) <= 1e-12
+    assert estimate >= error
+    # three_param_2002 at delays 8, 22 and 3 (sigma+ 1, sigma- 0.1): 65
+    # nodes miss the closed form by 0.12 and cannot sample the fastest
+    # fringe, so no half-grid difference certifies them
+    tm, model = models["three_param_2002", ExchangeSymmetry.SYMMETRIC]
+    js = make_spectrum(1.0, 0.1)
+    taus = [8.0, 22.0, 3.0]
+    value, estimate = integrate_R_with_error(tm, js, taus, GridSpec(65))
+    error = abs(value - float(evaluate(model, js, taus)))
+    assert error > 0.12
+    assert estimate >= 0.12 and estimate >= error
+    grid = suggested_grid(tm, js, taus)
+    value, estimate = integrate_R_with_error(tm, js, taus, grid)
+    assert abs(value - float(evaluate(model, js, taus))) <= estimate + 1e-12
+    assert estimate <= 1e-9
+
+
+def test_suggested_grids_certify_the_oracle_points(models):
+    # the delay vectors of criterion 2 and validate: right-sized grids
+    # (median under 128 nodes) whose every value carries an estimate
+    rng = np.random.default_rng(20260826)
+    nodes, worst = [], 0.0
+    for (preset, symmetry), (tm, model) in models.items():
+        for sigmas in CLASS_SIGMAS.values():
+            js = make_spectrum(*sigmas, symmetry)
+            for taus in rng.uniform(-8.0, 8.0, (4, tm.n_delays)):
+                grid = suggested_grid(tm, js, taus)
+                value, estimate = integrate_R_with_error(tm, js, taus, grid)
+                nodes.append(grid.nodes_per_axis)
+                worst = max(worst, estimate)
+                assert abs(value - float(evaluate(model, js, taus))) <= 1e-12
+    assert np.median(nodes) < 128
+    assert worst <= 1e-9
+
+
+@given(preset=st.sampled_from(PRESETS), class_name=st.sampled_from(sorted(CLASS_SIGMAS)),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_suggested_grids_are_odd_and_nested(models, preset, class_name, data):
+    tm, _ = models[preset, ExchangeSymmetry.SYMMETRIC]
+    js = make_spectrum(*CLASS_SIGMAS[class_name])
+    taus = data.draw(st.lists(st.floats(-80.0, 80.0), min_size=tm.n_delays,
+                              max_size=tm.n_delays))
+    grid = suggested_grid(tm, js, taus)
+    nodes = grid.nodes_per_axis
+    assert nodes % 2 == 1 and nodes >= 65 and grid.rule is Rule.TRAPEZOID
+    full = _axis(grid, 1.0)[0]
+    half = _axis(GridSpec((nodes + 1) // 2, grid.extent_sigmas), 1.0)[0]
+    np.testing.assert_allclose(full[::2], half, rtol=0, atol=1e-12)
+
+
+def test_suggested_grid_slope_and_floor():
+    assert suggested_grid(HOMI, JS, [0.0]).nodes_per_axis == 65
+    for tau in (40.0, 80.0):
+        # noon's fastest combination is the delay itself; about 10.2
+        # sigma u_max nodes, as four nodes per fringe cycle gave
+        nodes = suggested_grid(NOON, JS, [tau]).nodes_per_axis
+        assert 32 / math.pi * tau <= nodes <= 32 / math.pi * tau + 45
+
+
+@pytest.mark.parametrize("sigma_plus, tau", [(1e300, 1.0), (1e300, 1e300), (1.0, 1e6)])
+def test_huge_suggested_grids_are_refused_in_floats(sigma_plus, tau):
+    # 1e302 nodes once overflowed the GiB message's int division, and an
+    # infinite count the int conversion; both are refusals now
+    with pytest.raises(GridTooLargeError, match="nodes per axis would need"):
+        suggested_grid(HOMI, make_spectrum(sigma_plus, 1.0, pump_frequency=1e308),
+                       [tau])
+
+
+def test_underflowed_weights_are_refused():
+    # the odd minus profile's intensity scales as (sigma- x)^2: at 1e-160
+    # every minus weight underflows and nothing normalises the sum
+    js = make_spectrum(1.0, 1e-160, ExchangeSymmetry.ANTISYMMETRIC)
+    with pytest.raises(quadrature.UnderflowedWeightsError, match="underflows to 0"):
+        integrate_R_with_error(HOMI, js, [0.5], suggested_grid(HOMI, js, [0.5]))
+
+
+def test_estimate_is_inf_when_only_the_half_grid_underflows():
+    def odd_nodes_only(omega):
+        out = np.exp(-omega**2 / 2.0)
+        out[::2] = 0.0
+        return out
+
+    js = make_spectrum(1.0, 1.0)
+    # a Gaussian minus profile whose intensity is 0 at every node of even index
+    odd_only = SimpleNamespace(
+        plus=js.plus, minus=SimpleNamespace(sigma=1.0, intensity=odd_nodes_only),
+        pump_frequency=js.pump_frequency, symmetry=js.symmetry)
+    value, estimate = integrate_R_with_error(HOMI, odd_only, [0.5], GridSpec(65))
+    assert math.isfinite(value) and estimate == math.inf
