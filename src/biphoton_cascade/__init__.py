@@ -12,6 +12,7 @@ spectral reconstructions, and structure detection.
 from .analytic import (
     AnalyticModel,
     CosTerm,
+    ExpansionTooLargeError,
     ZeroBaselineError,
     antisymmetric_equivalence_check,
     asymptotic_prune,
@@ -58,7 +59,6 @@ from .presets import (
 from .quadrature import (
     GridSpec,
     GridTooLargeError,
-    Rule,
     integrate_R,
     integrate_R_with_error,
     suggested_grid,
@@ -92,7 +92,6 @@ __all__ = [
     "PRESETS",
     "ProfileKind",
     "QuadratureBackend",
-    "Rule",
     "SpectralProfile",
     "Stage",
     "Structure",
@@ -100,6 +99,7 @@ __all__ = [
     "Trace",
     "TransferMatrix",
     "ZeroBaselineError",
+    "ExpansionTooLargeError",
     "antisymmetric_equivalence_check",
     "asymptotic_prune",
     "coincidence_density",

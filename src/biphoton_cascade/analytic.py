@@ -36,6 +36,7 @@ __all__ = [
     "CosTerm",
     "AnalyticModel",
     "ZeroBaselineError",
+    "ExpansionTooLargeError",
     "expand",
     "term_blocks",
     "evaluate",
@@ -177,7 +178,27 @@ class ZeroBaselineError(ValueError):
     """The cascade has no coincidences at large delays: nothing to normalize by."""
 
 
+class ExpansionTooLargeError(ValueError):
+    """A cascade whose expansion would build more integer rows than the budget."""
+
+
 _INT64_MAX = int(np.iinfo(np.int64).max)
+#: Bytes ``expand`` is charged per int64 column of each correlation pair and
+#: each (dx, dy) cell it builds; a 7-delay chain traced at about 27.
+_BYTES_PER_COLUMN = 32
+#: Memory budget of one ``expand`` (2 GiB): an 8-delay chain, one delay per
+#: splitter, is charged 1.2 GiB, a 9-delay one 9.9 GiB, refused before any
+#: row is built.
+EXPAND_MEMORY_BUDGET = 2 << 30
+
+
+def _check_budget(n_delays: int, rows: int, columns: int) -> None:
+    """Refuse to build ``rows`` integer rows of ``columns`` columns past the budget."""
+    need = rows * columns * _BYTES_PER_COLUMN
+    if need > EXPAND_MEMORY_BUDGET:
+        raise ExpansionTooLargeError(
+            f"expanding {n_delays} delays would need {need / 2**30:.3g} GiB of "
+            f"integer rows; the budget is {EXPAND_MEMORY_BUDGET / 2**30:.3g} GiB")
 
 
 class _Lattice:
@@ -192,10 +213,12 @@ class _Lattice:
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=np.int64)
         self.radix = np.asarray(hi, dtype=np.int64) - self.lo + 1
-        radix = self.radix.tolist()
-        self.dtype = np.int64 if math.prod(radix) - 1 <= _INT64_MAX else object
-        self.place = np.array([math.prod(radix[col + 1:]) for col in range(len(radix))],
-                              dtype=self.dtype)
+        place, size = [], 1
+        for base in reversed(self.radix.tolist()):  # one running product
+            place.append(size)
+            size *= base
+        self.dtype = np.int64 if size - 1 <= _INT64_MAX else object
+        self.place = np.array(place[::-1], dtype=self.dtype)
 
     def pack(self, rows):
         digits = (rows - self.lo).astype(self.dtype, copy=False)
@@ -236,10 +259,12 @@ def _correlations(first, second):
     add amp_k * amp_l at lag row_l - row_k to group 2u + v, which packs as
     the key's top digit.  Returns the rows' span per column, which bounds
     every lag, the group boundaries, and the nonzero sums with their lag
-    rows, sorted by (group, lag).
+    rows, sorted by (group, lag).  Refused past the budget before the pairs
+    are built.
     """
     amps = np.concatenate([first[0], second[0]])
     rows = np.concatenate([first[1], second[1]])
+    _check_budget(rows.shape[1], len(amps) ** 2, rows.shape[1] + 1)
     group = np.repeat([0, 1], [len(first[0]), len(second[0])])
     span = rows.max(axis=0, initial=0) - rows.min(axis=0, initial=0)
     lattice = _Lattice(np.r_[0, -span], np.r_[3, span])
@@ -271,7 +296,10 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     kept doubled, so that the halves stay integral.  Each term's canonical
     (plus, minus) arguments pack into one key (int64 unless the lattice is
     very wide) that sorts in their lexicographic order.  The model keeps
-    the merged integers over the least scales.
+    the merged integers over the least scales.  The correlation pairs and
+    the cells are counted before they are built, and a cascade that would
+    take more than ``EXPAND_MEMORY_BUDGET`` is refused with
+    ``ExpansionTooLargeError``.
     """
     n = tm.n_delays
     amp_scale, combo_scale, scaled = common_scales((tm.A, tm.B, tm.C, tm.D))
@@ -296,8 +324,9 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
 
     # Every (dx, dy) cell of the four outer products, group by group: cell
     # o of group g pairs left lag x_at[g] + o // ny[g] with right lag
-    # y_at[g] + o % ny[g].
+    # y_at[g] + o % ny[g].  Counted, and refused past the budget, first.
     nx, ny = np.diff(x_at), np.diff(y_at)
+    _check_budget(n, int(nx @ ny), 2 * n)
     g = np.repeat(np.arange(4), nx * ny)
     o = np.arange(len(g)) - np.repeat(np.cumsum(nx * ny) - nx * ny, nx * ny)
     i = x_at[g] + o // ny[g]

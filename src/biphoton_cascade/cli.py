@@ -3,14 +3,15 @@
 Exit codes: 0 success; 1 validation invariant failure; 2 config parse
 failure, including an unknown, repeated or no-effect key, a bad sweep
 section or one longer than the sweep memory budget, a missing one where
-a command sweeps or prunes, a negative prune threshold, a sweep window too short to reconstruct from,
-a cascade with no large-delay coincidences, delays whose suggested
-quadrature grid exceeds the memory budget, a trapezoid grid so wide that
-its weights underflow, linewidths at which every quadrature weight
-underflows, or delays and a pump frequency
-whose sweep values or quadrature density overflow; 3
-cross-backend disagreement above tolerance; 4 missing or undersampled
-carrier; 5 I/O failure.
+a command sweeps or prunes, a negative prune threshold, a sweep window
+too short to reconstruct from or holding no structure, a cascade with no
+large-delay coincidences or one whose expansion exceeds its memory
+budget, delays whose suggested quadrature grid exceeds the memory
+budget, a grid so wide that its weights underflow, linewidths at which
+every quadrature weight underflows, or delays and a pump frequency whose
+sweep values or quadrature density overflow; 3 cross-backend
+disagreement above tolerance; 4 missing or undersampled carrier; 5 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import figures, validation
 from .analytic import (
+    ExpansionTooLargeError,
     ZeroBaselineError,
     asymptotic_prune,
     expand,
@@ -264,7 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SweepWindowError, ZeroBaselineError,
+    except (ConfigError, SweepWindowError, ZeroBaselineError, ExpansionTooLargeError,
             GridTooLargeError, NonFiniteTraceError, NonFiniteDensityError,
             UnderflowedWeightsError) as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .cascade import CascadeConfig
 from .interferogram import SweepSpec
 from .presets import make_spectrum, preset_cascade
-from .quadrature import GridSpec, Rule
+from .quadrature import GridSpec
 from .spectra import ExchangeSymmetry, JointSpectrum
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
@@ -93,7 +93,6 @@ _KEYS = {
     "sweep.samples": (_integer, 1001, "sweep.swept"),
     "grid.nodes": (_integer, None, None),
     "grid.extent": (_number, 8.0, "grid.nodes"),
-    "grid.rule": (_one_of({r.value: r for r in Rule}), Rule.TRAPEZOID, "grid.nodes"),
     "backend": (_one_of({b: b for b in ("analytic", "quadrature", "both")}),
                 "analytic", None),
     "prune.threshold": (_threshold, 1e-6, None),
@@ -161,7 +160,7 @@ def parse_config(text: str) -> ExperimentConfig:
                                  values["spectrum.symmetry"], values["spectrum.pump_frequency"])
         sweep = _sweep(values, cascade.n_delays)
         grid = None if values["grid.nodes"] is None else GridSpec(
-            values["grid.nodes"], values["grid.extent"], values["grid.rule"])
+            values["grid.nodes"], values["grid.extent"])
         return ExperimentConfig(cascade, spectrum, sweep, values["backend"], grid,
                                 values["prune.threshold"])
     except ValueError as exc:

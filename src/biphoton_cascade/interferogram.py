@@ -48,7 +48,7 @@ class UndersampledCarrierError(ValueError):
 
 
 class SweepWindowError(ValueError):
-    """Sweep window ends before the envelopes have decayed."""
+    """Sweep window ends before the envelopes have decayed, or holds no structure."""
 
 
 class NonFiniteTraceError(ValueError):
@@ -267,8 +267,10 @@ def _subtract_satellites(taus, signal, separation):
 
     The replicas carry half the central amplitude; alternate between
     estimating the central lobe (replica-subtracted signal masked around
-    zero) and rebuilding the replicas from that estimate.
+    zero) and rebuilding the replicas from that estimate.  Only the
+    separation's magnitude matters, so a negative fixed delay works too.
     """
+    separation = abs(separation)
     mask = np.abs(taus) <= separation / 2.0
     central = np.where(mask, signal, 0.0)
     for _ in range(_SATELLITE_ITERATIONS):
@@ -286,7 +288,9 @@ def reconstruct_spectra(env: EnvelopePair, satellite_delay: Optional[float] = No
     ``2 - S``), the difference isolates the sum-frequency content with
     satellite replicas at the fixed delay, which are stripped before the
     transform.  Returns ((omega_minus, minus_intensity),
-    (omega_plus, plus_intensity)), each peak-normalized.
+    (omega_plus, plus_intensity)), each peak-normalized.  A window in
+    which either intensity is nowhere positive holds no structure to
+    reconstruct from, and is refused with ``SweepWindowError``.
     """
     taus = env.upper.taus
     s_minus = env.upper.values + env.lower.values
@@ -306,13 +310,12 @@ def reconstruct_spectra(env: EnvelopePair, satellite_delay: Optional[float] = No
         else s_plus
     )
 
-    omega_m, minus_intensity = _dft_intensity(taus, dip)
-    omega_p, plus_intensity = _dft_intensity(taus, central)
-    if minus_intensity.max() > 0:
-        minus_intensity = minus_intensity / minus_intensity.max()
-    if plus_intensity.max() > 0:
-        plus_intensity = plus_intensity / plus_intensity.max()
-    return (omega_m, minus_intensity), (omega_p, plus_intensity)
+    spectra = _dft_intensity(taus, dip), _dft_intensity(taus, central)
+    for name, (_, intensity) in zip(("difference", "sum"), spectra):
+        if not intensity.max() > 0:
+            raise SweepWindowError(f"sweep window holds no structure: the "
+                                   f"{name}-frequency intensity is zero")
+    return tuple((omega, intensity / intensity.max()) for omega, intensity in spectra)
 
 
 def fit_gaussian_sigma(omega: np.ndarray, intensity: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 """Brute-force numerical oracle for the coincidence probability.
 
-Computes R(taus) by direct tensor-product quadrature of the coincidence
-density over the sum/difference detunings, with the integration domain
+Computes R(taus) by a tensor-product trapezoid rule over the coincidence
+density in the sum/difference detunings, with the integration domain
 extended to the full real plane (exact to spectral-tail accuracy given the
 pump-frequency guard on the joint spectrum).  Deliberately independent of
 the closed-form engine: nothing here knows about g functions or term
@@ -20,7 +20,7 @@ picks the cheaper from the node count N per axis and the term width K:
 
 Either way a call's memory grows with N, not N^2.
 
-The oracle certifies itself.  On an odd trapezoid grid the M = (N+1)/2
+The oracle certifies itself.  On an odd grid the M = (N+1)/2
 nodes of even index form the trapezoid grid of M nodes over the same
 window, the half grid.  Both orders also sum the even-row, even-column
 share of the weighted density; normalised by the even-node sums of j+
@@ -36,11 +36,9 @@ the density, so the estimate is what says they were fine enough.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +46,6 @@ from .cascade import TransferMatrix, combo_dot
 from .spectra import JointSpectrum
 
 __all__ = [
-    "Rule",
     "GridSpec",
     "GridTooLargeError",
     "NonFiniteDensityError",
@@ -77,11 +74,6 @@ _BYTES_PER_NODE = 3 * 16
 GRID_MEMORY_BUDGET = 1 << 30
 MAX_NODES_PER_AXIS = math.isqrt(GRID_MEMORY_BUDGET // _BYTES_PER_NODE)
 #: -ln of the smallest normal double: exp(-x^2) stays normal up to this x^2.
-#: Gauss-Hermite weights fall as exp(-x^2) towards the largest root x_max of
-#: H_n, which the Airy asymptote sqrt(2n+1) - 1.85575 (2n+1)^(-1/6) gives to
-#: within 0.002 at these sizes.  Rules whose x_max^2 passes it (371 nodes
-#: and up) lose their outer weights to underflow, so they are refused
-#: before they are built.
 _X2_MAX = -math.log(np.finfo(float).tiny)
 #: Widest trapezoid step, in linewidths.  Some node other than the centre
 #: lies within one step of it, where the intensity on each axis is about
@@ -127,75 +119,34 @@ def _too_large(nodes) -> GridTooLargeError:
         f"{GRID_MEMORY_BUDGET >> 30} GiB budget")
 
 
-class Rule(enum.Enum):
-    TRAPEZOID = "trapezoid"
-    GAUSS_HERMITE = "gauss-hermite"
-
-
 @dataclass(frozen=True)
 class GridSpec:
     nodes_per_axis: int
     extent_sigmas: float = 8.0
-    rule: Rule = Rule.TRAPEZOID
 
     def __post_init__(self):
         if self.nodes_per_axis < 32:
             raise ValueError("nodes_per_axis must be >= 32")
         if self.nodes_per_axis > MAX_NODES_PER_AXIS:
             raise _too_large(self.nodes_per_axis)
-        if self.rule is Rule.TRAPEZOID:
-            if self.extent_sigmas < 5:
-                raise ValueError("extent_sigmas must be >= 5 for the trapezoid rule")
-            step = 2.0 * self.extent_sigmas / (self.nodes_per_axis - 1)
-            if step > _MAX_STEP_SIGMAS:
-                raise ValueError(
-                    f"extent_sigmas {self.extent_sigmas:g} over {self.nodes_per_axis} "
-                    f"nodes spaces them {step:.3g} linewidths apart; past "
-                    f"{_MAX_STEP_SIGMAS:.3g} the quadrature weights underflow")
-        if self.rule is Rule.GAUSS_HERMITE:
-            self._hermite  # builds the rule once and refuses unusable weights
-
-    @cached_property
-    def _hermite(self):
-        """Gauss-Hermite (nodes, weights, exp(nodes^2)), computed once per grid.
-
-        Rules whose compensated weights are zero or not finite are refused;
-        those past ``_X2_MAX`` before they are built.
-        """
-        m = 2 * self.nodes_per_axis + 1
-        usable = (math.sqrt(m) - 1.85575 * m ** (-1 / 6)) ** 2 <= _X2_MAX
-        if usable:
-            with np.errstate(all="ignore"):  # large rules under/overflow
-                x, w = np.polynomial.hermite.hermgauss(self.nodes_per_axis)
-                gauss_inverse = np.exp(x**2)
-                compensated = w * gauss_inverse
-            usable = np.all((compensated > 0) & np.isfinite(compensated))
-        if not usable:
+        if self.extent_sigmas < 5:
+            raise ValueError("extent_sigmas must be >= 5 for the trapezoid rule")
+        step = 2.0 * self.extent_sigmas / (self.nodes_per_axis - 1)
+        if step > _MAX_STEP_SIGMAS:
             raise ValueError(
-                f"gauss-hermite weights at {self.nodes_per_axis} nodes are zero "
-                "or not finite in double precision; use fewer nodes or the "
-                "trapezoid rule"
-            )
-        return x, w, gauss_inverse
+                f"extent_sigmas {self.extent_sigmas:g} over {self.nodes_per_axis} "
+                f"nodes spaces them {step:.3g} linewidths apart; past "
+                f"{_MAX_STEP_SIGMAS:.3g} the quadrature weights underflow")
 
 
 def _axis(grid: GridSpec, sigma: float):
-    """Quadrature nodes/weights for one detuning axis.
-
-    The weights absorb the Gaussian intensity decay in the Gauss-Hermite
-    case: integrand values are multiplied by exp(x^2) so that profiles of
-    the form polynomial * exp(-W^2 / 2 sigma^2) are integrated exactly.
-    """
-    if grid.rule is Rule.TRAPEZOID:
-        half = grid.extent_sigmas * sigma
-        nodes = np.linspace(-half, half, grid.nodes_per_axis)
-        step = nodes[1] - nodes[0]
-        weights = np.full(grid.nodes_per_axis, step)
-        weights[0] = weights[-1] = step / 2.0
-        return nodes, weights
-    x, w, gauss_inverse = grid._hermite
-    scale = math.sqrt(2.0) * sigma
-    return scale * x, scale * w * gauss_inverse
+    """Trapezoid nodes and weights over +-extent_sigmas linewidths of one axis."""
+    half = grid.extent_sigmas * sigma
+    nodes = np.linspace(-half, half, grid.nodes_per_axis)
+    step = nodes[1] - nodes[0]
+    weights = np.full(grid.nodes_per_axis, step)
+    weights[0] = weights[-1] = step / 2.0
+    return nodes, weights
 
 
 def _cis(phase):
@@ -359,9 +310,8 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
     wider linewidth (``suggested_grid``'s bound for the full grid at zero
     margin).  On coarser grids both rules fold the fringes back, their
     difference can cancel while each is far off, and the estimate is inf;
-    so it is when only the half grid's weights underflow.  Even grids and
-    Gauss-Hermite rules hold no half grid and report None.  Weights that
-    all underflow are refused with ``UnderflowedWeightsError``, a
+    so it is when only the half grid's weights underflow.  Even grids hold
+    no half grid and report None.  Weights that all underflow are refused with ``UnderflowedWeightsError``, a
     non-finite density with ``NonFiniteDensityError``.
     """
     if len(taus) != tm.n_delays:
@@ -370,8 +320,6 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
     wm_nodes, wm_weights = _axis(grid, js.minus.sigma)
     pump = js.pump_frequency
 
-    # the Gauss-Hermite weights from _axis already absorb the exp(x^2)
-    # compensation, so both rules consume the plain intensities here
     j_plus = js.plus.intensity(wp_nodes) * wp_weights
     j_minus = js.minus.intensity(wm_nodes) * wm_weights
     weights = float(j_plus.sum() * j_minus.sum())
@@ -400,7 +348,7 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
 
     constant = tm.large_delay_constant(sym)
     value = float(numerator) / (constant * weights)
-    if grid.rule is not Rule.TRAPEZOID or grid.nodes_per_axis % 2 == 0:
+    if grid.nodes_per_axis % 2 == 0:
         return value, None
     sigma = max(js.plus.sigma, js.minus.sigma)
     if (math.pi * (grid.nodes_per_axis - 1) / grid.extent_sigmas
@@ -463,4 +411,4 @@ def suggested_grid(tm: TransferMatrix, js: JointSpectrum, taus) -> GridSpec:
     nodes = 2.0 * intervals + 1.0
     if not nodes <= MAX_NODES_PER_AXIS:  # also refuses inf and nan
         raise _too_large(nodes)
-    return GridSpec(2 * math.ceil(intervals) + 1, _SUGGESTED_EXTENT, Rule.TRAPEZOID)
+    return GridSpec(2 * math.ceil(intervals) + 1, _SUGGESTED_EXTENT)

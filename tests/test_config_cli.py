@@ -20,7 +20,8 @@ from biphoton_cascade import cli, validation
 from biphoton_cascade.config import ConfigError, parse_config
 from biphoton_cascade.interferogram import read_trace_csv
 from biphoton_cascade.presets import preset_cascade
-from biphoton_cascade.quadrature import Rule
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE_CONFIG = """\
 # minimal single-fringe experiment
@@ -66,11 +67,8 @@ def test_parse_config_custom_stages():
 
 
 def test_parse_config_grid_section():
-    config = parse_config(
-        "cascade.preset = homi\ngrid.nodes = 128\ngrid.rule = gauss-hermite\n"
-    )
+    config = parse_config("cascade.preset = homi\ngrid.nodes = 128\n")
     assert config.grid.nodes_per_axis == 128
-    assert config.grid.rule is Rule.GAUSS_HERMITE
 
 
 @pytest.mark.parametrize(
@@ -90,7 +88,6 @@ def test_parse_config_grid_section():
         "cascade.preset = noon\nsweep.swept = 0\nsweep.start = nan\n",
         "cascade.preset = two_param_11\nsweep.swept = 1\nsweep.fixed.0 = -inf\n",
         "cascade.preset = noon\ngrid.nodes = 100000000\n",  # over the memory budget
-        "cascade.preset = homi\ngrid.nodes = 400\ngrid.rule = gauss-hermite\n",
         "cascade.preset = noon\nsweep.swept = 0\nprune.threshold = -1\n",
         # over the sweep memory budget
         "cascade.preset = noon\nsweep.swept = 0\nsweep.samples = 100000000\n",
@@ -262,6 +259,46 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def test_reconstruct_strips_satellites_at_a_negative_fixed_delay(tmp_path):
+    # the satellite replicas sit at +-|fixed.0|, so its sign must not
+    # change the reconstruction
+    shipped = CONFIGS / "three_param_11_correlated.cfg"
+    reports = []
+    for fixed in ("8.0", "-8.0"):
+        text = shipped.read_text().replace("sweep.fixed.0 = 8.0",
+                                           f"sweep.fixed.0 = {fixed}")
+        path = write(tmp_path, f"fixed{fixed}.cfg", text)
+        result = run_cli("reconstruct", "--config", path,
+                         "--out", str(tmp_path / "spectra.csv"))
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        reports.append(result.stdout)
+    assert reports[0] == reports[1]
+
+
+def test_nine_delay_expansion_is_refused_in_one_line(tmp_path):
+    # about 9.9 GiB of cells; the refusal comes before any of them is built
+    path = write(tmp_path, "nine.cfg", "cascade.stages = 0,1,2,3,4,5,6,7,8\n")
+    result = run_cli("derive", "--config", path, "--out", str(tmp_path / "x.txt"))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("config error: expanding 9 delays would need 9.88 GiB "
+                             "of integer rows; the budget is 2 GiB\n")
+    assert not (tmp_path / "x.txt").exists()
+
+
+def test_reconstruct_window_without_structure_is_config_error(tmp_path):
+    # 60 to 80 lies past every structure of three_param_11 at 8 and 22
+    text = (CONFIGS / "three_param_11_anticorrelated.cfg").read_text() \
+        .replace("sweep.start = -80.0", "sweep.start = 60")
+    path = write(tmp_path, "late.cfg", text)
+    result = run_cli("reconstruct", "--config", path, "--out", str(tmp_path / "x.csv"))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("config error: sweep window holds no structure")
+    assert result.stderr.count("\n") == 1
+
+
 def test_zero_baseline_cascade_is_config_error(tmp_path):
     # One delay-free splitter sends a symmetric pair to the same port.
     path = write(tmp_path, "bunch.cfg", "cascade.stages = -\n")
@@ -347,7 +384,7 @@ def test_overflowing_carrier_phase_is_config_error(tmp_path):
 def test_overflowing_carrier_is_refused_in_one_line(tmp_path, command):
     # noon_correlated with its pump at 1e308: the carrier phase overflows
     # and its cosine is NaN; the refusal is the only line on stderr.
-    shipped = Path(__file__).resolve().parents[1] / "configs" / "noon_correlated.cfg"
+    shipped = CONFIGS / "noon_correlated.cfg"
     text = shipped.read_text().replace("spectrum.pump_frequency = 20.0",
                                        "spectrum.pump_frequency = 1e308")
     path = write(tmp_path, "pump.cfg", text)
@@ -359,7 +396,7 @@ def test_overflowing_carrier_is_refused_in_one_line(tmp_path, command):
 def test_overflowing_carrier_is_refused_by_the_quadrature_sweep(tmp_path):
     # The same pump through the oracle alone: its carrier phases overflow
     # to NaN without a NumPy warning, and the refusal is one line.
-    shipped = Path(__file__).resolve().parents[1] / "configs" / "noon_correlated.cfg"
+    shipped = CONFIGS / "noon_correlated.cfg"
     text = shipped.read_text().replace("spectrum.pump_frequency = 20.0",
                                        "spectrum.pump_frequency = 1e308")
     path = write(tmp_path, "pump.cfg", text.replace("sweep.samples = 4001",
@@ -379,8 +416,6 @@ def test_overflowing_carrier_is_refused_by_the_quadrature_sweep(tmp_path):
         # suggested_grid would ask for 10 185 980 nodes per axis
         ("cascade.preset = noon\nsweep.swept = 0\nsweep.start = 1e6\n"
          "sweep.stop = 1.000001e6\nsweep.samples = 2\n", "GiB budget"),
-        ("cascade.preset = homi\nsweep.swept = 0\nsweep.samples = 11\n"
-         "grid.nodes = 400\ngrid.rule = gauss-hermite\n", "gauss-hermite weights"),
     ],
 )
 def test_unusable_quadrature_grid_is_config_error(tmp_path, text, message):
@@ -489,8 +524,8 @@ def test_derive_prune_needs_a_usable_sweep_and_threshold(tmp_path, text, message
          "cascade.input_delay: has no effect without cascade.stages"),
         ("cascade.preset = noon\ngrid.extent = 2\n",
          "grid.extent: has no effect without grid.nodes"),
-        ("cascade.preset = noon\ngrid.rule = gauss-hermite\n",
-         "grid.rule: has no effect without grid.nodes"),
+        ("cascade.preset = noon\ngrid.nodes = 65\ngrid.rule = trapezoid\n",
+         "line 3: unknown key 'grid.rule'"),
         ("cascade.preset = noon\nsweep.samples = 5\n",
          "sweep.samples: has no effect without sweep.swept"),
         ("cascade.preset = noon\nsweep.fixed.0 = 5\n",
@@ -498,7 +533,7 @@ def test_derive_prune_needs_a_usable_sweep_and_threshold(tmp_path, text, message
     ],
     ids=["misspelled_sweep", "misspelled_spectrum", "repeated", "repeated_fixed",
          "stages_with_preset", "n_delays_with_preset", "input_delay_with_preset",
-         "extent_without_nodes", "rule_without_nodes", "samples_without_swept",
+         "extent_without_nodes", "rule_is_unknown", "samples_without_swept",
          "fixed_without_swept"],
 )
 def test_unknown_repeated_and_idle_keys_are_refused_in_one_line(tmp_path, capsys,
@@ -684,24 +719,20 @@ FUZZ_VALUES = {
     "spectrum.symmetry": ["symmetric", "antisymmetric", "both"],
     "spectrum.pump_frequency": ["20", "5", "1e308", "-inf", ""],
     "sweep.swept": ["0", "1", "2", "-1", "q"],
-    "sweep.fixed.0": ["0", "5.0", "1e200", "-1e308", "nan", "x"],
+    "sweep.fixed.0": ["0", "5.0", "-8.0", "1e200", "-1e308", "nan", "x"],
     "sweep.fixed.1": ["0", "3.5", "1e200"],
     "sweep.start": ["-60", "0", "60", "1e300", "x"],
     "sweep.stop": ["60", "-60", "0", "1e-300", "inf"],
     "sweep.samples": ["401", "0", "1", "2", "-3", "2.5", "1e3", "100000000000"],
     "prune.threshold": ["1e-6", "0", "-1", "nan", "x"],
     "grid.nodes": ["64", "0", "-4", "100000", "x"],
-    "grid.rule": ["trapezoid", "gauss-hermite", "simpson"],
     "backend": ["analytic", "fourier", ""],
 }
-SHIPPED_CONFIGS = sorted(
-    (Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+SHIPPED_CONFIGS = sorted(CONFIGS.glob("*.cfg"))
 FUZZ_COMMANDS = [["derive"], ["derive", "--prune", "--latex"], ["sweep"],
-                 ["envelope"]]
+                 ["envelope"], ["reconstruct"]]
 MISSPELLED = ["sweep.sampels = 5", "spectrum.sigma_plsu = 3", "backnd = analytic"]
-#: A trapezoid grid whose weights underflow (the rule is named, so that a
-#: fuzzed gauss-hermite rule, which ignores the extent, is a repeated key).
-WIDE_GRID = "grid.nodes = 256\ngrid.extent = 1e5\ngrid.rule = trapezoid"
+WIDE_GRID = "grid.nodes = 256\ngrid.extent = 1e5"
 REFUSED_LINES = [*MISSPELLED, WIDE_GRID]
 
 

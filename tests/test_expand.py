@@ -10,6 +10,7 @@ are checked against frozen fixtures made by pairwise engines.
 import hashlib
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton_cascade import analytic
 from biphoton_cascade.analytic import (
     AnalyticModel,
     CosTerm,
+    ExpansionTooLargeError,
     ZeroBaselineError,
     _Lattice,
     _sum_by_key,
@@ -332,3 +335,31 @@ def test_six_delay_2002_chain_finishes():
     elapsed = time.perf_counter() - start
     assert len(model.terms) == 9241
     assert elapsed < 30.0
+
+
+def test_many_delay_lattice_is_built_in_linear_time():
+    # one splitter among 20 000 delays: the pair lattice has 40 000
+    # columns, whose place values must not cost a product per column
+    tm = compose(CascadeConfig.from_labels([0], 20_000))
+    start = time.perf_counter()
+    model = expand(tm, ExchangeSymmetry.SYMMETRIC)
+    elapsed = time.perf_counter() - start
+    assert len(model.coeffs) == 2
+    assert elapsed < 2.0
+
+
+def test_expansion_past_the_budget_is_refused_before_its_cells(monkeypatch):
+    # a 7-delay chain's correlations hold 16 384 pairs (about 4 MiB charged),
+    # its cells 331 330 rows of 14 columns (0.138 GiB); each int64 cell
+    # array alone would take 37 MB
+    tm = compose(CascadeConfig.from_labels(range(7), 7))
+    monkeypatch.setattr(analytic, "EXPAND_MEMORY_BUDGET", 16 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpansionTooLargeError,
+                           match=r"^expanding 7 delays would need 0\.138 GiB"):
+            expand(tm, ExchangeSymmetry.SYMMETRIC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20

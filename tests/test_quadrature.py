@@ -2,7 +2,6 @@
 
 import gc
 import math
-import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -27,7 +26,6 @@ from biphoton_cascade.quadrature import (
     GridSpec,
     GridTooLargeError,
     NonFiniteDensityError,
-    Rule,
     _axis,
     integrate_R,
     integrate_R_with_error,
@@ -63,21 +61,12 @@ def test_fringe_value_against_closed_form():
         pytest.approx(expected, abs=1e-9)
 
 
-def test_gauss_hermite_agrees_with_trapezoid():
-    gh = GridSpec(nodes_per_axis=96, rule=Rule.GAUSS_HERMITE)
-    for tau in (0.0, 0.6, 1.4):
-        assert integrate_R(HOMI, JS, [tau], gh) == pytest.approx(
-            integrate_R(HOMI, JS, [tau], GRID), abs=1e-9
-        )
-
-
-def test_gauss_hermite_handles_odd_profiles():
-    # polynomial-times-Gaussian intensities are exactly what the weights
-    # are built for
+def test_trapezoid_handles_odd_profiles():
+    # the first Hermite-Gaussian intensity, a polynomial times a Gaussian
     js = make_spectrum(1.0, 1.0, ExchangeSymmetry.ANTISYMMETRIC)
-    gh = GridSpec(nodes_per_axis=96, rule=Rule.GAUSS_HERMITE)
     expected = 1.0 + (1.0 - 0.81) * np.exp(-0.81 / 2.0)  # 1 + g-(0.9), odd kind
-    assert integrate_R(HOMI, js, [0.9], gh) == pytest.approx(expected, abs=1e-9)
+    for grid in (GRID, suggested_grid(HOMI, js, [0.9])):
+        assert integrate_R(HOMI, js, [0.9], grid) == pytest.approx(expected, abs=1e-9)
 
 
 def test_half_grid_estimate_tracks_second_order_convergence():
@@ -99,12 +88,10 @@ def test_half_grid_estimate_tracks_second_order_convergence():
 
 
 def test_estimate_is_none_off_nested_grids():
-    # Even trapezoid grids and Gauss-Hermite rules hold no half grid.
-    for grid in (GRID, GridSpec(65, rule=Rule.GAUSS_HERMITE),
-                 GridSpec(96, rule=Rule.GAUSS_HERMITE)):
-        value, estimate = integrate_R_with_error(HOMI, JS, [0.8], grid)
-        assert estimate is None
-        assert value == integrate_R(HOMI, JS, [0.8], grid)
+    # Even grids hold no half grid.
+    value, estimate = integrate_R_with_error(HOMI, JS, [0.8], GRID)
+    assert estimate is None
+    assert value == integrate_R(HOMI, JS, [0.8], GRID)
     value, estimate = integrate_R_with_error(HOMI, JS, [0.8], GridSpec(257))
     assert 0.0 <= estimate < 1e-12
 
@@ -126,7 +113,6 @@ def test_trapezoid_steps_past_the_underflow_bound_are_refused(nodes):
     for extent in (widest * (1 + 1e-12), 1e5, 1e300):
         with pytest.raises(ValueError, match="linewidths apart"):
             GridSpec(nodes, extent)
-    GridSpec(nodes, 1e300, Rule.GAUSS_HERMITE)  # its nodes ignore the extent
 
 
 def test_suggested_grid_scales_with_delay():
@@ -185,13 +171,9 @@ def reference_integrate_R(tm, js, taus, grid):
 RAGGED_NODES = (33, 257, 269)
 
 grids = st.one_of(
-    st.none(),  # the suggested trapezoid grid
+    st.none(),  # the suggested grid
     st.builds(GridSpec, st.integers(32, 256), st.floats(5.0, 10.0)),
-    st.builds(GridSpec, st.integers(32, 256), st.just(8.0),
-              st.just(Rule.GAUSS_HERMITE)),
     st.builds(GridSpec, st.sampled_from(RAGGED_NODES), st.floats(5.0, 10.0)),
-    st.builds(GridSpec, st.sampled_from(RAGGED_NODES), st.just(8.0),
-              st.just(Rule.GAUSS_HERMITE)),
 )
 
 
@@ -228,12 +210,11 @@ def test_contraction_on_rational_hand_built_matrix():
     # so every grid here takes the Gram form; the row blocks on ragged
     # grids are checked with a wider matrix below.
     assert all(nodes % quadrature.ROW_BLOCK for nodes in RAGGED_NODES)
-    ragged = [GridSpec(nodes, rule=rule) for nodes in RAGGED_NODES for rule in Rule]
+    ragged = [GridSpec(nodes) for nodes in RAGGED_NODES]
     for symmetry in ExchangeSymmetry:
         js = make_spectrum(1.0, 0.5, symmetry)
         for taus in ([0.0, 0.0], [1.7, -2.4], [-6.5, 3.1]):
-            for grid in (suggested_grid(tm, js, taus),
-                         GridSpec(160, rule=Rule.GAUSS_HERMITE), *ragged):
+            for grid in (suggested_grid(tm, js, taus), *ragged):
                 assert abs(integrate_R(tm, js, taus, grid)
                            - reference_integrate_R(tm, js, taus, grid)) <= 1e-12
 
@@ -304,18 +285,17 @@ def test_contraction_orders_on_zero_padded_entries_at_ragged_nodes(monkeypatch):
     # (ending on a one-row block), 65 the Gram form; both are ragged.
     assert [nodes % quadrature.ROW_BLOCK for nodes in (33, 65)] == [1, 1]
     for nodes, chosen in ((33, "row blocks"), (65, "gram")):
-        for rule in Rule:
-            grid = GridSpec(nodes, rule=rule)
-            for symmetry in ExchangeSymmetry:
-                js = make_spectrum(1.0, 0.5, symmetry)
-                taus = [1.7, -2.4]
-                reference = reference_integrate_R(tm, js, taus, grid)
-                used = _spy_orders(monkeypatch)
+        grid = GridSpec(nodes)
+        for symmetry in ExchangeSymmetry:
+            js = make_spectrum(1.0, 0.5, symmetry)
+            taus = [1.7, -2.4]
+            reference = reference_integrate_R(tm, js, taus, grid)
+            used = _spy_orders(monkeypatch)
+            assert abs(integrate_R(tm, js, taus, grid) - reference) <= 1e-12
+            assert used == [chosen]
+            for order in CONTRACTIONS:
+                _force_order(monkeypatch, order)
                 assert abs(integrate_R(tm, js, taus, grid) - reference) <= 1e-12
-                assert used == [chosen]
-                for order in CONTRACTIONS:
-                    _force_order(monkeypatch, order)
-                    assert abs(integrate_R(tm, js, taus, grid) - reference) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -464,52 +444,11 @@ def test_grid_over_memory_budget_is_refused():
     for nodes in (MAX_NODES_PER_AXIS + 1, 100_000_000, 10**400):
         with pytest.raises(GridTooLargeError):
             GridSpec(nodes)
-    with pytest.raises(GridTooLargeError):
-        GridSpec(100_000_000, rule=Rule.GAUSS_HERMITE)
 
 
 def test_suggested_grid_over_budget_is_refused():
     with pytest.raises(GridTooLargeError):
         suggested_grid(NOON, JS, [1e6])
-
-
-@pytest.mark.parametrize("nodes", [371, 372, 400, 600, 800])  # 371: all weights underflow to 0
-def test_gauss_hermite_past_finite_weights_is_refused(nodes):
-    with pytest.raises(ValueError, match="gauss-hermite"):
-        GridSpec(nodes, rule=Rule.GAUSS_HERMITE)
-
-
-@pytest.mark.parametrize("nodes", [1421, 4729])
-def test_gauss_hermite_past_the_root_bound_is_refused_unbuilt(nodes):
-    # Building a 4729-node rule alone takes seconds and ~370 MiB.
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="gauss-hermite"):
-        GridSpec(nodes, rule=Rule.GAUSS_HERMITE)
-    assert time.perf_counter() - start < 0.1
-
-
-@pytest.mark.parametrize("nodes", [371, 372, 1420])
-def test_gauss_hermite_past_the_last_normal_weight_is_refused_unbuilt(nodes):
-    # Building the rule before refusing it takes 1.7 MiB at 372 nodes and
-    # 15.5 MiB at 1420.
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="gauss-hermite"):
-            GridSpec(nodes, rule=Rule.GAUSS_HERMITE)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-def test_gauss_hermite_at_the_last_finite_rule_is_built():
-    x, w, gauss_inverse = GridSpec(370, rule=Rule.GAUSS_HERMITE)._hermite
-    assert len(x) == 370 and np.all(np.isfinite(w * gauss_inverse))
-
-
-def test_gauss_hermite_below_the_limit_stays_finite():
-    grid = GridSpec(320, rule=Rule.GAUSS_HERMITE)
-    assert np.isfinite(integrate_R(HOMI, JS, [0.9], grid))
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +577,7 @@ def test_suggested_grids_are_odd_and_nested(models, preset, class_name, data):
                               max_size=tm.n_delays))
     grid = suggested_grid(tm, js, taus)
     nodes = grid.nodes_per_axis
-    assert nodes % 2 == 1 and nodes >= 65 and grid.rule is Rule.TRAPEZOID
+    assert nodes % 2 == 1 and nodes >= 65
     full = _axis(grid, 1.0)[0]
     half = _axis(GridSpec((nodes + 1) // 2, grid.extent_sigmas), 1.0)[0]
     np.testing.assert_allclose(full[::2], half, rtol=0, atol=1e-12)
