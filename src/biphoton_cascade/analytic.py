@@ -37,6 +37,7 @@ __all__ = [
     "AnalyticModel",
     "ZeroBaselineError",
     "ExpansionTooLargeError",
+    "check_delay_count",
     "expand",
     "term_blocks",
     "evaluate",
@@ -201,6 +202,17 @@ def _check_budget(n_delays: int, rows: int, columns: int) -> None:
             f"integer rows; the budget is {EXPAND_MEMORY_BUDGET / 2**30:.3g} GiB")
 
 
+def check_delay_count(n_delays: int) -> None:
+    """Refuse, before ``compose``, a delay count that no expansion fits.
+
+    However few its terms, ``expand`` builds at least one cell of
+    2 n_delays int64 columns, charged as it charges every cell; a count
+    past the budget at that one cell is refused before the cascade's rows
+    of n_delays entries are composed.
+    """
+    _check_budget(n_delays, 1, 2 * n_delays)
+
+
 class _Lattice:
     """Mixed-radix packing of integer rows whose columns lie in lo..hi.
 
@@ -358,6 +370,24 @@ CHUNK = 8192
 _ROW_BUDGET = 1 << 22
 
 
+def _split_arguments(args, taus):
+    """One side's argument rows, split by the delays they read.
+
+    Returns the fixed rows, which read only scalar delays, as their
+    indices and their stacked rows.  Then ``(k, row)`` for each swept row
+    k, one that reads an array delay, the row a list of floats so that
+    ``combo_dot`` sums one product per delay rather than taking a matrix
+    product.
+    """
+    columns = [i for i, t in enumerate(taus) if t.ndim]
+    if not columns:
+        return range(len(args)), args, []
+    swept = (args[:, columns] != 0).any(axis=1)
+    fixed = np.flatnonzero(~swept).tolist()
+    return fixed, args[fixed], [(k, args[k].tolist())
+                                for k in np.flatnonzero(swept).tolist()]
+
+
 def term_blocks(model: AnalyticModel, js: JointSpectrum, taus, carrier=True):
     """Each term's factors over blocks of the broadcast delays.
 
@@ -368,9 +398,11 @@ def term_blocks(model: AnalyticModel, js: JointSpectrum, taus, carrier=True):
     term, in model order: cos(pump_frequency * p), corr_plus(p) and
     corr_minus(m) at the term's arguments, each None for a zero argument,
     and ``cos`` None unless ``carrier``.  Every distinct nonzero argument
-    of ``model.arrays`` is evaluated once per block, through ``combo_dot``,
-    and its rows are shared by every term that has it.  Rows of arguments
-    that only read scalar delays are scalars.
+    of ``model.arrays`` becomes numbers through ``combo_dot`` and is shared
+    by every term that has it.  Arguments that read only scalar delays are
+    evaluated once per call, all together: one stacked ``combo_dot``, then
+    one ``cos`` and one ``corr`` per side, their values Python floats.  The
+    others are evaluated once per block, as rows.
     """
     if js.symmetry is not model.symmetry:
         raise ValueError("joint spectrum symmetry does not match the model")
@@ -379,31 +411,50 @@ def term_blocks(model: AnalyticModel, js: JointSpectrum, taus, carrier=True):
     coeffs, plus_args, minus_args, index = model.arrays
     plan = [(c, None if p < 0 else p, None if m < 0 else m)
             for c, (p, m) in zip(coeffs.tolist(), index.tolist())]
-    # Each argument but the zero row as a list of floats, so that combo_dot
-    # sums one product per delay rather than taking a matrix product.
-    plus_args, minus_args = plus_args[:-1].tolist(), minus_args[:-1].tolist()
     taus = [np.asarray(t, dtype=float) for t in taus]
     shape = np.broadcast_shapes(*(t.shape for t in taus))
+    plus_args, minus_args = plus_args[:-1], minus_args[:-1]  # not the zero row
+    plus_fixed, plus_rows, plus_swept = _split_arguments(plus_args, taus)
+    minus_fixed, minus_rows, minus_swept = _split_arguments(minus_args, taus)
+    cos, plus = [None] * len(plus_args), [None] * len(plus_args)
+    minus = [None] * len(minus_args)
+    # The fixed rows at once: 0.0 stands for the array delays, which none
+    # of them reads, and a zero coefficient times 0.0 leaves each row's
+    # fold as it is.
+    scalars = [0.0 if t.ndim else t for t in taus]
+    # A carrier phase that overflows makes the values NaN, which the
+    # caller's finiteness check reports once, without warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if plus_fixed:
+            x = combo_dot(plus_rows, scalars)
+            if carrier:
+                for k, value in zip(plus_fixed, np.cos(js.pump_frequency * x).tolist()):
+                    cos[k] = value
+            for k, value in zip(plus_fixed, js.plus.corr(x).tolist()):
+                plus[k] = value
+    if minus_fixed:
+        x = combo_dot(minus_rows, scalars)
+        for k, value in zip(minus_fixed, js.minus.corr(x).tolist()):
+            minus[k] = value
     # A basic slice of a 1-D delay is a view; more dimensions are read
     # flat, one block at a time, from the broadcast view.
     taus = [t if t.ndim == 0 else np.broadcast_to(t, shape) for t in taus]
     flat = len(shape) > 1
     size = math.prod(shape)
-    rows = 2 * len(plus_args) + len(minus_args)
+    rows = 2 * len(plus_swept) + len(minus_swept)
     step = max(1, min(CHUNK, _ROW_BUDGET // max(rows, 1)))
     for start in range(0, size, step):
         block = slice(start, min(start + step, size))
         at = [t if t.ndim == 0 else (t.flat[block] if flat else t[block])
               for t in taus]
-        cos, plus = [], []
-        # A carrier phase that overflows makes the values NaN, which the
-        # caller's finiteness check reports once, without warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            for arg in plus_args:
+            for k, arg in plus_swept:
                 x = combo_dot(arg, at)
-                cos.append(np.cos(js.pump_frequency * x) if carrier else None)
-                plus.append(js.plus.corr(x))
-        minus = [js.minus.corr(combo_dot(arg, at)) for arg in minus_args]
+                if carrier:
+                    cos[k] = np.cos(js.pump_frequency * x)
+                plus[k] = js.plus.corr(x)
+        for k, arg in minus_swept:
+            minus[k] = js.minus.corr(combo_dot(arg, at))
         yield block, [(coeff,
                        None if p is None else cos[p],
                        None if p is None else plus[p],

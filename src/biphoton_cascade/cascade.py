@@ -39,11 +39,20 @@ def combo_dot(combo, taus):
     Each delay may be a scalar or an array; the result broadcasts over
     them.  ``combo`` may also be a stacked ``(..., n_delays)`` float array
     of combinations (``ExpSum.arrays``); at scalar delays that gives all
-    their values at once.  This is the one place a combination becomes a
-    number.
+    their values at once.  Either way a value is the left fold, in delay
+    order, of coefficient times delay, so at finite delays the stacked
+    values have the bits of each combination's own (a matrix product's
+    may differ in the last bit from 4 delays on).  The stacked fold also
+    adds the zero coefficients' products, which change no finite sum.
+    This is the one place a combination becomes a number.
     """
     if isinstance(combo, np.ndarray):
-        return combo @ np.asarray(taus, dtype=float)
+        if len(taus) != combo.shape[-1]:
+            raise ValueError(f"expected {combo.shape[-1]} delays, got {len(taus)}")
+        total = np.zeros(combo.shape[:-1])
+        for column, t in enumerate(taus):
+            total += combo[..., column] * t
+        return total
     return sum(float(c) * np.asarray(t)
                for c, t in zip(combo, taus, strict=True) if c)
 

@@ -28,6 +28,7 @@ from .analytic import (
     ExpansionTooLargeError,
     ZeroBaselineError,
     asymptotic_prune,
+    check_delay_count,
     expand,
     render_latex,
     render_text,
@@ -78,6 +79,7 @@ def _require_sweep(config: ExperimentConfig):
 
 
 def _model(config: ExperimentConfig):
+    check_delay_count(config.cascade.n_delays)
     tm = compose(config.cascade)
     model = expand(tm, config.spectrum.symmetry)
     return tm, model

@@ -163,32 +163,39 @@ class QuadratureBackend:
         return self.response_with_error(taus)[0]
 
     def response_with_error(self, taus):
-        """The oracle's values and half-grid error estimates, as ``response``.
+        """The oracle's values, half-grid error estimates and grids, as ``response``.
 
-        A point whose grid holds no half grid has a NaN estimate.
+        A point whose grid holds no half grid has a NaN estimate.  The
+        grids come as each point's (N+, N-) node counts, in a last axis of
+        two.
         """
         arrays = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in taus))
-        pairs = [integrate_R_with_error(
-                     self.tm, self.js, point,
-                     self.grid or suggested_grid(self.tm, self.js, point))
-                 for point in map(list, zip(*(a.flat for a in arrays)))]
+        rows = []
+        for point in map(list, zip(*(a.flat for a in arrays))):
+            grid = self.grid or suggested_grid(self.tm, self.js, point)
+            rows.append((*integrate_R_with_error(self.tm, self.js, point, grid),
+                         *grid.nodes))
         # dtype=float turns a None estimate into NaN
-        pairs = np.array(pairs, dtype=float).reshape(arrays[0].shape + (2,))
-        return pairs[..., 0][()], pairs[..., 1][()]
+        rows = np.array(rows, dtype=float).reshape(arrays[0].shape + (4,))
+        return rows[..., 0][()], rows[..., 1][()], rows[..., 2:].astype(int)
 
 
 def sweep(backend, spec: SweepSpec) -> Trace:
     """Uniformly sample the normalized coincidence along one delay.
 
     A quadrature sweep's meta also holds ``max_error_estimate``, the
-    largest half-grid estimate of its points (NaN if no grid had one).
+    largest half-grid estimate of its points (NaN if no grid had one), and
+    ``grid_nodes``, the least and largest node count of each axis over its
+    points' grids, as ((N+ least, N+ largest), (N- least, N- largest)).
     """
     taus = spec.delay_vectors(backend.n_delays)
     grid = taus[spec.swept]
     meta = {"fixed": dict(spec.fixed), "swept": spec.swept}
     if isinstance(backend, QuadratureBackend):
-        values, estimates = backend.response_with_error(taus)
+        values, estimates, nodes = backend.response_with_error(taus)
         meta["max_error_estimate"] = float(np.fmax.reduce(estimates))
+        meta["grid_nodes"] = tuple(zip(nodes.min(axis=0).tolist(),
+                                       nodes.max(axis=0).tolist()))
     else:
         values = backend.response(taus)
     return Trace(grid, np.asarray(values, dtype=float), meta)

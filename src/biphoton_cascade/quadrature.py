@@ -7,31 +7,36 @@ pump-frequency guard on the joint spectrum).  Deliberately independent of
 the closed-form engine: nothing here knows about g functions or term
 lists, only about evaluating the density on a grid.
 
-Each entry's field is a rank-K product of per-axis factors, so the
-weighted density sum can be contracted in two orders, and ``integrate_R``
-picks the cheaper from the node count N per axis and the term width K:
+Each axis has its own node count, N+ and N-, sized by its own linewidth,
+so a grid is N+ x N-.  Each entry's field is a rank-K product of per-axis
+factors, so the weighted density sum can be contracted in two orders, and
+``integrate_R`` picks the cheaper from the counts and the term width K:
 
-* row blocks (K^3 > N): the four fields are formed ``ROW_BLOCK`` grid
-  rows at a time and their squared combination summed, O(N^2 K);
-* Gram form (K^3 <= N): the face-split (Khatri-Rao) factors U (N x 2K^2)
-  and V (2K^2 x N) of the combined amplitude give the sum as
-  tr(U^H U . V V^H), O(N K^4); the Grams are accumulated over fixed
-  blocks of nodes, so U and V are never held whole.
+* row blocks (K^3 (N+ + N-) > 2 N+ N-): the four fields are formed
+  ``ROW_BLOCK`` nodes of the shorter axis at a time and their squared
+  combination summed, O(N+ N- K);
+* Gram form (K^3 (N+ + N-) <= 2 N+ N-): the face-split (Khatri-Rao)
+  factors U (N+ x 2K^2) and V (2K^2 x N-) of the combined amplitude give
+  the sum as tr(U^H U . V V^H), O((N+ + N-) K^4); the Grams are
+  accumulated over fixed blocks of nodes, so U and V are never held whole.
 
-Either way a call's memory grows with N, not N^2.
+The rule was measured (``_contract``); on a square grid of N nodes per
+axis it is K^3 <= N.  Either way a call's memory grows with N+ + N-, not
+N+ N-.
 
-The oracle certifies itself.  On an odd grid the M = (N+1)/2
+The oracle certifies itself.  On an axis of odd N nodes the M = (N+1)/2
 nodes of even index form the trapezoid grid of M nodes over the same
-window, the half grid.  Both orders also sum the even-row, even-column
-share of the weighted density; normalised by the even-node sums of j+
-and j-, that is the value on the half grid (the factor 2 of its weights
-cancels).  The trapezoid error of a smooth, decaying integrand falls
-faster than geometrically with N, so the half grid's error dominates
-|R_N - R_half|, which ``integrate_R_with_error`` reports as the estimate;
-on a grid too coarse to sample the density's fastest fringe both values
-alias, the difference bounds nothing, and the estimate is inf.
-``suggested_grid`` returns odd grids whose half grid already resolves
-the density, so the estimate is what says they were fine enough.
+window; on a grid odd on both axes they make the half grid.  Both orders
+also sum the even-row, even-column share of the weighted density;
+normalised by the even-node sums of j+ and j-, that is the value on the
+half grid (the factor 2 of its weights cancels).  The trapezoid error of
+a smooth, decaying integrand falls faster than geometrically with N, so
+the half grid's error dominates |R_N - R_half|, which
+``integrate_R_with_error`` reports as the estimate; on an axis too coarse
+to sample the density's fastest fringe both values alias, the difference
+bounds nothing, and the estimate is inf.  ``suggested_grid`` returns grids
+whose half grid already resolves the density on each axis, so the
+estimate is what says they were fine enough.
 """
 
 from __future__ import annotations
@@ -56,21 +61,21 @@ __all__ = [
     "suggested_grid",
 ]
 
-#: Rows of the W+ axis per block of the row-block order (K^3 > N): four
-#: complex blocks of 32 x 256 nodes take 512 KiB, which stays in cache and
-#: is reused from the heap on every call.
+#: Nodes of the shorter axis per block of the row-block order: four complex
+#: blocks of 32 x 256 nodes take 512 KiB, which stays in cache and is
+#: reused from the heap on every call.
 ROW_BLOCK = 32
-#: Complex elements in each node block of the Gram form (K^3 <= N): 124
-#: KiB, under glibc's default 128 KiB mmap threshold, so the blocks of U
-#: and V come from the heap instead of being page-faulted per call.
+#: Complex elements in each node block of the Gram form: 124 KiB, under
+#: glibc's default 128 KiB mmap threshold, so the blocks of U and V come
+#: from the heap instead of being page-faulted per call.
 _GRAM_BLOCK_ELEMENTS = 124 * 1024 // 16
 #: Bytes per (W+, W-) node the node cap charges: three complex N x N
-#: fields.  ``integrate_R`` holds (N, K) factors and either four
-#: ``ROW_BLOCK`` x N blocks or, when K^3 <= N, node blocks of U and V and
-#: 2K^2 x 2K^2 Grams, so the cap over-states its memory.
+#: fields, N the count of one axis.  ``integrate_R`` holds (N, K) factors
+#: per axis and either four ``ROW_BLOCK`` x N blocks or node blocks of U
+#: and V and 2K^2 x 2K^2 Grams, so the cap over-states its memory.
 _BYTES_PER_NODE = 3 * 16
-#: Memory budget for those fields (1 GiB); larger grids are refused before
-#: anything is allocated.
+#: Memory budget for those fields (1 GiB); an axis past the cap it sets is
+#: refused before anything is allocated.
 GRID_MEMORY_BUDGET = 1 << 30
 MAX_NODES_PER_AXIS = math.isqrt(GRID_MEMORY_BUDGET // _BYTES_PER_NODE)
 #: -ln of the smallest normal double: exp(-x^2) stays normal up to this x^2.
@@ -121,32 +126,47 @@ def _too_large(nodes) -> GridTooLargeError:
 
 @dataclass(frozen=True)
 class GridSpec:
-    nodes_per_axis: int
+    """Trapezoid grid over +-extent_sigmas linewidths of each axis.
+
+    ``nodes`` is the node count of the W+ axis and of the W- axis: one int
+    sets both, a pair (N+, N-) each; it is held as the pair.
+    """
+
+    nodes: tuple
     extent_sigmas: float = 8.0
 
     def __post_init__(self):
-        if self.nodes_per_axis < 32:
-            raise ValueError("nodes_per_axis must be >= 32")
-        if self.nodes_per_axis > MAX_NODES_PER_AXIS:
-            raise _too_large(self.nodes_per_axis)
+        counts = tuple(self.nodes) if isinstance(self.nodes, (tuple, list)) \
+            else (self.nodes, self.nodes)
+        if len(counts) != 2:
+            raise ValueError(f"nodes must be one count or a pair, got {self.nodes!r}")
+        object.__setattr__(self, "nodes", counts)
+        if min(counts) < 32:
+            raise ValueError("nodes per axis must be >= 32")
+        if max(counts) > MAX_NODES_PER_AXIS:
+            raise _too_large(max(counts))
         if self.extent_sigmas < 5:
             raise ValueError("extent_sigmas must be >= 5 for the trapezoid rule")
-        step = 2.0 * self.extent_sigmas / (self.nodes_per_axis - 1)
+        step = 2.0 * self.extent_sigmas / (min(counts) - 1)
         if step > _MAX_STEP_SIGMAS:
             raise ValueError(
-                f"extent_sigmas {self.extent_sigmas:g} over {self.nodes_per_axis} "
+                f"extent_sigmas {self.extent_sigmas:g} over {min(counts)} "
                 f"nodes spaces them {step:.3g} linewidths apart; past "
                 f"{_MAX_STEP_SIGMAS:.3g} the quadrature weights underflow")
 
+    @property
+    def nodes_per_axis(self) -> int:
+        """The larger of the two axes' node counts."""
+        return max(self.nodes)
 
-def _axis(grid: GridSpec, sigma: float):
-    """Trapezoid nodes and weights over +-extent_sigmas linewidths of one axis."""
-    half = grid.extent_sigmas * sigma
-    nodes = np.linspace(-half, half, grid.nodes_per_axis)
-    step = nodes[1] - nodes[0]
-    weights = np.full(grid.nodes_per_axis, step)
+
+def _axis(nodes: int, half_width: float):
+    """Trapezoid nodes and weights of one axis over +-half_width."""
+    points = np.linspace(-half_width, half_width, nodes)
+    step = points[1] - points[0]
+    weights = np.full(nodes, step)
     weights[0] = weights[-1] = step / 2.0
-    return nodes, weights
+    return points, weights
 
 
 def _cis(phase):
@@ -160,17 +180,18 @@ def _cis(phase):
 def _phases(tm: TransferMatrix, taus):
     """Amplitudes and delay combinations u of the A, B, C and D terms.
 
-    Both are (4, K) arrays, the entries zero-padded to the widest, K terms.
+    Both are (4, K) arrays, the entries zero-padded to the widest, K terms;
+    the four entries' combinations become numbers in one ``combo_dot``.
     """
     entries = (tm.A, tm.B, tm.C, tm.D)
     width = max(len(entry.arrays[0]) for entry in entries)
     amps = np.zeros((4, width))
-    u = np.zeros((4, width))
+    combos = np.zeros((4, width, tm.n_delays))
     for index, entry in enumerate(entries):
-        entry_amps, combos = entry.arrays
+        entry_amps, entry_combos = entry.arrays
         amps[index, :len(entry_amps)] = entry_amps
-        u[index, :len(entry_amps)] = combo_dot(combos, taus)
-    return amps, u
+        combos[index, :len(entry_amps)] = entry_combos
+    return amps, combo_dot(combos, taus)
 
 
 def _fastest_delay(u) -> float:
@@ -205,8 +226,10 @@ def _factors(amps, u, pump: float, w_plus, w_minus):
 def _row_block_sum(plus, minus):
     """Weighted density sums with the fields formed ``ROW_BLOCK`` rows at a time.
 
+    The rows are ``plus``'s nodes and the columns ``minus``'s; the
+    transposed stacks give the transposed grid, whose sums are the same.
     All four fields of a block come from one batched product, and the
-    squared modulus of A D + B C is summed, so no N x N array is held.
+    squared modulus of A D + B C is summed, so no N+ x N- array is held.
     Returns the sum over the grid and over its even rows and columns:
     ``ROW_BLOCK`` is even, so a block's even rows are the grid's.
     """
@@ -298,26 +321,50 @@ def _gram_sum(plus, minus):
             np.vdot(minus_grams[0], plus_grams[0]).real)
 
 
+def _contract(plus, minus):
+    """The weighted density sums in the cheaper order for the grid and K.
+
+    The row blocks cost about N+ N- K and the Gram form about
+    (N+ + N-) K^4.  Timed on one BLAS thread at K = 2, 4 and 8 over grids
+    of 65 to 801 nodes per axis, the Gram form was the faster once
+    K^3 (N+ + N-) <= 2 N+ N- (within the timing noise near the line),
+    which is K^3 <= N on a square grid, so that is the rule.  The row
+    blocks run along the shorter axis: fewer, wider blocks measured 15-25 %
+    faster than blocks along the longer one at 10:1 grids.
+    """
+    width, n_plus, n_minus = plus.shape[2], plus.shape[1], minus.shape[2]
+    if width ** 3 * (n_plus + n_minus) <= 2 * n_plus * n_minus:
+        return _gram_sum(plus, minus)
+    if n_plus > n_minus:  # the transposed grid, whose rows are the W- nodes
+        return _row_block_sum(minus.transpose(0, 2, 1), plus.transpose(0, 2, 1))
+    return _row_block_sum(plus, minus)
+
+
 def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
                            grid: GridSpec):
     """``integrate_R``'s value and its half-grid error estimate, as a pair.
 
-    On an odd trapezoid grid the estimate is |R_N - R_half|, R_half being
-    the value on the (N+1)/2 nodes of even index, summed in the same
-    contraction.  The difference measures the error only once the grid
-    samples the density's fastest fringe, 2 u_max, with its first alias
-    past it: pi (N - 1) / E >= 2 sigma u_max, E the extent and sigma the
-    wider linewidth (``suggested_grid``'s bound for the full grid at zero
-    margin).  On coarser grids both rules fold the fringes back, their
-    difference can cancel while each is far off, and the estimate is inf;
-    so it is when only the half grid's weights underflow.  Even grids hold
-    no half grid and report None.  Weights that all underflow are refused with ``UnderflowedWeightsError``, a
-    non-finite density with ``NonFiniteDensityError``.
+    Each axis gets its own nodes, weights and factor stack at its own node
+    count.  On a grid odd on both axes the estimate is |R_N - R_half|,
+    R_half being the value on the nodes of even index of each axis, summed
+    in the same contraction.  The difference measures the error only once
+    each axis samples the density's fastest fringe, 2 u_max, with its first
+    alias past it: pi (N_a - 1) / E >= 2 sigma_a u_max on both axes, E the
+    extent and sigma_a the axis's linewidth (``suggested_grid``'s bound for
+    the full grid at zero margin).  On a coarser axis both rules fold the
+    fringes back, their difference can cancel while each is far off, and
+    the estimate is inf; so it is when only the half grid's weights
+    underflow.  A grid with an even axis holds no half grid and reports
+    None.  Weights that all underflow are refused with
+    ``UnderflowedWeightsError``, a non-finite density with
+    ``NonFiniteDensityError``.
     """
     if len(taus) != tm.n_delays:
         raise ValueError(f"expected {tm.n_delays} delays, got {len(taus)}")
-    wp_nodes, wp_weights = _axis(grid, js.plus.sigma)
-    wm_nodes, wm_weights = _axis(grid, js.minus.sigma)
+    sigmas = (js.plus.sigma, js.minus.sigma)
+    (wp_nodes, wp_weights), (wm_nodes, wm_weights) = (
+        _axis(nodes, grid.extent_sigmas * sigma)
+        for nodes, sigma in zip(grid.nodes, sigmas))
     pump = js.pump_frequency
 
     j_plus = js.plus.intensity(wp_nodes) * wp_weights
@@ -336,9 +383,7 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
     plus[1] *= sym * root_plus
     minus[:2] *= np.sqrt(j_minus)
 
-    width = plus.shape[2]
-    contract = _gram_sum if width ** 3 <= len(wp_nodes) else _row_block_sum
-    numerator, half = contract(plus, minus)
+    numerator, half = _contract(plus, minus)
     # any non-finite density value makes the sum non-finite
     if not math.isfinite(numerator):
         delays = ", ".join(f"{t:g}" for t in taus)
@@ -348,11 +393,11 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
 
     constant = tm.large_delay_constant(sym)
     value = float(numerator) / (constant * weights)
-    if grid.nodes_per_axis % 2 == 0:
+    if any(nodes % 2 == 0 for nodes in grid.nodes):
         return value, None
-    sigma = max(js.plus.sigma, js.minus.sigma)
-    if (math.pi * (grid.nodes_per_axis - 1) / grid.extent_sigmas
-            < 2.0 * sigma * _fastest_delay(u)):
+    fastest = 2.0 * _fastest_delay(u)
+    if any(math.pi * (nodes - 1) / grid.extent_sigmas < sigma * fastest
+           for nodes, sigma in zip(grid.nodes, sigmas)):
         return value, math.inf
     half_norm = constant * float(j_plus[::2].sum() * j_minus[::2].sum())
     if half_norm == 0.0:
@@ -369,46 +414,51 @@ def integrate_R(tm: TransferMatrix, js: JointSpectrum, taus,
     are directly comparable across backends.  The joint weights j+ j- are
     an outer product of non-negative vectors, so their square roots fold
     into the A and B factors: the weighted amplitude sqrt(j+ j-) (A D +- B C)
-    has the weighted density as its squared modulus.  Its sum is contracted
-    in the Gram form when K^3 <= N, K being the entries' zero-padded term
-    width and N the nodes per axis, and in ``ROW_BLOCK`` row blocks
-    otherwise: the Gram form's work grows as N K^4, the row blocks' as
-    N^2 K.  ``integrate_R_with_error`` also returns the value's half-grid
-    error estimate.
+    has the weighted density as its squared modulus.  The grid has N+ nodes
+    on the W+ axis and N- on the W- axis.  The sum is contracted in the
+    Gram form when K^3 (N+ + N-) <= 2 N+ N-, K being the entries'
+    zero-padded term width, and in ``ROW_BLOCK`` blocks of the shorter
+    axis otherwise: the Gram form's work grows as (N+ + N-) K^4, the row
+    blocks' as N+ N- K.  ``integrate_R_with_error`` also returns the
+    value's half-grid error estimate.
     """
     return integrate_R_with_error(tm, js, taus, grid)[0]
 
 
 def suggested_grid(tm: TransferMatrix, js: JointSpectrum, taus) -> GridSpec:
-    """Odd trapezoid grid whose half grid resolves the fastest fringe.
+    """Odd trapezoid grid whose half grid resolves the fastest fringe on each axis.
 
     With step h the trapezoid rule integrates f up to its aliases, the sum
-    over k != 0 of f's Fourier transform at 2 pi k / h.  Along each axis
-    the weighted density is a Gaussian of linewidth sigma (times a
-    polynomial for an odd profile) times fringes exp(i w W): each factor of
-    the amplitude turns at half a delay combination, so the amplitude's
-    rates reach u_max, the largest absolute combination in the entries,
-    and its squared modulus's |w| <= 2 u_max.  Such a term's transform is
-    a Gaussian of width 1/sigma centred on w, so the first alias is about
-    exp(-(sigma (2 pi / h - 2 u_max))^2 / 2).  Asking the half grid, of
-    M nodes and step h = 2 E sigma / (M - 1) over +-E sigma, for
-    sigma (2 pi / h - 2 u_max) >= 8 puts that term near e^-32:
+    over k != 0 of f's Fourier transform at 2 pi k / h.  Along axis a the
+    weighted density is a Gaussian of that axis's linewidth sigma_a (times
+    a polynomial for an odd profile) times fringes exp(i w W_a): each
+    factor of the amplitude turns at half a delay combination, so the
+    amplitude's rates reach u_max, the largest absolute combination in the
+    entries, and its squared modulus's |w| <= 2 u_max on either axis.  Such
+    a term's transform is a Gaussian of width 1/sigma_a centred on w, so
+    the first alias is about exp(-(sigma_a (2 pi / h - 2 u_max))^2 / 2).
+    Asking the axis's half grid, of M_a nodes and step
+    h = 2 E sigma_a / (M_a - 1) over +-E sigma_a, for
+    sigma_a (2 pi / h - 2 u_max) >= 8 puts that term near e^-32:
 
-        M - 1 >= (2 sigma u_max + 8) E / pi,
+        M_a - 1 >= (2 sigma_a u_max + 8) E / pi,
 
-    with sigma the wider axis's linewidth and E = 8.  The grid is the
-    N = 2M - 1 nodes that nest it, with twice the margin, and M - 1 is at
-    least 32, so N >= 65.  Its slope, 32 sigma u_max / pi (about
-    10.2 sigma u_max) nodes, is that of four nodes per fringe cycle over
-    the window.  The count is formed in floats and refused with
-    ``GridTooLargeError`` past the node cap, infinity included, before it
-    becomes an int.
+    with E = 8.  Each axis gets the N_a = 2 M_a - 1 nodes that nest its
+    half grid, with twice the margin, and M_a - 1 is at least 32, so
+    N_a >= 65.  The slope, 32 sigma_a u_max / pi (about 10.2 sigma_a
+    u_max) nodes, is that of four nodes per fringe cycle over the axis's
+    window, so an axis 10x narrower than the other needs about a tenth of
+    its nodes, down to the 65-node floor.  Each count is formed in floats
+    and refused with ``GridTooLargeError`` past the node cap, infinity
+    included, before it becomes an int.
     """
     u_max = _fastest_delay(_phases(tm, taus)[1])
-    sigma = max(js.plus.sigma, js.minus.sigma)
-    intervals = max((2.0 * sigma * u_max + _ALIAS_MARGIN) * _SUGGESTED_EXTENT
-                    / math.pi, _MIN_HALF_INTERVALS)
-    nodes = 2.0 * intervals + 1.0
-    if not nodes <= MAX_NODES_PER_AXIS:  # also refuses inf and nan
-        raise _too_large(nodes)
-    return GridSpec(2 * math.ceil(intervals) + 1, _SUGGESTED_EXTENT)
+    counts = []
+    for sigma in (js.plus.sigma, js.minus.sigma):
+        intervals = max((2.0 * sigma * u_max + _ALIAS_MARGIN) * _SUGGESTED_EXTENT
+                        / math.pi, _MIN_HALF_INTERVALS)
+        nodes = 2.0 * intervals + 1.0
+        if not nodes <= MAX_NODES_PER_AXIS:  # also refuses inf and nan
+            raise _too_large(nodes)
+        counts.append(2 * math.ceil(intervals) + 1)
+    return GridSpec(tuple(counts), _SUGGESTED_EXTENT)

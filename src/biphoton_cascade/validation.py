@@ -51,8 +51,10 @@ def _check_oracle(rng, corrupt):
 
     Both the largest difference and the largest estimate must stay within
     1e-6: an oracle that cannot certify its own values checks nothing.
+    The detail also states the range of each axis's node count.
     """
     worst = estimate = 0.0
+    nodes = []
     for name in presets.PRESETS:
         tm = compose(presets.preset_cascade(name))
         for symmetry in ExchangeSymmetry:
@@ -62,14 +64,17 @@ def _check_oracle(rng, corrupt):
                     taus = rng.uniform(-8.0, 8.0, tm.n_delays)
                     closed = float(evaluate(model, js, taus))
                     grid = suggested_grid(tm, js, taus)
+                    nodes.append(grid.nodes)
                     numeric, error = integrate_R_with_error(tm, js, taus, grid)
                     worst = max(worst, abs(closed - numeric))
                     estimate = max(estimate, error)
     if corrupt:
         worst += 1.0
+    (plus_lo, minus_lo), (plus_hi, minus_hi) = np.min(nodes, 0), np.max(nodes, 0)
     return (worst <= 1e-6 and estimate <= 1e-6,
             f"max |closed-form - quadrature| {worst:.2e}, "
-            f"max half-grid estimate {estimate:.2e}")
+            f"max half-grid estimate {estimate:.2e} over grids "
+            f"N+ {plus_lo}-{plus_hi}, N- {minus_lo}-{minus_hi}")
 
 
 def _check_parity(chain, counts, odd, even, detail, rng, corrupt):

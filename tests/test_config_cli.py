@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 
 import biphoton_cascade
 from biphoton_cascade import cli, validation
+from biphoton_cascade.analytic import ExpansionTooLargeError, check_delay_count
+from biphoton_cascade.cascade import compose
 from biphoton_cascade.config import ConfigError, parse_config
-from biphoton_cascade.interferogram import read_trace_csv
+from biphoton_cascade.interferogram import QuadratureBackend, read_trace_csv, sweep
 from biphoton_cascade.presets import preset_cascade
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -69,6 +72,19 @@ def test_parse_config_custom_stages():
 def test_parse_config_grid_section():
     config = parse_config("cascade.preset = homi\ngrid.nodes = 128\n")
     assert config.grid.nodes_per_axis == 128
+
+
+def test_explicit_grid_nodes_set_both_axes(tmp_path):
+    # whatever the two linewidths, grid.nodes is the count of each axis,
+    # and every point of the sweep is integrated on that one grid
+    text = (CONFIGS / "three_param_2002_correlated.cfg").read_text().replace(
+        "sweep.samples = 6401", "sweep.samples = 3") + "grid.nodes = 129\n"
+    config = parse_config(text)
+    assert config.grid.nodes == (129, 129) and config.grid.extent_sigmas == 8.0
+    assert parse_config(text + "grid.extent = 6\n").grid.nodes == (129, 129)
+    trace = sweep(QuadratureBackend(compose(config.cascade), config.spectrum,
+                                    config.grid), config.sweep)
+    assert trace.meta["grid_nodes"] == ((129, 129), (129, 129))
 
 
 @pytest.mark.parametrize(
@@ -274,6 +290,45 @@ def test_reconstruct_strips_satellites_at_a_negative_fixed_delay(tmp_path):
         assert "Traceback" not in result.stderr
         reports.append(result.stdout)
     assert reports[0] == reports[1]
+
+
+#: One splitter among 10^8 delays: the cascade's rows alone would take
+#: gigabytes, so the delay count is refused before the cascade is composed.
+HUGE_DELAY_COUNT = "cascade.stages = 0\ncascade.n_delays = 100000000\n"
+HUGE_DELAY_REFUSAL = ("config error: expanding 100000000 delays would need 5.96 GiB "
+                      "of integer rows; the budget is 2 GiB\n")
+
+
+def test_huge_delay_count_is_refused_in_one_line(tmp_path):
+    path = write(tmp_path, "wide.cfg", HUGE_DELAY_COUNT)
+    for command in ("derive", "sweep", "envelope", "reconstruct"):
+        result = run_cli(command, "--config", path, "--out", str(tmp_path / "x.txt"))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == HUGE_DELAY_REFUSAL
+    assert not (tmp_path / "x.txt").exists()
+
+
+def test_huge_delay_count_is_refused_before_compose(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("composed")
+
+    monkeypatch.setattr(cli, "compose", refuse)
+    path = write(tmp_path, "wide.cfg", HUGE_DELAY_COUNT)
+    tracemalloc.start()
+    try:
+        code = cli.main(["derive", "--config", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == HUGE_DELAY_REFUSAL
+    assert peak < 1 << 20
+    # 33 554 432 delays, one cell of 2 n int64 columns at 32 B each, are the
+    # most the budget admits
+    check_delay_count(2**31 // 64)
+    with pytest.raises(ExpansionTooLargeError):
+        check_delay_count(2**31 // 64 + 1)
 
 
 def test_nine_delay_expansion_is_refused_in_one_line(tmp_path):
@@ -574,8 +629,12 @@ def test_validate_states_the_oracle_estimate(tmp_path, capsys):
     line = next(line for line in capsys.readouterr().out.splitlines()
                 if "oracle-equivalence" in line)
     match = re.fullmatch(r"PASS oracle-equivalence: max \|closed-form - quadrature\| "
-                         r"(\S+), max half-grid estimate (\S+)", line)
+                         r"(\S+), max half-grid estimate (\S+) over grids "
+                         r"N\+ (\d+)-(\d+), N- (\d+)-(\d+)", line)
     assert match and float(match[2]) <= 1e-9
+    # each axis's counts: odd, from the 65-node floor up
+    plus_lo, plus_hi, minus_lo, minus_hi = map(int, match.groups()[2:])
+    assert plus_lo == minus_lo == 65 and plus_hi % 2 == minus_hi % 2 == 1
     detail = next(row["detail"] for row in json.loads(report.read_text())
                   if row["check"] == "oracle-equivalence")
     assert line.endswith(detail)
@@ -590,7 +649,7 @@ def test_validate_fails_an_uncertified_oracle(monkeypatch):
     passed, detail = validation._CHECKS["oracle-equivalence"](np.random.default_rng(0),
                                                               False)
     assert not passed
-    assert detail.endswith("max half-grid estimate 2.00e-06")
+    assert "max half-grid estimate 2.00e-06 over grids N+ 65-" in detail
 
 
 def test_validate_negative_control(tmp_path, capsys):

@@ -25,6 +25,7 @@ from biphoton_cascade.interferogram import (
     write_trace_csv,
 )
 from biphoton_cascade.presets import make_spectrum, preset_cascade
+from biphoton_cascade.quadrature import suggested_grid
 from biphoton_cascade.spectra import ExchangeSymmetry
 
 JS = make_spectrum(1.0, 1.0)
@@ -74,6 +75,25 @@ def test_backends_produce_matching_sweeps():
     np.testing.assert_allclose(
         analytic_trace.values, quad_trace.values, atol=1e-8
     )
+
+
+def test_quadrature_sweep_meta_states_each_axis_grid():
+    # correlated three_param_2002: the narrow W- axis needs a fraction of
+    # the W+ axis's nodes at every delay
+    js = make_spectrum(1.0, 0.1)
+    tm = compose(preset_cascade("three_param_2002"))
+    spec = SweepSpec(fixed={0: 8.0, 1: 22.0}, swept=2, start=-80.0, stop=80.0,
+                     samples=5)
+    trace = sweep(QuadratureBackend(tm, js), spec)
+    grids = [suggested_grid(tm, js, [8.0, 22.0, tau]).nodes for tau in trace.taus]
+    plus, minus = zip(*grids)
+    assert trace.meta["grid_nodes"] == ((min(plus), max(plus)), (min(minus), max(minus)))
+    assert all(n_minus < n_plus / 4 for n_plus, n_minus in grids)
+    assert trace.meta["max_error_estimate"] <= 1e-9
+    values, estimates, nodes = QuadratureBackend(tm, js).response_with_error(
+        [8.0, 22.0, trace.taus.reshape(5, 1)])
+    assert values.shape == estimates.shape == (5, 1) and nodes.shape == (5, 1, 2)
+    assert nodes.reshape(5, 2).tolist() == [list(grid) for grid in grids]
 
 
 def test_backends_broadcast_delays_alike():

@@ -39,7 +39,7 @@ from test_expand import cascades
 JS = make_spectrum(1.0, 1.0)
 HOMI = compose(preset_cascade("homi"))
 NOON = compose(preset_cascade("noon"))
-GRID = GridSpec(nodes_per_axis=256)
+GRID = GridSpec(256)
 
 
 def test_single_dip_value_against_closed_form():
@@ -98,9 +98,22 @@ def test_estimate_is_none_off_nested_grids():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        GridSpec(nodes_per_axis=16)
+        GridSpec(16)
     with pytest.raises(ValueError):
-        GridSpec(nodes_per_axis=64, extent_sigmas=2.0)
+        GridSpec(64, extent_sigmas=2.0)
+    for nodes in ((16, 65), (65, 16), (65,), (65, 65, 65)):
+        with pytest.raises(ValueError):
+            GridSpec(nodes)
+    with pytest.raises(GridTooLargeError):
+        GridSpec((65, MAX_NODES_PER_AXIS + 1))
+
+
+def test_one_count_sets_both_axes():
+    assert GridSpec(65).nodes == (65, 65) and GridSpec(65, 6.0).nodes == (65, 65)
+    assert GridSpec(65) == GridSpec((65, 65)) == GridSpec([65, 65])
+    grid = GridSpec((603, 99))
+    assert grid.nodes == (603, 99) and grid.nodes_per_axis == 603
+    assert GridSpec((99, 603)).nodes_per_axis == 603
 
 
 @pytest.mark.parametrize("nodes", [32, 33, 256, 257])
@@ -142,8 +155,8 @@ def test_normalized_rate_within_physical_bounds(tau):
 
 def reference_integrate_R(tm, js, taus, grid):
     """Entry fields summed one np.outer per term; baseline merged in Fractions."""
-    wp, wp_weights = _axis(grid, js.plus.sigma)
-    wm, wm_weights = _axis(grid, js.minus.sigma)
+    wp, wp_weights = _axis(grid.nodes[0], grid.extent_sigmas * js.plus.sigma)
+    wm, wm_weights = _axis(grid.nodes[1], grid.extent_sigmas * js.minus.sigma)
 
     def field(entry, minus_sign):
         out = np.zeros((wp.size, wm.size), dtype=complex)
@@ -249,6 +262,11 @@ def _force_order(monkeypatch, order):
         ("two_param_2002", 128, "gram"),
         ("three_param_2002", 256, "row blocks"),  # K = 8, K^3 = 512
         ("three_param_2002", 512, "gram"),
+        # unequal axes: the Gram form once K^3 (N+ + N-) <= 2 N+ N-
+        ("two_param_2002", (33, 257), "row blocks"),  # 64 * 290 > 16962
+        ("two_param_2002", (257, 65), "gram"),  # 64 * 322 <= 33410
+        ("three_param_2002", (603, 99), "row blocks"),  # 512 * 702 > 119394
+        ("three_param_2002", (451, 801), "gram"),  # 512 * 1252 <= 722502
     ],
 )
 def test_each_contraction_order_matches_the_reference(monkeypatch, preset, nodes,
@@ -343,9 +361,22 @@ def test_stacked_combo_dot_matches_each_term():
     assert combos.shape == (len(tm.D.terms), 3)
     for (amp, combo), a, u in zip(tm.D.terms, amps, combo_dot(combos, taus)):
         assert a == float(amp)
-        assert u == pytest.approx(combo_dot(combo, taus), abs=1e-14)
+        assert u == combo_dot(combo, taus)
     assert not amps.flags.writeable and not combos.flags.writeable
     assert ExpSum.from_terms([], 3).arrays[1].shape == (0, 3)
+    # five delays: the model's argument rows, where a matrix product once
+    # differed from the fold in the last bit, stacked flat and in pairs
+    tm = compose(CascadeConfig.from_labels([None, 0, 1, 2, 3, 4], 5))
+    _, plus, minus, _ = expand(tm, ExchangeSymmetry.SYMMETRIC).arrays
+    rng = np.random.default_rng(5)
+    for taus in rng.uniform(-80.0, 80.0, (3, 5)):
+        for args in (plus, minus):
+            stacked = combo_dot(args, taus)
+            assert stacked.tolist() == [combo_dot(row, taus) for row in args.tolist()]
+            pairs = combo_dot(args[:len(args) // 2 * 2].reshape(-1, 2, 5), taus)
+            assert np.array_equal(pairs.ravel(), stacked[:pairs.size])
+    with pytest.raises(ValueError, match="expected 5 delays"):
+        combo_dot(plus, [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -468,29 +499,35 @@ def models():
 
 def _half_value(tm, js, taus, grid):
     """``integrate_R`` on the grid of ``grid``'s nodes of even index."""
-    half = GridSpec((grid.nodes_per_axis + 1) // 2, grid.extent_sigmas)
+    half = GridSpec(tuple((nodes + 1) // 2 for nodes in grid.nodes), grid.extent_sigmas)
     return integrate_R(tm, js, taus, half)
 
 
 #: Delays in +-8, half of them drawn from the outer quarters, where the
 #: fringes are fastest and grids of 65-97 nodes under-resolve them.
 DELAYS = st.one_of(st.floats(-8.0, 8.0), st.floats(6.0, 8.0), st.floats(-8.0, -6.0))
+#: Half-grid intervals of one axis, 65-97 nodes about half the time.
+HALF_INTERVALS = st.one_of(st.integers(32, 48), st.integers(32, 160))
 
 
 @given(preset=st.sampled_from(PRESETS), symmetry=st.sampled_from(ExchangeSymmetry),
-       class_name=st.sampled_from(sorted(CLASS_SIGMAS)),
-       half_intervals=st.one_of(st.integers(32, 48), st.integers(32, 160)),
+       sigmas=st.one_of(st.sampled_from(sorted(CLASS_SIGMAS.values())),
+                        st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0))),
+       half_intervals=st.one_of(HALF_INTERVALS.map(lambda m: (m, m)),
+                                st.tuples(HALF_INTERVALS, HALF_INTERVALS)),
        data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_half_grid_estimate_bounds_the_true_error(models, preset, symmetry, class_name,
+def test_half_grid_estimate_bounds_the_true_error(models, preset, symmetry, sigmas,
                                                   half_intervals, data):
-    # odd grids from 65 nodes up, the small ones under-resolved at the
-    # larger delays; the search is steered towards large errors
+    # odd grids from 65 nodes up on each axis, square or not, the small
+    # ones under-resolved at the larger delays; linewidths of the three
+    # classes or any two in 0.1-1; the search is steered towards large
+    # errors
     tm, model = models[preset, symmetry]
-    js = make_spectrum(*CLASS_SIGMAS[class_name], symmetry)
+    js = make_spectrum(*sigmas, symmetry)
     taus = data.draw(st.lists(DELAYS, min_size=tm.n_delays, max_size=tm.n_delays))
-    value, estimate = integrate_R_with_error(tm, js, taus,
-                                             GridSpec(2 * half_intervals + 1))
+    grid = GridSpec(tuple(2 * intervals + 1 for intervals in half_intervals))
+    value, estimate = integrate_R_with_error(tm, js, taus, grid)
     error = abs(value - float(evaluate(model, js, taus)))
     target(math.log10(error + 1e-300))
     if error > 1e-12:
@@ -505,6 +542,8 @@ def test_half_grid_estimate_bounds_the_true_error(models, preset, symmetry, clas
         ("two_param_2002", 257),   # two 128-node blocks and a one-node block
         ("three_param_2002", 65),  # K = 8: one ragged row block
         ("three_param_2002", 545),  # seventeen 32-node blocks and one node
+        ("two_param_2002", (65, 257)),  # unequal axes, rows along W+
+        ("three_param_2002", (545, 97)),  # unequal axes, rows along W-
     ],
 )
 def test_half_value_is_the_value_on_the_half_grid(monkeypatch, models, order,
@@ -576,11 +615,36 @@ def test_suggested_grids_are_odd_and_nested(models, preset, class_name, data):
     taus = data.draw(st.lists(st.floats(-80.0, 80.0), min_size=tm.n_delays,
                               max_size=tm.n_delays))
     grid = suggested_grid(tm, js, taus)
-    nodes = grid.nodes_per_axis
-    assert nodes % 2 == 1 and nodes >= 65
-    full = _axis(grid, 1.0)[0]
-    half = _axis(GridSpec((nodes + 1) // 2, grid.extent_sigmas), 1.0)[0]
-    np.testing.assert_allclose(full[::2], half, rtol=0, atol=1e-12)
+    for nodes in grid.nodes:
+        assert nodes % 2 == 1 and nodes >= 65
+        full = _axis(nodes, grid.extent_sigmas)[0]
+        half = _axis((nodes + 1) // 2, grid.extent_sigmas)[0]
+        np.testing.assert_allclose(full[::2], half, rtol=0, atol=1e-12)
+
+
+def test_each_suggested_axis_follows_its_own_linewidth(models):
+    tm, model = models["three_param_2002", ExchangeSymmetry.SYMMETRIC]
+
+    def count(sigma, u_max):
+        # M - 1 = max(32, ceil((2 sigma u_max + 8) E / pi)), N = 2M - 1
+        return 2 * max(32, math.ceil((2 * sigma * u_max + 8) * 8 / math.pi)) + 1
+
+    for taus, u_max in (([8.0, 22.0, 3.0], 33.0), ([1.0, 2.0, 0.5], 3.5)):
+        assert quadrature._fastest_delay(quadrature._phases(tm, taus)[1]) == u_max
+        wide, narrow = count(1.0, u_max), count(0.1, u_max)
+        for class_name, nodes in (("correlated", (wide, narrow)),
+                                  ("anticorrelated", (narrow, wide)),
+                                  ("uncorrelated", (wide, wide))):
+            js = make_spectrum(*CLASS_SIGMAS[class_name])
+            grid = suggested_grid(tm, js, taus)
+            assert grid.nodes == nodes and grid.nodes_per_axis == wide
+            value, estimate = integrate_R_with_error(tm, js, taus, grid)
+            assert abs(value - float(evaluate(model, js, taus))) <= 1e-12
+            assert estimate <= 1e-9
+    # the wide axis keeps the square grid's count; the narrow one takes a
+    # fifth of it at delays 8, 22 and 3, and the 65-node floor at 1, 2, 0.5
+    assert (count(1.0, 33.0), count(0.1, 33.0)) == (379, 77)
+    assert (count(1.0, 3.5), count(0.1, 3.5)) == (79, 65)
 
 
 def test_suggested_grid_slope_and_floor():
