@@ -132,6 +132,15 @@ class AnalyticModel:
         each term's plus and minus row, -1 (the zero row) for a zero argument."""
         return _compile_model(self)
 
+    @cached_property
+    def _plan(self):
+        """Each term's ``(coeff, plus, minus)`` for ``term_blocks``, built once
+        per model: the float coefficient and the term's plus and minus rows
+        of ``arrays``, None for a zero argument."""
+        coeffs, _, _, index = self.arrays
+        return tuple((c, None if p < 0 else p, None if m < 0 else m)
+                     for c, (p, m) in zip(coeffs.tolist(), index.tolist()))
+
     @property
     def constant(self) -> Fraction:
         for c, p, m in zip(self.coeffs, self.plus, self.minus):
@@ -388,6 +397,12 @@ def _split_arguments(args, taus):
                                 for k in np.flatnonzero(swept).tolist()]
 
 
+def _broadcast(taus):
+    """The delays as float arrays, and their broadcast shape."""
+    taus = [np.asarray(t, dtype=float) for t in taus]
+    return taus, np.broadcast_shapes(*(t.shape for t in taus))
+
+
 def term_blocks(model: AnalyticModel, js: JointSpectrum, taus, carrier=True):
     """Each term's factors over blocks of the broadcast delays.
 
@@ -404,15 +419,16 @@ def term_blocks(model: AnalyticModel, js: JointSpectrum, taus, carrier=True):
     one ``cos`` and one ``corr`` per side, their values Python floats.  The
     others are evaluated once per block, as rows.
     """
+    return _blocks(model, js, *_broadcast(taus), carrier)
+
+
+def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
+    """``term_blocks`` over delays that ``_broadcast`` has converted."""
     if js.symmetry is not model.symmetry:
         raise ValueError("joint spectrum symmetry does not match the model")
     if len(taus) != model.n_delays:
         raise ValueError(f"expected {model.n_delays} delays, got {len(taus)}")
-    coeffs, plus_args, minus_args, index = model.arrays
-    plan = [(c, None if p < 0 else p, None if m < 0 else m)
-            for c, (p, m) in zip(coeffs.tolist(), index.tolist())]
-    taus = [np.asarray(t, dtype=float) for t in taus]
-    shape = np.broadcast_shapes(*(t.shape for t in taus))
+    _, plus_args, minus_args, _ = model.arrays
     plus_args, minus_args = plus_args[:-1], minus_args[:-1]  # not the zero row
     plus_fixed, plus_rows, plus_swept = _split_arguments(plus_args, taus)
     minus_fixed, minus_rows, minus_swept = _split_arguments(minus_args, taus)
@@ -459,7 +475,7 @@ def term_blocks(model: AnalyticModel, js: JointSpectrum, taus, carrier=True):
                        None if p is None else cos[p],
                        None if p is None else plus[p],
                        None if m is None else minus[m])
-                      for coeff, p, m in plan]
+                      for coeff, p, m in model._plan]
 
 
 def evaluate(model: AnalyticModel, js: JointSpectrum, taus):
@@ -468,9 +484,9 @@ def evaluate(model: AnalyticModel, js: JointSpectrum, taus):
     The result has the delays' broadcast shape; scalar delays give a
     scalar.
     """
-    shape = np.broadcast_shapes(*(np.shape(t) for t in taus))
+    taus, shape = _broadcast(taus)
     out = np.empty(math.prod(shape))
-    for block, factors in term_blocks(model, js, taus):
+    for block, factors in _blocks(model, js, taus, shape, True):
         total = 0.0
         for coeff, cos, plus, minus in factors:
             value = coeff

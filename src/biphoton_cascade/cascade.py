@@ -203,11 +203,40 @@ class TransferMatrix:
     def _moments(self):
         return _large_delay_moments(self)
 
+    @cached_property
+    def phase_plan(self):
+        """Read-only ``(amps, rows, index)`` for the quadrature oracle, built
+        once per matrix: A, B, C and D's amplitudes zero-padded to the widest,
+        K terms, shape ``(4, K)``; the distinct float delay rows among those
+        4 K (entry, term) slots, ``(D, n_delays)``, a padded slot's row being
+        zero; and in ``index`` ``(4, K)`` each slot's row."""
+        return _compile_phase_plan(self)
+
     def evaluate(self, omega, taus) -> np.ndarray:
         """Numeric 2x2 matrix at a single frequency, normalization included."""
         scale = 2.0 ** (-self.stage_count / 2.0)
         entries = [e.evaluate(omega, taus) for e in (self.A, self.B, self.C, self.D)]
         return scale * np.array(entries, dtype=complex).reshape(2, 2)
+
+
+def _compile_phase_plan(tm: TransferMatrix):
+    entries = [entry.arrays for entry in (tm.A, tm.B, tm.C, tm.D)]
+    width = max(len(amps) for amps, _ in entries)
+    amps = np.zeros((4, width))
+    combos = np.zeros((4, width, tm.n_delays))
+    for slot, (entry_amps, entry_combos) in enumerate(entries):
+        amps[slot, :len(entry_amps)] = entry_amps
+        combos[slot, :len(entry_amps)] = entry_combos
+    # Rows keyed as tuples in order of first use: np.unique(axis=0) cannot
+    # reshape the empty rows of a matrix without delays.
+    at: dict = {}
+    index = np.array([at.setdefault(row, len(at)) for row in
+                      map(tuple, combos.reshape(4 * width, tm.n_delays).tolist())],
+                     dtype=np.intp).reshape(4, width)
+    rows = np.array(list(at), dtype=float).reshape(len(at), tm.n_delays)
+    for array in (amps, rows, index):  # shared by every call on the matrix
+        array.flags.writeable = False
+    return amps, rows, index
 
 
 def _large_delay_moments(tm: TransferMatrix):

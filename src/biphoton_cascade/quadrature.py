@@ -24,6 +24,14 @@ The rule was measured (``_contract``); on a square grid of N nodes per
 axis it is K^3 <= N.  Either way a call's memory grows with N+ + N-, not
 N+ N-.
 
+The factors come from ``TransferMatrix.phase_plan``, built once per
+matrix: the entries' amplitudes zero-padded to K terms, the D distinct
+delay rows among the 4 K (entry, term) slots, and each slot's row.  A
+call evaluates the D rows (``_phases``) and takes one cosine and sine
+per distinct phase, in an (N+, D) and a (D, N-) table that the slots
+gather from (``_factors``); the entries share most of their rows, so D
+is 2-8 where 4 K is 4-32 on the presets.
+
 The oracle certifies itself.  On an axis of odd N nodes the M = (N+1)/2
 nodes of even index form the trapezoid grid of M nodes over the same
 window; on a grid odd on both axes they make the half grid.  Both orders
@@ -70,9 +78,10 @@ ROW_BLOCK = 32
 #: from the heap instead of being page-faulted per call.
 _GRAM_BLOCK_ELEMENTS = 124 * 1024 // 16
 #: Bytes per (W+, W-) node the node cap charges: three complex N x N
-#: fields, N the count of one axis.  ``integrate_R`` holds (N, K) factors
-#: per axis and either four ``ROW_BLOCK`` x N blocks or node blocks of U
-#: and V and 2K^2 x 2K^2 Grams, so the cap over-states its memory.
+#: fields, N the count of one axis.  ``integrate_R`` holds an (N, D) phase
+#: table and (N, K) factors per axis, D <= 4 K distinct delay rows, and
+#: either four ``ROW_BLOCK`` x N blocks or node blocks of U and V and
+#: 2K^2 x 2K^2 Grams, so the cap over-states its memory.
 _BYTES_PER_NODE = 3 * 16
 #: Memory budget for those fields (1 GiB); an axis past the cap it sets is
 #: refused before anything is allocated.
@@ -161,8 +170,21 @@ class GridSpec:
 
 
 def _axis(nodes: int, half_width: float):
-    """Trapezoid nodes and weights of one axis over +-half_width."""
-    points = np.linspace(-half_width, half_width, nodes)
+    """Trapezoid nodes and weights of one axis over +-half_width.
+
+    The nodes are ``np.linspace(-half_width, half_width, nodes)`` by its own
+    formula, arange times step minus the half-width with the last node set
+    to it, which gives the same bits without its dispatch; linspace itself
+    runs only where that step underflows to 0, which it treats apart.
+    """
+    points = np.arange(nodes, dtype=float)
+    step = (half_width + half_width) / (nodes - 1)
+    if step:
+        points *= step
+        points -= half_width
+        points[-1] = half_width
+    else:
+        points = np.linspace(-half_width, half_width, nodes)
     step = points[1] - points[0]
     weights = np.full(nodes, step)
     weights[0] = weights[-1] = step / 2.0
@@ -178,20 +200,17 @@ def _cis(phase):
 
 
 def _phases(tm: TransferMatrix, taus):
-    """Amplitudes and delay combinations u of the A, B, C and D terms.
+    """Amplitudes, distinct delay combinations u and the slots' index into u.
 
-    Both are (4, K) arrays, the entries zero-padded to the widest, K terms;
-    the four entries' combinations become numbers in one ``combo_dot``.
+    ``TransferMatrix.phase_plan``, built once per matrix, holds the A, B, C
+    and D amplitudes zero-padded to the widest, K terms, as a (4, K) array,
+    the D distinct delay rows among those 4 K slots, and each slot's row as
+    a (4, K) index.  The rows become the (D,) u in one ``combo_dot``; equal
+    rows give equal values, so slot (e, k)'s combination is
+    ``u[index[e, k]]`` to the bit.
     """
-    entries = (tm.A, tm.B, tm.C, tm.D)
-    width = max(len(entry.arrays[0]) for entry in entries)
-    amps = np.zeros((4, width))
-    combos = np.zeros((4, width, tm.n_delays))
-    for index, entry in enumerate(entries):
-        entry_amps, entry_combos = entry.arrays
-        amps[index, :len(entry_amps)] = entry_amps
-        combos[index, :len(entry_amps)] = entry_combos
-    return amps, combo_dot(combos, taus)
+    amps, rows, index = tm.phase_plan
+    return amps, combo_dot(rows, taus), index
 
 
 def _fastest_delay(u) -> float:
@@ -203,23 +222,28 @@ def _fastest_delay(u) -> float:
     return float(np.abs(u).max(initial=0.0))
 
 
-def _factors(amps, u, pump: float, w_plus, w_minus):
+def _factors(amps, u, index, pump: float, w_plus, w_minus):
     """Factor stacks whose products are the A, B, C and D grid fields.
 
     Each exponential is separable across the two axes, so entry e's field
     on the (W_plus, W_minus) grid, at omega = wp/2 + (W+ +- W-)/2, is the
-    rank-K product ``plus[e] @ minus[e]``: ``plus[e]`` is (N, K) and
-    carries the amplitudes and the pump carrier, ``minus[e]`` is (K, N).
+    rank-K product ``plus[e] @ minus[e]``: ``plus[e]`` is (N+, K) and
+    carries the amplitudes and the pump carrier, ``minus[e]`` is (K, N-).
     The entries are zero-padded to one K (``_phases``), so one batched
-    product forms a block of all four fields.  Phases that overflow come
-    out NaN, silently.
+    product forms a block of all four fields.  The cosines and sines are
+    taken once per distinct combination of ``_phases``' u, in two tables,
+    cis(-w+ u / 2) of shape (N+, D) and cis(-u w- / 2) of shape (D, N-),
+    which ``index`` gathers into the slots; C and D take W- with the
+    opposite sign, so their halves of ``minus`` are conjugated, cis(x)
+    being conj cis(-x).  Phases that overflow come out NaN, silently.
     """
-    # C and D take W_minus with the opposite sign
-    minus_sign = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        plus = _cis(u[:, None, :] * (-0.5 * w_plus)[:, None])
-        plus *= (amps * _cis(-0.5 * pump * u))[:, None, :]
-        minus = _cis((-0.5 * minus_sign) * u[:, :, None] * w_minus)
+        carrier = amps * _cis(-0.5 * pump * u)[index]
+        plus_table = _cis((-0.5 * w_plus)[:, None] * u)
+        minus = _cis((-0.5 * u)[:, None] * w_minus)[index]
+    plus = np.multiply(plus_table[:, index].transpose(1, 0, 2), carrier[:, None, :],
+                       out=np.empty((4, len(w_plus), amps.shape[1]), dtype=complex))
+    np.conjugate(minus[2:], out=minus[2:])
     return plus, minus
 
 
@@ -376,8 +400,8 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
             f"{js.plus.sigma:g} and sigma_minus {js.minus.sigma:g}")
 
     sym = int(js.symmetry)
-    amps, u = _phases(tm, taus)
-    plus, minus = _factors(amps, u, pump, wp_nodes, wm_nodes)
+    amps, u, index = _phases(tm, taus)
+    plus, minus = _factors(amps, u, index, pump, wp_nodes, wm_nodes)
     root_plus = np.sqrt(j_plus)[:, None]
     plus[0] *= root_plus
     plus[1] *= sym * root_plus

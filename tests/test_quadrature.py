@@ -380,13 +380,100 @@ def test_stacked_combo_dot_matches_each_term():
 
 
 # ---------------------------------------------------------------------------
+# The phase plan against the per-slot factors it replaced
+
+
+def reference_factors(tm, taus, pump, w_plus, w_minus):
+    """The factor stacks with a cosine and a sine on every (entry, term) slot.
+
+    The entries are zero-padded to the widest, K terms, and each of the
+    4 K slots takes its own phases; C and D take W- with the opposite sign.
+    """
+    entries = (tm.A, tm.B, tm.C, tm.D)
+    width = max(len(entry.arrays[0]) for entry in entries)
+    amps = np.zeros((4, width))
+    combos = np.zeros((4, width, tm.n_delays))
+    for slot, entry in enumerate(entries):
+        entry_amps, entry_combos = entry.arrays
+        amps[slot, :len(entry_amps)] = entry_amps
+        combos[slot, :len(entry_amps)] = entry_combos
+    u = combo_dot(combos, taus)
+    minus_sign = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        plus = quadrature._cis(u[:, None, :] * (-0.5 * w_plus)[:, None])
+        plus *= (amps * quadrature._cis(-0.5 * pump * u))[:, None, :]
+        minus = quadrature._cis((-0.5 * minus_sign) * u[:, :, None] * w_minus)
+    return plus, minus
+
+
+def assert_planned_factors_match(tm, js, taus, grid=None):
+    grid = grid or suggested_grid(tm, js, taus)
+    w_plus, w_minus = (_axis(nodes, grid.extent_sigmas * sigma)[0]
+                       for nodes, sigma in zip(grid.nodes, (js.plus.sigma, js.minus.sigma)))
+    planned = quadrature._factors(*quadrature._phases(tm, taus), js.pump_frequency,
+                                  w_plus, w_minus)
+    for stack, reference in zip(planned, reference_factors(
+            tm, taus, js.pump_frequency, w_plus, w_minus)):
+        assert stack.flags.c_contiguous and stack.shape == reference.shape
+        assert np.array_equal(stack, reference)
+
+
+def test_planned_factors_are_the_per_slot_factors_on_every_preset(models):
+    rng = np.random.default_rng(20261019)
+    for (preset, symmetry), (tm, _) in models.items():
+        for sigmas in CLASS_SIGMAS.values():
+            js = make_spectrum(*sigmas, symmetry)
+            for taus in rng.uniform(-8.0, 8.0, (3, tm.n_delays)):
+                assert_planned_factors_match(tm, js, taus)
+
+
+@given(config=cascades(), class_name=st.sampled_from(sorted(CLASS_SIGMAS)),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_planned_factors_are_the_per_slot_factors_on_any_cascade(config, class_name,
+                                                                 data):
+    tm = compose(config)
+    js = make_spectrum(*CLASS_SIGMAS[class_name])
+    taus = data.draw(st.lists(st.floats(-80.0, 80.0), min_size=tm.n_delays,
+                              max_size=tm.n_delays))
+    assert_planned_factors_match(tm, js, taus, data.draw(st.sampled_from(
+        (None, GridSpec(65), GridSpec((33, 257))))))
+
+
+def test_conjugated_halves_hold_at_large_phases():
+    # cis(x) = conj cis(-x) to the bit needs cos even and sin odd to the
+    # bit: delays near 250 put the W- phases of C and D at up to +-1e3 rad
+    tm = compose(preset_cascade("three_param_2002"))
+    rng = np.random.default_rng(1000)
+    grid, largest = GridSpec(257), 0.0
+    for symmetry in ExchangeSymmetry:
+        for sigmas in CLASS_SIGMAS.values():
+            js = make_spectrum(*sigmas, symmetry)
+            for taus in rng.uniform(-250.0, 250.0, (4, 3)):
+                assert_planned_factors_match(tm, js, taus, grid)
+                u_max = np.abs(quadrature._phases(tm, taus)[1]).max()
+                largest = max(largest, 0.5 * u_max * grid.extent_sigmas * js.minus.sigma)
+    assert largest >= 1e3
+
+
+def test_axis_nodes_are_linspace_to_the_bit():
+    # at 1e-322 over 4729 nodes the step underflows to 0, which linspace
+    # treats apart
+    for nodes in (32, 33, 65, 257, 603, 4729):
+        for half_width in (8.0, 0.8, 8.0 * 0.37, 5.0 * 1e-3, 1e-320, 1e-322):
+            points = _axis(nodes, half_width)[0]
+            assert np.array_equal(points, np.linspace(-half_width, half_width, nodes))
+
+
+# ---------------------------------------------------------------------------
 # Compiled once per matrix, held by the matrix
 
 
 def test_compiles_each_entry_and_baseline_once(monkeypatch):
-    calls = {"compile": 0, "baseline": 0}
+    calls = {"compile": 0, "baseline": 0, "plan": 0}
     compile_terms = cascade._compile_terms
     moments = cascade._large_delay_moments
+    phase_plan = cascade._compile_phase_plan
 
     def counting_compile(*args):
         calls["compile"] += 1
@@ -396,14 +483,35 @@ def test_compiles_each_entry_and_baseline_once(monkeypatch):
         calls["baseline"] += 1
         return moments(*args)
 
+    def counting_plan(*args):
+        calls["plan"] += 1
+        return phase_plan(*args)
+
     monkeypatch.setattr(cascade, "_compile_terms", counting_compile)
     monkeypatch.setattr(cascade, "_large_delay_moments", counting_moments)
+    monkeypatch.setattr(cascade, "_compile_phase_plan", counting_plan)
     tm = compose(preset_cascade("three_param_2002"))
     for symmetry in ExchangeSymmetry:
         js = make_spectrum(1.0, 0.1, symmetry)
-        for taus in ([0.5, 1.0, -2.0], [3.0, -1.0, 0.25]):
-            integrate_R(tm, js, taus, suggested_grid(tm, js, taus))
-    assert calls == {"compile": 4, "baseline": 1}
+        for taus in ([0.5, 1.0, -2.0], [3.0, -1.0, 0.25], [-7.5, 6.0, 40.0]):
+            integrate_R_with_error(tm, js, taus, suggested_grid(tm, js, taus))
+    assert calls == {"compile": 4, "baseline": 1, "plan": 1}
+    amps, rows, index = tm.phase_plan
+    assert not (amps.flags.writeable or rows.flags.writeable or index.flags.writeable)
+    # three_param_2002's 32 slots hold 8 distinct delay rows
+    assert amps.shape == index.shape == (4, 8) and rows.shape == (8, 3)
+
+
+def test_zero_delay_matrix_keeps_its_value():
+    # two delay-free splitters: every slot's row is the empty row
+    tm = compose(CascadeConfig.from_labels([None, None], 0))
+    _, rows, index = tm.phase_plan
+    assert rows.shape == (1, 0) and not index.any()
+    expected = {ExchangeSymmetry.SYMMETRIC: (1.0, 2.220446049250313e-16),
+                ExchangeSymmetry.ANTISYMMETRIC: (0.9999999999999998, 2.220446049250313e-16)}
+    for symmetry, value in expected.items():
+        js = make_spectrum(1.0, 0.1, symmetry)
+        assert integrate_R_with_error(tm, js, [], suggested_grid(tm, js, [])) == value
 
 
 def test_calls_never_hash_a_matrix(monkeypatch):
