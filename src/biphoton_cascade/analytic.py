@@ -29,8 +29,8 @@ from itertools import chain
 
 import numpy as np
 
-from .cascade import TransferMatrix, combo_dot, common_scales
-from .spectra import _HERMITE_CAP, ExchangeSymmetry, JointSpectrum
+from .cascade import TransferMatrix, ZeroBaselineError, combo_dot, common_scales
+from .spectra import _HERMITE_CAP, _MASKED_LANES, ExchangeSymmetry, JointSpectrum
 
 __all__ = [
     "CosTerm",
@@ -182,10 +182,6 @@ def _compile_model(model: AnalyticModel):
     for array in (coeffs, *sides, index):  # shared by every caller of the model
         array.flags.writeable = False
     return coeffs, *sides, index
-
-
-class ZeroBaselineError(ValueError):
-    """The cascade has no coincidences at large delays: nothing to normalize by."""
 
 
 class ExpansionTooLargeError(ValueError):
@@ -412,12 +408,14 @@ def term_blocks(model: AnalyticModel, js: JointSpectrum, taus, carrier=True):
     one).  ``factors`` holds ``(coeff, cos, plus, minus)`` per
     term, in model order: cos(pump_frequency * p), corr_plus(p) and
     corr_minus(m) at the term's arguments, each None for a zero argument,
-    and ``cos`` None unless ``carrier``.  Every distinct nonzero argument
-    of ``model.arrays`` becomes numbers through ``combo_dot`` and is shared
-    by every term that has it.  Arguments that read only scalar delays are
-    evaluated once per call, all together: one stacked ``combo_dot``, then
-    one ``cos`` and one ``corr`` per side, their values Python floats.  The
-    others are evaluated once per block, as rows.
+    and ``cos`` None unless ``carrier``.  On blocks of ``_MASKED_LANES``
+    and more, ``cos`` is 0.0 where ``plus`` is 0 and the phase finite
+    (``_carrier``): the product is +-0 either way.  Every distinct nonzero
+    argument of ``model.arrays`` becomes numbers through ``combo_dot`` and
+    is shared by every term that has it.  Arguments that read only scalar
+    delays are evaluated once per call, all together: one stacked
+    ``combo_dot``, then one ``cos`` and one ``corr`` per side, their values
+    Python floats.  The others are evaluated once per block, as rows.
     """
     return _blocks(model, js, *_broadcast(taus), carrier)
 
@@ -466,9 +464,9 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
         with np.errstate(over="ignore", invalid="ignore"):
             for k, arg in plus_swept:
                 x = combo_dot(arg, at)
-                if carrier:
-                    cos[k] = np.cos(js.pump_frequency * x)
                 plus[k] = js.plus.corr(x)
+                if carrier:
+                    cos[k] = _carrier(js.pump_frequency * x, plus[k])
         for k, arg in minus_swept:
             minus[k] = js.minus.corr(combo_dot(arg, at))
         yield block, [(coeff,
@@ -476,6 +474,20 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
                        None if p is None else plus[p],
                        None if m is None else minus[m])
                       for coeff, p, m in model._plan]
+
+
+def _carrier(phase, plus):
+    """cos(phase), left 0.0 on blocks of ``_MASKED_LANES`` and more where
+    ``plus`` is 0 and the phase finite.
+
+    Such a lane's term is +-0 whatever its cosine.  ``evaluate``'s fold
+    starts at +0.0 and, rounding to nearest, never reaches -0.0, so adding
+    +-0 leaves every sum as it is; a non-finite phase keeps its NaN.
+    """
+    if phase.size < _MASKED_LANES or plus.all():
+        return np.cos(phase)
+    out = np.zeros_like(phase)
+    return np.cos(phase, out=out, where=(plus != 0) | ~np.isfinite(phase))
 
 
 def evaluate(model: AnalyticModel, js: JointSpectrum, taus):

@@ -28,6 +28,7 @@ __all__ = [
     "ExpSum",
     "CascadeConfig",
     "TransferMatrix",
+    "ZeroBaselineError",
     "compose",
     "coincidence_density",
 ]
@@ -170,6 +171,10 @@ class CascadeConfig:
         return CascadeConfig(
             tuple(Stage(lbl) for lbl in labels), n_delays, input_delay
         )
+
+
+class ZeroBaselineError(ValueError):
+    """The cascade has no coincidences at large delays: nothing to normalize by."""
 
 
 @dataclass(frozen=True)

@@ -88,27 +88,75 @@ def generate_figures(out_dir: str) -> list[str]:
 _SVG_BLOCK = 4096
 #: SVG canvas size in pixels.
 _SVG_WIDTH, _SVG_HEIGHT = 720, 360
+#: ``"%.2f"`` fields of the fast path: three integer digits, the point, two
+#: decimals and a separator.
+_FIELD = 7
+
+
+def _hundredths_text(points):
+    """The ``"%.2f,%.2f"`` text of interleaved (x, y) ``points``, points
+    separated by spaces, built from integer hundredths; None where that may
+    differ from printf.
+
+    n = rint(100 v) is the correctly rounded count of hundredths unless the
+    product 100 v lands exactly on a half: the product's rounding is
+    monotone and every half under 1e5 is a double, so a product below a
+    half never rounds past it.  Negative values and -0.0, values from 1000
+    or counts from 1e5 on, NaN and the infinities are left to printf too.
+    """
+    if np.signbit(points).any() or not (points < 1e3).all():
+        return None
+    scaled = points * 100.0
+    n = np.rint(scaled)
+    if not (n < 1e5).all() or (np.abs(scaled - n) == 0.5).any():
+        return None
+    whole, cents = np.divmod(n.astype(np.int64), 100)
+    text = np.empty((len(points), _FIELD), dtype=np.uint8)
+    text[:, 0] = whole // 100 + 48
+    text[:, 1] = whole // 10 % 10 + 48
+    text[:, 2] = whole % 10 + 48
+    text[:, 3] = ord(".")
+    text[:, 4] = cents // 10 + 48
+    text[:, 5] = cents % 10 + 48
+    text[0::2, 6] = ord(",")
+    text[1::2, 6] = ord(" ")
+    keep = np.ones(text.shape, dtype=bool)
+    keep[:, 0] = whole >= 100
+    keep[:, 1] = whole >= 10
+    keep[-1, 6] = False
+    return text[keep].tobytes().decode("ascii")
 
 
 def _write_polyline(fh, xs, ys, x0, x1, y0, y1, width, height, pad) -> None:
-    """Write the points of one polyline, formatted and written in blocks."""
+    """Write the points of one polyline, formatted and written in blocks.
+
+    Each block is ``"%.2f,%.2f"`` per point, built from integer hundredths
+    where ``_hundredths_text`` allows and through printf otherwise.
+    """
     sx = (width - 2 * pad) / (x1 - x0)
     sy = (height - 2 * pad) / (y1 - y0)
     for first in range(0, len(xs), _SVG_BLOCK):
         last = min(first + _SVG_BLOCK, len(xs))
         px = pad + (xs[first:last] - x0) * sx
         py = height - pad - (ys[first:last] - y0) * sy
-        points = np.column_stack((px, py)).ravel().tolist()
+        points = np.column_stack((px, py)).ravel()
+        text = _hundredths_text(points)
+        if text is None:
+            text = " ".join(["%.2f,%.2f"] * (last - first)) % tuple(points.tolist())
         if first:
             fh.write(" ")
-        fh.write(" ".join(["%.2f,%.2f"] * (last - first)) % tuple(points))
+        fh.write(text)
 
 
 def render_svg(path: str, trace: Trace, env: EnvelopePair = None,
                title: str = "") -> None:
     """Minimal line-plot renderer: trace in black, envelopes dashed gray.
 
-    The polylines are streamed to the file in blocks of points.
+    The polylines are streamed to the file in blocks of points, each point
+    ``"%.2f,%.2f"`` in pixels.  A block's text is built from the points'
+    integer hundredths, several times faster than printf and byte for byte
+    the same; a block that holds a value the fast path cannot vouch for
+    (``_hundredths_text``) goes through printf.
     """
     pad, width, height = 40.0, _SVG_WIDTH, _SVG_HEIGHT
     x0, x1 = float(trace.taus[0]), float(trace.taus[-1])

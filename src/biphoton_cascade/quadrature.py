@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import TransferMatrix, combo_dot
+from .cascade import TransferMatrix, ZeroBaselineError, combo_dot
 from .spectra import JointSpectrum
 
 __all__ = [
@@ -379,12 +379,17 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
     fringes back, their difference can cancel while each is far off, and
     the estimate is inf; so it is when only the half grid's weights
     underflow.  A grid with an even axis holds no half grid and reports
-    None.  Weights that all underflow are refused with
+    None.  A matrix whose large-delay constant is 0 is refused with
+    ``ZeroBaselineError``, weights that all underflow with
     ``UnderflowedWeightsError``, a non-finite density with
     ``NonFiniteDensityError``.
     """
     if len(taus) != tm.n_delays:
         raise ValueError(f"expected {tm.n_delays} delays, got {len(taus)}")
+    sym = int(js.symmetry)
+    constant = tm.large_delay_constant(sym)
+    if constant == 0.0:
+        raise ZeroBaselineError("cascade has zero asymptotic coincidence baseline")
     sigmas = (js.plus.sigma, js.minus.sigma)
     (wp_nodes, wp_weights), (wm_nodes, wm_weights) = (
         _axis(nodes, grid.extent_sigmas * sigma)
@@ -399,7 +404,6 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
             f"every quadrature weight underflows to 0 at sigma_plus "
             f"{js.plus.sigma:g} and sigma_minus {js.minus.sigma:g}")
 
-    sym = int(js.symmetry)
     amps, u, index = _phases(tm, taus)
     plus, minus = _factors(amps, u, index, pump, wp_nodes, wm_nodes)
     root_plus = np.sqrt(j_plus)[:, None]
@@ -415,7 +419,6 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
             f"non-finite coincidence density at pump frequency {pump:g} "
             f"and delays ({delays})")
 
-    constant = tm.large_delay_constant(sym)
     value = float(numerator) / (constant * weights)
     if any(nodes % 2 == 0 for nodes in grid.nodes):
         return value, None

@@ -35,10 +35,19 @@ __all__ = [
 ]
 
 
-#: Cap on (sigma tau)^2 in corr.  exp(-x/2) is exactly 0 from x = 1491 on,
-#: so exp(-x/2) is 0.0 and (1 - x) * exp(-x/2) is -0.0 at and beyond the cap
-#: whether x is capped or not; only an infinite x, which gave NaN, changes.
+#: Cap on (sigma tau)^2 in corr.  exp(-x/2) is exactly 0 from x =
+#: ``_EXP_ZERO`` on, so exp(-x/2) is 0.0 and (1 - x) * exp(-x/2) is -0.0 at
+#: and beyond the cap whether x is capped or not; only an infinite x, which
+#: gave NaN, changes.
 _HERMITE_CAP = 1500.0
+#: exp(-x/2) is exactly 0.0 from this x on, and subnormal from about 1417;
+#: corr does not call exp on the lanes that give 0.0.
+_EXP_ZERO = 1491.0
+#: Array size from which corr looks for underflowed lanes: skipping their
+#: exp repays the look from about here (at 512 lanes it did not, whether
+#: half of them underflowed or none).  ``analytic`` skips their carrier
+#: from the same size.
+_MASKED_LANES = 1024
 
 
 class ProfileKind(enum.Enum):
@@ -101,15 +110,24 @@ class SpectralProfile:
         obtained by differentiating the Gaussian transform twice
         (W^2 under the integral maps to -d^2/dtau^2).  |tau| is clamped
         where (sigma tau)^2 reaches ``_HERMITE_CAP``, so the square never
-        overflows and the value far out is 0, the limit.
+        overflows and the value far out is 0, the limit.  On arrays of
+        ``_MASKED_LANES`` and more that hold an x of ``_EXP_ZERO`` or more,
+        exp runs only on the other lanes and the underflowed ones are set to
+        the 0.0 it would give; exp works lane by lane, so every bit is kept.
         """
         x = np.minimum(np.abs(np.asarray(tau, dtype=float)),
                        math.sqrt(_HERMITE_CAP) / self.sigma)
         x *= self.sigma  # x is a new array: scaled and squared in place
         x *= x
+        # A NaN lane makes the max NaN: such arrays take the plain path.
+        if x.size >= _MASKED_LANES and x.max() >= _EXP_ZERO:
+            gauss = np.zeros_like(x)
+            np.exp(-0.5 * x, out=gauss, where=x < _EXP_ZERO)
+        else:
+            gauss = np.exp(-0.5 * x)
         if self.kind is ProfileKind.GAUSSIAN:
-            return np.exp(-0.5 * x)
-        return (1.0 - x) * np.exp(-0.5 * x)
+            return gauss
+        return (1.0 - x) * gauss
 
 
 @dataclass(frozen=True)

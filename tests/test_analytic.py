@@ -45,9 +45,10 @@ from biphoton_cascade.interferogram import (
     envelopes_analytic,
     sweep,
 )
-from biphoton_cascade.presets import CLASS_SIGMAS, make_spectrum, preset_cascade
+from biphoton_cascade.presets import CLASS_SIGMAS, PRESETS, make_spectrum, preset_cascade
 from biphoton_cascade.spectra import ExchangeSymmetry, ProfileKind, SpectralProfile
 from test_expand import cascades as expand_cascades
+from test_spectra import plain_corr
 
 F = Fraction
 
@@ -742,22 +743,24 @@ def test_raw_baseline_scaling():
 # Blocked evaluation against the per-term loop it replaced
 
 def reference_evaluate(model, js, taus):
-    """evaluate as a loop over terms on whole arrays (before blocking)."""
+    """evaluate as a loop over terms on whole arrays (before blocking), with
+    exp and the carrier on every lane."""
     total = 0.0
     for t in model.terms:
         value = float(t.coeff)
         if any(t.plus_arg):
             arg = combo_dot(t.plus_arg, taus)
-            value = value * np.cos(js.pump_frequency * arg) * js.plus.corr(arg)
+            value = value * np.cos(js.pump_frequency * arg) * plain_corr(js.plus, arg)
         if any(t.minus_arg):
             arg = combo_dot(t.minus_arg, taus)
-            value = value * js.minus.corr(arg)
+            value = value * plain_corr(js.minus, arg)
         total = total + value
     return total
 
 
 def reference_envelopes(model, js, spec):
-    """envelopes_analytic as a loop over terms on whole arrays: (upper, lower)."""
+    """envelopes_analytic as a loop over terms on whole arrays, with exp on
+    every lane: (upper, lower)."""
     taus = spec.delay_vectors(model.n_delays)
     grid = spec.grid()
     base = np.zeros_like(grid)
@@ -765,11 +768,11 @@ def reference_envelopes(model, js, spec):
     for t in model.terms:
         value = float(t.coeff) * np.ones_like(grid)
         if any(t.minus_arg):
-            value = value * js.minus.corr(combo_dot(t.minus_arg, taus))
+            value = value * plain_corr(js.minus, combo_dot(t.minus_arg, taus))
         if not any(t.plus_arg):
             base = base + value
         else:
-            swing = swing + np.abs(value * js.plus.corr(combo_dot(t.plus_arg, taus)))
+            swing = swing + np.abs(value * plain_corr(js.plus, combo_dot(t.plus_arg, taus)))
     return base + swing, base - swing
 
 
@@ -826,6 +829,33 @@ def test_blocked_evaluation_is_bit_identical(cascade, symmetry, class_name,
     value = evaluate(model, js, crossed)
     assert value.shape == np.broadcast_shapes(*(np.shape(t) for t in crossed))
     assert_same_bits(value, reference_evaluate(model, js, crossed))
+
+
+@pytest.mark.parametrize("symmetry", ExchangeSymmetry)
+@pytest.mark.parametrize("preset", PRESETS)
+def test_underflowed_tails_change_no_bit(preset, symmetry):
+    """Over +-400 most lanes of every argument underflow: skipping their exp
+    and their carrier changes no bit of evaluate or envelopes_analytic.
+    A carrier phase that overflows keeps its NaN on underflowed lanes."""
+    model = model_for(preset, symmetry)
+    fixed = dict(enumerate([8.0, 22.0][:model.n_delays - 1]))
+    spec = SweepSpec(fixed=fixed, swept=model.n_delays - 1, start=-400.0,
+                     stop=400.0, samples=2 * CHUNK + 1)
+    delays = spec.delay_vectors(model.n_delays)
+    for sigmas in CLASS_SIGMAS.values():
+        js = make_spectrum(*sigmas, symmetry)
+        assert_same_bits(evaluate(model, js, delays),
+                         reference_evaluate(model, js, delays))
+        env = envelopes_analytic(model, js, spec)
+        upper, lower = reference_envelopes(model, js, spec)
+        assert_same_bits(env.upper.values, upper)
+        assert_same_bits(env.lower.values, lower)
+        if any(map(any, model.plus)):  # a carrier to overflow
+            loud = dataclasses.replace(js, pump_frequency=1e306)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = reference_evaluate(model, loud, delays)
+            assert np.isnan(expected).any()
+            assert_same_bits(evaluate(model, loud, delays), expected)
 
 
 def test_blocks_shrink_to_the_row_budget(monkeypatch):

@@ -17,6 +17,7 @@ from biphoton_cascade.cascade import (
     CascadeConfig,
     ExpSum,
     TransferMatrix,
+    ZeroBaselineError,
     combo_dot,
     compose,
 )
@@ -779,6 +780,20 @@ def test_underflowed_weights_are_refused():
     js = make_spectrum(1.0, 1e-160, ExchangeSymmetry.ANTISYMMETRIC)
     with pytest.raises(quadrature.UnderflowedWeightsError, match="underflows to 0"):
         integrate_R_with_error(HOMI, js, [0.5], suggested_grid(HOMI, js, [0.5]))
+
+
+@pytest.mark.parametrize("labels, n_delays", [([None], 0), ([None, 0, None], 1)])
+def test_zero_baseline_is_refused_as_in_the_closed_form(labels, n_delays):
+    # the large-delay constant normalises the integral; the closed form
+    # refuses these cascades with the same error
+    tm = compose(CascadeConfig.from_labels(labels, n_delays))
+    js = make_spectrum(1.0, 0.1)
+    taus = [0.5] * n_delays
+    with pytest.raises(ZeroBaselineError):
+        expand(tm, ExchangeSymmetry.SYMMETRIC)
+    for integrate in (integrate_R, integrate_R_with_error):
+        with pytest.raises(ZeroBaselineError, match="zero asymptotic coincidence baseline"):
+            integrate(tm, js, taus, suggested_grid(tm, js, taus))
 
 
 def test_estimate_is_inf_when_only_the_half_grid_underflows():

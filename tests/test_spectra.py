@@ -17,6 +17,9 @@ from biphoton_cascade.cascade import coincidence_density, compose
 from biphoton_cascade.interferogram import SweepSpec, envelopes_analytic
 from biphoton_cascade.presets import preset_cascade
 from biphoton_cascade.spectra import (
+    _EXP_ZERO,
+    _HERMITE_CAP,
+    _MASKED_LANES,
     CorrelationClass,
     ExchangeSymmetry,
     JointSpectrum,
@@ -102,6 +105,48 @@ def test_corr_is_silent_and_keeps_the_bits_of_the_unclamped_formula():
             nan = np.isnan(expected)
             assert np.array_equal(np.isnan(values), nan)
             assert values[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def plain_corr(profile: SpectralProfile, tau):
+    """``corr`` with exp on every lane, the reference for the lanes it skips."""
+    x = np.minimum(np.abs(np.asarray(tau, dtype=float)),
+                   np.sqrt(_HERMITE_CAP) / profile.sigma)
+    x *= profile.sigma
+    x *= x
+    if profile.kind is ProfileKind.GAUSSIAN:
+        return np.exp(-0.5 * x)
+    return (1.0 - x) * np.exp(-0.5 * x)
+
+
+def test_corr_skips_no_bit_where_exp_underflows():
+    """Arrays long enough to skip exp on underflowed lanes keep every bit:
+    the subnormal band x in [1416, 1491], the threshold's neighbours, the
+    cap, NaN and the infinities, 0-d inputs and odd lengths."""
+    band = np.sqrt(np.linspace(1416.0, 1491.0, 3001))
+    edge = np.sqrt([np.nextafter(_EXP_ZERO, 0.0), _EXP_ZERO,
+                    np.nextafter(_EXP_ZERO, 2e3), _HERMITE_CAP])
+    for kind in ProfileKind:
+        for sigma in (0.1, 1.0, 3.0):
+            profile = SpectralProfile(kind, sigma)
+            sweep = np.linspace(-400.0 / sigma, 400.0 / sigma, 2 * _MASKED_LANES + 1)
+            cases = [sweep, sweep[:_MASKED_LANES], sweep[:_MASKED_LANES - 1],
+                     sweep[::-1], sweep[:-1].reshape(32, -1),
+                     np.concatenate([band, edge, -band]) / sigma,
+                     np.concatenate([sweep, [np.inf, -np.inf]]),
+                     np.concatenate([sweep, [np.nan]]),
+                     np.full(_MASKED_LANES + 3, 1e3 / sigma)]
+            cases += [np.float64(t) for t in (0.0, 2.5, 40.0, 1e3, np.inf, np.nan)]
+            cases += [np.array(t / sigma) for t in edge]
+            for tau in cases:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    values = profile.corr(tau)
+                expected = plain_corr(profile, tau)
+                assert np.shape(values) == np.shape(tau)
+                nan = np.isnan(expected)
+                assert np.array_equal(np.isnan(values), nan)
+                assert np.asarray(values)[~nan].tobytes() == \
+                    np.asarray(expected)[~nan].tobytes()
 
 
 def test_hermite_gaussian_amplitude_is_odd():
