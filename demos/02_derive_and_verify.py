@@ -13,7 +13,7 @@ import biphoton_cascade as bc
 
 tm = bc.compose(bc.preset_cascade("three_param_11"))
 model = bc.expand(tm, bc.ExchangeSymmetry.SYMMETRIC)
-print(f"three_param_11 expands to {len(model.terms)} terms:")
+print(f"three_param_11 expands to {len(model.coeffs)} terms:")
 print(bc.render_text(model))
 print()
 
@@ -36,4 +36,4 @@ partner = bc.expand(bc.compose(bc.preset_cascade("three_param_2002")),
                     bc.ExchangeSymmetry.SYMMETRIC)
 print()
 print("swap rule reproduces the |2002> cascade term-for-term:",
-      swapped.terms == partner.terms)
+      swapped.same_terms(partner))

@@ -28,5 +28,5 @@ for s in structures:
 pruned = bc.asymptotic_prune(model, {0: 8.0, 1: 22.0}, swept=2,
                              js=js, threshold=1e-2)
 print()
-print(f"pruned model ({len(pruned.terms)} terms):")
+print(f"pruned model ({len(pruned.coeffs)} terms):")
 print(bc.render_text(pruned))

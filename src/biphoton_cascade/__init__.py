@@ -38,6 +38,7 @@ from .interferogram import (
     Structure,
     SweepSpec,
     Trace,
+    analytic_sweep,
     detect_structures,
     envelopes_analytic,
     envelopes_numeric,
@@ -100,6 +101,7 @@ __all__ = [
     "TransferMatrix",
     "ZeroBaselineError",
     "ExpansionTooLargeError",
+    "analytic_sweep",
     "antisymmetric_equivalence_check",
     "asymptotic_prune",
     "coincidence_density",

@@ -17,6 +17,8 @@ scale.  Rendering and the swap rule read those rows; pruning and evaluation
 read ``AnalyticModel.arrays``, the one float view, compiled once per model.
 ``AnalyticModel.terms``, the ``CosTerm`` view with ``Fraction``
 coefficients and arguments, is built only when something asks for it.
+One walk over the terms, ``_walk``, folds them into values (``evaluate``),
+into carrier-free envelopes, or into both (``interferogram.analytic_sweep``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "ExpansionTooLargeError",
     "check_delay_count",
     "expand",
-    "term_blocks",
     "evaluate",
     "swap_rule",
     "antisymmetric_equivalence_check",
@@ -134,9 +135,9 @@ class AnalyticModel:
 
     @cached_property
     def _plan(self):
-        """Each term's ``(coeff, plus, minus)`` for ``term_blocks``, built once
-        per model: the float coefficient and the term's plus and minus rows
-        of ``arrays``, None for a zero argument."""
+        """Each term's ``(coeff, plus, minus)`` for ``_walk``, built once per
+        model: the float coefficient and the term's rows of ``arrays``, which
+        index the lists ``_blocks`` yields, None for a zero argument."""
         coeffs, _, _, index = self.arrays
         return tuple((c, None if p < 0 else p, None if m < 0 else m)
                      for c, (p, m) in zip(coeffs.tolist(), index.tolist()))
@@ -366,8 +367,8 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
                                    constant, 2 * combo_scale, raw_baseline)
 
 
-#: Samples per block of the broadcast delays in ``evaluate`` and
-#: ``envelopes_analytic``.  One block's argument rows stay in cache, and the
+#: Samples per block of the broadcast delays in ``_walk``, which evaluates
+#: values and envelopes.  One block's argument rows stay in cache, and the
 #: memory held at once does not grow with the sweep.
 CHUNK = 8192
 #: Floats of argument rows one block may hold (32 MiB); models with many
@@ -375,81 +376,51 @@ CHUNK = 8192
 _ROW_BUDGET = 1 << 22
 
 
-def _split_arguments(args, taus):
-    """One side's argument rows, split by the delays they read.
-
-    Returns the fixed rows, which read only scalar delays, as their
-    indices and their stacked rows.  Then ``(k, row)`` for each swept row
-    k, one that reads an array delay, the row a list of floats so that
-    ``combo_dot`` sums one product per delay rather than taking a matrix
-    product.
-    """
+def _swept_arguments(args, taus):
+    """``(k, row)`` for each of one side's argument rows k that reads an
+    array delay, the row a list of floats so that ``combo_dot`` sums one
+    product per delay rather than taking a matrix product."""
     columns = [i for i, t in enumerate(taus) if t.ndim]
     if not columns:
-        return range(len(args)), args, []
+        return []
     swept = (args[:, columns] != 0).any(axis=1)
-    fixed = np.flatnonzero(~swept).tolist()
-    return fixed, args[fixed], [(k, args[k].tolist())
-                                for k in np.flatnonzero(swept).tolist()]
-
-
-def _broadcast(taus):
-    """The delays as float arrays, and their broadcast shape."""
-    taus = [np.asarray(t, dtype=float) for t in taus]
-    return taus, np.broadcast_shapes(*(t.shape for t in taus))
-
-
-def term_blocks(model: AnalyticModel, js: JointSpectrum, taus, carrier=True):
-    """Each term's factors over blocks of the broadcast delays.
-
-    Yields ``(block, factors)`` per block of at most ``CHUNK`` samples
-    (fewer when the argument rows would pass ``_ROW_BUDGET``), ``block`` a
-    slice of the flattened broadcast shape (scalar delays are one block of
-    one).  ``factors`` holds ``(coeff, cos, plus, minus)`` per
-    term, in model order: cos(pump_frequency * p), corr_plus(p) and
-    corr_minus(m) at the term's arguments, each None for a zero argument,
-    and ``cos`` None unless ``carrier``.  On blocks of ``_MASKED_LANES``
-    and more, ``cos`` is 0.0 where ``plus`` is 0 and the phase finite
-    (``_carrier``): the product is +-0 either way.  Every distinct nonzero
-    argument of ``model.arrays`` becomes numbers through ``combo_dot`` and
-    is shared by every term that has it.  Arguments that read only scalar
-    delays are evaluated once per call, all together: one stacked
-    ``combo_dot``, then one ``cos`` and one ``corr`` per side, their values
-    Python floats.  The others are evaluated once per block, as rows.
-    """
-    return _blocks(model, js, *_broadcast(taus), carrier)
+    return [(k, args[k].tolist()) for k in np.flatnonzero(swept).tolist()]
 
 
 def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
-    """``term_blocks`` over delays that ``_broadcast`` has converted."""
+    """Each argument row's numbers over blocks of the float delays ``taus``.
+
+    Yields ``(block, cos, plus, minus)`` per block of at most ``CHUNK``
+    samples (fewer past ``_ROW_BUDGET``), ``block`` a slice of the flattened
+    broadcast ``shape``.  Per distinct nonzero row of ``model.arrays``,
+    the lists hold cos(pump_frequency * p) (None unless ``carrier``; see
+    ``_carrier``) and corr_plus(p), or corr_minus(m).  Every row is first
+    a Python float, from one stacked ``combo_dot`` per side; the rows that
+    read an array delay are then replaced in place each block, which drops
+    the last block's.
+    """
     if js.symmetry is not model.symmetry:
         raise ValueError("joint spectrum symmetry does not match the model")
     if len(taus) != model.n_delays:
         raise ValueError(f"expected {model.n_delays} delays, got {len(taus)}")
     _, plus_args, minus_args, _ = model.arrays
     plus_args, minus_args = plus_args[:-1], minus_args[:-1]  # not the zero row
-    plus_fixed, plus_rows, plus_swept = _split_arguments(plus_args, taus)
-    minus_fixed, minus_rows, minus_swept = _split_arguments(minus_args, taus)
-    cos, plus = [None] * len(plus_args), [None] * len(plus_args)
-    minus = [None] * len(minus_args)
-    # The fixed rows at once: 0.0 stands for the array delays, which none
-    # of them reads, and a zero coefficient times 0.0 leaves each row's
-    # fold as it is.
+    plus_swept = _swept_arguments(plus_args, taus)
+    minus_swept = _swept_arguments(minus_args, taus)
+    # The array delays read as 0.0: a zero coefficient times 0.0 leaves a
+    # row's fold as it is, so a row that reads none of them gets its own
+    # bits, and the rows that do are replaced before any fold reads them.
     scalars = [0.0 if t.ndim else t for t in taus]
+    cos, plus, minus = [], [], []
     # A carrier phase that overflows makes the values NaN, which the
     # caller's finiteness check reports once, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        if plus_fixed:
-            x = combo_dot(plus_rows, scalars)
-            if carrier:
-                for k, value in zip(plus_fixed, np.cos(js.pump_frequency * x).tolist()):
-                    cos[k] = value
-            for k, value in zip(plus_fixed, js.plus.corr(x).tolist()):
-                plus[k] = value
-    if minus_fixed:
-        x = combo_dot(minus_rows, scalars)
-        for k, value in zip(minus_fixed, js.minus.corr(x).tolist()):
-            minus[k] = value
+        if len(plus_args):
+            x = combo_dot(plus_args, scalars)
+            cos = np.cos(js.pump_frequency * x).tolist() if carrier else None
+            plus = js.plus.corr(x).tolist()
+    if len(minus_args):
+        minus = js.minus.corr(combo_dot(minus_args, scalars)).tolist()
     # A basic slice of a 1-D delay is a view; more dimensions are read
     # flat, one block at a time, from the broadcast view.
     taus = [t if t.ndim == 0 else np.broadcast_to(t, shape) for t in taus]
@@ -469,25 +440,61 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
                     cos[k] = _carrier(js.pump_frequency * x, plus[k])
         for k, arg in minus_swept:
             minus[k] = js.minus.corr(combo_dot(arg, at))
-        yield block, [(coeff,
-                       None if p is None else cos[p],
-                       None if p is None else plus[p],
-                       None if m is None else minus[m])
-                      for coeff, p, m in model._plan]
+        yield block, cos, plus, minus
 
 
 def _carrier(phase, plus):
     """cos(phase), left 0.0 on blocks of ``_MASKED_LANES`` and more where
     ``plus`` is 0 and the phase finite.
 
-    Such a lane's term is +-0 whatever its cosine.  ``evaluate``'s fold
-    starts at +0.0 and, rounding to nearest, never reaches -0.0, so adding
-    +-0 leaves every sum as it is; a non-finite phase keeps its NaN.
+    Such a lane's term is +-0 whatever its cosine.  The value fold starts
+    at +0.0 and, rounding to nearest, never reaches -0.0, so adding +-0
+    leaves every sum as it is; a non-finite phase keeps its NaN.
     """
     if phase.size < _MASKED_LANES or plus.all():
         return np.cos(phase)
     out = np.zeros_like(phase)
     return np.cos(phase, out=out, where=(plus != 0) | ~np.isfinite(phase))
+
+
+def _walk(model: AnalyticModel, js: JointSpectrum, taus, values, envelopes):
+    """``(values, upper, lower)`` in the delays' broadcast shape from one
+    ``_blocks`` walk, None for a fold not run; only ``values`` reads a cosine.
+
+    Each fold keeps its own order, in model order: values sum ``coeff * cos
+    * plus * minus``; the envelopes are base +- swing, with base summing the
+    carrier-free terms' ``coeff * minus`` and swing the others' magnitudes.
+    """
+    taus = [np.asarray(t, dtype=float) for t in taus]
+    shape = np.broadcast_shapes(*(t.shape for t in taus))
+    size = math.prod(shape)
+    out = np.empty(size) if values else None
+    upper, lower = (np.empty(size), np.empty(size)) if envelopes else (None, None)
+    plan = model._plan
+    for block, cos, plus, minus in _blocks(model, js, taus, shape, values):
+        if values:
+            total = 0.0
+            for coeff, p, m in plan:
+                value = coeff
+                if p is not None:
+                    value = value * cos[p] * plus[p]
+                if m is not None:
+                    value = value * minus[m]
+                total = total + value
+            out[block] = total
+        if envelopes:
+            base = swing = 0.0
+            for coeff, p, m in plan:
+                value = coeff
+                if m is not None:
+                    value = value * minus[m]
+                if p is None:
+                    base = base + value
+                else:
+                    swing = swing + np.abs(value * plus[p])
+            upper[block] = base + swing
+            lower[block] = base - swing
+    return tuple(None if a is None else a.reshape(shape) for a in (out, upper, lower))
 
 
 def evaluate(model: AnalyticModel, js: JointSpectrum, taus):
@@ -496,19 +503,7 @@ def evaluate(model: AnalyticModel, js: JointSpectrum, taus):
     The result has the delays' broadcast shape; scalar delays give a
     scalar.
     """
-    taus, shape = _broadcast(taus)
-    out = np.empty(math.prod(shape))
-    for block, factors in _blocks(model, js, taus, shape, True):
-        total = 0.0
-        for coeff, cos, plus, minus in factors:
-            value = coeff
-            if plus is not None:
-                value = value * cos * plus
-            if minus is not None:
-                value = value * minus
-            total = total + value
-        out[block] = total
-    return out.reshape(shape)[()]
+    return _walk(model, js, taus, True, False)[0][()]
 
 
 def swap_rule(model: AnalyticModel) -> AnalyticModel:

@@ -41,7 +41,7 @@ from .interferogram import (
     QuadratureBackend,
     SweepWindowError,
     UndersampledCarrierError,
-    envelopes_analytic,
+    analytic_sweep,
     envelopes_numeric,
     fit_gaussian_sigma,
     reconstruct_spectra,
@@ -149,11 +149,11 @@ def cmd_envelope(args) -> int:
     config = _require_config(args)
     tm, model = _model(config)
     spec = _require_sweep(config)
-    trace = sweep(AnalyticBackend(model, config.spectrum), spec)
     if args.numeric:
+        trace = sweep(AnalyticBackend(model, config.spectrum), spec)
         env = envelopes_numeric(trace, config.spectrum.pump_frequency)
     else:
-        env = envelopes_analytic(model, config.spectrum, spec)
+        trace, env = analytic_sweep(model, config.spectrum, spec)
     write_trace_csv(args.out or "envelope.csv", trace, env)
     return EXIT_OK
 

@@ -96,7 +96,6 @@ _KEYS = {
     "backend": (_one_of({b: b for b in ("analytic", "quadrature", "both")}),
                 "analytic", None),
     "prune.threshold": (_threshold, 1e-6, None),
-    "outputs": (lambda key, text: text, None, None),  # legacy; read and ignored
 }
 
 

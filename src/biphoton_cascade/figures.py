@@ -19,7 +19,7 @@ from .interferogram import (
     EnvelopePair,
     SweepSpec,
     Trace,
-    envelopes_analytic,
+    analytic_sweep,
     sweep,
     write_trace_csv,
 )
@@ -63,9 +63,9 @@ def _figure_trace(fig: FigureSpec, sigmas):
         stop=fig.stop,
         samples=fig.samples,
     )
-    trace = sweep(AnalyticBackend(model, js), spec)
-    env = envelopes_analytic(model, js, spec) if fig.with_envelope else None
-    return trace, env
+    if fig.with_envelope:
+        return analytic_sweep(model, js, spec)
+    return sweep(AnalyticBackend(model, js), spec), None
 
 
 def generate_figures(out_dir: str) -> list[str]:

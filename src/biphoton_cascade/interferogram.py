@@ -32,6 +32,7 @@ __all__ = [
     "AnalyticBackend",
     "QuadratureBackend",
     "sweep",
+    "analytic_sweep",
     "envelopes_analytic",
     "envelopes_numeric",
     "reconstruct_spectra",
@@ -209,26 +210,25 @@ def envelopes_analytic(model: AnalyticModel, js: JointSpectrum,
     carrier-bearing term contributes +- its magnitude (the cosine replaced
     by the sign that maximizes or minimizes the sum).
     """
+    return _analytic_sweep(model, js, spec, False)[1]
+
+
+def analytic_sweep(model: AnalyticModel, js: JointSpectrum, spec: SweepSpec):
+    """``(Trace, EnvelopePair)`` from one walk over the terms: bit for bit the
+    values of ``sweep(AnalyticBackend(model, js), spec)`` and of
+    ``envelopes_analytic``, for about the cost of the sweep alone."""
+    return _analytic_sweep(model, js, spec, True)
+
+
+def _analytic_sweep(model: AnalyticModel, js: JointSpectrum, spec: SweepSpec,
+                    with_trace: bool):
     taus = spec.delay_vectors(model.n_delays)
     grid = taus[spec.swept]
-    upper, lower = np.empty_like(grid), np.empty_like(grid)
-    for block, factors in analytic.term_blocks(model, js, taus, carrier=False):
-        base = swing = 0.0
-        for coeff, _, plus, minus in factors:
-            value = coeff
-            if minus is not None:
-                value = value * minus
-            if plus is None:
-                base = base + value
-            else:
-                swing = swing + np.abs(value * plus)
-        upper[block] = base + swing
-        lower[block] = base - swing
+    values, upper, lower = analytic._walk(model, js, taus, with_trace, True)
     meta = {"fixed": dict(spec.fixed), "swept": spec.swept}
-    return EnvelopePair(
-        upper=Trace(grid, upper, meta),
-        lower=Trace(grid, lower, meta),
-    )
+    trace = None if values is None else Trace(grid, values, dict(meta))
+    return trace, EnvelopePair(upper=Trace(grid, upper, meta),
+                               lower=Trace(grid, lower, meta))
 
 
 def envelopes_numeric(trace: Trace, carrier_freq: float) -> EnvelopePair:
@@ -400,20 +400,20 @@ CSV_BLOCK = 4096
 
 
 def write_csv_columns(handle, columns) -> None:
-    """Write float columns as CSV rows, 17 significant digits each.
+    """Write float columns of equal length as CSV rows, 17 significant
+    digits each.
 
-    Rows are formatted and written in blocks, never as one string.  A
-    column shorter than the longest leaves its fields empty below its end.
+    Rows are formatted and written in blocks, never as one string.  Columns
+    of unequal length are refused before anything is written.
     """
-    start = 0
-    for stop in sorted({len(c) for c in columns}):
-        live = [c for c in columns if len(c) >= stop]
-        row = ",".join("%.17g" if len(c) >= stop else "" for c in columns) + "\n"
-        for first in range(start, stop, CSV_BLOCK):
-            last = min(first + CSV_BLOCK, stop)
-            values = np.column_stack([c[first:last] for c in live]).ravel()
-            handle.write(row * (last - first) % tuple(values.tolist()))
-        start = stop
+    rows = len(columns[0])
+    if any(len(c) != rows for c in columns):
+        raise ValueError("CSV columns must have equal length")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    for first in range(0, rows, CSV_BLOCK):
+        last = min(first + CSV_BLOCK, rows)
+        values = np.column_stack([c[first:last] for c in columns]).ravel()
+        handle.write(row * (last - first) % tuple(values.tolist()))
 
 
 def write_trace_csv(path_or_buffer, trace: Trace,

@@ -15,7 +15,7 @@ import numpy as np
 from . import presets
 from .analytic import antisymmetric_equivalence_check, evaluate, expand, swap_rule
 from .cascade import compose
-from .interferogram import SweepSpec, AnalyticBackend, envelopes_analytic, sweep
+from .interferogram import SweepSpec, analytic_sweep
 from .quadrature import integrate_R_with_error, suggested_grid
 from .spectra import ExchangeSymmetry
 
@@ -127,8 +127,7 @@ def _check_envelopes(rng, corrupt):
         for js in _spectra(ExchangeSymmetry.SYMMETRIC):
             spec = SweepSpec(fixed=dict(fixed), swept=tm.n_delays - 1,
                              start=-12.0, stop=12.0, samples=1201)
-            trace = sweep(AnalyticBackend(model, js), spec)
-            env = envelopes_analytic(model, js, spec)
+            trace, env = analytic_sweep(model, js, spec)
             breach = max(
                 float((trace.values - env.upper.values).max()),
                 float((env.lower.values - trace.values).max()),

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import runpy
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biphoton_cascade import analytic, cli
+from biphoton_cascade import analytic, cli, figures, validation
 from biphoton_cascade.analytic import (
     CHUNK,
     AnalyticModel,
@@ -42,6 +43,7 @@ from biphoton_cascade.config import load_config
 from biphoton_cascade.interferogram import (
     AnalyticBackend,
     SweepSpec,
+    analytic_sweep,
     envelopes_analytic,
     sweep,
 )
@@ -795,6 +797,10 @@ def assert_blocked_matches_reference(model, js, taus, swept, samples):
     upper, lower = reference_envelopes(model, js, spec)
     assert_same_bits(env.upper.values, upper)
     assert_same_bits(env.lower.values, lower)
+    trace, env = analytic_sweep(model, js, spec)
+    assert_same_bits(trace.values, reference_evaluate(model, js, delays))
+    assert_same_bits(env.upper.values, upper)
+    assert_same_bits(env.lower.values, lower)
 
 
 @given(
@@ -863,8 +869,8 @@ def test_blocks_shrink_to_the_row_budget(monkeypatch):
     model = model_for("three_param_2002")
     js = make_spectrum(1.0, 0.1)
     monkeypatch.setattr(analytic, "_ROW_BUDGET", 1000)
-    blocks = [block for block, _ in analytic.term_blocks(
-        model, js, [8.0, 22.0, np.linspace(-80.0, 80.0, 1001)])]
+    taus = [np.asarray(8.0), np.asarray(22.0), np.linspace(-80.0, 80.0, 1001)]
+    blocks = [block for block, *_ in analytic._blocks(model, js, taus, (1001,), True)]
     assert 1 < len(blocks) and all(b.stop - b.start < CHUNK for b in blocks)
     assert_blocked_matches_reference(model, js, [8.0, 22.0, 3.0], 1, 1001)
     assert_blocked_matches_reference(model, js, [8.0, 22.0, 3.0], 2, 1001)
@@ -876,7 +882,10 @@ def test_blocked_evaluation_memory_is_bounded():
     The per-term loop held several sweep-length temporaries at once:
     38 MiB for evaluate and 69 MiB for envelopes_analytic here.  Blocks
     hold one block's argument rows, so the peak is the outputs (the grid
-    and one or two result arrays, 7.6 MiB each) plus about 15 MiB.
+    and one to three result arrays, 7.6 MiB each) plus about 15 MiB.
+    evaluate holds at most that one block beyond its result: each row is
+    dropped as the next block's is built (a list of per-term factors kept
+    the last block's rows alive, 17.4 MiB against 12.7 MiB).
     """
     model = expand(compose(CascadeConfig.from_labels([0, 1, 2, 3], 4)),
                    ExchangeSymmetry.SYMMETRIC)
@@ -884,9 +893,13 @@ def test_blocked_evaluation_memory_is_bounded():
     spec = SweepSpec(fixed={1: 12.0, 2: 19.0, 3: 26.0}, swept=0,
                      start=-80.0, stop=80.0, samples=10**6)
     taus = spec.delay_vectors(4)
+    _, plus, minus, _ = model.arrays
+    swept_rows = 2 * int((plus[:, 0] != 0).sum()) + int((minus[:, 0] != 0).sum())
+    block = swept_rows * CHUNK * 8  # one block's argument rows, in bytes
     mib = 2**20
     for call, args, outputs in ((evaluate, (model, js, taus), 1),
-                                (envelopes_analytic, (model, js, spec), 3)):
+                                (envelopes_analytic, (model, js, spec), 3),
+                                (analytic_sweep, (model, js, spec), 4)):
         tracemalloc.start()
         try:
             call(*args)
@@ -894,3 +907,33 @@ def test_blocked_evaluation_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < outputs * 8 * 10**6 + 20 * mib, (call.__name__, peak / mib)
+        if call is evaluate:
+            assert peak < 8 * 10**6 + block + 2 * mib, (peak / mib, block / mib)
+
+
+def test_a_trace_and_its_envelopes_take_one_walk(monkeypatch, tmp_path):
+    """The callers that want a trace and its analytic envelopes walk the
+    terms once per sweep; envelope --numeric sweeps once and demodulates."""
+    walks = []
+    blocks = analytic._blocks
+
+    def counting(*args):
+        walks.append(args)
+        return blocks(*args)
+
+    def count(run):
+        walks.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            run()
+        return len(walks)
+
+    monkeypatch.setattr(analytic, "_blocks", counting)
+    config = str(CONFIG_DIR / "two_param_2002_correlated.cfg")
+    for numeric in ([], ["--numeric"]):
+        argv = ["envelope", *numeric, "--config", config, "--out", str(tmp_path / "e.csv")]
+        assert count(lambda: cli.main(argv)) == 1
+    fig = next(f for f in figures.FIGURES if f.with_envelope)
+    assert count(lambda: figures._figure_trace(fig, CLASS_SIGMAS["correlated"])) == 1
+    assert count(lambda: validation._check_envelopes(None, False)) == 2 * len(CLASS_SIGMAS)
+    demo = Path(__file__).resolve().parents[1] / "demos" / "03_envelopes_and_reconstruction.py"
+    assert count(lambda: runpy.run_path(str(demo))) == 1

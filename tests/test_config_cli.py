@@ -127,10 +127,6 @@ def test_value_errors_come_in_file_order_before_cross_key_errors():
     assert str(info.value) == "sweep.swept: delay 5 out of range for 1 delays"
 
 
-def test_legacy_outputs_key_is_accepted_and_ignored():
-    assert parse_config(BASE_CONFIG + "outputs = figs\n") == parse_config(BASE_CONFIG)
-
-
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -581,6 +577,7 @@ def test_derive_prune_needs_a_usable_sweep_and_threshold(tmp_path, text, message
          "grid.extent: has no effect without grid.nodes"),
         ("cascade.preset = noon\ngrid.nodes = 65\ngrid.rule = trapezoid\n",
          "line 3: unknown key 'grid.rule'"),
+        (BASE_CONFIG + "outputs = figs\n", "line 10: unknown key 'outputs'"),
         ("cascade.preset = noon\nsweep.samples = 5\n",
          "sweep.samples: has no effect without sweep.swept"),
         ("cascade.preset = noon\nsweep.fixed.0 = 5\n",
@@ -588,8 +585,8 @@ def test_derive_prune_needs_a_usable_sweep_and_threshold(tmp_path, text, message
     ],
     ids=["misspelled_sweep", "misspelled_spectrum", "repeated", "repeated_fixed",
          "stages_with_preset", "n_delays_with_preset", "input_delay_with_preset",
-         "extent_without_nodes", "rule_is_unknown", "samples_without_swept",
-         "fixed_without_swept"],
+         "extent_without_nodes", "rule_is_unknown", "outputs_is_unknown",
+         "samples_without_swept", "fixed_without_swept"],
 )
 def test_unknown_repeated_and_idle_keys_are_refused_in_one_line(tmp_path, capsys,
                                                                 text, message):

@@ -243,10 +243,7 @@ def test_csv_round_trip_with_envelopes(tmp_path):
 
 def per_row_csv(columns):
     """CSV rows formatted one value at a time, as the writers did before."""
-    lines = []
-    for i in range(max(len(c) for c in columns)):
-        lines.append(",".join(f"{c[i]:.17g}" if i < len(c) else "" for c in columns))
-    return "".join(line + "\n" for line in lines)
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns, strict=True))
 
 
 @pytest.mark.parametrize("rows", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
@@ -254,11 +251,13 @@ def test_block_csv_matches_per_row_formatting(rows):
     rng = np.random.default_rng(rows)
     values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
     values[::7] = -0.0
-    columns = [np.linspace(-1.0, 1.0, rows), values,
-               values[: rows // 2 + 1], np.arange(rows // 3 + 1) / 3.0]
+    columns = [np.linspace(-1.0, 1.0, rows), values, values[::-1], np.arange(rows) / 3.0]
     buffer = io.StringIO()
     write_csv_columns(buffer, columns)
     assert buffer.getvalue() == per_row_csv(columns)
+    with pytest.raises(ValueError, match="equal length"):
+        write_csv_columns(buffer, [columns[0], values[: rows // 2]])
+    assert buffer.getvalue() == per_row_csv(columns)  # nothing more written
     trace = Trace(columns[0], values)
     env = EnvelopePair(Trace(columns[0], values + 1.0), Trace(columns[0], values - 1.0))
     buffer = io.StringIO()
