@@ -3,7 +3,7 @@
 ``expand`` squares the two-amplitude coincidence density symbolically, from
 signal- and idler-side correlations of the matrix entries, and integrates it
 term by term against the factorable joint spectrum.  Each surviving term is
-a product of the two correlation functions at rational delay combinations:
+a product of the two correlation functions at half-integer delay combinations:
 
     R_N(taus) = sum_k  coeff_k * g_plus(p_k . taus) * g_minus(m_k . taus)
 
@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cascade import TransferMatrix, ZeroBaselineError, combo_dot, common_scales
+from .cascade import TransferMatrix, ZeroBaselineError, combo_dot
 from .spectra import _HERMITE_CAP, _MASKED_LANES, ExchangeSymmetry, JointSpectrum
 
 __all__ = [
@@ -66,10 +66,14 @@ class AnalyticModel:
     Term k has coefficient ``coeffs[k] / coeff_scale`` and arguments
     ``plus[k] / arg_scale`` and ``minus[k] / arg_scale``: integer
     numerators and integer rows, each set over one denominator kept in
-    lowest terms, so structural equality is semantic equality.  ``expand``
-    sorts the terms by their (plus, minus) rows, which puts the constant
-    first.  ``arrays`` is the float view that pruning and evaluation read,
-    and ``terms`` the rational ``CosTerm`` view; each is built on demand.
+    lowest terms, so ``==`` is semantic equality: the same delay count,
+    symmetry and term list.  ``expand`` normalizes the model to its
+    large-delay baseline, so the constant term is 1, and sorts the terms by
+    their (plus, minus) rows, which puts the constant first.  (The baseline
+    before normalization is ``tm.large_delay_constant(symmetry) /
+    4**tm.stage_count``.)  ``arrays`` is the float view that pruning and
+    evaluation read, and ``terms`` the rational ``CosTerm`` view; each is
+    built on demand.
     """
 
     coeffs: tuple  # tuple[int, ...]
@@ -79,13 +83,10 @@ class AnalyticModel:
     symmetry: ExchangeSymmetry
     coeff_scale: int = 1
     arg_scale: int = 1
-    #: Unnormalized baseline: R(taus -> inf) including the 1/2^(2n) factor.
-    raw_baseline: Fraction = Fraction(1)
 
     @staticmethod
     def from_rows(coeffs, plus, minus, n_delays: int, symmetry: ExchangeSymmetry,
-                  coeff_scale: int = 1, arg_scale: int = 1,
-                  raw_baseline: Fraction = Fraction(1)) -> "AnalyticModel":
+                  coeff_scale: int = 1, arg_scale: int = 1) -> "AnalyticModel":
         """The model of integer terms in the order given, over the least scales.
 
         Numerators and rows are sequences or arrays, int64 or ``object``.
@@ -99,11 +100,10 @@ class AnalyticModel:
                        rows.reshape(2, len(coeffs), n_delays).tolist())
         return AnalyticModel(tuple((coeffs // coeff_gcd).tolist()), plus, minus,
                              n_delays, symmetry, coeff_scale // coeff_gcd,
-                             arg_scale // arg_gcd, raw_baseline)
+                             arg_scale // arg_gcd)
 
     @staticmethod
-    def from_terms(terms, n_delays: int, symmetry: ExchangeSymmetry,
-                   raw_baseline: Fraction = Fraction(1)) -> "AnalyticModel":
+    def from_terms(terms, n_delays: int, symmetry: ExchangeSymmetry) -> "AnalyticModel":
         """The model of rational ``CosTerm``s, in the order given."""
         terms = [(Fraction(t.coeff), tuple(map(Fraction, t.plus_arg)),
                   tuple(map(Fraction, t.minus_arg))) for t in terms]
@@ -113,7 +113,7 @@ class AnalyticModel:
             [int(c * coeff_scale) for c, _, _ in terms],
             [tuple(int(v * arg_scale) for v in p) for _, p, _ in terms],
             [tuple(int(v * arg_scale) for v in m) for _, _, m in terms],
-            n_delays, symmetry, coeff_scale, arg_scale, raw_baseline)
+            n_delays, symmetry, coeff_scale, arg_scale)
 
     @cached_property
     def terms(self):
@@ -148,12 +148,6 @@ class AnalyticModel:
             if not (any(p) or any(m)):
                 return Fraction(c, self.coeff_scale)
         return Fraction(0)
-
-    def same_terms(self, other: "AnalyticModel") -> bool:
-        """True iff both term lists are equal, whatever the baselines."""
-        return (self.coeffs, self.plus, self.minus, self.coeff_scale,
-                self.arg_scale) == (other.coeffs, other.plus, other.minus,
-                                    other.coeff_scale, other.arg_scale)
 
 
 def _int_array(values):
@@ -309,19 +303,18 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     g_plus/g_minus product with half-integer delay arguments; sign-folded
     cells merge to real cosine terms, divided by the constant r(0, 0).
 
-    All of this runs on an integer lattice: the entries' integer amplitudes
-    and delay combinations are brought to common scales, and arguments are
-    kept doubled, so that the halves stay integral.  Each term's canonical
-    (plus, minus) arguments pack into one key (int64 unless the lattice is
-    very wide) that sorts in their lexicographic order.  The model keeps
-    the merged integers over the least scales.  The correlation pairs and
-    the cells are counted before they are built, and a cascade that would
-    take more than ``EXPAND_MEMORY_BUDGET`` is refused with
-    ``ExpansionTooLargeError``.
+    All of this runs on an integer lattice: the entries' amplitudes and
+    delay rows are integers, and arguments are kept doubled, so that the
+    halves stay integral.  Each term's canonical (plus, minus) arguments
+    pack into one key (int64 unless the lattice is very wide) that sorts in
+    their lexicographic order.  The model keeps the merged integers over
+    the least scales.  The correlation pairs and the cells are counted
+    before they are built, and a cascade that would take more than
+    ``EXPAND_MEMORY_BUDGET`` is refused with ``ExpansionTooLargeError``.
     """
     n = tm.n_delays
-    amp_scale, combo_scale, scaled = common_scales((tm.A, tm.B, tm.C, tm.D))
-    amps, combos = zip(*scaled)
+    entries = (tm.A, tm.B, tm.C, tm.D)
+    amps, combos = [e.amps for e in entries], [e.rows for e in entries]
     # Rows within an entry are distinct, so by Cauchy-Schwarz a correlation
     # is at most |E| |F|.  A term collects one (dx, dy) per sign of each
     # half from each of the four products, so every sum, partial or not,
@@ -361,10 +354,8 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
     # (dx, dy) and (-dx, -dy).
     rows = pair.unpack(keys[nonzero])
     sums = sums[nonzero]
-    constant = int(sums[0])
-    raw_baseline = Fraction(constant, amp_scale ** 4) / 2 ** (2 * tm.stage_count)
     return AnalyticModel.from_rows(sums, rows[:, :n], rows[:, n:], n, symmetry,
-                                   constant, 2 * combo_scale, raw_baseline)
+                                   int(sums[0]), 2)
 
 
 #: Samples per block of the broadcast delays in ``_walk``, which evaluates
@@ -378,8 +369,9 @@ _ROW_BUDGET = 1 << 22
 
 def _swept_arguments(args, taus):
     """``(k, row)`` for each of one side's argument rows k that reads an
-    array delay, the row a list of floats so that ``combo_dot`` sums one
-    product per delay rather than taking a matrix product."""
+    array delay.  The row is a list of floats, for ``combo_dot``'s sequence
+    branch: the stacked branch cannot add an array delay's products into a
+    1-D row's 0-d total, and the sequence branch skips zero coefficients."""
     columns = [i for i, t in enumerate(taus) if t.ndim]
     if not columns:
         return []
@@ -530,7 +522,7 @@ def antisymmetric_equivalence_check(tm_a: TransferMatrix,
     """True iff the two cascades are indistinguishable for fermionic pairs."""
     model_a = expand(tm_a, ExchangeSymmetry.ANTISYMMETRIC)
     model_b = expand(tm_b, ExchangeSymmetry.ANTISYMMETRIC)
-    return model_a.same_terms(model_b)
+    return model_a == model_b
 
 
 def _corr_product_peaks(js: JointSpectrum, fix, slope):
@@ -588,6 +580,18 @@ def _corr_product_peaks(js: JointSpectrum, fix, slope):
     return np.where(vanishing, 0.0, np.where(finite, peaks, np.nan))
 
 
+def _delay_vector(n_delays: int, fixed: dict, swept: int, value):
+    """Each delay of a sweep: ``value`` at index ``swept``, ``fixed[i]`` at
+    every other index i; refused if ``swept`` is out of range or ``fixed``
+    misses an index."""
+    if not 0 <= swept < n_delays:
+        raise ValueError(f"swept delay {swept} out of range for {n_delays} delays")
+    missing = set(range(n_delays)) - {swept} - set(fixed)
+    if missing:
+        raise ValueError(f"fixed delays missing indices {sorted(missing)}")
+    return [value if i == swept else fixed[i] for i in range(n_delays)]
+
+
 def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
                      js: JointSpectrum, threshold: float) -> AnalyticModel:
     """Drop terms whose peak magnitude along the swept delay is below threshold.
@@ -600,13 +604,8 @@ def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    if not 0 <= swept < model.n_delays:
-        raise ValueError(f"swept delay {swept} out of range for {model.n_delays} delays")
-    missing = set(range(model.n_delays)) - {swept} - set(fixed)
-    if missing:
-        raise ValueError(f"fixed delays missing indices {sorted(missing)}")
     # The swept delay at 0.0 adds an exact zero, leaving the fixed part.
-    at_origin = [0.0 if i == swept else fixed[i] for i in range(model.n_delays)]
+    at_origin = _delay_vector(model.n_delays, fixed, swept, 0.0)
     coeffs, plus, minus, index = model.arrays
     args = np.stack([plus[index[:, 0]], minus[index[:, 1]]], axis=1)
     peaks = np.abs(coeffs) * _corr_product_peaks(
@@ -614,8 +613,7 @@ def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
     kept = np.flatnonzero(~(peaks < threshold) | (index < 0).all(axis=1)).tolist()
     return AnalyticModel.from_rows(
         *([rows[k] for k in kept] for rows in (model.coeffs, model.plus, model.minus)),
-        model.n_delays, model.symmetry, model.coeff_scale, model.arg_scale,
-        model.raw_baseline)
+        model.n_delays, model.symmetry, model.coeff_scale, model.arg_scale)
 
 
 def _render(model: AnalyticModel, latex: bool) -> str:

@@ -2,21 +2,18 @@
 
 A cascade of 50:50 beam splitters with per-stage relative delays acts on
 the (signal, idler) pair as a 2x2 matrix whose entries are finite sums of
-complex exponentials ``amp * exp(-i * omega * (combo . taus))``.  An entry
-holds integer amplitude numerators and integer delay-combination rows,
-each set over one denominator (``amp_scale``, ``combo_scale``) kept in
-lowest terms, so symbolic equality checks are exact and structural.  The
+complex exponentials ``amp * exp(-i * omega * (combo . taus))``.  With
+unit delays and the splitters' 1 and -1, every amplitude is an integer and
+every delay combination an integer row, so an entry holds exactly those
+integers and symbolic equality checks are exact and structural.  The
 global ``(1/sqrt 2)^stages`` factor is bookkept separately via
 ``stage_count``.  ``ExpSum.arrays`` is the float view of an entry, compiled
-once and read by every numeric caller; ``ExpSum.terms`` is its rational
-view, built on demand.
+once and read by every numeric caller.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -60,49 +57,27 @@ def combo_dot(combo, taus):
 
 @dataclass(frozen=True)
 class ExpSum:
-    """Sum of terms amp * exp(-i * omega * (combo . taus)), amp rational.
+    """Sum of terms amp * exp(-i * omega * (row . taus)), amp and row integral.
 
-    Term k has amplitude ``amps[k] / amp_scale`` and combination
-    ``rows[k] / combo_scale``.  Rows are distinct and sorted, amplitudes
-    nonzero, and each scale the least that keeps its integers integral, so
-    structural equality is semantic equality.
+    Rows are distinct and sorted and amplitudes nonzero, so structural
+    equality is semantic equality.
     """
 
     amps: tuple  # tuple[int, ...]
     rows: tuple  # tuple[tuple[int, ...], ...]
     n_delays: int
-    amp_scale: int = 1
-    combo_scale: int = 1
 
     @staticmethod
-    def from_rows(merged: dict, n_delays: int, amp_scale: int = 1,
-                  combo_scale: int = 1) -> "ExpSum":
-        """The sum of ``{row: amp}`` integer terms over the given least scales."""
+    def from_rows(merged: dict, n_delays: int) -> "ExpSum":
+        """The sum of ``{row: amp}`` integer terms; zero amplitudes drop."""
         kept = sorted((row, amp) for row, amp in merged.items() if amp)
         return ExpSum(tuple(amp for _, amp in kept), tuple(row for row, _ in kept),
-                      n_delays, amp_scale, combo_scale)
+                      n_delays)
 
-    @staticmethod
-    def from_terms(terms, n_delays: int) -> "ExpSum":
-        """The sum of rational ``(amp, combo)`` terms; equal combos merge."""
-        merged: dict = {}
-        for amp, combo in terms:
-            combo = tuple(map(Fraction, combo))
-            merged[combo] = merged.get(combo, 0) + Fraction(amp)
-        kept = {combo: amp for combo, amp in merged.items() if amp}
-        # The LCMs of the surviving reduced denominators are the least scales.
-        amp_scale = math.lcm(*(amp.denominator for amp in kept.values()))
-        combo_scale = math.lcm(*(c.denominator for combo in kept for c in combo))
-        return ExpSum.from_rows(
-            {tuple(int(c * combo_scale) for c in combo): int(amp * amp_scale)
-             for combo, amp in kept.items()}, n_delays, amp_scale, combo_scale)
-
-    @cached_property
+    @property
     def terms(self):
-        """Rational view: ``(amp, combo)`` pairs of ``Fraction``s, in row order."""
-        value = {c: Fraction(c, self.combo_scale) for row in self.rows for c in row}
-        return tuple((Fraction(amp, self.amp_scale), tuple(value[c] for c in row))
-                     for amp, row in zip(self.amps, self.rows))
+        """``(amp, row)`` integer pairs, in row order."""
+        return tuple(zip(self.amps, self.rows))
 
     @cached_property
     def arrays(self):
@@ -119,23 +94,11 @@ class ExpSum:
 
 
 def _compile_terms(entry: ExpSum):
-    # int / int is correctly rounded: the floats of the reduced fractions.
-    amps = np.array([amp / entry.amp_scale for amp in entry.amps], dtype=float)
-    combos = np.array([[c / entry.combo_scale for c in row] for row in entry.rows],
-                      dtype=float).reshape(len(entry.rows), entry.n_delays)
+    amps = np.array(entry.amps, dtype=float)
+    combos = np.array(entry.rows, dtype=float).reshape(len(entry.rows), entry.n_delays)
     for array in (amps, combos):  # shared by every caller of the cached sum
         array.flags.writeable = False
     return amps, combos
-
-
-def common_scales(entries):
-    """The entries' common scales, and each entry's amplitudes and rows over them."""
-    amp_scale = math.lcm(*(e.amp_scale for e in entries))
-    combo_scale = math.lcm(*(e.combo_scale for e in entries))
-    return amp_scale, combo_scale, [
-        ([amp * (amp_scale // e.amp_scale) for amp in e.amps],
-         [tuple(c * (combo_scale // e.combo_scale) for c in row) for row in e.rows])
-        for e in entries]
 
 
 @dataclass(frozen=True)
@@ -253,15 +216,13 @@ def _large_delay_moments(tm: TransferMatrix):
     each of those is one amplitude product and the sums separate:
     even = |A|^2 |D|^2 + |B|^2 |C|^2 and cross = 2 <A,B> <D,C>.
     """
-    amp_scale, _, scaled = common_scales((tm.A, tm.B, tm.C, tm.D))
-    a, b, c, d = (dict(zip(rows, amps)) for amps, rows in scaled)
+    a, b, c, d = (dict(zip(e.rows, e.amps)) for e in (tm.A, tm.B, tm.C, tm.D))
 
     def inner(x: dict, y: dict) -> int:
         return sum(amp * y.get(row, 0) for row, amp in x.items())
 
-    even = inner(a, a) * inner(d, d) + inner(b, b) * inner(c, c)
-    return (Fraction(even, amp_scale ** 4),
-            Fraction(2 * inner(a, b) * inner(d, c), amp_scale ** 4))
+    return (inner(a, a) * inner(d, d) + inner(b, b) * inner(c, c),
+            2 * inner(a, b) * inner(d, c))
 
 
 def _shift(entry: dict, column: int) -> dict:

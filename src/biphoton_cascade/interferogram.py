@@ -95,16 +95,7 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.samples)
 
     def delay_vectors(self, n_delays: int):
-        if not 0 <= self.swept < n_delays:
-            raise ValueError(f"swept delay {self.swept} out of range for {n_delays} delays")
-        missing = set(range(n_delays)) - {self.swept} - set(self.fixed)
-        if missing:
-            raise ValueError(f"fixed delays missing indices {sorted(missing)}")
-        taus = []
-        grid = self.grid()
-        for i in range(n_delays):
-            taus.append(grid if i == self.swept else self.fixed[i])
-        return taus
+        return analytic._delay_vector(n_delays, self.fixed, self.swept, self.grid())
 
 
 @dataclass(frozen=True)
@@ -128,8 +119,12 @@ class EnvelopePair:
     def __post_init__(self):
         if not np.array_equal(self.upper.taus, self.lower.taus):
             raise ValueError("envelope traces must share the delay grid")
-        if np.any(self.lower.values > self.upper.values + 1e-9):
-            raise ValueError("lower envelope exceeds upper envelope")
+        # Block by block, so the check holds no sample-length temporary.
+        lower, upper = self.lower.values, self.upper.values
+        for start in range(0, len(upper), analytic.CHUNK):
+            block = slice(start, start + analytic.CHUNK)
+            if np.any(lower[block] > upper[block] + 1e-9):
+                raise ValueError("lower envelope exceeds upper envelope")
 
 
 @dataclass(frozen=True)

@@ -85,9 +85,9 @@ def _check_parity(chain, counts, odd, even, detail, rng, corrupt):
     """
     odd, even = (expand(compose(presets.preset_cascade(name)), ExchangeSymmetry.SYMMETRIC)
                  for name in (odd, even))
-    ok = all(expand(compose(chain(n)), ExchangeSymmetry.SYMMETRIC).same_terms(
-        odd if (n % 2 == 1) != (corrupt and n == counts[-1]) else even)
-        for n in counts)
+    ok = all(expand(compose(chain(n)), ExchangeSymmetry.SYMMETRIC) ==
+             (odd if (n % 2 == 1) != (corrupt and n == counts[-1]) else even)
+             for n in counts)
     return ok, detail
 
 
@@ -103,7 +103,7 @@ def _check_swap(rng, corrupt):
         swapped = swap_rule(model_a)
         if corrupt:
             swapped = model_a
-        ok = ok and swapped.same_terms(model_b)
+        ok = ok and swapped == model_b
     return ok, "swap rule maps each |1,1> model to its |2002> counterpart"
 
 

@@ -267,6 +267,18 @@ def test_out_of_range_swept_delay_is_refused(swept):
         sweep(AnalyticBackend(model, js), spec)
 
 
+def test_missing_fixed_delay_is_refused():
+    model = model_for("three_param_2002")
+    js = make_spectrum(1.0, 0.1)
+    fixed = {1: 22.0}
+    message = r"^fixed delays missing indices \[0\]$"
+    with pytest.raises(ValueError, match=message):
+        asymptotic_prune(model, fixed, 2, js, 1e-2)
+    spec = SweepSpec(fixed=fixed, swept=2, start=-40.0, stop=40.0, samples=101)
+    with pytest.raises(ValueError, match=message):
+        sweep(AnalyticBackend(model, js), spec)
+
+
 def sampled_peak(js, fix, slope):
     """Largest sampled |corr_plus * corr_minus| along t, independent of the
     closed form: a grid over both centres, refined around each local maximum."""
@@ -563,8 +575,6 @@ def test_model_scales_are_in_lowest_terms():
             whole.arg_scale) == ((4, -1), 4, ((0,), (1,)), ((0,), (2,)), 1)
     assert whole == AnalyticModel.from_terms(
         [term(1, (0,), (0,)), term("-1/4", (1,), (2,))], 1, symmetric)
-    rebased = dataclasses.replace(whole, raw_baseline=F(7))
-    assert rebased != whole and rebased.same_terms(whole)
 
 
 @given(cascade=expand_cascades(), symmetry=st.sampled_from(ExchangeSymmetry),
@@ -583,8 +593,7 @@ def test_rational_view_round_trips_over_least_scales(cascade, symmetry, data):
     threshold = data.draw(st.sampled_from([0.0, 1e-6, 1e-2, 0.3]))
     pruned = asymptotic_prune(model, fixed, swept, js, threshold)
     for m in (model, swap_rule(model), pruned):
-        assert AnalyticModel.from_terms(m.terms, m.n_delays, m.symmetry,
-                                        m.raw_baseline) == m
+        assert AnalyticModel.from_terms(m.terms, m.n_delays, m.symmetry) == m
         assert m.coeff_scale == math.lcm(*(t.coeff.denominator for t in m.terms))
         assert m.arg_scale == math.lcm(*(c.denominator for t in m.terms
                                          for c in t.plus_arg + t.minus_arg))
@@ -612,7 +621,7 @@ def test_integer_consumers_leave_the_rational_view_unbuilt(monkeypatch):
     spec = SweepSpec(fixed=fixed, swept=2, start=-40.0, stop=40.0, samples=101)
     envelopes_analytic(model, js, spec)
     swapped = swap_rule(model)
-    assert model.constant == 1 and model.same_terms(swap_rule(swapped))
+    assert model.constant == 1 and model == swap_rule(swapped)
     assert antisymmetric_equivalence_check(
         compose(preset_cascade("three_param_11")),
         compose(preset_cascade("three_param_2002")))
@@ -734,11 +743,13 @@ def test_render_latex_mentions_all_terms():
 
 
 def test_raw_baseline_scaling():
-    # constant = 2^(2n) * sum of squared path amplitudes / normalization;
-    # for the (n+1)-splitter |2002> chains half the paths interfere away.
-    assert model_for("homi").raw_baseline == F(1, 2)
-    assert model_for("two_param_11").raw_baseline == F(1, 2)
-    assert model_for("three_param_11").raw_baseline == F(1, 2)
+    # The baseline before normalization, R(taus -> inf) with its 1/2^(2n)
+    # factor, is the large-delay constant over 4^n: the sum of squared
+    # merged path amplitudes, half of which interfere away.
+    for name in ("homi", "two_param_11", "three_param_11"):
+        tm = compose(preset_cascade(name))
+        constant = tm.large_delay_constant(int(ExchangeSymmetry.SYMMETRIC))
+        assert constant / 4 ** tm.stage_count == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -886,6 +897,10 @@ def test_blocked_evaluation_memory_is_bounded():
     evaluate holds at most that one block beyond its result: each row is
     dropped as the next block's is built (a list of per-term factors kept
     the last block's rows alive, 17.4 MiB against 12.7 MiB).
+    envelopes_analytic peaks in its walk, not in EnvelopePair's order check
+    after it: checked block by block, that adds at most one block's sum and
+    mask (9 bytes a sample) to memory the walk has freed, where a check on
+    whole arrays peaked 3.4 MiB above the walk.
     """
     model = expand(compose(CascadeConfig.from_labels([0, 1, 2, 3], 4)),
                    ExchangeSymmetry.SYMMETRIC)
@@ -897,18 +912,26 @@ def test_blocked_evaluation_memory_is_bounded():
     swept_rows = 2 * int((plus[:, 0] != 0).sum()) + int((minus[:, 0] != 0).sum())
     block = swept_rows * CHUNK * 8  # one block's argument rows, in bytes
     mib = 2**20
+
+    def envelope_walk(model, js, spec):
+        return analytic._walk(model, js, spec.delay_vectors(4), False, True)
+
+    peaks = {}
     for call, args, outputs in ((evaluate, (model, js, taus), 1),
+                                (envelope_walk, (model, js, spec), 3),
                                 (envelopes_analytic, (model, js, spec), 3),
                                 (analytic_sweep, (model, js, spec), 4)):
         tracemalloc.start()
         try:
             call(*args)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = peaks[call] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < outputs * 8 * 10**6 + 20 * mib, (call.__name__, peak / mib)
         if call is evaluate:
             assert peak < 8 * 10**6 + block + 2 * mib, (peak / mib, block / mib)
+    assert peaks[envelopes_analytic] <= peaks[envelope_walk] + 9 * CHUNK, \
+        (peaks[envelopes_analytic] / mib, peaks[envelope_walk] / mib)
 
 
 def test_a_trace_and_its_envelopes_take_one_walk(monkeypatch, tmp_path):

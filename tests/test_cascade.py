@@ -17,12 +17,13 @@ from biphoton_cascade.cascade import (
 )
 from biphoton_cascade.presets import (
     CLASS_SIGMAS,
+    PRESETS,
     make_spectrum,
     preset_cascade,
     single_delay_chain,
 )
 from biphoton_cascade.spectra import ExchangeSymmetry
-from test_expand import cascades, rational_matrices
+from test_expand import cascades, integer_matrices
 
 F = Fraction
 
@@ -139,9 +140,14 @@ def test_delay_label_out_of_range():
 
 
 def test_expsum_merges_amplitudes_exactly():
-    half = (Fraction(1, 2), (1,))
-    merged = ExpSum.from_terms([half, half], 1)
-    assert merged.terms == ExpSum.from_terms([(1, (1,))], 1).terms
+    # Equal rows merge in compose's shift-and-add, and amplitudes that
+    # cancel drop there; from_rows drops zeros and sorts the rows, so equal
+    # sums are equal ExpSums.
+    one = {(1,): 1}
+    assert ExpSum.from_rows(cascade_module._combine(one, one, 1), 1) == \
+        ExpSum((2,), ((1,),), 1)
+    assert ExpSum.from_rows(cascade_module._combine(one, one, -1), 1) == \
+        ExpSum((), (), 1)
 
 
 @given(
@@ -230,19 +236,19 @@ def test_compose_matches_general_product(config):
     assert_constants_match(tm)
 
 
-@given(tm=rational_matrices())
+@given(tm=integer_matrices())
 @settings(max_examples=60, deadline=None)
 def test_large_delay_constant_on_rational_matrices(tm):
     assert_constants_match(tm)
 
 
 # ---------------------------------------------------------------------------
-# Numeric entries from the compiled arrays against the rational-term walk
+# Numeric entries from the compiled arrays against a walk over the terms
 
 
 def reference_entry(entry, omega, taus):
-    """An entry's value as a walk over its ``Fraction`` terms, and the sum
-    of its terms' magnitudes, the scale of rounding in either."""
+    """An entry's value as a walk over its integer terms, and the sum of
+    its terms' magnitudes, the scale of rounding in either."""
     total = 0j
     for amp, combo in entry.terms:
         total += float(amp) * np.exp(-1j * omega * combo_dot(combo, taus))
@@ -280,24 +286,24 @@ def test_numeric_entries_match_fraction_walk_on_cascades(config, data):
     assert_numeric_entries_match_reference(compose(config), data)
 
 
-@given(tm=rational_matrices(), data=st.data())
+@given(tm=integer_matrices(), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_numeric_entries_match_fraction_walk_on_rational_matrices(tm, data):
     assert_numeric_entries_match_reference(tm, data)
 
 
 def test_expsum_scales_are_in_lowest_terms():
-    entry = ExpSum.from_terms(
-        [(F(2, 3), (F(1, 2), F(0))), (F(4, 3), (F(3, 2), F(1)))], 2)
+    # Unit delays and the splitters' 1 and -1 leave one scale, 1, for every
+    # entry: amplitudes and rows are plain integers, and from_rows is the
+    # canonical form, so an entry rebuilt from its own terms is itself.
+    entry = ExpSum.from_rows({(3, 2): 4, (0, 0): 0, (1, 0): 2}, 2)
     assert (entry.amps, entry.rows) == ((2, 4), ((1, 0), (3, 2)))
-    assert (entry.amp_scale, entry.combo_scale) == (3, 2)
-    halves = ExpSum.from_terms([(F(1, 2), (F(1, 2),)), (F(3, 2), (F(1),))], 1)
-    assert (halves.amps, halves.rows, halves.amp_scale, halves.combo_scale) == \
-        ((1, 3), ((1,), (2,)), 2, 2)
-    whole = ExpSum.from_terms(
-        halves.terms + ((F(-1, 2), (F(1, 2),)), (F(1, 2), (1,))), 1)
-    assert (whole.amps, whole.rows, whole.amp_scale, whole.combo_scale) == \
-        ((2,), ((1,),), 1, 1)
-    assert ExpSum.from_terms(entry.terms, 2) == entry
-    cancelled = ExpSum.from_terms([(1, (F(2, 4),)), (F(-1), (F(1, 2),))], 1)
-    assert cancelled == ExpSum((), (), 1)
+    assert entry.terms == ((2, (1, 0)), (4, (3, 2)))
+    assert entry == ExpSum.from_rows({(1, 0): 2, (3, 2): 4}, 2)
+    for name in PRESETS:
+        tm = compose(preset_cascade(name))
+        for e in (tm.A, tm.B, tm.C, tm.D):
+            assert all(type(amp) is int and amp for amp in e.amps)
+            assert all(type(c) is int for row in e.rows for c in row)
+            assert ExpSum.from_rows({row: amp for amp, row in e.terms},
+                                    e.n_delays) == e

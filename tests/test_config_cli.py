@@ -658,14 +658,18 @@ def test_validate_negative_control(tmp_path, capsys):
     assert '"passed": false' in open(report).read()
 
 
-@pytest.mark.parametrize("name", [
-    "parity-single-delay", "parity-two-delay", "parity-three-delay"])
+@pytest.mark.parametrize("name", validation.CHECK_NAMES)
 def test_parity_check_fails_its_negative_control(name):
+    # Every check passes clean and fails corrupted, on the same draws.
     check = validation._CHECKS[name]
-    rng = np.random.default_rng(0)
-    passed, detail = check(rng, False)
+    passed, detail = check(np.random.default_rng(0), False)
     assert passed is True
-    assert check(rng, True) == (False, detail)
+    failed, corrupted = check(np.random.default_rng(0), True)
+    assert failed is False
+    if name in ("transfer-unitarity", "oracle-equivalence", "envelope-bounds"):
+        assert "1.00e+00" in corrupted  # the measure, raised by 1
+    else:
+        assert corrupted == detail
 
 
 def test_figures_writes_complete_set(tmp_path):

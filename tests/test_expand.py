@@ -1,8 +1,8 @@
 """``expand`` on the integer lattice against a pairwise ``Fraction`` reference.
 
 The reference below is the plain pairwise expansion: every two product
-terms, their half-sum and half-difference arguments in exact rationals,
-and a dict merge.  It is quadratic in Python objects and only fit for
+terms, their half-sum and half-difference arguments and their
+coefficients in exact ``Fraction``s, and a dict merge.  It is quadratic in Python objects and only fit for
 small cascades, which is what the property tests draw.  Larger cascades
 are checked against frozen fixtures made by pairwise engines.
 """
@@ -65,14 +65,13 @@ def reference_expand(tm, symmetry):
         for cl, al, bl in entries[k + 1:]:
             u = [x - y for x, y in zip(ak, al)]
             v = [x - y for x, y in zip(bk, bl)]
-            key = (canonical([(x + y) / 2 for x, y in zip(u, v)]),
-                   canonical([(x - y) / 2 for x, y in zip(u, v)]))
-            merged[key] = merged.get(key, 0) + 2 * ck * cl / constant
+            key = (canonical([F(x + y, 2) for x, y in zip(u, v)]),
+                   canonical([F(x - y, 2) for x, y in zip(u, v)]))
+            merged[key] = merged.get(key, 0) + F(2 * ck * cl, constant)
     zero = (F(0),) * tm.n_delays
     terms = [CosTerm(F(1), zero, zero)] + [
         CosTerm(c, p, m) for (p, m), c in sorted(merged.items()) if c]
-    return AnalyticModel.from_terms(terms, tm.n_delays, symmetry,
-                                    constant / F(4) ** tm.stage_count)
+    return AnalyticModel.from_terms(terms, tm.n_delays, symmetry)
 
 
 def assert_matches_reference(tm, symmetry):
@@ -105,53 +104,55 @@ def test_expand_matches_pairwise_reference(cascade, symmetry):
     assert_matches_reference(compose(cascade), symmetry)
 
 
-rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+integers = st.integers(-18, 18)
 
 
 @st.composite
-def rational_matrices(draw):
-    """Hand-built matrices whose amplitudes and delay combinations are rational."""
+def integer_matrices(draw):
+    """Hand-built matrices of any integer amplitudes and delay rows, beyond
+    the 1 and -1 and the unit delays of a composed cascade."""
     n_delays = draw(st.integers(1, 3))
-    combo = st.tuples(*[rationals] * n_delays)
+    row = st.tuples(*[integers] * n_delays)
 
     def entry():
-        return ExpSum.from_terms(
-            draw(st.lists(st.tuples(rationals, combo), max_size=4)), n_delays)
+        return ExpSum.from_rows(draw(st.dictionaries(row, integers, max_size=4)),
+                                n_delays)
 
     return TransferMatrix(entry(), entry(), entry(), entry(),
                           stage_count=draw(st.integers(0, 4)), n_delays=n_delays)
 
 
-@given(tm=rational_matrices(), symmetry=st.sampled_from(ExchangeSymmetry))
+@given(tm=integer_matrices(), symmetry=st.sampled_from(ExchangeSymmetry))
 @settings(max_examples=60, deadline=None)
 def test_expand_matches_reference_on_rational_matrices(tm, symmetry):
     assert_matches_reference(tm, symmetry)
 
 
 def test_expand_hand_built_rational_matrix():
-    one_third = (F(1, 3), F(0))
+    # Amplitudes and delay rows far from a composed cascade's 1, -1 and
+    # unit steps, and arguments that halve to half-integers.
     tm = TransferMatrix(
-        A=ExpSum.from_terms([(F(1, 2), (F(0), F(0))), (F(-3, 4), one_third)], 2),
-        B=ExpSum.from_terms([(F(2, 3), (F(0), F(1, 2)))], 2),
-        C=ExpSum.from_terms([(F(5, 7), (F(1, 5), F(-1, 2)))], 2),
-        D=ExpSum.from_terms([(F(1), (F(0), F(0))), (F(-1, 6), (F(2, 3), F(1)))], 2),
+        A=ExpSum.from_rows({(0, 0): 42, (10, 0): -63}, 2),
+        B=ExpSum.from_rows({(0, 15): 56}, 2),
+        C=ExpSum.from_rows({(6, -15): 60}, 2),
+        D=ExpSum.from_rows({(0, 0): 84, (20, 31): -14}, 2),
         stage_count=3, n_delays=2,
     )
     for symmetry in ExchangeSymmetry:
         model = expand(tm, symmetry)
         assert model == reference_expand(tm, symmetry)
-        assert any(c.denominator > 2 for t in model.terms for c in t.plus_arg)
+        assert model.arg_scale == 2 and model.coeff_scale > 1
 
 
 def test_expand_wide_lattice_spans_several_int64_words():
-    # Delay coefficients near 2^40 give pair digits near 2^43 per column:
+    # Delay coefficients near 2^41 give pair digits near 2^44 per column:
     # the four columns' lattice is far past int64, so keys are Python ints.
-    wide = F(2) ** 40 + F(1, 3)
+    wide = 3 * 2 ** 40 + 1
     tm = TransferMatrix(
-        A=ExpSum.from_terms([(F(1), (F(0), F(0))), (F(2), (wide, F(-1)))], 2),
-        B=ExpSum.from_terms([(F(1), (F(1), wide)), (F(-1), (-wide, F(0)))], 2),
-        C=ExpSum.from_terms([(F(3), (F(0), -wide)), (F(1), (F(1, 2), F(0)))], 2),
-        D=ExpSum.from_terms([(F(-1), (wide, wide)), (F(1), (F(0), F(1)))], 2),
+        A=ExpSum.from_rows({(0, 0): 1, (wide, -3): 2}, 2),
+        B=ExpSum.from_rows({(3, wide): 1, (-wide, 0): -1}, 2),
+        C=ExpSum.from_rows({(0, -wide): 3, (1, 0): 1}, 2),
+        D=ExpSum.from_rows({(wide, wide): -1, (0, 3): 1}, 2),
         stage_count=2, n_delays=2,
     )
     for symmetry in ExchangeSymmetry:
@@ -174,15 +175,15 @@ INT64_EDGE = math.isqrt(math.isqrt(((1 << 63) - 1) // 16) - 9)
 
 
 @pytest.mark.parametrize("amp", [
-    pytest.param(F(2) ** 30, id="30"),  # products fit int64, sums do not
-    pytest.param(F(2) ** 40, id="40"),  # products do not fit either
-    pytest.param(F(INT64_EDGE), id="int64-edge"),
-    pytest.param(F(INT64_EDGE + 1), id="past-int64-edge"),
+    pytest.param(2 ** 30, id="30"),  # products fit int64, sums do not
+    pytest.param(2 ** 40, id="40"),  # products do not fit either
+    pytest.param(INT64_EDGE, id="int64-edge"),
+    pytest.param(INT64_EDGE + 1, id="past-int64-edge"),
 ])
 def test_expand_exact_beyond_int64(amp):
-    big = ExpSum.from_terms([(amp, (F(0),)), (F(3), (F(1),))], 1)
-    neg_big = ExpSum.from_terms([(-amp, (F(0),)), (F(-3), (F(1),))], 1)
-    small = ExpSum.from_terms([(F(1), (F(0),)), (F(-5), (F(2),))], 1)
+    big = ExpSum.from_rows({(0,): amp, (1,): 3}, 1)
+    neg_big = ExpSum.from_rows({(0,): -amp, (1,): -3}, 1)
+    small = ExpSum.from_rows({(0,): 1, (2,): -5}, 1)
     tm = TransferMatrix(big, small, big, neg_big, stage_count=1, n_delays=1)
     delays = np.linspace(-6.0, 6.0, 41)
     for symmetry in ExchangeSymmetry:
@@ -212,7 +213,7 @@ def term_by_term(model, js, taus):
 
 
 def test_expand_refuses_delay_combinations_beyond_int64():
-    huge = ExpSum.from_terms([(F(1), (F(2) ** 62,))], 1)
+    huge = ExpSum.from_rows({(2 ** 62,): 1}, 1)
     tm = TransferMatrix(huge, huge, huge, huge, stage_count=1, n_delays=1)
     with pytest.raises(OverflowError):
         expand(tm, ExchangeSymmetry.SYMMETRIC)
@@ -311,12 +312,13 @@ FROZEN = {
 
 @pytest.mark.parametrize("n_delays,symmetry", sorted(FROZEN))
 def test_frozen_many_delay_models(n_delays, symmetry):
-    model = expand(compose(CascadeConfig.from_labels(range(n_delays), n_delays)),
-                   symmetry)
+    tm = compose(CascadeConfig.from_labels(range(n_delays), n_delays))
+    model = expand(tm, symmetry)
     text = render_text(model)
     assert (len(model.terms), hashlib.sha256(text.encode()).hexdigest()) == \
         FROZEN[n_delays, symmetry]
-    assert model.raw_baseline == F(1, 2)
+    # The baseline before normalization, 1/2^(2n) factor included.
+    assert tm.large_delay_constant(int(symmetry)) / 4 ** tm.stage_count == 0.5
 
 
 def test_five_delay_expand_time():

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from biphoton_cascade.analytic import expand
+from biphoton_cascade.analytic import CHUNK, expand
 from biphoton_cascade.cascade import compose
 from biphoton_cascade.interferogram import (
     CSV_BLOCK,
@@ -57,6 +57,16 @@ def test_envelope_pair_ordering_enforced():
     taus = np.linspace(0, 1, 5)
     with pytest.raises(ValueError):
         EnvelopePair(Trace(taus, np.zeros(5)), Trace(taus, np.ones(5)))
+    # The check runs in blocks: a breach in the last, short block is found,
+    # and a gap of 1e-9 is allowed.
+    taus = np.linspace(0, 1, 2 * CHUNK + 3)
+    upper = np.zeros(len(taus))
+    lower = upper.copy()
+    lower[-1] = 1e-9
+    EnvelopePair(Trace(taus, upper), Trace(taus, lower))
+    lower[-1] = 2e-9
+    with pytest.raises(ValueError, match="^lower envelope exceeds upper envelope$"):
+        EnvelopePair(Trace(taus, upper), Trace(taus, lower))
 
 
 def test_sweep_grid_and_meta():

@@ -4,7 +4,6 @@ import gc
 import math
 import tracemalloc
 import weakref
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,7 +154,7 @@ def test_normalized_rate_within_physical_bounds(tau):
 
 
 def reference_integrate_R(tm, js, taus, grid):
-    """Entry fields summed one np.outer per term; baseline merged in Fractions."""
+    """Entry fields summed one np.outer per term; baseline merged in integers."""
     wp, wp_weights = _axis(grid.nodes[0], grid.extent_sigmas * js.plus.sigma)
     wm, wm_weights = _axis(grid.nodes[1], grid.extent_sigmas * js.minus.sigma)
 
@@ -212,12 +211,12 @@ def test_contraction_matches_outer_product_reference(config, symmetry, class_nam
 
 
 def test_contraction_on_rational_hand_built_matrix():
-    F = Fraction
+    # Amplitudes and delay rows beyond a composed cascade's 1, -1 and units.
     tm = TransferMatrix(
-        A=ExpSum.from_terms([(F(1, 2), (F(0), F(0))), (F(-3, 4), (F(1, 3), F(0)))], 2),
-        B=ExpSum.from_terms([(F(2, 3), (F(0), F(1, 2)))], 2),
-        C=ExpSum.from_terms([(F(5, 7), (F(1, 5), F(-1, 2)))], 2),
-        D=ExpSum.from_terms([(F(1), (F(0), F(0))), (F(-1, 6), (F(2, 3), F(1)))], 2),
+        A=ExpSum.from_rows({(0, 0): 2, (1, 0): -3}, 2),
+        B=ExpSum.from_rows({(0, 1): 2}, 2),
+        C=ExpSum.from_rows({(1, -1): 5}, 2),
+        D=ExpSum.from_rows({(0, 0): 6, (2, 1): -1}, 2),
         stage_count=3, n_delays=2,
     )
     # Its entries have 1 and 2 terms, which integrate_R zero-pads to K = 2,
@@ -289,15 +288,11 @@ def test_each_contraction_order_matches_the_reference(monkeypatch, preset, nodes
 
 
 def test_contraction_orders_on_zero_padded_entries_at_ragged_nodes(monkeypatch):
-    F = Fraction
     tm = TransferMatrix(
-        A=ExpSum.from_terms([(F(1, 2), (F(0), F(0))), (F(-3, 4), (F(1, 3), F(0))),
-                             (F(1, 5), (F(1), F(-1, 2))), (F(2, 9), (F(0), F(3, 2)))],
-                            2),
-        B=ExpSum.from_terms([(F(2, 3), (F(0), F(1, 2)))], 2),
-        C=ExpSum.from_terms([(F(5, 7), (F(1, 5), F(-1, 2))), (F(-1, 3), (F(2), F(0)))],
-                            2),
-        D=ExpSum.from_terms([(F(1), (F(0), F(0)))], 2),
+        A=ExpSum.from_rows({(0, 0): 2, (1, 0): -3, (2, -1): 1, (0, 3): 2}, 2),
+        B=ExpSum.from_rows({(0, 1): 2}, 2),
+        C=ExpSum.from_rows({(1, -1): 5, (2, 0): -1}, 2),
+        D=ExpSum.from_rows({(0, 0): 1}, 2),
         stage_count=3, n_delays=2,
     )
     # K = 4 after zero-padding B, C and D: 33 nodes take the row blocks
@@ -364,7 +359,7 @@ def test_stacked_combo_dot_matches_each_term():
         assert a == float(amp)
         assert u == combo_dot(combo, taus)
     assert not amps.flags.writeable and not combos.flags.writeable
-    assert ExpSum.from_terms([], 3).arrays[1].shape == (0, 3)
+    assert ExpSum.from_rows({}, 3).arrays[1].shape == (0, 3)
     # five delays: the model's argument rows, where a matrix product once
     # differed from the fold in the last bit, stacked flat and in pairs
     tm = compose(CascadeConfig.from_labels([None, 0, 1, 2, 3, 4], 5))
