@@ -11,6 +11,8 @@ visibilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -107,8 +109,10 @@ class Trace:
     def __post_init__(self):
         if len(self.taus) != len(self.values):
             raise ValueError("taus and values must have equal length")
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteTraceError("trace contains non-finite values")
+        # Block by block, so the check holds no sample-length temporary.
+        for start in range(0, len(self.values), analytic.CHUNK):
+            if not np.isfinite(self.values[start:start + analytic.CHUNK]).all():
+                raise NonFiniteTraceError("trace contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,9 @@ class EnvelopePair:
     lower: Trace
 
     def __post_init__(self):
-        if not np.array_equal(self.upper.taus, self.lower.taus):
+        # The sweeps build both envelopes on one grid object: nothing to compare.
+        if self.upper.taus is not self.lower.taus and not np.array_equal(
+                self.upper.taus, self.lower.taus):
             raise ValueError("envelope traces must share the delay grid")
         # Block by block, so the check holds no sample-length temporary.
         lower, upper = self.lower.values, self.upper.values
@@ -392,23 +398,207 @@ def detect_structures(trace: Trace, baseline: float,
 
 #: Rows per formatted block in ``write_csv_columns``.
 CSV_BLOCK = 4096
+#: The fast ``%.17g`` path takes 0 and magnitudes in this range, where
+#: the tabled powers of ten and Dekker's partial products stay normal.
+_G17_RANGE = (1e-290, 1e290)
+#: A scaled product this close to a half may round either way: printf.
+_TIE_MARGIN = 1e-6
+#: 10^s is tabled for s = 16 - k over every exponent k of that range, +-1.
+_POW_FIRST, _POW_LAST = -276, 308
+#: Exponent texts are tabled for k in [-_EXP_OFF, _EXP_OFF).
+_EXP_OFF = 300
+_U64 = np.uint64
+#: 32 - 8 w for the three digit words w: a byte offset x into word w is
+#: x - 8 w, and the byte tables below are indexed by that plus 32.
+_WORD_SHIFT = np.array([[32], [24], [16]])
+
+
+def _words(texts):
+    """Each text of at most 8 bytes as one little-endian uint64."""
+    return np.array([int.from_bytes(t, "little") for t in texts], _U64)
+
+
+@cache
+def _g17_tables():
+    """Tables for the ``"%.17g"`` fast path, built on first use, never at
+    import.
+
+    10^s as hi + lo, split exactly through ``Fraction``, and hi split again
+    into two 26-bit halves for Dekker's product; the 4-digit groups, full
+    and with trailing zeros as NUL; exponent texts; sign and "0.000"
+    prefixes; and byte masks and the point for a byte offset in a word.
+    """
+    exact = [Fraction(10) ** s for s in range(_POW_FIRST, _POW_LAST + 1)]
+    hi = np.array([float(x) for x in exact])
+    lo = np.array([float(x - Fraction(h)) for x, h in zip(exact, hi.tolist())])
+    mantissa, exponent = np.frexp(hi)
+    veltkamp = 134217729.0 * mantissa
+    head = np.ldexp(veltkamp - (veltkamp - mantissa), exponent)
+    quads = [b"%04d" % i for i in range(10000)]
+    quads += [q.rstrip(b"0") for q in quads]
+    exps = [b"\0\0e%+03d" % k for k in range(-_EXP_OFF, _EXP_OFF)] + [b""]
+    prefixes = [sign + zeros for sign in (b"\0", b"-")
+                for zeros in (b"", b"0.", b"0.0", b"0.00", b"0.000")]
+    low = _words([b"\xff" * min(max(x, 0), 8) for x in range(-32, 32)])
+    dot = _words([b"\0" * x + b"." if 0 <= x < 8 else b"" for x in range(-32, 32)])
+    return ((hi, head, hi - head, lo), _words(quads), _words(exps), _words(prefixes),
+            low, ~low, dot)
+
+
+def _scaled(a, k, powers):
+    """a * 10^(16 - k) as a double p plus a small correction e.
+
+    a is split by clearing its low 27 mantissa bits and 10^s's hi by
+    Veltkamp's split, so Dekker's four partial products are exact.
+    """
+    row = 16 - _POW_FIRST - k
+    hi, head, tail, lo = (t.take(row) for t in powers)
+    a_head = (a.view(_U64) & _U64(0xFFFFFFFFF8000000)).view(np.float64)
+    a_tail = a - a_head
+    p = a * hi
+    e = a_head * head
+    e -= p
+    e += a_head * tail
+    e += a_tail * head
+    e += a_tail * tail
+    e += a * lo
+    return p, e
+
+
+def _g17_digits(values):
+    """The 17 significant digits n and the decimal exponent k of each
+    ``"%.17g"`` value, n = 0 and k = 0 for a zero; None where they may
+    differ from printf's.
+
+    With k = floor(log10 |v|), n = rint(|v| 10^(16-k)), the product formed
+    in double-double (Dekker).  k is corrected by the unrounded product,
+    so the double 1e-280, 9.9999999999999996e-281, is not written as
+    1e-280, and a product that rounds up to 10^17 carries into k + 1.
+    """
+    a = np.abs(values)
+    zero = a == 0
+    if not ((a >= _G17_RANGE[0]) & (a <= _G17_RANGE[1]) | zero).all():
+        return None
+    powers = _g17_tables()[0]
+    a[zero] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    p, e = _scaled(a, k, powers)
+    below = (p < 1e16) | (p == 1e16) & (e < 0)
+    above = (p > 1e17) | (p == 1e17) & (e >= 0)
+    off = np.flatnonzero(below | above)
+    if off.size:
+        k[off] += above[off].astype(np.intp) - below[off]
+        p[off], e[off] = _scaled(a[off], k[off], powers)
+    whole = np.rint(e)
+    e -= whole
+    if (np.abs(e) > 0.5 - _TIE_MARGIN).any():
+        return None
+    n = p.astype(np.int64)
+    n += whole.astype(np.int64)
+    if ((n < 10**16) | (n > 10**17)).any():
+        return None
+    carry = n == 10**17
+    n[carry] = 10**16
+    k += carry
+    n[zero] = 0
+    k[zero] = 0
+    return n, k
+
+
+def _digit_words(n, quads):
+    """The 17 digits of each n as ASCII in bytes 0-16 of three uint64
+    words, trailing zeros as NUL: the lead digit and four 4-digit groups."""
+    lead = n // 10**16
+    rest = n - lead * 10**16
+    top = rest // 10**8
+    bottom = rest - top * 10**8
+    g1 = top // 10**4
+    g2 = top - g1 * 10**4
+    g3 = bottom // 10**4
+    g4 = bottom - g3 * 10**4
+    z4 = g4 == 0
+    z3 = z4 & (g3 == 0)
+    z2 = z3 & (g2 == 0)
+    q4 = quads.take(g4 + 10000)
+    q3 = quads.take(g3 + z4 * 10000)
+    q2 = quads.take(g2 + z3 * 10000)
+    q1 = quads.take(g1 + z2 * 10000)
+    digits = np.empty((3, len(n)), _U64)
+    digits[0] = (lead + 48).view(_U64) | q1 << _U64(8) | q2 << _U64(40)
+    digits[1] = q2 >> _U64(24) | q3 << _U64(8) | q4 << _U64(40)
+    digits[2] = q4 >> _U64(24)
+    return digits
+
+
+def _g17_text(values, seps):
+    """The ``"%.17g"`` text of ``values``, each followed by its separator
+    (``seps``, the byte in the top byte of a uint64); None where that may
+    differ from printf.
+
+    Each value is laid out in 32 bytes, NUL where ``%g`` writes nothing,
+    and the NULs are dropped at the end: the sign and a "0.000" prefix,
+    the digits with the point shifted in, the exponent and the separator.
+    """
+    found = _g17_digits(values)
+    if found is None:
+        return None
+    n, k = found
+    _, quads, exps, prefixes, low, high, dot = _g17_tables()
+    digits = _digit_words(n, quads)
+    # %g: fixed notation for -4 <= k < 17, its last integer digit at index
+    # m; otherwise d.ddd with m = 0 and an exponent.
+    fixed = (k >= -4) & (k < 17)
+    small = fixed & (k < 0)
+    m = k * (fixed & ~small)
+    kept = np.bitwise_count(digits & _U64(0x2020202020202020)).sum(axis=0, dtype=np.intp)
+    if (m >= kept).any():  # integer zeros the groups stripped
+        words = int(m.max()) // 8 + 1
+        digits[:words] |= _U64(0x3030303030303030) & low[m + _WORD_SHIFT[:words] + 1]
+    point = np.where(small | (kept <= m + 1), 24, m + 1)
+    if (point < 24).any():
+        shift = point + _WORD_SHIFT
+        shifted = digits << _U64(8)
+        shifted[1:] |= digits[:-1] >> _U64(56)
+        shifted &= high[shift + 1]
+        digits &= low[shift]
+        digits |= shifted
+        digits |= dot[shift]
+    digits[2] |= exps[np.where(fixed, 2 * _EXP_OFF, k + _EXP_OFF)] | seps
+    text = np.empty((len(n), 4), _U64)
+    text[:, 0] = prefixes[np.signbit(values) * 5 - k * small]
+    text[:, 1:] = digits.T
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_csv_columns(handle, columns) -> None:
-    """Write float columns of equal length as CSV rows, 17 significant
-    digits each.
+    """Write float columns of equal length as CSV rows, each value as
+    ``"%.17g"`` formats it.
 
-    Rows are formatted and written in blocks, never as one string.  Columns
-    of unequal length are refused before anything is written.
+    Rows are formatted and written in blocks of ``CSV_BLOCK``, never as
+    one string.  A block is formatted by ``_g17_text`` with array
+    arithmetic, byte for byte as printf would.  printf formats a block
+    only if it holds NaN, an infinity, a nonzero magnitude outside
+    1e-290...1e290, or a value whose digits past the 17th lie within 1e-6
+    of a half unit of the 17th: an exact tie such as 2**-25 =
+    2.98023223876953125e-08, which printf rounds half to even, or a value
+    too near one to round with certainty.  Columns of unequal length are
+    refused before anything is written.
     """
     rows = len(columns[0])
     if any(len(c) != rows for c in columns):
         raise ValueError("CSV columns must have equal length")
     row = ",".join(["%.17g"] * len(columns)) + "\n"
+    ends = np.full(len(columns), ord(","), _U64)
+    ends[-1] = ord("\n")
+    seps = np.tile(ends << _U64(56), min(rows, CSV_BLOCK))
     for first in range(0, rows, CSV_BLOCK):
         last = min(first + CSV_BLOCK, rows)
         values = np.column_stack([c[first:last] for c in columns]).ravel()
-        handle.write(row * (last - first) % tuple(values.tolist()))
+        values = values.astype(np.float64, copy=False)
+        text = _g17_text(values, seps[:len(values)])
+        if text is None:
+            text = row * (last - first) % tuple(values.tolist())
+        handle.write(text)
 
 
 def write_trace_csv(path_or_buffer, trace: Trace,

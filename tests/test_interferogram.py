@@ -1,16 +1,23 @@
 """Sweeps, envelopes, reconstruction, and structure detection."""
 
 import io
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biphoton_cascade import interferogram
 from biphoton_cascade.analytic import CHUNK, expand
 from biphoton_cascade.cascade import compose
 from biphoton_cascade.interferogram import (
     CSV_BLOCK,
     AnalyticBackend,
     EnvelopePair,
+    NonFiniteTraceError,
     QuadratureBackend,
     SweepSpec,
     Trace,
@@ -29,6 +36,7 @@ from biphoton_cascade.quadrature import suggested_grid
 from biphoton_cascade.spectra import ExchangeSymmetry
 
 JS = make_spectrum(1.0, 1.0)
+_g17_text = interferogram._g17_text  # the fast CSV path, uncounted
 
 
 def backend_for(preset, js=JS):
@@ -256,6 +264,31 @@ def per_row_csv(columns):
     return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns, strict=True))
 
 
+@pytest.fixture
+def csv_blocks(monkeypatch):
+    """Counts of the CSV blocks formatted fast and through printf."""
+    counts = {"fast": 0, "printf": 0}
+    fast = interferogram._g17_text
+
+    def counted(values, seps):
+        text = fast(values, seps)
+        counts["printf" if text is None else "fast"] += 1
+        return text
+
+    monkeypatch.setattr(interferogram, "_g17_text", counted)
+    return counts
+
+
+def g17(values) -> bool:
+    """Fast text of ``values``, one a row, where given, equals printf's;
+    True iff it was given."""
+    values = np.asarray(values, dtype=float)
+    text = _g17_text(values, np.full(len(values), 10 << 56, np.uint64))
+    if text is not None:
+        assert text == per_row_csv([values])
+    return text is not None
+
+
 @pytest.mark.parametrize("rows", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
 def test_block_csv_matches_per_row_formatting(rows):
     rng = np.random.default_rng(rows)
@@ -274,3 +307,113 @@ def test_block_csv_matches_per_row_formatting(rows):
     write_trace_csv(buffer, trace, env)
     assert buffer.getvalue() == "tau,value,upper,lower\n" + per_row_csv(
         [columns[0], values, values + 1.0, values - 1.0])
+
+
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+def test_block_csv_takes_the_fast_path(rows, csv_blocks):
+    """Signed zeros, both notations and every exponent the fast path
+    takes, each block formatted without printf."""
+    rng = np.random.default_rng(rows)
+    # Doubles from 1e12 to 1e17 with a fraction are often exact ties at the
+    # 18th digit, which printf takes: those exponents are skipped.
+    exponents = rng.integers(-200, 195, rows)
+    exponents[exponents >= 12] += 5
+    values = rng.standard_normal(rows) * 10.0 ** exponents
+    values[::7] = -0.0
+    values[3::7] = 0.0
+    columns = [np.linspace(-80.0, 80.0, rows), values, rng.uniform(-1.0, 1.0, rows),
+               rng.integers(-10**17, 10**17, rows).astype(float)]
+    buffer = io.StringIO()
+    write_csv_columns(buffer, columns)
+    assert buffer.getvalue() == per_row_csv(columns)
+    assert csv_blocks == {"fast": -(-rows // CSV_BLOCK), "printf": 0}
+
+
+def test_fast_csv_edge_cases_match_printf(csv_blocks):
+    # Exact ties at the 18th digit, rounded half to even, go to printf.
+    for tie, text in ((2**-25, "2.9802322387695312e-08"), (3 * 2**-25, "8.9406967163085938e-08")):
+        assert not g17([tie])
+        buffer = io.StringIO()
+        write_csv_columns(buffer, [np.array([tie])])
+        assert buffer.getvalue() == text + "\n"
+    assert csv_blocks == {"fast": 0, "printf": 2}
+    # The double 1e-280 lies just below it, and log10 rounds up to -280.
+    buffer = io.StringIO()
+    write_csv_columns(buffer, [np.array([9.9999999999999996e-281, 1e-100])])
+    assert buffer.getvalue() == "9.9999999999999996e-281\n1e-100\n"
+    assert csv_blocks == {"fast": 1, "printf": 2}
+    powers = np.array([float(f"1e{k}") for k in range(-280, 281)])
+    below = np.nextafter(powers, 0.0)
+    tie = below == 999999999999999.875  # the one exact tie among the neighbours
+    assert tie.sum() == 1 and not g17(below[tie])
+    for values in (powers, below[~tie], np.nextafter(powers, np.inf), -powers):
+        assert g17(values)
+    assert g17([1e16, 1e17, 99999999999999999.0, np.nextafter(1e17, 0.0), np.nextafter(1e16, 0.0),
+                12345678901234567.0, 0.0001, np.nextafter(1e-4, 0.0), 0.0, -0.0])
+    for special in (5e-324, 1e-310, 2.2250738585072014e-308, np.nan, np.inf, -np.inf,
+                    1e300, -1e-300, 1.7976931348623157e308):
+        assert not g17([special, 1.0])
+    values = np.concatenate([powers, [2**-25, 5e-324, -0.0, 0.0, np.nan, np.inf, -np.inf, 1e300,
+                                      -1e-300, 1e16, 1e17, 9.9999999999999996e-281]])
+    buffer = io.StringIO()
+    write_csv_columns(buffer, [values, values[::-1]])
+    assert buffer.getvalue() == per_row_csv([values, values[::-1]])
+    # Integers are formatted as the doubles they convert to.
+    integers = np.random.default_rng(0).integers(-10**17, 10**17, 64)
+    buffer = io.StringIO()
+    write_csv_columns(buffer, [integers, integers.tolist()])
+    assert buffer.getvalue() == per_row_csv([integers, integers])
+
+
+@given(st.lists(st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=60), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_any_doubles_match_printf(values, width):
+    columns = [np.array(values[i::width], dtype=float) for i in range(width)]
+    rows = min(len(c) for c in columns)
+    columns = [c[:rows] for c in columns]
+    buffer = io.StringIO()
+    write_csv_columns(buffer, columns)
+    assert buffer.getvalue() == per_row_csv(columns)
+    g17(values)
+
+
+@given(st.lists(st.floats(1e-290, 1e290) | st.floats(-1e290, -1e-290) | st.just(0.0),
+                min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_doubles_in_range_match_printf(values):
+    g17(values)
+
+
+def test_package_import_builds_no_formatter_table():
+    result = subprocess.run(
+        [sys.executable, "-c", "import io, biphoton_cascade; "
+         "from biphoton_cascade import interferogram as m; "
+         "print(m._g17_tables.cache_info().currsize); "
+         "m.write_csv_columns(io.StringIO(), [[0.5]]); "
+         "print(m._g17_tables.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "0\n1\n"
+
+
+def test_trace_checks_allocate_no_sample_length_temporary():
+    taus = np.linspace(-80.0, 80.0, 10**6)
+    upper, lower = np.ones(len(taus)), np.zeros(len(taus))
+    trace = Trace(taus, upper)
+    pair = (trace, Trace(taus, lower))
+    for build, args in ((Trace, (taus, upper)), (EnvelopePair, pair)):
+        tracemalloc.start()
+        try:
+            build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One block's float temporary and mask; a sample-length mask is 10**6 bytes.
+        assert peak < 16 * CHUNK, (build.__name__, peak)
+    with pytest.raises(ValueError, match="^envelope traces must share the delay grid$"):
+        EnvelopePair(trace, Trace(taus + 1.0, lower))
+    EnvelopePair(trace, Trace(taus.copy(), lower))
+    upper[-1] = np.nan
+    with pytest.raises(NonFiniteTraceError, match="^trace contains non-finite values$"):
+        Trace(taus, upper)
