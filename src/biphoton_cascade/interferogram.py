@@ -10,6 +10,7 @@ visibilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -396,17 +397,22 @@ def detect_structures(trace: Trace, baseline: float,
     return structures
 
 
-#: Rows per formatted block in ``write_csv_columns``.
-CSV_BLOCK = 4096
+#: Rows per formatted block in ``write_csv_columns``; the fast path's
+#: temporaries are sized by it, and 1024 formatted a 4-column trace fastest.
+CSV_BLOCK = 1024
 #: The fast ``%.17g`` path takes 0 and magnitudes in this range, where
 #: the tabled powers of ten and Dekker's partial products stay normal.
 _G17_RANGE = (1e-290, 1e290)
 #: A scaled product this close to a half may round either way: printf.
 _TIE_MARGIN = 1e-6
-#: 10^s is tabled for s = 16 - k over every exponent k of that range, +-1.
-_POW_FIRST, _POW_LAST = -276, 308
-#: Exponent texts are tabled for k in [-_EXP_OFF, _EXP_OFF).
-_EXP_OFF = 300
+#: Every decimal exponent k the fast path tries lies in +-_K_MAX: the
+#: range's exponents, floor(log10) one off at either end, and one correction.
+_K_MAX = max(abs(round(math.log10(x))) for x in _G17_RANGE) + 2
+#: 10^s is tabled for s = 16 - k over those k.
+_POW_FIRST, _POW_LAST = 16 - _K_MAX, 16 + _K_MAX
+#: Exponent texts are tabled for k in [-_EXP_OFF, _EXP_OFF), a carry's
+#: k + 1 included.
+_EXP_OFF = _K_MAX + 2
 _U64 = np.uint64
 #: 32 - 8 w for the three digit words w: a byte offset x into word w is
 #: x - 8 w, and the byte tables below are indexed by that plus 32.
@@ -550,7 +556,10 @@ def _g17_text(values, seps):
     fixed = (k >= -4) & (k < 17)
     small = fixed & (k < 0)
     m = k * (fixed & ~small)
-    kept = np.bitwise_count(digits & _U64(0x2020202020202020)).sum(axis=0, dtype=np.intp)
+    # Digit bytes have bit 5 set, NULs do not: one such bit a byte, summed
+    # over each word's eight bytes into its top byte.
+    ones = digits >> _U64(5) & _U64(0x0101010101010101)
+    kept = (ones * _U64(0x0101010101010101) >> _U64(56)).sum(axis=0, dtype=np.intp)
     if (m >= kept).any():  # integer zeros the groups stripped
         words = int(m.max()) // 8 + 1
         digits[:words] |= _U64(0x3030303030303030) & low[m + _WORD_SHIFT[:words] + 1]

@@ -597,12 +597,18 @@ def test_unknown_repeated_and_idle_keys_are_refused_in_one_line(tmp_path, capsys
 
 
 def test_package_import_loads_no_scipy():
+    """Import defers what it can: no SciPy, and the CSV formatter's tables
+    are built on the first write."""
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, biphoton_cascade; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", "import io, sys, biphoton_cascade; "
+         "from biphoton_cascade import interferogram as fmt; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+         "print(fmt._g17_tables.cache_info().currsize); "
+         "fmt.write_csv_columns(io.StringIO(), [[0.5]]); "
+         "print(fmt._g17_tables.cache_info().currsize)"],
         capture_output=True, text=True, check=True,
     )
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n0\n1\n"
 
 
 def test_missing_config_file_is_io_error(tmp_path):

@@ -1,8 +1,6 @@
 """Sweeps, envelopes, reconstruction, and structure detection."""
 
 import io
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -279,6 +277,11 @@ def csv_blocks(monkeypatch):
     return counts
 
 
+#: Row counts at the edges of one block and of several.
+BLOCK_EDGES = [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1,
+               4 * CSV_BLOCK - 1, 4 * CSV_BLOCK, 4 * CSV_BLOCK + 1]
+
+
 def g17(values) -> bool:
     """Fast text of ``values``, one a row, where given, equals printf's;
     True iff it was given."""
@@ -289,7 +292,7 @@ def g17(values) -> bool:
     return text is not None
 
 
-@pytest.mark.parametrize("rows", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+@pytest.mark.parametrize("rows", BLOCK_EDGES)
 def test_block_csv_matches_per_row_formatting(rows):
     rng = np.random.default_rng(rows)
     values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
@@ -309,7 +312,7 @@ def test_block_csv_matches_per_row_formatting(rows):
         [columns[0], values, values + 1.0, values - 1.0])
 
 
-@pytest.mark.parametrize("rows", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+@pytest.mark.parametrize("rows", BLOCK_EDGES)
 def test_block_csv_takes_the_fast_path(rows, csv_blocks):
     """Signed zeros, both notations and every exponent the fast path
     takes, each block formatted without printf."""
@@ -383,18 +386,6 @@ def test_any_doubles_match_printf(values, width):
 @settings(max_examples=300, deadline=None)
 def test_doubles_in_range_match_printf(values):
     g17(values)
-
-
-def test_package_import_builds_no_formatter_table():
-    result = subprocess.run(
-        [sys.executable, "-c", "import io, biphoton_cascade; "
-         "from biphoton_cascade import interferogram as m; "
-         "print(m._g17_tables.cache_info().currsize); "
-         "m.write_csv_columns(io.StringIO(), [[0.5]]); "
-         "print(m._g17_tables.cache_info().currsize)"],
-        capture_output=True, text=True, check=True,
-    )
-    assert result.stdout == "0\n1\n"
 
 
 def test_trace_checks_allocate_no_sample_length_temporary():
