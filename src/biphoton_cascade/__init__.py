@@ -11,7 +11,6 @@ spectral reconstructions, and structure detection.
 
 from .analytic import (
     AnalyticModel,
-    CosTerm,
     ExpansionTooLargeError,
     ZeroBaselineError,
     antisymmetric_equivalence_check,
@@ -83,7 +82,6 @@ __all__ = [
     "CascadeConfig",
     "ConfigError",
     "CorrelationClass",
-    "CosTerm",
     "EnvelopePair",
     "ExchangeSymmetry",
     "ExperimentConfig",

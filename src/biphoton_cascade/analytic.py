@@ -13,10 +13,9 @@ three-delay cascades, including the 28-term three-delay expansion.
 
 A model holds its terms as integers: coefficient numerators over one
 least denominator, and (p_k, m_k) argument rows over one least argument
-scale.  Rendering and the swap rule read those rows; pruning and evaluation
-read ``AnalyticModel.arrays``, the one float view, compiled once per model.
-``AnalyticModel.terms``, the ``CosTerm`` view with ``Fraction``
-coefficients and arguments, is built only when something asks for it.
+scale.  Rendering, the swap rule and ``==`` read those integers; pruning
+and evaluation read ``AnalyticModel.arrays``, the one float view, compiled
+once per model.
 One walk over the terms, ``_walk``, folds them into values (``evaluate``),
 into carrier-free envelopes, or into both (``interferogram.analytic_sweep``).
 """
@@ -35,7 +34,6 @@ from .cascade import TransferMatrix, ZeroBaselineError, combo_dot
 from .spectra import _HERMITE_CAP, _MASKED_LANES, ExchangeSymmetry, JointSpectrum
 
 __all__ = [
-    "CosTerm",
     "AnalyticModel",
     "ZeroBaselineError",
     "ExpansionTooLargeError",
@@ -51,15 +49,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CosTerm:
-    """coeff * g_plus(plus_arg . taus) * g_minus(minus_arg . taus)."""
-
-    coeff: Fraction
-    plus_arg: tuple
-    minus_arg: tuple
-
-
-@dataclass(frozen=True)
 class AnalyticModel:
     """Normalized coincidence probability as a canonical term list.
 
@@ -72,8 +61,7 @@ class AnalyticModel:
     their (plus, minus) rows, which puts the constant first.  (The baseline
     before normalization is ``tm.large_delay_constant(symmetry) /
     4**tm.stage_count``.)  ``arrays`` is the float view that pruning and
-    evaluation read, and ``terms`` the rational ``CosTerm`` view; each is
-    built on demand.
+    evaluation read, built on demand.
     """
 
     coeffs: tuple  # tuple[int, ...]
@@ -102,27 +90,17 @@ class AnalyticModel:
                              n_delays, symmetry, coeff_scale // coeff_gcd,
                              arg_scale // arg_gcd)
 
-    @staticmethod
-    def from_terms(terms, n_delays: int, symmetry: ExchangeSymmetry) -> "AnalyticModel":
-        """The model of rational ``CosTerm``s, in the order given."""
-        terms = [(Fraction(t.coeff), tuple(map(Fraction, t.plus_arg)),
-                  tuple(map(Fraction, t.minus_arg))) for t in terms]
-        coeff_scale = math.lcm(*(c.denominator for c, _, _ in terms))
-        arg_scale = math.lcm(*(v.denominator for _, p, m in terms for v in p + m))
-        return AnalyticModel.from_rows(
-            [int(c * coeff_scale) for c, _, _ in terms],
-            [tuple(int(v * arg_scale) for v in p) for _, p, _ in terms],
-            [tuple(int(v * arg_scale) for v in m) for _, _, m in terms],
-            n_delays, symmetry, coeff_scale, arg_scale)
-
     @cached_property
     def terms(self):
-        """Rational view: ``CosTerm``s of ``Fraction``s, in model order."""
+        """The exact terms as ``Fraction``s, in model order: one
+        ``(coeff, plus, minus)`` triple per term, each argument a tuple of
+        one ``Fraction`` per delay.  Built on first use; nothing in the
+        package reads it."""
         coeff = {c: Fraction(c, self.coeff_scale) for c in set(self.coeffs)}
         rows = set(self.plus).union(self.minus)
         arg = {v: Fraction(v, self.arg_scale) for v in set().union(*rows)}
         rows = {row: tuple(map(arg.__getitem__, row)) for row in rows}
-        return tuple(CosTerm(coeff[c], rows[p], rows[m])
+        return tuple((coeff[c], rows[p], rows[m])
                      for c, p, m in zip(self.coeffs, self.plus, self.minus))
 
     @cached_property

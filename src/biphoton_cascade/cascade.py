@@ -7,8 +7,8 @@ unit delays and the splitters' 1 and -1, every amplitude is an integer and
 every delay combination an integer row, so an entry holds exactly those
 integers and symbolic equality checks are exact and structural.  The
 global ``(1/sqrt 2)^stages`` factor is bookkept separately via
-``stage_count``.  ``ExpSum.arrays`` is the float view of an entry, compiled
-once and read by every numeric caller.
+``stage_count``.  ``TransferMatrix.phase_plan`` is the one float view of
+the four entries, compiled once per matrix and read by every numeric caller.
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ def combo_dot(combo, taus):
 
     Each delay may be a scalar or an array; the result broadcasts over
     them.  ``combo`` may also be a stacked ``(..., n_delays)`` float array
-    of combinations (``ExpSum.arrays``); at scalar delays that gives all
-    their values at once.  Either way a value is the left fold, in delay
-    order, of coefficient times delay, so at finite delays the stacked
-    values have the bits of each combination's own (a matrix product's
-    may differ in the last bit from 4 delays on).  The stacked fold also
-    adds the zero coefficients' products, which change no finite sum.
+    of combinations (the rows of ``TransferMatrix.phase_plan`` or of
+    ``AnalyticModel.arrays``); at scalar delays that gives all their values
+    at once.  Either way a value is the left fold, in delay order, of
+    coefficient times delay, so at finite delays the stacked values have
+    the bits of each combination's own (a matrix product's may differ in
+    the last bit from 4 delays on).  The stacked fold also adds the zero
+    coefficients' products, which change no finite sum.
     This is the one place a combination becomes a number.
     """
     if isinstance(combo, np.ndarray):
@@ -78,27 +79,6 @@ class ExpSum:
     def terms(self):
         """``(amp, row)`` integer pairs, in row order."""
         return tuple(zip(self.amps, self.rows))
-
-    @cached_property
-    def arrays(self):
-        """Read-only float ``(amps, combos)``, shapes ``(K,)`` and
-        ``(K, n_delays)``, built once per sum for numeric callers."""
-        return _compile_terms(self)
-
-    def evaluate(self, omega, taus) -> complex:
-        """Numeric value at frequency omega (scalar or array), one scalar per delay."""
-        amps, combos = self.arrays
-        phases = np.multiply.outer(np.asarray(omega, dtype=float),
-                                   combo_dot(combos, taus))
-        return np.tensordot(np.exp(-1j * phases), amps, axes=1)
-
-
-def _compile_terms(entry: ExpSum):
-    amps = np.array(entry.amps, dtype=float)
-    combos = np.array(entry.rows, dtype=float).reshape(len(entry.rows), entry.n_delays)
-    for array in (amps, combos):  # shared by every caller of the cached sum
-        array.flags.writeable = False
-    return amps, combos
 
 
 @dataclass(frozen=True)
@@ -173,34 +153,48 @@ class TransferMatrix:
 
     @cached_property
     def phase_plan(self):
-        """Read-only ``(amps, rows, index)`` for the quadrature oracle, built
-        once per matrix: A, B, C and D's amplitudes zero-padded to the widest,
-        K terms, shape ``(4, K)``; the distinct float delay rows among those
-        4 K (entry, term) slots, ``(D, n_delays)``, a padded slot's row being
-        zero; and in ``index`` ``(4, K)`` each slot's row."""
+        """Read-only ``(amps, rows, index)``, the matrix's one float view,
+        built once per matrix: A, B, C and D's amplitudes zero-padded to the
+        widest, K terms, shape ``(4, K)``; the distinct float delay rows
+        among those 4 K (entry, term) slots, ``(D, n_delays)``, a padded
+        slot's row being zero; and in ``index`` ``(4, K)`` each slot's row."""
         return _compile_phase_plan(self)
 
     def evaluate(self, omega, taus) -> np.ndarray:
         """Numeric 2x2 matrix at a single frequency, normalization included."""
         scale = 2.0 ** (-self.stage_count / 2.0)
-        entries = [e.evaluate(omega, taus) for e in (self.A, self.B, self.C, self.D)]
+        entries = _entry_values(self, (omega,) * 4, taus)
         return scale * np.array(entries, dtype=complex).reshape(2, 2)
 
 
+def _entry_values(tm: TransferMatrix, omegas, taus) -> list:
+    """A, B, C and D, each at its own frequency of ``omegas`` (scalar or
+    array), one scalar per delay.  Each entry sums its own terms, in row
+    order: its slots of the phase plan, never the zero padding."""
+    amps, rows, index = tm.phase_plan
+    u = combo_dot(rows, taus)
+    values = []
+    for slot, (entry, omega) in enumerate(zip((tm.A, tm.B, tm.C, tm.D), omegas)):
+        width = len(entry.amps)
+        phases = np.multiply.outer(np.asarray(omega, dtype=float), u[index[slot, :width]])
+        values.append(np.tensordot(np.exp(-1j * phases), amps[slot, :width], axes=1))
+    return values
+
+
 def _compile_phase_plan(tm: TransferMatrix):
-    entries = [entry.arrays for entry in (tm.A, tm.B, tm.C, tm.D)]
-    width = max(len(amps) for amps, _ in entries)
+    entries = (tm.A, tm.B, tm.C, tm.D)
+    width = max(len(entry.amps) for entry in entries)
     amps = np.zeros((4, width))
-    combos = np.zeros((4, width, tm.n_delays))
-    for slot, (entry_amps, entry_combos) in enumerate(entries):
-        amps[slot, :len(entry_amps)] = entry_amps
-        combos[slot, :len(entry_amps)] = entry_combos
-    # Rows keyed as tuples in order of first use: np.unique(axis=0) cannot
-    # reshape the empty rows of a matrix without delays.
+    for slot, entry in enumerate(entries):
+        amps[slot, :len(entry.amps)] = np.array(entry.amps, dtype=float)
+    # Integer rows keyed as tuples in order of first use, a padded slot's
+    # being the zero row: np.unique(axis=0) cannot reshape the empty rows of
+    # a matrix without delays.
+    zero = (0,) * tm.n_delays
     at: dict = {}
-    index = np.array([at.setdefault(row, len(at)) for row in
-                      map(tuple, combos.reshape(4 * width, tm.n_delays).tolist())],
-                     dtype=np.intp).reshape(4, width)
+    index = np.array([[at.setdefault(row, len(at))
+                       for row in entry.rows + (zero,) * (width - len(entry.rows))]
+                      for entry in entries], dtype=np.intp).reshape(4, width)
     rows = np.array(list(at), dtype=float).reshape(len(at), tm.n_delays)
     for array in (amps, rows, index):  # shared by every call on the matrix
         array.flags.writeable = False
@@ -278,8 +272,6 @@ def coincidence_density(tm: TransferMatrix, js: JointSpectrum,
     w_minus = (omega_s - half_pump) - (omega_i - half_pump)
     f = js.plus.amplitude(w_plus) * js.minus.amplitude(w_minus)
     f_swapped = int(js.symmetry) * f
-    amp = (
-        f * tm.A.evaluate(omega_s, taus) * tm.D.evaluate(omega_i, taus)
-        + f_swapped * tm.B.evaluate(omega_s, taus) * tm.C.evaluate(omega_i, taus)
-    )
+    a, b, c, d = _entry_values(tm, (omega_s, omega_s, omega_i, omega_i), taus)
+    amp = f * a * d + f_swapped * b * c
     return np.abs(amp) ** 2

@@ -229,8 +229,8 @@ def _analytic_sweep(model: AnalyticModel, js: JointSpectrum, spec: SweepSpec,
     values, upper, lower = analytic._walk(model, js, taus, with_trace, True)
     meta = {"fixed": dict(spec.fixed), "swept": spec.swept}
     trace = None if values is None else Trace(grid, values, dict(meta))
-    return trace, EnvelopePair(upper=Trace(grid, upper, meta),
-                               lower=Trace(grid, lower, meta))
+    return trace, EnvelopePair(upper=Trace(grid, upper, dict(meta)),
+                               lower=Trace(grid, lower, dict(meta)))
 
 
 def envelopes_numeric(trace: Trace, carrier_freq: float) -> EnvelopePair:

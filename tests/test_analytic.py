@@ -27,7 +27,6 @@ from biphoton_cascade import analytic, cli, figures, validation
 from biphoton_cascade.analytic import (
     CHUNK,
     AnalyticModel,
-    CosTerm,
     ZeroBaselineError,
     _corr_product_peaks,
     antisymmetric_equivalence_check,
@@ -56,19 +55,12 @@ F = Fraction
 
 
 def term(coeff, plus_arg, minus_arg):
-    return CosTerm(
-        coeff=F(coeff),
-        plus_arg=tuple(F(c) for c in plus_arg),
-        minus_arg=tuple(F(c) for c in minus_arg),
-    )
+    """One exact term as ``AnalyticModel.terms`` holds it."""
+    return F(coeff), tuple(map(F, plus_arg)), tuple(map(F, minus_arg))
 
 
 def model_for(preset, symmetry=ExchangeSymmetry.SYMMETRIC):
     return expand(compose(preset_cascade(preset)), symmetry)
-
-
-def as_set(terms):
-    return frozenset((t.coeff, t.plus_arg, t.minus_arg) for t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +78,8 @@ NOON_FIXTURE = [
 
 
 def test_single_delay_fixtures():
-    assert as_set(model_for("homi").terms) == as_set(HOMI_FIXTURE)
-    assert as_set(model_for("noon").terms) == as_set(NOON_FIXTURE)
+    assert frozenset(model_for("homi").terms) == frozenset(HOMI_FIXTURE)
+    assert frozenset(model_for("noon").terms) == frozenset(NOON_FIXTURE)
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +105,9 @@ TWO_PARAM_2002_FIXTURE = [
 
 
 def test_two_delay_fixtures():
-    assert as_set(model_for("two_param_11").terms) == as_set(TWO_PARAM_11_FIXTURE)
-    assert as_set(model_for("two_param_2002").terms) == \
-        as_set(TWO_PARAM_2002_FIXTURE)
+    assert frozenset(model_for("two_param_11").terms) == frozenset(TWO_PARAM_11_FIXTURE)
+    assert frozenset(model_for("two_param_2002").terms) == \
+        frozenset(TWO_PARAM_2002_FIXTURE)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +153,7 @@ THREE_PARAM_11_FIXTURE = [
 def test_three_delay_full_fixture():
     model = model_for("three_param_11")
     assert len(model.terms) == 28
-    assert as_set(model.terms) == as_set(THREE_PARAM_11_FIXTURE)
+    assert frozenset(model.terms) == frozenset(THREE_PARAM_11_FIXTURE)
 
 
 def test_three_delay_2002_term_count():
@@ -191,7 +183,7 @@ def test_prune_at_large_fixed_delays():
     model = model_for("three_param_11")
     pruned = asymptotic_prune(model, {0: 8.0, 1: 22.0}, swept=2, js=js,
                               threshold=1e-2)
-    assert as_set(pruned.terms) == as_set(THREE_PARAM_PRUNED_FIXTURE)
+    assert frozenset(pruned.terms) == frozenset(THREE_PARAM_PRUNED_FIXTURE)
 
 
 def test_prune_keeps_marginal_terms_at_tight_threshold():
@@ -231,9 +223,9 @@ def test_prune_keeps_terms_whose_peak_overflows():
     with np.errstate(over="ignore", invalid="ignore"):
         pruned = asymptotic_prune(model, {0: 1e308, 1: 1e308}, swept=2, js=js,
                                   threshold=1e-2)
-        overflowing = {t for t in model.terms
-                       if not np.isfinite(combo_dot(t.plus_arg, at_origin))
-                       or not np.isfinite(combo_dot(t.minus_arg, at_origin))}
+        overflowing = {(c, p, m) for c, p, m in model.terms
+                       if not np.isfinite(combo_dot(p, at_origin))
+                       or not np.isfinite(combo_dot(m, at_origin))}
     assert overflowing and overflowing <= set(pruned.terms)
 
 
@@ -248,9 +240,8 @@ def test_prune_drops_terms_zero_beyond_the_cap(symmetry):
         warnings.simplefilter("error")
         pruned = asymptotic_prune(model, {0: 1e200}, swept=1, js=js, threshold=1e-2)
     dropped = set(model.terms) - set(pruned.terms)
-    assert dropped == {t for t in model.terms
-                       if (t.plus_arg[0] and not t.plus_arg[1])
-                       or (t.minus_arg[0] and not t.minus_arg[1])}
+    assert dropped == {(c, p, m) for c, p, m in model.terms
+                       if (p[0] and not p[1]) or (m[0] and not m[1])}
     assert dropped
 
 
@@ -327,9 +318,8 @@ def test_term_peaks_match_a_dense_sample(cascade, symmetry, spectrum, data):
     swept = data.draw(st.integers(0, n - 1))
     delay = st.floats(-15.0, 15.0, allow_nan=False)
     at_origin = [0.0 if i == swept else data.draw(delay) for i in range(n)]
-    terms = [t for t in model.terms if any(t.plus_arg) or any(t.minus_arg)]
-    args = np.array([(t.plus_arg, t.minus_arg) for t in terms],
-                    dtype=float).reshape(len(terms), 2, n)
+    terms = [(p, m) for _, p, m in model.terms if any(p) or any(m)]
+    args = np.array(terms, dtype=float).reshape(len(terms), 2, n)
     fix, slope = args @ np.array(at_origin), args[:, :, swept]
     peaks = _corr_product_peaks(js, fix, slope)
     for peak, f, s in zip(peaks, fix, slope):
@@ -522,7 +512,10 @@ def test_two_delay_free_splitters_anywhere_change_nothing(cascade, symmetry, dat
     at = data.draw(st.integers(0, len(labels)))
     padded = CascadeConfig.from_labels(labels[:at] + [None, None] + labels[at:],
                                        cascade.n_delays, cascade.input_delay)
-    assert model_or_none(padded, symmetry) == model_or_none(cascade, symmetry)
+    twin, model = model_or_none(padded, symmetry), model_or_none(cascade, symmetry)
+    assert twin == model
+    if model is not None:  # the exact views agree too, as the derive bench gates
+        assert twin.terms == model.terms
 
 
 @given(cascade=expand_cascades())
@@ -548,33 +541,40 @@ def test_antisymmetric_pairs_are_identical(first, second):
     assert antisymmetric_equivalence_check(tm_a, tm_b)
     assert expand(tm_a, ExchangeSymmetry.ANTISYMMETRIC).terms == \
         expand(tm_b, ExchangeSymmetry.ANTISYMMETRIC).terms
+    # For bosons the swap rule flips signs: the same pair differs both ways.
+    symmetric_a, symmetric_b = (expand(tm, ExchangeSymmetry.SYMMETRIC)
+                                for tm in (tm_a, tm_b))
+    assert symmetric_a != symmetric_b
+    assert symmetric_a.terms != symmetric_b.terms
 
 
 def test_antisymmetric_homi_is_a_peak():
     model = model_for("homi", ExchangeSymmetry.ANTISYMMETRIC)
-    assert as_set(model.terms) == as_set(
+    assert frozenset(model.terms) == frozenset(
         [term(1, (0,), (0,)), term(1, (0,), (1,))]
     )
 
 
 # ---------------------------------------------------------------------------
-# Integer terms and their rational CosTerm view
+# Integer terms and their exact Fraction view
 
 def test_model_scales_are_in_lowest_terms():
     symmetric = ExchangeSymmetry.SYMMETRIC
-    model = AnalyticModel.from_terms(
-        [term(1, (0, 0), (0, 0)), term("-1/4", ("1/2", 0), (1, "3/2")),
-         term("3/8", (1, 1), (0, 0))], 2, symmetric)
+    model = AnalyticModel.from_rows(
+        (16, -4, 6), ((0, 0), (2, 0), (4, 4)), ((0, 0), (4, 6), (0, 0)), 2,
+        symmetric, coeff_scale=16, arg_scale=4)
     assert (model.coeffs, model.coeff_scale) == ((8, -2, 3), 8)
     assert (model.plus, model.minus, model.arg_scale) == \
         (((0, 0), (1, 0), (2, 2)), ((0, 0), (2, 3), (0, 0)), 2)
     assert model.constant == 1
+    assert model.terms == (term(1, (0, 0), (0, 0)),
+                           term("-1/4", ("1/2", 0), (1, "3/2")),
+                           term("3/8", (1, 1), (0, 0)))
     whole = AnalyticModel.from_rows((8, -2), ((0,), (2,)), ((0,), (4,)), 1,
                                     symmetric, coeff_scale=8, arg_scale=2)
     assert (whole.coeffs, whole.coeff_scale, whole.plus, whole.minus,
             whole.arg_scale) == ((4, -1), 4, ((0,), (1,)), ((0,), (2,)), 1)
-    assert whole == AnalyticModel.from_terms(
-        [term(1, (0,), (0,)), term("-1/4", (1,), (2,))], 1, symmetric)
+    assert whole.terms == (term(1, (0,), (0,)), term("-1/4", (1,), (2,)))
 
 
 @given(cascade=expand_cascades(), symmetry=st.sampled_from(ExchangeSymmetry),
@@ -593,24 +593,17 @@ def test_rational_view_round_trips_over_least_scales(cascade, symmetry, data):
     threshold = data.draw(st.sampled_from([0.0, 1e-6, 1e-2, 0.3]))
     pruned = asymptotic_prune(model, fixed, swept, js, threshold)
     for m in (model, swap_rule(model), pruned):
-        assert AnalyticModel.from_terms(m.terms, m.n_delays, m.symmetry) == m
-        assert m.coeff_scale == math.lcm(*(t.coeff.denominator for t in m.terms))
-        assert m.arg_scale == math.lcm(*(c.denominator for t in m.terms
-                                         for c in t.plus_arg + t.minus_arg))
+        assert m.coeff_scale == math.lcm(*(c.denominator for c, _, _ in m.terms))
+        assert m.arg_scale == math.lcm(*(v.denominator for _, p, q in m.terms
+                                         for v in p + q))
         assert math.gcd(m.coeff_scale, *m.coeffs) == 1
         assert math.gcd(m.arg_scale, *chain(*m.plus, *m.minus)) == 1
     assert swap_rule(swap_rule(model)) == model
 
 
 def test_integer_consumers_leave_the_rational_view_unbuilt(monkeypatch):
-    made = []
-    build = CosTerm.__init__
-
-    def counted(self, *args, **kwargs):
-        made.append(self)
-        build(self, *args, **kwargs)
-
-    monkeypatch.setattr(CosTerm, "__init__", counted)
+    read = []  # every model whose exact view is asked for
+    monkeypatch.setattr(AnalyticModel, "terms", property(read.append))
     model = model_for("three_param_2002")
     js = make_spectrum(1.0, 0.1)
     fixed = {0: 8.0, 1: 22.0}
@@ -629,9 +622,10 @@ def test_integer_consumers_leave_the_rational_view_unbuilt(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(["derive", "--prune", "--latex", "--config", config]) == 0
     assert out.getvalue().endswith("terms: 20\n")
-    assert made == []
+    assert read == []
     assert all("terms" not in vars(m) for m in (model, pruned, swapped))
-    assert len(model.terms) == len(made) == 28  # built when asked for
+    monkeypatch.undo()
+    assert len(model.terms) == 28 and "terms" in vars(model)  # built when asked for
 
 
 def test_one_float_view_is_built_once_and_shared(monkeypatch):
@@ -681,13 +675,13 @@ def term_by_term(model, js, taus):
     """R_N summed term by term, each argument a dot product of all delays."""
     delays = np.stack(np.broadcast_arrays(*taus))
     total = 0.0
-    for t in model.terms:
-        p = np.array([float(c) for c in t.plus_arg]) @ delays
-        m = np.array([float(c) for c in t.minus_arg]) @ delays
+    for coeff, plus_arg, minus_arg in model.terms:
+        p = np.array([float(c) for c in plus_arg]) @ delays
+        m = np.array([float(c) for c in minus_arg]) @ delays
         carrier = np.cos(js.pump_frequency * p) * js.plus.corr(p) \
-            if any(t.plus_arg) else 1.0
-        envelope = js.minus.corr(m) if any(t.minus_arg) else 1.0
-        total = total + float(t.coeff) * carrier * envelope
+            if any(plus_arg) else 1.0
+        envelope = js.minus.corr(m) if any(minus_arg) else 1.0
+        total = total + float(coeff) * carrier * envelope
     return total
 
 
@@ -759,13 +753,13 @@ def reference_evaluate(model, js, taus):
     """evaluate as a loop over terms on whole arrays (before blocking), with
     exp and the carrier on every lane."""
     total = 0.0
-    for t in model.terms:
-        value = float(t.coeff)
-        if any(t.plus_arg):
-            arg = combo_dot(t.plus_arg, taus)
+    for coeff, plus_arg, minus_arg in model.terms:
+        value = float(coeff)
+        if any(plus_arg):
+            arg = combo_dot(plus_arg, taus)
             value = value * np.cos(js.pump_frequency * arg) * plain_corr(js.plus, arg)
-        if any(t.minus_arg):
-            arg = combo_dot(t.minus_arg, taus)
+        if any(minus_arg):
+            arg = combo_dot(minus_arg, taus)
             value = value * plain_corr(js.minus, arg)
         total = total + value
     return total
@@ -778,14 +772,14 @@ def reference_envelopes(model, js, spec):
     grid = spec.grid()
     base = np.zeros_like(grid)
     swing = np.zeros_like(grid)
-    for t in model.terms:
-        value = float(t.coeff) * np.ones_like(grid)
-        if any(t.minus_arg):
-            value = value * plain_corr(js.minus, combo_dot(t.minus_arg, taus))
-        if not any(t.plus_arg):
+    for coeff, plus_arg, minus_arg in model.terms:
+        value = float(coeff) * np.ones_like(grid)
+        if any(minus_arg):
+            value = value * plain_corr(js.minus, combo_dot(minus_arg, taus))
+        if not any(plus_arg):
             base = base + value
         else:
-            swing = swing + np.abs(value * plain_corr(js.plus, combo_dot(t.plus_arg, taus)))
+            swing = swing + np.abs(value * plain_corr(js.plus, combo_dot(plus_arg, taus)))
     return base + swing, base - swing
 
 
@@ -955,7 +949,7 @@ def test_a_trace_and_its_envelopes_take_one_walk(monkeypatch, tmp_path):
     for numeric in ([], ["--numeric"]):
         argv = ["envelope", *numeric, "--config", config, "--out", str(tmp_path / "e.csv")]
         assert count(lambda: cli.main(argv)) == 1
-    fig = next(f for f in figures.FIGURES if f.with_envelope)
+    fig = next(f for f in figures.FIGURES if any(map(any, model_for(f.preset).plus)))
     assert count(lambda: figures._figure_trace(fig, CLASS_SIGMAS["correlated"])) == 1
     assert count(lambda: validation._check_envelopes(None, False)) == 2 * len(CLASS_SIGMAS)
     demo = Path(__file__).resolve().parents[1] / "demos" / "03_envelopes_and_reconstruction.py"

@@ -19,6 +19,7 @@ from biphoton_cascade.interferogram import (
     QuadratureBackend,
     SweepSpec,
     Trace,
+    analytic_sweep,
     detect_structures,
     envelopes_analytic,
     envelopes_numeric,
@@ -31,7 +32,6 @@ from biphoton_cascade.interferogram import (
 )
 from biphoton_cascade.presets import make_spectrum, preset_cascade
 from biphoton_cascade.quadrature import suggested_grid
-from biphoton_cascade.spectra import ExchangeSymmetry
 
 JS = make_spectrum(1.0, 1.0)
 _g17_text = interferogram._g17_text  # the fast CSV path, uncounted
@@ -81,6 +81,18 @@ def test_sweep_grid_and_meta():
     assert len(trace.taus) == 61
     assert trace.taus[0] == -3.0 and trace.taus[-1] == 3.0
     assert trace.meta == {"fixed": {0: 2.5}, "swept": 1}
+
+
+def test_each_analytic_trace_owns_its_meta():
+    spec = SweepSpec(fixed={0: 2.5}, swept=1, start=-3.0, stop=3.0, samples=61)
+    model = backend_for("two_param_11").model
+    trace, env = analytic_sweep(model, JS, spec)
+    alone = envelopes_analytic(model, JS, spec)
+    for traces in ((trace, env.upper, env.lower), (alone.upper, alone.lower)):
+        for mark, written in enumerate(traces):
+            written.meta["mark"] = mark
+        assert [t.meta.pop("mark") for t in traces] == list(range(len(traces)))
+        assert all(t.meta == {"fixed": {0: 2.5}, "swept": 1} for t in traces)
 
 
 def test_backends_produce_matching_sweeps():

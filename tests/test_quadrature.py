@@ -336,7 +336,7 @@ def test_wide_cascade_keeps_the_row_blocks_and_their_memory(monkeypatch):
     # V of 2048 x 512 complex (16 MiB each) and two 4 MiB Grams; K^3 = 4096
     # keeps the row blocks.
     tm = compose(CascadeConfig.from_labels([None, 0, 1, 2, 3], 4))
-    assert max(len(entry.arrays[0]) for entry in (tm.A, tm.B, tm.C, tm.D)) == 16
+    assert max(len(entry.amps) for entry in (tm.A, tm.B, tm.C, tm.D)) == 16
     used = _spy_orders(monkeypatch)
     tracemalloc.start()
     try:
@@ -353,13 +353,10 @@ def test_wide_cascade_keeps_the_row_blocks_and_their_memory(monkeypatch):
 def test_stacked_combo_dot_matches_each_term():
     tm = compose(preset_cascade("three_param_2002"))
     taus = [0.7, -2.5, 4.25]
-    amps, combos = tm.D.arrays
+    combos = np.array(tm.D.rows, dtype=float)
     assert combos.shape == (len(tm.D.terms), 3)
-    for (amp, combo), a, u in zip(tm.D.terms, amps, combo_dot(combos, taus)):
-        assert a == float(amp)
+    for combo, u in zip(tm.D.rows, combo_dot(combos, taus)):
         assert u == combo_dot(combo, taus)
-    assert not amps.flags.writeable and not combos.flags.writeable
-    assert ExpSum.from_rows({}, 3).arrays[1].shape == (0, 3)
     # five delays: the model's argument rows, where a matrix product once
     # differed from the fold in the last bit, stacked flat and in pairs
     tm = compose(CascadeConfig.from_labels([None, 0, 1, 2, 3, 4], 5))
@@ -386,13 +383,13 @@ def reference_factors(tm, taus, pump, w_plus, w_minus):
     4 K slots takes its own phases; C and D take W- with the opposite sign.
     """
     entries = (tm.A, tm.B, tm.C, tm.D)
-    width = max(len(entry.arrays[0]) for entry in entries)
+    width = max(len(entry.amps) for entry in entries)
     amps = np.zeros((4, width))
     combos = np.zeros((4, width, tm.n_delays))
     for slot, entry in enumerate(entries):
-        entry_amps, entry_combos = entry.arrays
-        amps[slot, :len(entry_amps)] = entry_amps
-        combos[slot, :len(entry_amps)] = entry_combos
+        for term, (amp, combo) in enumerate(entry.terms):
+            amps[slot, term] = amp
+            combos[slot, term] = combo
     u = combo_dot(combos, taus)
     minus_sign = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -466,14 +463,9 @@ def test_axis_nodes_are_linspace_to_the_bit():
 
 
 def test_compiles_each_entry_and_baseline_once(monkeypatch):
-    calls = {"compile": 0, "baseline": 0, "plan": 0}
-    compile_terms = cascade._compile_terms
+    calls = {"baseline": 0, "plan": 0}
     moments = cascade._large_delay_moments
     phase_plan = cascade._compile_phase_plan
-
-    def counting_compile(*args):
-        calls["compile"] += 1
-        return compile_terms(*args)
 
     def counting_moments(*args):
         calls["baseline"] += 1
@@ -483,7 +475,6 @@ def test_compiles_each_entry_and_baseline_once(monkeypatch):
         calls["plan"] += 1
         return phase_plan(*args)
 
-    monkeypatch.setattr(cascade, "_compile_terms", counting_compile)
     monkeypatch.setattr(cascade, "_large_delay_moments", counting_moments)
     monkeypatch.setattr(cascade, "_compile_phase_plan", counting_plan)
     tm = compose(preset_cascade("three_param_2002"))
@@ -491,7 +482,7 @@ def test_compiles_each_entry_and_baseline_once(monkeypatch):
         js = make_spectrum(1.0, 0.1, symmetry)
         for taus in ([0.5, 1.0, -2.0], [3.0, -1.0, 0.25], [-7.5, 6.0, 40.0]):
             integrate_R_with_error(tm, js, taus, suggested_grid(tm, js, taus))
-    assert calls == {"compile": 4, "baseline": 1, "plan": 1}
+    assert calls == {"baseline": 1, "plan": 1}
     amps, rows, index = tm.phase_plan
     assert not (amps.flags.writeable or rows.flags.writeable or index.flags.writeable)
     # three_param_2002's 32 slots hold 8 distinct delay rows
