@@ -10,7 +10,9 @@ visibilities.
 
 from __future__ import annotations
 
+import copy
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -71,6 +73,18 @@ MAX_SWEEP_SAMPLES = SWEEP_MEMORY_BUDGET // (8 * _ARRAYS_PER_SAMPLE)
 _SATELLITE_ITERATIONS = 3
 #: ``detect_structures`` ignores deviations below this share of the largest.
 _MIN_PROMINENCE = 0.02
+#: ``fit_gaussian_sigma`` fits the points above this share of the peak.
+_FIT_CUT = 1e-4
+#: Its first damping, relative to the diagonal of J'J.  A step that lowers
+#: the sum of squares divides the damping by 10; one that does not is
+#: retried with 10 times the damping.
+_FIT_DAMPING = 1e-3
+#: The fit stops once the cosine between the residual and each Jacobian
+#: column is at most _FIT_GTOL, once a step no longer moves the parameters
+#: or needs more than _FIT_MAX_DAMPING, or after _FIT_MAX_STEPS steps.
+_FIT_GTOL = 1e-12
+_FIT_MAX_DAMPING = 1e20
+_FIT_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -227,10 +241,10 @@ def _analytic_sweep(model: AnalyticModel, js: JointSpectrum, spec: SweepSpec,
     taus = spec.delay_vectors(model.n_delays)
     grid = taus[spec.swept]
     values, upper, lower = analytic._walk(model, js, taus, with_trace, True)
-    meta = {"fixed": dict(spec.fixed), "swept": spec.swept}
-    trace = None if values is None else Trace(grid, values, dict(meta))
-    return trace, EnvelopePair(upper=Trace(grid, upper, dict(meta)),
-                               lower=Trace(grid, lower, dict(meta)))
+    meta = {"fixed": spec.fixed, "swept": spec.swept}
+    trace = None if values is None else Trace(grid, values, copy.deepcopy(meta))
+    return trace, EnvelopePair(upper=Trace(grid, upper, copy.deepcopy(meta)),
+                               lower=Trace(grid, lower, copy.deepcopy(meta)))
 
 
 def envelopes_numeric(trace: Trace, carrier_freq: float) -> EnvelopePair:
@@ -256,8 +270,8 @@ def envelopes_numeric(trace: Trace, carrier_freq: float) -> EnvelopePair:
     carrier_band = np.where((freq >= cutoff), spectrum * 2.0, 0)
     magnitude = np.abs(np.fft.ifft(carrier_band))
     return EnvelopePair(
-        upper=Trace(trace.taus, baseband + magnitude, dict(trace.meta)),
-        lower=Trace(trace.taus, baseband - magnitude, dict(trace.meta)),
+        upper=Trace(trace.taus, baseband + magnitude, copy.deepcopy(trace.meta)),
+        lower=Trace(trace.taus, baseband - magnitude, copy.deepcopy(trace.meta)),
     )
 
 
@@ -328,20 +342,70 @@ def reconstruct_spectra(env: EnvelopePair, satellite_delay: Optional[float] = No
 
 
 def fit_gaussian_sigma(omega: np.ndarray, intensity: np.ndarray) -> float:
-    """Linewidth of a peak-normalized spectral intensity exp(-W^2/2 s^2)."""
-    # Imported here so that importing the package does not load SciPy.
-    from scipy.optimize import curve_fit
+    """Linewidth of a peak-normalized spectral intensity exp(-W^2/2 s^2).
 
-    def model(w, amp, sig):
-        return amp * np.exp(-(w**2) / (2.0 * sig**2))
+    Least squares of amp * exp(-W^2 / 2 s^2) over the points above 1e-4 of
+    the peak, by Levenberg-Marquardt with the analytic Jacobian, from amp at
+    the peak and s at the first |W| below half the peak (at least 1e-3).
+    Returns |s|.  When the Jacobian at the result has rank < 2, the points
+    do not fix both amp and s (s pinned at the 1e-3 floor leaves every point
+    but W = 0 at zero), and it warns "Covariance of the parameters could not
+    be estimated" as a ``UserWarning``.
+    """
+    peak = intensity.max()
+    kept = intensity > _FIT_CUT * peak
+    w2, y = omega[kept] ** 2, intensity[kept]
+    start = max(abs(omega[np.argmax(intensity < 0.5 * peak)]), 1e-3)
+    # A trial step may be NaN (from a singular system) or leave the float
+    # range; its sum of squares then fails the comparison that refuses any
+    # step not lowering it.
+    with np.errstate(all="ignore"):
+        amp, sig = _fit_gaussian(w2, y, np.float64(peak), np.float64(start))
+        e = np.exp(w2 / (-2.0 * sig * sig))
+        jac = np.column_stack([e, amp / sig**3 * e * w2])
+    if np.linalg.matrix_rank(jac) < 2:
+        warnings.warn("Covariance of the parameters could not be estimated",
+                      UserWarning, stacklevel=2)
+    return abs(sig)
 
-    weight_cut = intensity > 1e-4 * intensity.max()
-    popt, _ = curve_fit(
-        model, omega[weight_cut], intensity[weight_cut],
-        p0=[intensity.max(), max(abs(omega[np.argmax(intensity < 0.5 * intensity.max())]), 1e-3)],
-        maxfev=10000,
-    )
-    return abs(popt[1])
+
+def _fit_gaussian(w2, y, amp, sig):
+    """Levenberg-Marquardt for amp * exp(-w2 / 2 sig^2) ~ y from (amp, sig)."""
+
+    def residual(amp, sig):
+        e = np.exp(w2 / (-2.0 * sig * sig))
+        r = amp * e - y
+        return e, r, r @ r
+
+    e, r, cost = residual(amp, sig)
+    damping = _FIT_DAMPING
+    for _ in range(_FIT_MAX_STEPS):
+        # J = [e, k e w2]; a step solves (J'J + damping D) step = -J'r, with D
+        # the diagonal of J'J, 1 for a zero column.
+        ew = e * w2
+        k = amp / sig**3
+        a11, a12, a22 = e @ e, k * (e @ ew), k * k * (ew @ ew)
+        g1, g2 = e @ r, k * (ew @ r)
+        if (g1 * g1 <= _FIT_GTOL**2 * a11 * cost
+                and g2 * g2 <= _FIT_GTOL**2 * a22 * cost):
+            break
+        d1, d2 = a11 or 1.0, a22 or 1.0
+        while True:
+            b11, b22 = a11 + damping * d1, a22 + damping * d2
+            det = b11 * b22 - a12 * a12
+            trial = amp + (a12 * g2 - b22 * g1) / det, sig + (a12 * g1 - b11 * g2) / det
+            if trial == (amp, sig) or damping > _FIT_MAX_DAMPING:
+                return amp, sig
+            # A step that moves s by more than s itself is refused: from a
+            # start far too wide it would run out onto the flat s -> inf side.
+            if abs(trial[1] - sig) <= abs(sig):
+                e_t, r_t, cost_t = residual(*trial)
+                if cost_t < cost:
+                    break
+            damping *= 10.0
+        (amp, sig), e, r, cost = trial, e_t, r_t, cost_t
+        damping /= 10.0
+    return amp, sig
 
 
 @dataclass(frozen=True)

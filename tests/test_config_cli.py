@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biphoton_cascade
+import without_scipy
 from biphoton_cascade import cli, validation
 from biphoton_cascade.analytic import ExpansionTooLargeError, check_delay_count
 from biphoton_cascade.cascade import compose
@@ -609,6 +610,24 @@ def test_package_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout == "[]\n0\n1\n"
+
+
+def test_reconstruct_runs_with_scipy_refused(tmp_path):
+    """SciPy is a test dependency only: a shipped carrier config
+    reconstructs in a fresh interpreter whose ``sys.meta_path`` refuses it,
+    and no ``scipy*`` module is loaded (the wrapper exits 1 if one is)."""
+    finder = without_scipy.RefuseSciPy()
+    with pytest.raises(ModuleNotFoundError, match="scipy.optimize is refused"):
+        finder.find_spec("scipy.optimize")
+    assert finder.find_spec("numpy") is None
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", without_scipy.__file__,
+         "reconstruct", "--config", str(CONFIGS / "two_param_2002_uncorrelated.cfg"),
+         "--out", str(tmp_path / "spectra.csv")],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("fitted sigma_minus = 1.00069 ")
 
 
 def test_missing_config_file_is_io_error(tmp_path):

@@ -2,11 +2,13 @@
 
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
 from biphoton_cascade import interferogram
 from biphoton_cascade.analytic import CHUNK, expand
@@ -30,7 +32,7 @@ from biphoton_cascade.interferogram import (
     write_csv_columns,
     write_trace_csv,
 )
-from biphoton_cascade.presets import make_spectrum, preset_cascade
+from biphoton_cascade.presets import CLASS_SIGMAS, make_spectrum, preset_cascade
 from biphoton_cascade.quadrature import suggested_grid
 
 JS = make_spectrum(1.0, 1.0)
@@ -88,11 +90,16 @@ def test_each_analytic_trace_owns_its_meta():
     model = backend_for("two_param_11").model
     trace, env = analytic_sweep(model, JS, spec)
     alone = envelopes_analytic(model, JS, spec)
-    for traces in ((trace, env.upper, env.lower), (alone.upper, alone.lower)):
+    numeric = envelopes_numeric(trace, carrier_freq=1.0)
+    for traces in ((trace, env.upper, env.lower, numeric.upper, numeric.lower),
+                   (alone.upper, alone.lower)):
         for mark, written in enumerate(traces):
             written.meta["mark"] = mark
+            written.meta["fixed"][5] = mark
         assert [t.meta.pop("mark") for t in traces] == list(range(len(traces)))
+        assert [t.meta["fixed"].pop(5) for t in traces] == list(range(len(traces)))
         assert all(t.meta == {"fixed": {0: 2.5}, "swept": 1} for t in traces)
+    assert spec.fixed == {0: 2.5}
 
 
 def test_backends_produce_matching_sweeps():
@@ -212,6 +219,60 @@ def test_fit_gaussian_sigma_exact():
     w = np.linspace(-6, 6, 301)
     assert fit_gaussian_sigma(w, np.exp(-w**2 / (2 * 0.8**2))) == \
         pytest.approx(0.8, abs=1e-9)
+
+
+@given(sigma=st.floats(0.05, 5.0), amp=st.floats(0.1, 10.0),
+       span=st.floats(3.0, 40.0), per_sigma=st.integers(4, 40),
+       symmetric=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_fit_gaussian_sigma_recovers_exact_gaussians(sigma, amp, span, per_sigma,
+                                                      symmetric):
+    # grids from W = 0, as the reconstruction's, or symmetric about it; a
+    # symmetric grid starts the fit at span * sigma
+    w = np.linspace(-span * sigma if symmetric else 0.0, span * sigma,
+                    int(span * per_sigma * (2 if symmetric else 1)) + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_gaussian_sigma(w, amp * np.exp(-w**2 / (2 * sigma**2)))
+    assert fit == pytest.approx(sigma, rel=1e-9)
+
+
+def test_fit_gaussian_sigma_warns_when_the_start_is_pinned():
+    # The first point is below half the peak, so the linewidth starts at the
+    # 1e-3 floor, where every point but W = 0 is all but zero and no step can
+    # move it (as on two_param_11_uncorrelated): the fit returns the floor.
+    w = np.linspace(0.0, 10.0, 512)
+    with pytest.warns(UserWarning) as record:
+        assert fit_gaussian_sigma(w, np.exp(-(w - 5.0) ** 2 / 2.0)) == 0.001
+    assert [(r.category, str(r.message)) for r in record] == [
+        (UserWarning, "Covariance of the parameters could not be estimated")]
+
+
+def _curve_fit_sigma(omega, intensity):
+    """The linewidth as SciPy's ``curve_fit`` finds it, from the same points
+    and start as ``fit_gaussian_sigma``."""
+    kept = intensity > 1e-4 * intensity.max()
+    start = [intensity.max(),
+             max(abs(omega[np.argmax(intensity < 0.5 * intensity.max())]), 1e-3)]
+    popt, _ = curve_fit(lambda w, amp, sig: amp * np.exp(-(w**2) / (2.0 * sig**2)),
+                        omega[kept], intensity[kept], p0=start, maxfev=10000)
+    return abs(popt[1])
+
+
+@pytest.mark.parametrize("delay", [5.0, 5.5, 6.0])
+@pytest.mark.parametrize("correlation", sorted(CLASS_SIGMAS))
+def test_fit_gaussian_sigma_matches_curve_fit_on_round_trips(correlation, delay):
+    # the benchmark's reconstruction: two_param_2002 at 4096 samples over
+    # +-260, the fixed delay at 5 to 6 over sigma+
+    sigma_plus, sigma_minus = CLASS_SIGMAS[correlation]
+    js = make_spectrum(sigma_plus, sigma_minus, pump_frequency=12.0)
+    tau1 = delay / sigma_plus
+    spec = SweepSpec(fixed={0: tau1}, swept=1, start=-260.0, stop=260.0, samples=4096)
+    trace = sweep(backend_for("two_param_2002", js), spec)
+    env = envelopes_numeric(trace, js.pump_frequency)
+    for omega, intensity in reconstruct_spectra(env, satellite_delay=tau1):
+        assert fit_gaussian_sigma(omega, intensity) == pytest.approx(
+            _curve_fit_sigma(omega, intensity), rel=1e-7)
 
 
 def test_detect_structures_synthetic_baseband():
