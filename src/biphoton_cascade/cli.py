@@ -167,7 +167,8 @@ def cmd_reconstruct(args) -> int:
         return EXIT_CARRIER
     trace = sweep(AnalyticBackend(model, config.spectrum), spec)
     env = envelopes_numeric(trace, config.spectrum.pump_frequency)
-    (w_minus, i_minus), (w_plus, i_plus) = reconstruct_spectra(env)
+    # Satellite replicas are taken to sit at the first delay's fixed value.
+    (w_minus, i_minus), (w_plus, i_plus) = reconstruct_spectra(env, spec.fixed.get(0))
     sigma_minus = fit_gaussian_sigma(w_minus, i_minus)
     sigma_plus = fit_gaussian_sigma(w_plus, i_plus)
     out = args.out or "spectra.csv"

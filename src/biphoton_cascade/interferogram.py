@@ -10,7 +10,6 @@ visibilities.
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -155,13 +154,6 @@ class AnalyticBackend:
     model: AnalyticModel
     js: JointSpectrum
 
-    @property
-    def n_delays(self) -> int:
-        return self.model.n_delays
-
-    def response(self, taus):
-        return analytic.evaluate(self.model, self.js, taus)
-
 
 @dataclass(frozen=True)
 class QuadratureBackend:
@@ -171,51 +163,33 @@ class QuadratureBackend:
     js: JointSpectrum
     grid: Optional[GridSpec] = None
 
-    @property
-    def n_delays(self) -> int:
-        return self.tm.n_delays
-
-    def response(self, taus):
-        """The oracle at each point of the delays' broadcast shape, as ``evaluate``."""
-        return self.response_with_error(taus)[0]
-
-    def response_with_error(self, taus):
-        """The oracle's values, half-grid error estimates and grids, as ``response``.
-
-        A point whose grid holds no half grid has a NaN estimate.  The
-        grids come as each point's (N+, N-) node counts, in a last axis of
-        two.
-        """
-        arrays = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in taus))
-        rows = []
-        for point in map(list, zip(*(a.flat for a in arrays))):
-            grid = self.grid or suggested_grid(self.tm, self.js, point)
-            rows.append((*integrate_R_with_error(self.tm, self.js, point, grid),
-                         *grid.nodes))
-        # dtype=float turns a None estimate into NaN
-        rows = np.array(rows, dtype=float).reshape(arrays[0].shape + (4,))
-        return rows[..., 0][()], rows[..., 1][()], rows[..., 2:].astype(int)
-
 
 def sweep(backend, spec: SweepSpec) -> Trace:
     """Uniformly sample the normalized coincidence along one delay.
 
-    A quadrature sweep's meta also holds ``max_error_estimate``, the
-    largest half-grid estimate of its points (NaN if no grid had one), and
-    ``grid_nodes``, the least and largest node count of each axis over its
-    points' grids, as ((N+ least, N+ largest), (N- least, N- largest)).
+    An analytic sweep's meta is empty.  A quadrature sweep evaluates the
+    oracle at each point of the sweep, on the backend's grid or else the
+    point's ``suggested_grid``, and its meta holds ``max_error_estimate``,
+    the largest half-grid estimate of its points (NaN if no grid had one),
+    and ``grid_nodes``, the least and largest node count of each axis over
+    its points' grids, as ((N+ least, N+ largest), (N- least, N- largest)).
     """
-    taus = spec.delay_vectors(backend.n_delays)
-    grid = taus[spec.swept]
-    meta = {"fixed": dict(spec.fixed), "swept": spec.swept}
-    if isinstance(backend, QuadratureBackend):
-        values, estimates, nodes = backend.response_with_error(taus)
-        meta["max_error_estimate"] = float(np.fmax.reduce(estimates))
-        meta["grid_nodes"] = tuple(zip(nodes.min(axis=0).tolist(),
-                                       nodes.max(axis=0).tolist()))
-    else:
-        values = backend.response(taus)
-    return Trace(grid, np.asarray(values, dtype=float), meta)
+    if isinstance(backend, AnalyticBackend):
+        return _analytic_sweep(backend.model, backend.js, spec,
+                               values=True, envelopes=False)[0]
+    tm, js = backend.tm, backend.js
+    taus = spec.grid()
+    rows = []
+    for tau in taus:
+        point = analytic._delay_vector(tm.n_delays, spec.fixed, spec.swept, tau)
+        point_grid = backend.grid or suggested_grid(tm, js, point)
+        rows.append((*integrate_R_with_error(tm, js, point, point_grid),
+                     *point_grid.nodes))
+    # dtype=float turns a None estimate into NaN
+    values, estimates, *nodes = np.array(rows, dtype=float).T
+    meta = {"max_error_estimate": float(np.fmax.reduce(estimates)),
+            "grid_nodes": tuple((int(n.min()), int(n.max())) for n in nodes)}
+    return Trace(taus, values, meta)
 
 
 def envelopes_analytic(model: AnalyticModel, js: JointSpectrum,
@@ -226,25 +200,25 @@ def envelopes_analytic(model: AnalyticModel, js: JointSpectrum,
     carrier-bearing term contributes +- its magnitude (the cosine replaced
     by the sign that maximizes or minimizes the sum).
     """
-    return _analytic_sweep(model, js, spec, False)[1]
+    return _analytic_sweep(model, js, spec, values=False, envelopes=True)[1]
 
 
 def analytic_sweep(model: AnalyticModel, js: JointSpectrum, spec: SweepSpec):
     """``(Trace, EnvelopePair)`` from one walk over the terms: bit for bit the
     values of ``sweep(AnalyticBackend(model, js), spec)`` and of
     ``envelopes_analytic``, for about the cost of the sweep alone."""
-    return _analytic_sweep(model, js, spec, True)
+    return _analytic_sweep(model, js, spec, values=True, envelopes=True)
 
 
 def _analytic_sweep(model: AnalyticModel, js: JointSpectrum, spec: SweepSpec,
-                    with_trace: bool):
+                    values: bool, envelopes: bool):
+    """``(Trace, EnvelopePair)`` from one ``_walk`` with its two flags, None
+    for a fold not run: every analytic trace and envelope pair is built here."""
     taus = spec.delay_vectors(model.n_delays)
     grid = taus[spec.swept]
-    values, upper, lower = analytic._walk(model, js, taus, with_trace, True)
-    meta = {"fixed": spec.fixed, "swept": spec.swept}
-    trace = None if values is None else Trace(grid, values, copy.deepcopy(meta))
-    return trace, EnvelopePair(upper=Trace(grid, upper, copy.deepcopy(meta)),
-                               lower=Trace(grid, lower, copy.deepcopy(meta)))
+    sampled, upper, lower = analytic._walk(model, js, taus, values, envelopes)
+    return (None if sampled is None else Trace(grid, sampled),
+            None if upper is None else EnvelopePair(Trace(grid, upper), Trace(grid, lower)))
 
 
 def envelopes_numeric(trace: Trace, carrier_freq: float) -> EnvelopePair:
@@ -270,8 +244,8 @@ def envelopes_numeric(trace: Trace, carrier_freq: float) -> EnvelopePair:
     carrier_band = np.where((freq >= cutoff), spectrum * 2.0, 0)
     magnitude = np.abs(np.fft.ifft(carrier_band))
     return EnvelopePair(
-        upper=Trace(trace.taus, baseband + magnitude, copy.deepcopy(trace.meta)),
-        lower=Trace(trace.taus, baseband - magnitude, copy.deepcopy(trace.meta)),
+        upper=Trace(trace.taus, baseband + magnitude),
+        lower=Trace(trace.taus, baseband - magnitude),
     )
 
 
@@ -304,16 +278,16 @@ def _subtract_satellites(taus, signal, separation):
     return central
 
 
-def reconstruct_spectra(env: EnvelopePair, satellite_delay: Optional[float] = None):
+def reconstruct_spectra(env: EnvelopePair, satellite_delay: Optional[float]):
     """Marginal spectral intensities from the envelope sum/difference.
 
     The envelope sum isolates the difference-frequency content (as
     ``2 - S``), the difference isolates the sum-frequency content with
-    satellite replicas at the fixed delay, which are stripped before the
-    transform.  Returns ((omega_minus, minus_intensity),
-    (omega_plus, plus_intensity)), each peak-normalized.  A window in
-    which either intensity is nowhere positive holds no structure to
-    reconstruct from, and is refused with ``SweepWindowError``.
+    satellite replicas at +-``satellite_delay``, which are stripped before
+    the transform; None (or 0) strips nothing.  Returns ((omega_minus,
+    minus_intensity), (omega_plus, plus_intensity)), each peak-normalized.
+    A window in which either intensity is nowhere positive holds no
+    structure to reconstruct from, and is refused with ``SweepWindowError``.
     """
     taus = env.upper.taus
     s_minus = env.upper.values + env.lower.values
@@ -325,8 +299,6 @@ def reconstruct_spectra(env: EnvelopePair, satellite_delay: Optional[float] = No
         raise SweepWindowError(
             f"sweep window too short: envelope edge value {edge:.2e} > 1e-3"
         )
-    if satellite_delay is None:
-        satellite_delay = env.upper.meta.get("fixed", {}).get(0)
     central = (
         _subtract_satellites(taus, s_plus, satellite_delay)
         if satellite_delay
@@ -396,9 +368,10 @@ def _fit_gaussian(w2, y, amp, sig):
             trial = amp + (a12 * g2 - b22 * g1) / det, sig + (a12 * g1 - b11 * g2) / det
             if trial == (amp, sig) or damping > _FIT_MAX_DAMPING:
                 return amp, sig
-            # A step that moves s by more than s itself is refused: from a
-            # start far too wide it would run out onto the flat s -> inf side.
-            if abs(trial[1] - sig) <= abs(sig):
+            # A step that more than doubles or halves s is refused: from a
+            # start far too wide it would run out onto the flat s -> inf
+            # side, or jump below the true s and stall on the flat s -> 0 side.
+            if 0.5 * sig <= trial[1] <= 2.0 * sig:
                 e_t, r_t, cost_t = residual(*trial)
                 if cost_t < cost:
                     break
@@ -439,16 +412,10 @@ def detect_structures(trace: Trace, baseline: float,
     active = deviation > threshold
 
     structures = []
-    idx = 0
-    n = len(active)
-    while idx < n:
-        if not active[idx]:
-            idx += 1
-            continue
-        start = idx
-        while idx < n and active[idx]:
-            idx += 1
-        seg = slice(start, idx)
+    # Each run of active samples, as its [start, stop) edges.
+    edges = np.flatnonzero(np.diff(np.r_[False, active, False]))
+    for start, stop in edges.reshape(-1, 2):
+        seg = slice(start, stop)
         weights = deviation[seg]
         center = float(np.sum(trace.taus[seg] * weights) / np.sum(weights))
         visibility = float(deviation[seg].max()) / baseline
@@ -620,10 +587,8 @@ def _g17_text(values, seps):
     fixed = (k >= -4) & (k < 17)
     small = fixed & (k < 0)
     m = k * (fixed & ~small)
-    # Digit bytes have bit 5 set, NULs do not: one such bit a byte, summed
-    # over each word's eight bytes into its top byte.
-    ones = digits >> _U64(5) & _U64(0x0101010101010101)
-    kept = (ones * _U64(0x0101010101010101) >> _U64(56)).sum(axis=0, dtype=np.intp)
+    # Digit bytes have bit 5 set, NULs do not: count those bits.
+    kept = np.bitwise_count(digits & _U64(0x2020202020202020)).sum(axis=0, dtype=np.intp)
     if (m >= kept).any():  # integer zeros the groups stripped
         words = int(m.max()) // 8 + 1
         digits[:words] |= _U64(0x3030303030303030) & low[m + _WORD_SHIFT[:words] + 1]
