@@ -23,6 +23,7 @@ from .analytic import (
 )
 from .cascade import (
     CascadeConfig,
+    InputError,
     Stage,
     TransferMatrix,
     coincidence_density,
@@ -87,6 +88,7 @@ __all__ = [
     "ExperimentConfig",
     "GridSpec",
     "GridTooLargeError",
+    "InputError",
     "JointSpectrum",
     "PRESETS",
     "ProfileKind",

@@ -30,7 +30,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cascade import TransferMatrix, ZeroBaselineError, combo_dot
+from .cascade import InputError, TransferMatrix, ZeroBaselineError, combo_dot
 from .spectra import _HERMITE_CAP, _MASKED_LANES, ExchangeSymmetry, JointSpectrum
 
 __all__ = [
@@ -157,7 +157,7 @@ def _compile_model(model: AnalyticModel):
     return coeffs, *sides, index
 
 
-class ExpansionTooLargeError(ValueError):
+class ExpansionTooLargeError(InputError):
     """A cascade whose expansion would build more integer rows than the budget."""
 
 

@@ -23,8 +23,10 @@ from .spectra import JointSpectrum
 
 __all__ = [
     "ExpSum",
+    "Stage",
     "CascadeConfig",
     "TransferMatrix",
+    "InputError",
     "ZeroBaselineError",
     "compose",
     "coincidence_density",
@@ -116,7 +118,11 @@ class CascadeConfig:
         )
 
 
-class ZeroBaselineError(ValueError):
+class InputError(ValueError):
+    """An input the package refuses; every refusal it raises derives from it."""
+
+
+class ZeroBaselineError(InputError):
     """The cascade has no coincidences at large delays: nothing to normalize by."""
 
 

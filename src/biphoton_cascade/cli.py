@@ -1,17 +1,19 @@
 """Command-line surface: experiment configs in, derivations/CSV/SVG out.
 
-Exit codes: 0 success; 1 validation invariant failure; 2 config parse
-failure, including an unknown, repeated or no-effect key, a bad sweep
-section or one longer than the sweep memory budget, a missing one where
-a command sweeps or prunes, a negative prune threshold, a sweep window
-too short to reconstruct from or holding no structure, a cascade with no
-large-delay coincidences or one whose expansion exceeds its memory
-budget, delays whose suggested quadrature grid exceeds the memory
-budget, a grid so wide that its weights underflow, linewidths at which
-every quadrature weight underflows, or delays and a pump frequency whose
-sweep values or quadrature density overflow; 3 cross-backend
-disagreement above tolerance; 4 missing or undersampled carrier; 5 I/O
-failure.
+Exit codes: 0 success; 1 validation invariant failure; 2 any other
+``InputError`` the package raises: a config parse failure, including an
+unknown, repeated or no-effect key, a bad sweep section or one longer
+than the sweep memory budget, a missing one where a command sweeps or
+prunes, a negative prune threshold, a sweep window too short to
+reconstruct from or holding no structure, a cascade with no large-delay
+coincidences or one whose expansion exceeds its memory budget, delays
+whose suggested quadrature grid exceeds the memory budget, a grid so
+wide that its weights underflow, linewidths at which every quadrature
+weight underflows, or delays and a pump frequency whose sweep values or
+quadrature density overflow; 3 cross-backend disagreement above
+tolerance; 4 ``UndersampledCarrierError``, a missing or undersampled
+carrier; 5 I/O failure.  Library callers catch ``InputError`` for every
+refusal.
 """
 
 from __future__ import annotations
@@ -25,21 +27,17 @@ import numpy as np
 
 from . import figures, validation
 from .analytic import (
-    ExpansionTooLargeError,
-    ZeroBaselineError,
     asymptotic_prune,
     check_delay_count,
     expand,
     render_latex,
     render_text,
 )
-from .cascade import compose
-from .config import ConfigError, ExperimentConfig, load_config
+from .cascade import InputError, compose
+from .config import ConfigError, load_config
 from .interferogram import (
     AnalyticBackend,
-    NonFiniteTraceError,
     QuadratureBackend,
-    SweepWindowError,
     UndersampledCarrierError,
     analytic_sweep,
     envelopes_numeric,
@@ -48,11 +46,6 @@ from .interferogram import (
     sweep,
     write_csv_columns,
     write_trace_csv,
-)
-from .quadrature import (
-    GridTooLargeError,
-    NonFiniteDensityError,
-    UnderflowedWeightsError,
 )
 from .spectra import correlation_class
 
@@ -66,23 +59,21 @@ EXIT_IO = 5
 _BACKEND_TOLERANCE = 1e-5
 
 
-def _require_config(args) -> ExperimentConfig:
+def _load(args, sweep: bool):
+    """``(config, tm, model)`` of ``--config``: parsed, composed and expanded.
+
+    With ``sweep`` set, a config without a sweep section is refused once
+    its cascade has expanded.
+    """
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
-    return load_config(args.config)
-
-
-def _require_sweep(config: ExperimentConfig):
-    if config.sweep is None:
-        raise ConfigError("config has no sweep section")
-    return config.sweep
-
-
-def _model(config: ExperimentConfig):
+    config = load_config(args.config)
     check_delay_count(config.cascade.n_delays)
     tm = compose(config.cascade)
     model = expand(tm, config.spectrum.symmetry)
-    return tm, model
+    if sweep and config.sweep is None:
+        raise ConfigError("config has no sweep section")
+    return config, tm, model
 
 
 def _write_text(path, text: str) -> None:
@@ -94,10 +85,9 @@ def _write_text(path, text: str) -> None:
 
 
 def cmd_derive(args) -> int:
-    config = _require_config(args)
-    tm, model = _model(config)
+    config, _, model = _load(args, sweep=args.prune)
     if args.prune:
-        spec = _require_sweep(config)
+        spec = config.sweep
         model = asymptotic_prune(model, spec.fixed, spec.swept,
                                  config.spectrum, config.prune_threshold)
     lines = [render_text(model)]
@@ -108,29 +98,19 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _backend_traces(config: ExperimentConfig, backend_name: str):
-    """Sweep with the requested backend(s); returns (primary, secondary)."""
-    tm, model = _model(config)
-    spec = _require_sweep(config)
-    primary = secondary = None
-    if backend_name in ("analytic", "both"):
-        primary = sweep(AnalyticBackend(model, config.spectrum), spec)
-    if backend_name in ("quadrature", "both"):
-        trace = sweep(QuadratureBackend(tm, config.spectrum, config.grid), spec)
-        if primary is None:
-            primary = trace
-        else:
-            secondary = trace
-    return primary, secondary
-
-
 def cmd_sweep(args) -> int:
-    config = _require_config(args)
+    config, tm, model = _load(args, sweep=True)
     backend_name = args.backend or config.backend
-    primary, secondary = _backend_traces(config, backend_name)
+    traces = []
+    if backend_name in ("analytic", "both"):
+        traces.append(sweep(AnalyticBackend(model, config.spectrum), config.sweep))
+    if backend_name in ("quadrature", "both"):
+        traces.append(sweep(QuadratureBackend(tm, config.spectrum, config.grid),
+                            config.sweep))
     out = args.out or "trace.csv"
-    write_trace_csv(out, primary)
-    if secondary is not None:
+    write_trace_csv(out, traces[0])
+    if len(traces) == 2:
+        primary, secondary = traces
         quad_out = out + ".quad.csv" if not out.endswith(".csv") \
             else out[:-4] + ".quad.csv"
         write_trace_csv(quad_out, secondary)
@@ -146,25 +126,21 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    config = _require_config(args)
-    tm, model = _model(config)
-    spec = _require_sweep(config)
+    config, _, model = _load(args, sweep=True)
     if args.numeric:
-        trace = sweep(AnalyticBackend(model, config.spectrum), spec)
+        trace = sweep(AnalyticBackend(model, config.spectrum), config.sweep)
         env = envelopes_numeric(trace, config.spectrum.pump_frequency)
     else:
-        trace, env = analytic_sweep(model, config.spectrum, spec)
+        trace, env = analytic_sweep(model, config.spectrum, config.sweep)
     write_trace_csv(args.out or "envelope.csv", trace, env)
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
-    config = _require_config(args)
-    tm, model = _model(config)
-    spec = _require_sweep(config)
+    config, _, model = _load(args, sweep=True)
+    spec = config.sweep
     if not any(map(any, model.plus)):
-        sys.stderr.write("error: cascade has no carrier to demodulate\n")
-        return EXIT_CARRIER
+        raise UndersampledCarrierError("cascade has no carrier to demodulate")
     trace = sweep(AnalyticBackend(model, config.spectrum), spec)
     env = envelopes_numeric(trace, config.spectrum.pump_frequency)
     # Satellite replicas are taken to sit at the first delay's fixed value.
@@ -269,14 +245,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SweepWindowError, ZeroBaselineError, ExpansionTooLargeError,
-            GridTooLargeError, NonFiniteTraceError, NonFiniteDensityError,
-            UnderflowedWeightsError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
     except UndersampledCarrierError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CARRIER
+    except InputError as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO

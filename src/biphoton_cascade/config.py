@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cascade import CascadeConfig
+from .cascade import CascadeConfig, InputError
 from .interferogram import SweepSpec
 from .presets import make_spectrum, preset_cascade
 from .quadrature import GridSpec
@@ -21,7 +21,7 @@ from .spectra import ExchangeSymmetry, JointSpectrum
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Malformed experiment configuration."""
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import AnalyticModel
-from .cascade import TransferMatrix
+from .cascade import InputError, TransferMatrix
 from .quadrature import GridSpec, integrate_R_with_error, suggested_grid
 from .spectra import JointSpectrum
 
@@ -40,6 +40,7 @@ __all__ = [
     "envelopes_analytic",
     "envelopes_numeric",
     "reconstruct_spectra",
+    "Structure",
     "detect_structures",
     "fit_gaussian_sigma",
     "write_csv_columns",
@@ -48,15 +49,15 @@ __all__ = [
 ]
 
 
-class UndersampledCarrierError(ValueError):
+class UndersampledCarrierError(InputError):
     """Trace samples the pump carrier too coarsely to demodulate."""
 
 
-class SweepWindowError(ValueError):
+class SweepWindowError(InputError):
     """Sweep window ends before the envelopes have decayed, or holds no structure."""
 
 
-class NonFiniteTraceError(ValueError):
+class NonFiniteTraceError(InputError):
     """A trace holds NaN or infinity: its inputs overflow the float range."""
 
 

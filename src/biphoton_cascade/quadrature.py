@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import TransferMatrix, ZeroBaselineError, combo_dot
+from .cascade import InputError, TransferMatrix, ZeroBaselineError, combo_dot
 from .spectra import JointSpectrum
 
 __all__ = [
@@ -106,15 +106,15 @@ _ALIAS_MARGIN = 8.0
 _MIN_HALF_INTERVALS = 32
 
 
-class GridTooLargeError(ValueError):
+class GridTooLargeError(InputError):
     """Grid past the node cap that the memory budget sets."""
 
 
-class NonFiniteDensityError(FloatingPointError):
+class NonFiniteDensityError(InputError, FloatingPointError):
     """The density is not finite on the grid: its inputs overflow the float range."""
 
 
-class UnderflowedWeightsError(FloatingPointError):
+class UnderflowedWeightsError(InputError, FloatingPointError):
     """Every joint quadrature weight underflows to 0, so nothing normalises R."""
 
 

@@ -2,8 +2,10 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -244,6 +246,16 @@ def test_reconstruct_requires_carrier(tmp_path, capsys):
     path = write(tmp_path, "homi.cfg", homi_cfg)
     assert cli.main(["reconstruct", "--config", path,
                      "--out", str(tmp_path / "x.csv")]) == 4
+
+
+@pytest.mark.parametrize("shipped", sorted(CONFIGS.glob("homi_*.cfg")),
+                         ids=lambda path: path.stem)
+def test_reconstruct_refuses_a_cascade_without_carrier(tmp_path, shipped):
+    out = tmp_path / "spectra.csv"
+    result = run_cli("reconstruct", "--config", str(shipped), "--out", str(out))
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (4, "", "error: cascade has no carrier to demodulate\n")
+    assert not out.exists()
 
 
 def test_reconstruct_undersampled_carrier(tmp_path):
@@ -631,6 +643,16 @@ def test_reconstruct_runs_with_scipy_refused(tmp_path):
     assert result.stdout.startswith("fitted sigma_minus = 1.00069 ")
 
 
+def test_every_refusal_is_an_input_error():
+    modules = [importlib.import_module(f"biphoton_cascade.{info.name}")
+               for info in pkgutil.iter_modules(biphoton_cascade.__path__)]
+    refusals = [cls for module in modules for cls in vars(module).values()
+                if isinstance(cls, type) and issubclass(cls, Exception)
+                and cls.__module__ == module.__name__]
+    assert len(refusals) == 10  # InputError and the nine refusals
+    assert all(issubclass(cls, biphoton_cascade.InputError) for cls in refusals)
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     assert cli.main(["derive", "--config", str(tmp_path / "nope.cfg")]) == 5
 
@@ -919,5 +941,8 @@ def test_fuzzed_configs_end_in_documented_exit_codes(text, command):
                              "--out", str(Path(tmp) / "out.csv")])
     assert code in {0, 2, 3, 4, 5}, err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if code in {2, 4, 5}:
+        assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1, \
+            err.getvalue()
     if any(line in text for line in REFUSED_LINES):
         assert code == 2, err.getvalue()
