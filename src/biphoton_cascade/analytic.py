@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .cascade import InputError, TransferMatrix, ZeroBaselineError, combo_dot
-from .spectra import _HERMITE_CAP, _MASKED_LANES, ExchangeSymmetry, JointSpectrum
+from .spectra import _EXP_ZERO, _HERMITE_CAP, _MASKED_LANES, ExchangeSymmetry, JointSpectrum
 
 __all__ = [
     "AnalyticModel",
@@ -345,29 +345,72 @@ CHUNK = 8192
 _ROW_BUDGET = 1 << 22
 
 
-def _swept_arguments(args, taus):
+def _swept_arguments(args, columns):
     """``(k, row)`` for each of one side's argument rows k that reads an
-    array delay.  The row is a list of floats, for ``combo_dot``'s sequence
-    branch: the stacked branch cannot add an array delay's products into a
-    1-D row's 0-d total, and the sequence branch skips zero coefficients."""
-    columns = [i for i, t in enumerate(taus) if t.ndim]
+    array delay, the delays at ``columns``.  The row is a list of floats,
+    for ``combo_dot``'s sequence branch: the stacked branch cannot add an
+    array delay's products into a 1-D row's 0-d total, and the sequence
+    branch skips zero coefficients."""
     if not columns:
         return []
     swept = (args[:, columns] != 0).any(axis=1)
     return [(k, args[k].tolist()) for k in np.flatnonzero(swept).tolist()]
 
 
+def _far(profile) -> float:
+    """|x| from which ``profile.corr(x)`` is exactly +-0: (sigma x)^2 reaches
+    ``_EXP_ZERO``, with a margin of 1e-6 that covers the rounding of the
+    bound and of corr's clamp, scale and square."""
+    return math.sqrt(_EXP_ZERO) / profile.sigma * (1 + 1e-6)
+
+
+def _dead_rows(rows, far, scale, taus, column):
+    """Which swept argument ``rows`` are exactly +-0 on every lane of a block
+    whose one array delay is ``taus[column]``: a list of bools, all False
+    unless every lane of every row is finite there.
+
+    Each row is folded at the array's least and greatest value by
+    ``combo_dot``'s stacked left fold, in delay order, which gives the bits
+    of the lanes that hold those values.  Each fold step, fl(c t) or
+    fl(u + v), is monotone in that delay, so every lane's argument lies
+    between the two ends.  A row whose ends lie on one side at its ``far``
+    or beyond therefore has (sigma x)^2 >= ``_EXP_ZERO`` on every lane.
+    ``scale`` is the pump frequency for a row whose carrier is read, else
+    1: finite ``scale * ends`` bound every lane's argument and carrier
+    phase, so every other factor of a dead row's terms is finite, and each
+    such term is +-0.  A NaN delay makes the ends NaN, and an infinite one
+    makes them infinite; neither block skips a row.
+    """
+    t = taus[column]
+    ends = list(taus)
+    ends[column] = np.array([[t.min()], [t.max()]])
+    x = combo_dot(np.broadcast_to(rows, (2, *rows.shape)), ends)
+    if not np.isfinite(scale * x).all():
+        return [False] * len(rows)
+    return ((x >= far).all(axis=0) | (x <= -far).all(axis=0)).tolist()
+
+
 def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
     """Each argument row's numbers over blocks of the float delays ``taus``.
 
-    Yields ``(block, cos, plus, minus)`` per block of at most ``CHUNK``
-    samples (fewer past ``_ROW_BUDGET``), ``block`` a slice of the flattened
-    broadcast ``shape``.  Per distinct nonzero row of ``model.arrays``,
-    the lists hold cos(pump_frequency * p) (None unless ``carrier``; see
-    ``_carrier``) and corr_plus(p), or corr_minus(m).  Every row is first
-    a Python float, from one stacked ``combo_dot`` per side; the rows that
-    read an array delay are then replaced in place each block, which drops
-    the last block's.
+    Yields ``(block, terms, cos, plus, minus)`` per block of at most
+    ``CHUNK`` samples (fewer past ``_ROW_BUDGET``), ``block`` a slice of the
+    flattened broadcast ``shape``.  Per distinct nonzero row of
+    ``model.arrays``, the lists hold cos(pump_frequency * p) (None unless
+    ``carrier``; see ``_carrier``) and corr_plus(p), or corr_minus(m).
+    Every row is first a Python float, from one stacked ``combo_dot`` per
+    side; the rows that read an array delay are then replaced in place each
+    block, which drops the last block's.  ``terms`` is ``model._plan``, in
+    its order, less the terms that read a dead row.
+
+    A row is dead on a block when it is exactly +-0 on every lane there
+    (see ``_dead_rows``); it is then None, and neither its ``combo_dot``,
+    its ``corr`` nor its carrier is computed.  Rows die only where exactly
+    one delay is an array, as in every sweep, and only while every row is
+    finite at the scalar delays, with a finite carrier phase when
+    ``carrier``: every other factor of a dead row's terms is then finite,
+    so each such term is +-0 on every lane of the block.  Scalar delays
+    and two or more array delays keep every row.
     """
     if js.symmetry is not model.symmetry:
         raise ValueError("joint spectrum symmetry does not match the model")
@@ -375,22 +418,38 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
         raise ValueError(f"expected {model.n_delays} delays, got {len(taus)}")
     _, plus_args, minus_args, _ = model.arrays
     plus_args, minus_args = plus_args[:-1], minus_args[:-1]  # not the zero row
-    plus_swept = _swept_arguments(plus_args, taus)
-    minus_swept = _swept_arguments(minus_args, taus)
+    plan = model._plan
+    arrays = [i for i, t in enumerate(taus) if t.ndim]
+    plus_swept = _swept_arguments(plus_args, arrays)
+    minus_swept = _swept_arguments(minus_args, arrays)
+    skip = len(arrays) == 1 and bool(plus_swept or minus_swept)
     # The array delays read as 0.0: a zero coefficient times 0.0 leaves a
     # row's fold as it is, so a row that reads none of them gets its own
     # bits, and the rows that do are replaced before any fold reads them.
     scalars = [0.0 if t.ndim else t for t in taus]
-    cos, plus, minus = [], [], []
+    cos, plus, minus = None, [], []
     # A carrier phase that overflows makes the values NaN, which the
     # caller's finiteness check reports once, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         if len(plus_args):
             x = combo_dot(plus_args, scalars)
-            cos = np.cos(js.pump_frequency * x).tolist() if carrier else None
             plus = js.plus.corr(x).tolist()
+            if carrier:
+                x = js.pump_frequency * x  # the phases
+                cos = np.cos(x).tolist()
+            skip = skip and np.isfinite(x).all()
     if len(minus_args):
-        minus = js.minus.corr(combo_dot(minus_args, scalars)).tolist()
+        x = combo_dot(minus_args, scalars)
+        minus = js.minus.corr(x).tolist()
+        skip = skip and np.isfinite(x).all()
+    if not arrays:  # one sample, whose rows are all floats already
+        yield slice(0, 1), plan, cos, plus, minus
+        return
+    if skip:
+        swept = np.array([arg for _, arg in plus_swept + minus_swept])
+        counts = [len(plus_swept), len(minus_swept)]
+        far = np.repeat([_far(js.plus), _far(js.minus)], counts)
+        scale = np.repeat([js.pump_frequency if carrier else 1.0, 1.0], counts)
     # A basic slice of a 1-D delay is a view; more dimensions are read
     # flat, one block at a time, from the broadcast view.
     taus = [t if t.ndim == 0 else np.broadcast_to(t, shape) for t in taus]
@@ -398,19 +457,31 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
     size = math.prod(shape)
     rows = 2 * len(plus_swept) + len(minus_swept)
     step = max(1, min(CHUNK, _ROW_BUDGET // max(rows, 1)))
+    dead = [False] * (len(plus_swept) + len(minus_swept))
     for start in range(0, size, step):
         block = slice(start, min(start + step, size))
         at = [t if t.ndim == 0 else (t.flat[block] if flat else t[block])
               for t in taus]
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, arg in plus_swept:
+            if skip:
+                dead = _dead_rows(swept, far, scale, at, arrays[0])
+            for (k, arg), gone in zip(plus_swept, dead):
+                if gone:
+                    plus[k] = None
+                    if carrier:
+                        cos[k] = None
+                    continue
                 x = combo_dot(arg, at)
                 plus[k] = js.plus.corr(x)
                 if carrier:
                     cos[k] = _carrier(js.pump_frequency * x, plus[k])
-        for k, arg in minus_swept:
-            minus[k] = js.minus.corr(combo_dot(arg, at))
-        yield block, cos, plus, minus
+        for (k, arg), gone in zip(minus_swept, dead[len(plus_swept):]):
+            minus[k] = None if gone else js.minus.corr(combo_dot(arg, at))
+        terms = plan
+        if True in dead:
+            terms = [(c, p, m) for c, p, m in plan if (p is None or plus[p] is not None)
+                     and (m is None or minus[m] is not None)]
+        yield block, terms, cos, plus, minus
 
 
 def _carrier(phase, plus):
@@ -434,17 +505,19 @@ def _walk(model: AnalyticModel, js: JointSpectrum, taus, values, envelopes):
     Each fold keeps its own order, in model order: values sum ``coeff * cos
     * plus * minus``; the envelopes are base +- swing, with base summing the
     carrier-free terms' ``coeff * minus`` and swing the others' magnitudes.
+    Both folds skip the terms of a row that is dead on the block, which are
+    +-0 on every lane there.  That is exact: each fold starts at +0.0 and,
+    rounding to nearest, never reaches -0.0, so adding +-0 changes no sum.
     """
     taus = [np.asarray(t, dtype=float) for t in taus]
     shape = np.broadcast_shapes(*(t.shape for t in taus))
     size = math.prod(shape)
     out = np.empty(size) if values else None
     upper, lower = (np.empty(size), np.empty(size)) if envelopes else (None, None)
-    plan = model._plan
-    for block, cos, plus, minus in _blocks(model, js, taus, shape, values):
+    for block, terms, cos, plus, minus in _blocks(model, js, taus, shape, values):
         if values:
             total = 0.0
-            for coeff, p, m in plan:
+            for coeff, p, m in terms:
                 value = coeff
                 if p is not None:
                     value = value * cos[p] * plus[p]
@@ -454,7 +527,7 @@ def _walk(model: AnalyticModel, js: JointSpectrum, taus, values, envelopes):
             out[block] = total
         if envelopes:
             base = swing = 0.0
-            for coeff, p, m in plan:
+            for coeff, p, m in terms:
                 value = coeff
                 if m is not None:
                     value = value * minus[m]

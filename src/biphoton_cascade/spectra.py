@@ -41,7 +41,9 @@ __all__ = [
 #: gave NaN, changes.
 _HERMITE_CAP = 1500.0
 #: exp(-x/2) is exactly 0.0 from this x on, and subnormal from about 1417;
-#: corr does not call exp on the lanes that give 0.0.
+#: corr does not call exp on the lanes that give 0.0, and the analytic walk
+#: (``analytic._dead_rows``) skips an argument row over a block of a sweep
+#: where x reaches this on every lane.
 _EXP_ZERO = 1491.0
 #: Array size from which corr looks for underflowed lanes: skipping their
 #: exp repays the look from about here (at 512 lanes it did not, whether

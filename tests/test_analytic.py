@@ -765,15 +765,14 @@ def reference_evaluate(model, js, taus):
     return total
 
 
-def reference_envelopes(model, js, spec):
-    """envelopes_analytic as a loop over terms on whole arrays, with exp on
-    every lane: (upper, lower)."""
-    taus = spec.delay_vectors(model.n_delays)
-    grid = spec.grid()
-    base = np.zeros_like(grid)
-    swing = np.zeros_like(grid)
+def reference_envelopes(model, js, taus):
+    """envelopes_analytic at the delays ``taus`` as a loop over terms on
+    whole arrays, with exp on every lane: (upper, lower)."""
+    shape = np.broadcast_shapes(*(np.shape(t) for t in taus))
+    base = np.zeros(shape)
+    swing = np.zeros(shape)
     for coeff, plus_arg, minus_arg in model.terms:
-        value = float(coeff) * np.ones_like(grid)
+        value = float(coeff) * np.ones(shape)
         if any(minus_arg):
             value = value * plain_corr(js.minus, combo_dot(minus_arg, taus))
         if not any(plus_arg):
@@ -799,7 +798,7 @@ def assert_blocked_matches_reference(model, js, taus, swept, samples):
     delays = spec.delay_vectors(model.n_delays)
     assert_same_bits(evaluate(model, js, delays), reference_evaluate(model, js, delays))
     env = envelopes_analytic(model, js, spec)
-    upper, lower = reference_envelopes(model, js, spec)
+    upper, lower = reference_envelopes(model, js, delays)
     assert_same_bits(env.upper.values, upper)
     assert_same_bits(env.lower.values, lower)
     trace, env = analytic_sweep(model, js, spec)
@@ -858,7 +857,7 @@ def test_underflowed_tails_change_no_bit(preset, symmetry):
         assert_same_bits(evaluate(model, js, delays),
                          reference_evaluate(model, js, delays))
         env = envelopes_analytic(model, js, spec)
-        upper, lower = reference_envelopes(model, js, spec)
+        upper, lower = reference_envelopes(model, js, delays)
         assert_same_bits(env.upper.values, upper)
         assert_same_bits(env.lower.values, lower)
         if any(map(any, model.plus)):  # a carrier to overflow
@@ -867,6 +866,139 @@ def test_underflowed_tails_change_no_bit(preset, symmetry):
                 expected = reference_evaluate(model, loud, delays)
             assert np.isnan(expected).any()
             assert_same_bits(evaluate(model, loud, delays), expected)
+
+
+@given(cascade=expand_cascades(), symmetry=st.sampled_from(ExchangeSymmetry),
+       data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_dead_blocks_change_no_bit(cascade, symmetry, data):
+    """Over +-400 whole blocks of a swept row are exactly 0: skipping them
+    changes no bit of the values or the envelopes.
+
+    The ascending grid through every caller; through evaluate and the
+    envelope walk, the grid reversed, a 2-D column of it, NaN and the
+    infinities planted in blocks that are otherwise dead, and two array
+    delays, where nothing is skipped.  Every fold is lane by lane, so the
+    reference over the ascending grid, reversed or reshaped, is the
+    reference over the other two.
+    """
+    try:
+        model = expand(compose(cascade), symmetry)
+    except ZeroBaselineError:
+        assume(False)  # nothing to normalize by
+    n = cascade.n_delays
+    taus = [data.draw(st.floats(-15.0, 15.0, allow_nan=False)) for _ in range(n)]
+    swept = data.draw(st.integers(0, n - 1))
+    spec = SweepSpec(fixed={i: t for i, t in enumerate(taus) if i != swept},
+                     swept=swept, start=-400.0, stop=400.0, samples=3 * CHUNK + 1)
+    delays = spec.delay_vectors(n)
+    grid = delays[swept]
+
+    def with_swept(value):
+        return [value if i == swept else t for i, t in enumerate(delays)]
+
+    def walked(taus):
+        return evaluate(model, js, taus), *analytic._walk(model, js, taus, False, True)[1:]
+
+    cases = []
+    for bad in (np.nan, np.inf, -np.inf):
+        values = grid.copy()
+        values[[CHUNK // 2, CHUNK + CHUNK // 2]] = bad
+        cases.append(with_swept(values))
+    if n > 1:  # a second array delay: no row is skipped
+        cases.append(list(delays))
+        cases[-1][(swept + 1) % n] = grid[::-1] / 3
+    for sigmas in CLASS_SIGMAS.values():
+        js = make_spectrum(*sigmas, symmetry)
+        expected = reference_evaluate(model, js, delays)
+        upper, lower = reference_envelopes(model, js, delays)
+        assert_same_bits(sweep(AnalyticBackend(model, js), spec).values, expected)
+        env = envelopes_analytic(model, js, spec)
+        assert_same_bits(env.upper.values, upper)
+        assert_same_bits(env.lower.values, lower)
+        trace, env = analytic_sweep(model, js, spec)
+        assert_same_bits(trace.values, expected)
+        assert_same_bits(env.upper.values, upper)
+        assert_same_bits(env.lower.values, lower)
+        for order in (slice(None, None, -1), (slice(None), None)):
+            for got, want in zip(walked(with_swept(grid[order])), (expected, upper, lower)):
+                assert_same_bits(got, np.broadcast_to(want, grid.shape)[order])
+        for case in cases:
+            with np.errstate(invalid="ignore"):
+                want = reference_evaluate(model, js, case), *reference_envelopes(model, js, case)
+            for got, expect in zip(walked(case), want):
+                assert_same_bits(got, expect)
+
+
+README_CHAIN = CascadeConfig.from_labels([0, 1, 2, 3], 4)
+README_SWEEP = SweepSpec(fixed={0: 3.0, 1: 10.0, 2: 17.0}, swept=3,
+                         start=-80.0, stop=80.0, samples=100_001)
+
+
+def test_dead_blocks_are_skipped(monkeypatch):
+    """On the README's 179-term 4-delay sweep, corr runs once per side at
+    the fixed delays and then once per swept row and block, except where
+    the row is exactly 0 on every lane of the block: 153 of 1170 pairs."""
+    model = expand(compose(README_CHAIN), ExchangeSymmetry.SYMMETRIC)
+    js = make_spectrum(1.0, 0.1)
+    taus = README_SWEEP.delay_vectors(4)
+    _, plus, minus, _ = model.arrays
+    blocks = range(0, README_SWEEP.samples, CHUNK)
+    rows = [args[args[:, 3] != 0] for args in (plus, minus)]
+    # Blocks of CHUNK samples: a plus row holds its argument and its carrier.
+    assert (2 * len(rows[0]) + len(rows[1])) * CHUNK <= analytic._ROW_BUDGET
+    pairs = dead = 0
+    for profile, swept in zip((js.plus, js.minus), rows):
+        for row in swept:
+            g = plain_corr(profile, combo_dot(row.tolist(), taus))
+            pairs += len(blocks)
+            dead += sum(not g[b:b + CHUNK].any() for b in blocks)
+    assert dead > 0.1 * pairs
+    calls = []
+    corr = SpectralProfile.corr
+
+    def counting(profile, tau):
+        calls.append(np.shape(tau))
+        return corr(profile, tau)
+
+    monkeypatch.setattr(SpectralProfile, "corr", counting)
+    evaluate(model, js, taus)
+    assert len(calls) == 2 + pairs - dead
+
+
+#: SHA-256 of the sweep values and the upper and lower envelopes of
+#: ``README_SWEEP``, per symmetry and correlation class, as evaluated before
+#: dead blocks were skipped.
+FROZEN_SWEEP_BITS = {
+    ("SYMMETRIC", "anticorrelated"):
+        "1b5580b8d5b817520cddf3f4056dcd69e59752c7c4b9d1a2955874e3a2a5102e",
+    ("SYMMETRIC", "correlated"):
+        "d7c18a4abab21a5356eb79a48ce4010d9feed646f0a29245d6aa737e65bac511",
+    ("SYMMETRIC", "uncorrelated"):
+        "0a886228dc12c8353f9a8f0dff628a31bd4ba543e65ed3b4e0b808b10c6f3537",
+    ("ANTISYMMETRIC", "anticorrelated"):
+        "d78578e5f8a498919f182ffec9b63229fcd242ce95613448b70bc455e90b9bce",
+    ("ANTISYMMETRIC", "correlated"):
+        "bd64c9e3e604a07483267aed41c32a6c8b2f6259fbc22243a1fd469cb4638757",
+    ("ANTISYMMETRIC", "uncorrelated"):
+        "c8628a5b477926b6b0e5f417166835f810987280c0a7395415fcde9f125bec87",
+}
+
+
+@pytest.mark.parametrize("symmetry", ExchangeSymmetry)
+def test_frozen_bench_scale_sweep_bits(symmetry):
+    """sweep with envelopes_analytic, and analytic_sweep, give the frozen
+    bits of 100 001 samples of the README's 4-delay chain."""
+    model = expand(compose(README_CHAIN), symmetry)
+    for name, sigmas in sorted(CLASS_SIGMAS.items()):
+        js = make_spectrum(*sigmas, symmetry)
+        trace = sweep(AnalyticBackend(model, js), README_SWEEP)
+        env = envelopes_analytic(model, js, README_SWEEP)
+        for trace, env in ((trace, env), analytic_sweep(model, js, README_SWEEP)):
+            digest = hashlib.sha256()
+            for values in (trace.values, env.upper.values, env.lower.values):
+                digest.update(values.tobytes())
+            assert digest.hexdigest() == FROZEN_SWEEP_BITS[symmetry.name, name]
 
 
 def test_blocks_shrink_to_the_row_budget(monkeypatch):
