@@ -30,7 +30,8 @@ from itertools import chain
 
 import numpy as np
 
-from .cascade import InputError, TransferMatrix, ZeroBaselineError, combo_dot
+from .cascade import (InputError, TransferMatrix, ZeroBaselineError, combo_dot, swept_dot,
+                      swept_fold)
 from .spectra import _EXP_ZERO, _HERMITE_CAP, _MASKED_LANES, ExchangeSymmetry, JointSpectrum
 
 __all__ = [
@@ -227,7 +228,10 @@ def _sum_by_key(keys, values):
         return keys, values
     order = np.argsort(keys)
     keys, values = keys[order], values[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
     return keys[starts], np.add.reduceat(values, starts)
 
 
@@ -257,7 +261,7 @@ def _correlations(first, second):
     _check_budget(rows.shape[1], len(amps) ** 2, rows.shape[1] + 1)
     group = np.repeat([0, 1], [len(first[0]), len(second[0])])
     span = rows.max(axis=0, initial=0) - rows.min(axis=0, initial=0)
-    lattice = _Lattice(np.r_[0, -span], np.r_[3, span])
+    lattice = _Lattice(np.concatenate(([0], -span)), np.concatenate(([3], span)))
     k, l = np.divmod(np.arange(len(amps) ** 2), len(amps))
     keys, sums = _sum_by_key(
         lattice.pack(np.column_stack([2 * group[k] + group[l], rows[l] - rows[k]])),
@@ -347,14 +351,19 @@ _ROW_BUDGET = 1 << 22
 
 def _swept_arguments(args, columns):
     """``(k, row)`` for each of one side's argument rows k that reads an
-    array delay, the delays at ``columns``.  The row is a list of floats,
-    for ``combo_dot``'s sequence branch: the stacked branch cannot add an
-    array delay's products into a 1-D row's 0-d total, and the sequence
-    branch skips zero coefficients."""
+    array delay, the delays at ``columns``; with one such delay, in order
+    of the rows' coefficient there, their slope, for ``swept_dot``.  The
+    row is a list of floats, for ``combo_dot``'s sequence branch or
+    ``swept_fold``: the stacked branch cannot add an array delay's products
+    into a 1-D row's 0-d total, and the sequence branch skips zero
+    coefficients."""
     if not columns:
         return []
     swept = (args[:, columns] != 0).any(axis=1)
-    return [(k, args[k].tolist()) for k in np.flatnonzero(swept).tolist()]
+    rows = [(k, args[k].tolist()) for k in np.flatnonzero(swept).tolist()]
+    if len(columns) == 1:
+        rows.sort(key=lambda row: row[1][columns[0]])
+    return rows
 
 
 def _far(profile) -> float:
@@ -400,8 +409,12 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
     ``carrier``; see ``_carrier``) and corr_plus(p), or corr_minus(m).
     Every row is first a Python float, from one stacked ``combo_dot`` per
     side; the rows that read an array delay are then replaced in place each
-    block, which drops the last block's.  ``terms`` is ``model._plan``, in
-    its order, less the terms that read a dead row.
+    block, which drops the last block's.  Where exactly one delay is an
+    array, each such row is split once by ``swept_fold`` and rebuilt per
+    block by ``swept_dot``; the rows of each side come in slope order, so
+    each distinct slope is multiplied by the block's delays once per side.
+    Two or more array delays take ``combo_dot`` per row.  ``terms`` is
+    ``model._plan``, in its order, less the terms that read a dead row.
 
     A row is dead on a block when it is exactly +-0 on every lane there
     (see ``_dead_rows``); it is then None, and neither its ``combo_dot``,
@@ -422,7 +435,8 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
     arrays = [i for i, t in enumerate(taus) if t.ndim]
     plus_swept = _swept_arguments(plus_args, arrays)
     minus_swept = _swept_arguments(minus_args, arrays)
-    skip = len(arrays) == 1 and bool(plus_swept or minus_swept)
+    one = len(arrays) == 1
+    skip = one and bool(plus_swept or minus_swept)
     # The array delays read as 0.0: a zero coefficient times 0.0 leaves a
     # row's fold as it is, so a row that reads none of them gets its own
     # bits, and the rows that do are replaced before any fold reads them.
@@ -450,6 +464,9 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
         counts = [len(plus_swept), len(minus_swept)]
         far = np.repeat([_far(js.plus), _far(js.minus)], counts)
         scale = np.repeat([js.pump_frequency if carrier else 1.0, 1.0], counts)
+    if one:
+        plus_swept, minus_swept = ([(k, swept_fold(arg, taus, arrays[0])) for k, arg in rows]
+                                   for rows in (plus_swept, minus_swept))
     # A basic slice of a 1-D delay is a view; more dimensions are read
     # flat, one block at a time, from the broadcast view.
     taus = [t if t.ndim == 0 else np.broadcast_to(t, shape) for t in taus]
@@ -458,10 +475,15 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
     rows = 2 * len(plus_swept) + len(minus_swept)
     step = max(1, min(CHUNK, _ROW_BUDGET // max(rows, 1)))
     dead = [False] * (len(plus_swept) + len(minus_swept))
+
+    def row(arg):  # a swept row's values on the current block
+        return swept_dot(arg, at[arrays[0]], last) if one else combo_dot(arg, at)
+
     for start in range(0, size, step):
         block = slice(start, min(start + step, size))
         at = [t if t.ndim == 0 else (t.flat[block] if flat else t[block])
               for t in taus]
+        last = {}  # the last slope's product with this block's delays
         with np.errstate(over="ignore", invalid="ignore"):
             if skip:
                 dead = _dead_rows(swept, far, scale, at, arrays[0])
@@ -471,12 +493,13 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
                     if carrier:
                         cos[k] = None
                     continue
-                x = combo_dot(arg, at)
+                x = row(arg)
                 plus[k] = js.plus.corr(x)
-                if carrier:
-                    cos[k] = _carrier(js.pump_frequency * x, plus[k])
+                if carrier:  # the phases, in place once corr has read x
+                    x *= js.pump_frequency
+                    cos[k] = _carrier(x, plus[k])
         for (k, arg), gone in zip(minus_swept, dead[len(plus_swept):]):
-            minus[k] = None if gone else js.minus.corr(combo_dot(arg, at))
+            minus[k] = None if gone else js.minus.corr(row(arg))
         terms = plan
         if True in dead:
             terms = [(c, p, m) for c, p, m in plan if (p is None or plus[p] is not None)
@@ -508,36 +531,89 @@ def _walk(model: AnalyticModel, js: JointSpectrum, taus, values, envelopes):
     Both folds skip the terms of a row that is dead on the block, which are
     +-0 on every lane there.  That is exact: each fold starts at +0.0 and,
     rounding to nearest, never reaches -0.0, so adding +-0 changes no sum.
+    At one sample the folds run on Python floats.  Over arrays they run in
+    place, values in ``out``, base in ``upper`` and swing in ``lower``,
+    each term's product in one scratch block (``_product``), with the same
+    operations in the same order as on floats.
     """
     taus = [np.asarray(t, dtype=float) for t in taus]
-    shape = np.broadcast_shapes(*(t.shape for t in taus))
+    # At one sample every delay is 0-d, and np.broadcast_shapes (about 2 µs
+    # a call) is skipped.
+    shapes = [t.shape for t in taus if t.ndim]
+    shape = np.broadcast_shapes(*shapes) if shapes else ()
     size = math.prod(shape)
     out = np.empty(size) if values else None
     upper, lower = (np.empty(size), np.empty(size)) if envelopes else (None, None)
+    scratch = np.empty(min(size, CHUNK)) if shape else None
     for block, terms, cos, plus, minus in _blocks(model, js, taus, shape, values):
+        if not shape:
+            _fold_floats(terms, cos, plus, minus, out, upper, lower)
+            continue
+        product = scratch[:block.stop - block.start]
         if values:
-            total = 0.0
+            total = out[block]
+            total.fill(0.0)
             for coeff, p, m in terms:
-                value = coeff
-                if p is not None:
-                    value = value * cos[p] * plus[p]
+                factors = () if p is None else (cos[p], plus[p])
                 if m is not None:
-                    value = value * minus[m]
-                total = total + value
-            out[block] = total
+                    factors += (minus[m],)
+                total += _product(product, coeff, factors)
         if envelopes:
-            base = swing = 0.0
+            base, swing = upper[block], lower[block]
+            base.fill(0.0)
+            swing.fill(0.0)
             for coeff, p, m in terms:
-                value = coeff
-                if m is not None:
-                    value = value * minus[m]
+                value = _product(product, coeff, () if m is None else (minus[m],))
                 if p is None:
-                    base = base + value
+                    base += value
                 else:
-                    swing = swing + np.abs(value * plus[p])
-            upper[block] = base + swing
-            lower[block] = base - swing
+                    value = _product(product, value, (plus[p],))
+                    swing += np.abs(value, out=value) if value is product else abs(value)
+            np.subtract(base, swing, out=product)
+            base += swing
+            swing[...] = product
     return tuple(None if a is None else a.reshape(shape) for a in (out, upper, lower))
+
+
+def _product(buffer, value, factors):
+    """``value`` times each of ``factors`` in turn: a float while every
+    factor is one, then in place in ``buffer`` from the first array on
+    (fl(a b) = fl(b a), so the bits are those of the plain product)."""
+    for factor in factors:
+        if value is buffer:
+            buffer *= factor
+        elif type(factor) is float:
+            value = value * factor
+        else:
+            value = np.multiply(factor, value, out=buffer)
+    return value
+
+
+def _fold_floats(terms, cos, plus, minus, out, upper, lower):
+    """``_walk``'s folds at one sample, on Python floats, into the one
+    element of ``out`` or of ``upper`` and ``lower``."""
+    if out is not None:
+        total = 0.0
+        for coeff, p, m in terms:
+            value = coeff
+            if p is not None:
+                value = value * cos[p] * plus[p]
+            if m is not None:
+                value = value * minus[m]
+            total = total + value
+        out[0] = total
+    if upper is not None:
+        base = swing = 0.0
+        for coeff, p, m in terms:
+            value = coeff
+            if m is not None:
+                value = value * minus[m]
+            if p is None:
+                base = base + value
+            else:
+                swing = swing + abs(value * plus[p])
+        upper[0] = base + swing
+        lower[0] = base - swing
 
 
 def evaluate(model: AnalyticModel, js: JointSpectrum, taus):

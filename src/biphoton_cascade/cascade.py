@@ -13,6 +13,7 @@ the four entries, compiled once per matrix and read by every numeric caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -41,21 +42,67 @@ def combo_dot(combo, taus):
     of combinations (the rows of ``TransferMatrix.phase_plan`` or of
     ``AnalyticModel.arrays``); at scalar delays that gives all their values
     at once.  Either way a value is the left fold, in delay order, of
-    coefficient times delay, so at finite delays the stacked values have
-    the bits of each combination's own (a matrix product's may differ in
-    the last bit from 4 delays on).  The stacked fold also adds the zero
-    coefficients' products, which change no finite sum.
-    This is the one place a combination becomes a number.
+    coefficient times delay, so the stacked values have the bits of each
+    combination's own (a matrix product's may differ in the last bit from
+    4 delays on).  The stacked fold adds the zero coefficients' products
+    at finite delays, where they change no sum: it starts at +0.0 and,
+    rounding to nearest, never reaches -0.0.  At a delay that is infinite
+    or NaN somewhere it skips them, as the sequence fold does, since
+    0 * inf and 0 * NaN are NaN.
+    This is the one place a combination becomes a number; ``swept_fold``
+    is the same fold, split where its one array delay enters.
     """
     if isinstance(combo, np.ndarray):
         if len(taus) != combo.shape[-1]:
             raise ValueError(f"expected {combo.shape[-1]} delays, got {len(taus)}")
         total = np.zeros(combo.shape[:-1])
         for column, t in enumerate(taus):
-            total += combo[..., column] * t
+            c = combo[..., column]
+            if math.isfinite(t) if getattr(t, "ndim", 0) == 0 else np.isfinite(t).all():
+                total += c * t
+            else:
+                total += np.multiply(c, t, out=np.zeros_like(total), where=c != 0)
         return total
     return sum(float(c) * np.asarray(t)
                for c, t in zip(combo, taus, strict=True) if c)
+
+
+def swept_fold(row, taus, column):
+    """``combo_dot``'s sequence fold of ``row`` (floats) at ``taus``, split
+    where the one array delay ``taus[column]`` enters; the row's
+    coefficient there is nonzero.
+
+    Returns ``(prefix, slope, suffix)``: the fold of its scalar delays
+    before ``column``, from int 0 as ``sum`` starts; its coefficient at
+    ``column``; and its products at the scalar delays after it, in delay
+    order, zero coefficients skipped.  ``swept_dot`` rebuilds the row's
+    values from them and ``slope * taus[column]`` with the same IEEE
+    operations in the same order, so with the same bits: addition
+    commutes, and 0 + c t and c t + 0 both turn -0.0 into +0.0.
+    """
+    prefix = 0
+    for c, t in zip(row[:column], taus):
+        if c:
+            prefix = prefix + float(c) * float(t)
+    suffix = tuple(float(c) * float(t)
+                   for c, t in zip(row[column + 1:], taus[column + 1:]) if c)
+    return prefix, float(row[column]), suffix
+
+
+def swept_dot(fold, t, last):
+    """A row's values at the array delay ``t`` from its ``swept_fold``
+    ``fold``: a new array.  ``last`` maps the slope of the previous call at
+    ``t`` to its product with ``t``; rows taken in slope order therefore
+    multiply each distinct slope once and hold one such product at a time."""
+    prefix, slope, suffix = fold
+    slope_t = last.get(slope)
+    if slope_t is None:
+        last.clear()
+        slope_t = last[slope] = slope * t
+    x = np.add(slope_t, prefix)
+    for product in suffix:
+        x += product
+    return x
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .analytic import expand
 from .cascade import compose
 from .interferogram import (
+    _U64,
     AnalyticBackend,
     EnvelopePair,
     SweepSpec,
     Trace,
+    _words,
     analytic_sweep,
     sweep,
     write_trace_csv,
@@ -87,9 +90,16 @@ def generate_figures(out_dir: str) -> list[str]:
 _SVG_BLOCK = 4096
 #: SVG canvas size in pixels.
 _SVG_WIDTH, _SVG_HEIGHT = 720, 360
-#: ``"%.2f"`` fields of the fast path: three integer digits, the point, two
-#: decimals and a separator.
-_FIELD = 7
+
+
+@cache
+def _svg_tables():
+    """Word tables of ``_hundredths_text``, built on first use, never at
+    import: the whole parts 0-999 in bytes 0-2, leading blanks as NUL, and
+    "." and the two digits of the hundredths 0-99 in bytes 3-5."""
+    wholes = _words([(b"%3d" % i).replace(b" ", b"\0") for i in range(1000)])
+    cents = _words([b"\0\0\0.%02d" % i for i in range(100)])
+    return wholes, cents
 
 
 def _hundredths_text(points):
@@ -102,6 +112,8 @@ def _hundredths_text(points):
     monotone and every half under 1e5 is a double, so a product below a
     half never rounds past it.  Negative values and -0.0, values from 1000
     or counts from 1e5 on, NaN and the infinities are left to printf too.
+    Each value's text and separator is one little-endian uint64 word, NUL
+    where printf writes nothing; the NULs are dropped at the end.
     """
     if np.signbit(points).any() or not (points < 1e3).all():
         return None
@@ -109,21 +121,16 @@ def _hundredths_text(points):
     n = np.rint(scaled)
     if not (n < 1e5).all() or (np.abs(scaled - n) == 0.5).any():
         return None
-    whole, cents = np.divmod(n.astype(np.int64), 100)
-    text = np.empty((len(points), _FIELD), dtype=np.uint8)
-    text[:, 0] = whole // 100 + 48
-    text[:, 1] = whole // 10 % 10 + 48
-    text[:, 2] = whole % 10 + 48
-    text[:, 3] = ord(".")
-    text[:, 4] = cents // 10 + 48
-    text[:, 5] = cents % 10 + 48
-    text[0::2, 6] = ord(",")
-    text[1::2, 6] = ord(" ")
-    keep = np.ones(text.shape, dtype=bool)
-    keep[:, 0] = whole >= 100
-    keep[:, 1] = whole >= 10
-    keep[-1, 6] = False
-    return text[keep].tobytes().decode("ascii")
+    n = n.astype(np.intp)
+    whole = n // 100
+    n -= 100 * whole  # the hundredths
+    wholes, hundredths = _svg_tables()
+    words = wholes.take(whole)
+    words |= hundredths.take(n)
+    words[0::2] |= _U64(ord(",") << 48)  # each separator in byte 6
+    words[1::2] |= _U64(ord(" ") << 48)
+    words[-1] &= _U64(0xFFFFFFFFFFFF)  # none after the last point
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_polyline(fh, xs, ys, x0, x1, y0, y1, width, height, pad) -> None:

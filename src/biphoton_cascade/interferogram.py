@@ -414,7 +414,7 @@ def detect_structures(trace: Trace, baseline: float,
 
     structures = []
     # Each run of active samples, as its [start, stop) edges.
-    edges = np.flatnonzero(np.diff(np.r_[False, active, False]))
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], active, [False]))))
     for start, stop in edges.reshape(-1, 2):
         seg = slice(start, stop)
         weights = deviation[seg]

@@ -868,6 +868,53 @@ def test_underflowed_tails_change_no_bit(preset, symmetry):
             assert_same_bits(evaluate(model, loud, delays), expected)
 
 
+@pytest.mark.parametrize("preset", [p for p in PRESETS if preset_cascade(p).n_delays > 1])
+def test_non_finite_scalar_delays_match_the_reference(preset):
+    """An infinite or NaN delay adds nothing to a row whose coefficient
+    there is zero, as in the per-term reference: evaluate at such scalar
+    delays has the reference's bits, and warns of nothing."""
+    for symmetry in ExchangeSymmetry:
+        model = model_for(preset, symmetry)
+        for sigmas in CLASS_SIGMAS.values():
+            js = make_spectrum(*sigmas, symmetry)
+            for slot in range(model.n_delays):
+                for bad in (np.inf, -np.inf, np.nan):
+                    taus = [3.0, -7.5, 11.0][:model.n_delays]
+                    taus[slot] = bad
+                    with np.errstate(invalid="ignore"):  # cos(inf) in the reference
+                        expected = reference_evaluate(model, js, taus)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        assert_same_bits(evaluate(model, js, taus), expected)
+    # two_param_11's one plus row reads t2 only: at an infinite t1 the
+    # value is its limit there.
+    model, js = model_for("two_param_11"), make_spectrum(1.0, 1.0)
+    assert evaluate(model, js, [np.inf, 1.0]) == evaluate(model, js, [1e300, 1.0]) \
+        == 1.4270224709406008
+
+
+@pytest.mark.parametrize("symmetry", ExchangeSymmetry)
+@pytest.mark.parametrize("preset", PRESETS)
+def test_sweeps_over_three_blocks_match_the_references(preset, symmetry):
+    """analytic_sweep over 3 CHUNK + 1 samples of +-80, each delay swept in
+    turn: every swept row is rebuilt per block from its fold and a slope
+    product shared with the rows of its slope, on four blocks, the last
+    of one sample."""
+    model = model_for(preset, symmetry)
+    fixed = [8.0, 22.0, 5.0][:model.n_delays]
+    for swept in range(model.n_delays):
+        spec = SweepSpec(fixed={i: t for i, t in enumerate(fixed) if i != swept},
+                         swept=swept, start=-80.0, stop=80.0, samples=3 * CHUNK + 1)
+        delays = spec.delay_vectors(model.n_delays)
+        for sigmas in CLASS_SIGMAS.values():
+            js = make_spectrum(*sigmas, symmetry)
+            trace, env = analytic_sweep(model, js, spec)
+            assert_same_bits(trace.values, reference_evaluate(model, js, delays))
+            upper, lower = reference_envelopes(model, js, delays)
+            assert_same_bits(env.upper.values, upper)
+            assert_same_bits(env.lower.values, lower)
+
+
 @given(cascade=expand_cascades(), symmetry=st.sampled_from(ExchangeSymmetry),
        data=st.data())
 @settings(max_examples=8, deadline=None)

@@ -1,5 +1,6 @@
 """Symbolic transfer matrices: structure, unitarity, coincidence density."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,8 @@ from biphoton_cascade.cascade import (
     coincidence_density,
     combo_dot,
     compose,
+    swept_dot,
+    swept_fold,
 )
 from biphoton_cascade.presets import (
     CLASS_SIGMAS,
@@ -307,3 +310,59 @@ def test_expsum_scales_are_in_lowest_terms():
             assert all(type(c) is int for row in e.rows for c in row)
             assert ExpSum.from_rows({row: amp for amp, row in e.terms},
                                     e.n_delays) == e
+
+
+# ---------------------------------------------------------------------------
+# The folds that turn a combination into numbers
+
+#: Coefficients of a model's argument rows are halves; 3 and 0.1 are not.
+COEFFICIENTS = st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0, 3.0, 0.1])
+#: Delays that make exact zeros of either sign and exact cancellations.
+DELAYS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -5.0]) | st.floats(-1e3, 1e3)
+
+
+@given(row=st.lists(COEFFICIENTS, min_size=1, max_size=6), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_swept_fold_is_the_sequence_fold(row, data):
+    """A row split at its one array delay, and rebuilt from a shared slope
+    product, has the bits of combo_dot's sequence fold: zero coefficients,
+    every swept position, +-0 lanes and a 2-D grid included."""
+    column = data.draw(st.integers(0, len(row) - 1))
+    row[column] = data.draw(COEFFICIENTS.filter(bool))
+    taus = [np.asarray(data.draw(DELAYS)) for _ in row]
+    lanes = data.draw(st.lists(DELAYS, min_size=1, max_size=12))
+    lanes += [0.0, -0.0, -sum(c * float(t) for c, t in zip(row, taus)) / row[column]]
+    grid = np.array(lanes)
+    if data.draw(st.booleans()):
+        grid = np.concatenate([grid, grid[:len(grid) % 2]]).reshape(2, -1)
+    taus[column] = grid
+    expected = combo_dot(row, taus)
+    slopes = {row[column]: row[column] * grid}  # as another row of that slope left it
+    for shared in ({}, slopes):
+        got = swept_dot(swept_fold(row, taus, column), grid, shared)
+        assert got.shape == grid.shape
+        assert got.tobytes() == expected.tobytes()
+    assert len(slopes) == 1
+
+
+def test_stacked_fold_skips_zero_coefficients_at_non_finite_delays():
+    """0 * inf and 0 * NaN are NaN: at such delays the stacked fold skips a
+    zero coefficient, as each row's own fold does, and warns of nothing a
+    row's fold does not."""
+    tm = compose(CascadeConfig.from_labels([None, 0, 1, 2, 1], 3))
+    _, rows, _ = tm.phase_plan
+    assert (rows == 0).any()
+    for bad in (np.inf, -np.inf, np.nan):
+        for taus in ([bad, 1.5, -2.0], [0.5, -3.0, bad], [bad, -bad, 4.0],
+                     [np.asarray(bad), 2.0, np.array([[1.0], [bad]])]):
+            ends = np.shape(taus[2])[:1]  # (), or (2,) for the (2, 1) delay
+            with np.errstate(invalid="ignore"):  # inf - inf, in both folds
+                per_row = [np.broadcast_to(combo_dot(row, taus), ends + (1,))
+                           for row in rows.tolist()]
+                stacked = combo_dot(np.broadcast_to(rows, ends + rows.shape), taus)
+            assert stacked.tobytes() == np.concatenate(per_row, axis=-1).reshape(
+                stacked.shape).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = combo_dot(rows, [np.inf, 1.0, 2.0])
+    assert not np.isnan(values).any()

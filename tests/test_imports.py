@@ -80,9 +80,9 @@ NUMPY_NAMES = [
     "floor", "fmax", "frexp", "full", "gcd", "genfromtxt", "hanning", "hypot",
     "iinfo", "int64", "interp", "intp", "isfinite", "ldexp", "linalg", "linspace",
     "log10", "matmul", "max", "maximum", "median", "min", "minimum", "multiply",
-    "nan", "ndarray", "ones", "pi", "r_", "random", "repeat", "rint", "roll",
-    "searchsorted", "sign", "signbit", "sin", "sqrt", "stack", "sum", "tensordot",
-    "tile", "uint64", "uint8", "vdot", "where", "zeros", "zeros_like",
+    "nan", "ndarray", "not_equal", "pi", "random", "repeat", "rint", "roll",
+    "searchsorted", "sign", "signbit", "sin", "sqrt", "stack", "subtract", "sum",
+    "tensordot", "tile", "uint64", "vdot", "where", "zeros", "zeros_like",
 ]
 
 
