@@ -6,7 +6,8 @@ it into a 2x2 ``TransferMatrix``, then either ``expand`` it into a
 closed-form ``AnalyticModel`` over the correlation functions of the joint
 spectrum, or integrate it numerically with the quadrature oracle.  The
 interferogram module turns either backend into delay sweeps, envelopes,
-spectral reconstructions, and structure detection.
+spectral reconstructions, and structure detection; the textout module
+writes traces as CSV.
 """
 
 from .analytic import (
@@ -26,7 +27,6 @@ from .cascade import (
     InputError,
     Stage,
     TransferMatrix,
-    coincidence_density,
     compose,
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
@@ -43,10 +43,8 @@ from .interferogram import (
     envelopes_analytic,
     envelopes_numeric,
     fit_gaussian_sigma,
-    read_trace_csv,
     reconstruct_spectra,
     sweep,
-    write_trace_csv,
 )
 from .presets import (
     CLASS_SIGMAS,
@@ -72,6 +70,7 @@ from .spectra import (
     SpectralProfile,
     correlation_class,
 )
+from .textout import write_trace_csv
 from .validation import run_suite
 
 __version__ = "0.1.0"
@@ -104,7 +103,6 @@ __all__ = [
     "analytic_sweep",
     "antisymmetric_equivalence_check",
     "asymptotic_prune",
-    "coincidence_density",
     "compose",
     "correlation_class",
     "detect_structures",
@@ -120,7 +118,6 @@ __all__ = [
     "make_spectrum",
     "parse_config",
     "preset_cascade",
-    "read_trace_csv",
     "reconstruct_spectra",
     "render_latex",
     "render_text",

@@ -20,8 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spectra import JointSpectrum
-
 __all__ = [
     "ExpSum",
     "Stage",
@@ -30,7 +28,6 @@ __all__ = [
     "InputError",
     "ZeroBaselineError",
     "compose",
-    "coincidence_density",
 ]
 
 
@@ -214,24 +211,18 @@ class TransferMatrix:
         return _compile_phase_plan(self)
 
     def evaluate(self, omega, taus) -> np.ndarray:
-        """Numeric 2x2 matrix at a single frequency, normalization included."""
+        """Numeric 2x2 matrix at a single frequency, normalization included,
+        one scalar per delay.  Each entry sums its own terms, in row order:
+        its slots of the phase plan, never the zero padding."""
+        amps, rows, index = self.phase_plan
+        u = combo_dot(rows, taus)
+        entries = []
+        for slot, entry in enumerate((self.A, self.B, self.C, self.D)):
+            width = len(entry.amps)
+            phases = np.multiply.outer(np.asarray(omega, dtype=float), u[index[slot, :width]])
+            entries.append(np.tensordot(np.exp(-1j * phases), amps[slot, :width], axes=1))
         scale = 2.0 ** (-self.stage_count / 2.0)
-        entries = _entry_values(self, (omega,) * 4, taus)
         return scale * np.array(entries, dtype=complex).reshape(2, 2)
-
-
-def _entry_values(tm: TransferMatrix, omegas, taus) -> list:
-    """A, B, C and D, each at its own frequency of ``omegas`` (scalar or
-    array), one scalar per delay.  Each entry sums its own terms, in row
-    order: its slots of the phase plan, never the zero padding."""
-    amps, rows, index = tm.phase_plan
-    u = combo_dot(rows, taus)
-    values = []
-    for slot, (entry, omega) in enumerate(zip((tm.A, tm.B, tm.C, tm.D), omegas)):
-        width = len(entry.amps)
-        phases = np.multiply.outer(np.asarray(omega, dtype=float), u[index[slot, :width]])
-        values.append(np.tensordot(np.exp(-1j * phases), amps[slot, :width], axes=1))
-    return values
 
 
 def _compile_phase_plan(tm: TransferMatrix):
@@ -308,23 +299,3 @@ def compose(config: CascadeConfig) -> TransferMatrix:
         *(ExpSum.from_rows(entry, config.n_delays) for entry in (a, b, c, d)),
         stage_count=len(config.stages), n_delays=config.n_delays)
 
-
-def coincidence_density(tm: TransferMatrix, js: JointSpectrum,
-                        omega_s, omega_i, taus) -> float:
-    """Coincidence probability density r_n(omega_s, omega_i; taus).
-
-    |f(ws,wi) A(ws) D(wi) + f(wi,ws) B(ws) C(wi)|^2 with the entries
-    evaluated numerically; the swapped-argument amplitude follows from the
-    exchange symmetry flag.  The 1/2^(2n) prefactor is left to the
-    integration step.
-    """
-    if len(taus) != tm.n_delays:
-        raise ValueError(f"expected {tm.n_delays} delays, got {len(taus)}")
-    half_pump = js.pump_frequency / 2.0
-    w_plus = (omega_s - half_pump) + (omega_i - half_pump)
-    w_minus = (omega_s - half_pump) - (omega_i - half_pump)
-    f = js.plus.amplitude(w_plus) * js.minus.amplitude(w_minus)
-    f_swapped = int(js.symmetry) * f
-    a, b, c, d = _entry_values(tm, (omega_s, omega_s, omega_i, omega_i), taus)
-    amp = f * a * d + f_swapped * b * c
-    return np.abs(amp) ** 2

@@ -44,10 +44,9 @@ from .interferogram import (
     fit_gaussian_sigma,
     reconstruct_spectra,
     sweep,
-    write_csv_columns,
-    write_trace_csv,
 )
 from .spectra import correlation_class
+from .textout import write_csv_columns, write_trace_csv
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1

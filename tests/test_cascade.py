@@ -12,14 +12,12 @@ from biphoton_cascade import cascade as cascade_module
 from biphoton_cascade.cascade import (
     CascadeConfig,
     ExpSum,
-    coincidence_density,
     combo_dot,
     compose,
     swept_dot,
     swept_fold,
 )
 from biphoton_cascade.presets import (
-    CLASS_SIGMAS,
     PRESETS,
     make_spectrum,
     preset_cascade,
@@ -99,8 +97,8 @@ def test_input_delay_shifts_the_stage_delay():
     for _ in range(10):
         ws, wi = rng.uniform(8.0, 12.0, 2)
         tau = rng.uniform(-3.0, 3.0)
-        assert coincidence_density(shifted, js, ws, wi, [tau]) == pytest.approx(
-            coincidence_density(plain, js, ws, wi, [2.0 * tau]), abs=1e-12
+        assert reference_density(shifted, js, ws, wi, [tau]) == pytest.approx(
+            reference_density(plain, js, ws, wi, [2.0 * tau]), abs=1e-12
         )
 
 
@@ -110,7 +108,7 @@ def test_homi_density_vanishes_on_diagonal():
     tm = compose(preset_cascade("homi"))
     for omega in (9.0, 10.0, 11.5):
         for tau in (-2.0, 0.0, 0.4):
-            assert coincidence_density(tm, js, omega, omega, [tau]) == \
+            assert reference_density(tm, js, omega, omega, [tau]) == \
                 pytest.approx(0.0, abs=1e-15)
 
 
@@ -123,16 +121,15 @@ def test_antisymmetric_homi_density_doubles_on_diagonal():
         * js.minus.amplitude(ws - wi)
     )
     # perfect constructive interference: |2 f|^2
-    assert coincidence_density(tm, js, ws, wi, [tau]) == pytest.approx(
+    assert reference_density(tm, js, ws, wi, [tau]) == pytest.approx(
         4.0 * f**2, abs=1e-15
     )
 
 
-def test_density_rejects_wrong_delay_count():
-    js = make_spectrum(1.0, 1.0)
+def test_evaluate_rejects_wrong_delay_count():
     tm = compose(preset_cascade("two_param_11"))
-    with pytest.raises(ValueError):
-        coincidence_density(tm, js, 10.0, 10.0, [0.5])
+    with pytest.raises(ValueError, match="^expected 2 delays, got 1$"):
+        tm.evaluate(10.0, [0.5])
 
 
 def test_delay_label_out_of_range():
@@ -258,6 +255,16 @@ def reference_entry(entry, omega, taus):
     return total, sum(abs(float(amp)) for amp, _ in entry.terms)
 
 
+def reference_density(tm, js, ws, wi, taus):
+    """Coincidence probability density |f A(ws) D(wi) + s f B(ws) C(wi)|^2,
+    each entry from ``reference_entry``, with f the joint amplitude at
+    (ws, wi) and s the exchange symmetry; the 1/2^(2n) prefactor left out."""
+    a, b, c, d = (reference_entry(entry, w, taus)[0]
+                  for entry, w in ((tm.A, ws), (tm.B, ws), (tm.C, wi), (tm.D, wi)))
+    f = js.plus.amplitude(ws + wi - js.pump_frequency) * js.minus.amplitude(ws - wi)
+    return abs(f * a * d + int(js.symmetry) * f * b * c) ** 2
+
+
 def assert_numeric_entries_match_reference(tm, data):
     omega = data.draw(st.floats(-40.0, 40.0))
     taus = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=tm.n_delays,
@@ -267,20 +274,6 @@ def assert_numeric_entries_match_reference(tm, data):
     for value, entry in zip(matrix.ravel(), (tm.A, tm.B, tm.C, tm.D)):
         expected, scale = reference_entry(entry, omega, taus)
         assert abs(value - norm * expected) <= 1e-12 * max(1.0, norm * scale)
-
-    symmetry = data.draw(st.sampled_from(ExchangeSymmetry))
-    js = make_spectrum(*CLASS_SIGMAS[data.draw(st.sampled_from(sorted(CLASS_SIGMAS)))],
-                       symmetry)
-    ws, wi = (js.pump_frequency / 2.0 + data.draw(st.floats(-4.0, 4.0))
-              for _ in range(2))
-    (a, a_scale), (b, b_scale), (c, c_scale), (d, d_scale) = (
-        reference_entry(entry, w, taus)
-        for entry, w in ((tm.A, ws), (tm.B, ws), (tm.C, wi), (tm.D, wi)))
-    f = js.plus.amplitude(ws + wi - js.pump_frequency) * js.minus.amplitude(ws - wi)
-    expected = abs(f * a * d + int(symmetry) * f * b * c) ** 2
-    scale = (abs(f) * (a_scale * d_scale + b_scale * c_scale)) ** 2
-    assert abs(coincidence_density(tm, js, ws, wi, taus) - expected) <= \
-        1e-12 * max(1.0, scale)
 
 
 @given(config=cascades(), data=st.data())

@@ -25,8 +25,9 @@ from biphoton_cascade import cli, validation
 from biphoton_cascade.analytic import ExpansionTooLargeError, check_delay_count
 from biphoton_cascade.cascade import compose
 from biphoton_cascade.config import ConfigError, parse_config
-from biphoton_cascade.interferogram import QuadratureBackend, read_trace_csv, sweep
+from biphoton_cascade.interferogram import QuadratureBackend, sweep
 from biphoton_cascade.presets import preset_cascade
+from test_interferogram import read_trace_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -615,7 +616,7 @@ def test_package_import_loads_no_scipy():
     are built on the first write."""
     result = subprocess.run(
         [sys.executable, "-c", "import io, sys, biphoton_cascade; "
-         "from biphoton_cascade import interferogram as fmt; "
+         "from biphoton_cascade import textout as fmt; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
          "print(fmt._g17_tables.cache_info().currsize); "
          "fmt.write_csv_columns(io.StringIO(), [[0.5]]); "
@@ -788,71 +789,6 @@ def test_frozen_figure_bytes(tmp_path):
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert written == FROZEN_FIGURES
-
-
-#: SHA-256 of the spectra CSV and of the stdout that ``reconstruct`` writes
-#: for each shipped config with a carrier, generated while
-#: ``reconstruct_spectra`` still read its satellite delay from the trace's
-#: meta.
-FROZEN_RECONSTRUCT = {
-    "noon_anticorrelated": (
-        "f0661f83e5adf1e684a7a387ccc2a9e5554e52eb7e49ac7e537f2f95697be812",
-        "78f5e59af96c34a717ef394f2daa9e8d9132e9c9b8404c8e2a17468fdd44a1e1"),
-    "noon_correlated": (
-        "e66dffa20444fa2fea09e614e4129ebada244f30a3fe9525543917f010c123a7",
-        "4ae90bd467b72a9dc356edbbb18b47d7189a693efe8477e031e40ef82338bba6"),
-    "noon_uncorrelated": (
-        "e66dffa20444fa2fea09e614e4129ebada244f30a3fe9525543917f010c123a7",
-        "9301662952929592906fae17c9948bfc003f777fdaa5715c355b66511903ae5c"),
-    "three_param_11_anticorrelated": (
-        "5338c8f747a20d9c250adca7c13d28d470da80d54636a945f74926d52e4fb53d",
-        "22a30b7ceb8bed823af38d442c3e73cdaf959dc579c303fc4f75dfb10a28b11c"),
-    "three_param_11_correlated": (
-        "6c53975c94b986f164ac3553abbf03af78aed72f6bf72bb9967a7d347d44e5ba",
-        "c0fe462d24d21963b7e26b5a6a6b499b39f533ab3eb3fa70658d492d62dd0c52"),
-    "three_param_11_uncorrelated": (
-        "5f604dab421db6e7511dde1bef12e0a4e03002503d46c966a1055aabb2f1d6f4",
-        "8217be9dd11e79f41dee305842478def5276a47c26015f54fc96678058b98bfa"),
-    "three_param_2002_anticorrelated": (
-        "b503bdfee8c8fa242a957a5e220ec715eb2193c4f7f17dc9c9b727096a9126ea",
-        "fe614181dbbf304325d733ef122331982c6b3f62814480527eb1a6ae71189b9c"),
-    "three_param_2002_correlated": (
-        "715b9a93125d4c269006ffa384200decb690a14895126f4e3212b7fe983c0b47",
-        "538cfa2178825fe9df2c3e346dad0fe1fb1be576419a44f8c22e2ad42f116791"),
-    "three_param_2002_uncorrelated": (
-        "c977a0c6448e15afc4e60b80a94c7fad47421570fda8c3aee23ce3e3b7ea3933",
-        "97cc68f439749f0db4eba20922d364db8bc6e662ee930153cadf24c52d5bc172"),
-    "two_param_11_anticorrelated": (
-        "dfc1022fb89c641a8d0f5de450b023c444ca4814ea5e99d184c7f726b8a7f65b",
-        "b0f72793dae6a7c8864203341248fa83a067f50c1ddcee3b4fc764759d230be1"),
-    "two_param_11_correlated": (
-        "857333a00c7240866b2f09e0d336a1557e2ffb602f5f28f6ce11dcd24cb1c2d9",
-        "f717a0d7c9ff5909e310cd364631fd444bb3069761284bfcd0e84b8770e337ef"),
-    "two_param_11_uncorrelated": (
-        "cd8a6a5e3430d4a5e61125945dca061e33a04b6def3343dfdba9b7b8167107e1",
-        "6ba85d339dabfebf65395c125e3a03485ceaf696d7a8d866207d2ee369777d58"),
-    "two_param_2002_anticorrelated": (
-        "9f369ddaef0c63d8100d80b7e313e32ec2dece084efdc662aa38297061adba86",
-        "a544e622c6ea6bc0192663dded5d9733ecd3d6614e35c9526bbc4298ffa29c0d"),
-    "two_param_2002_correlated": (
-        "ce276010651357a72127b71fa494cb6300a15a9b34c4a4ad0c73e3a039f390ed",
-        "3848ce90111e299d59e9133d3db7dbd9f89ac8d9338b0525738887de288045ed"),
-    "two_param_2002_uncorrelated": (
-        "17aafed0508586947cf787489c3433fc9ad1e94d328362731d879a52795939c5",
-        "a9e75295d9050c79076e60281fb4f92ccac1fe45bfe6015bc6057d176dd42204"),
-}
-
-
-@pytest.mark.filterwarnings("ignore:Covariance of the parameters could not be estimated")
-def test_frozen_reconstruct_bytes(tmp_path, capsys):
-    written = {}
-    for name in FROZEN_RECONSTRUCT:
-        out = tmp_path / f"{name}.csv"
-        assert cli.main(["reconstruct", "--config", str(CONFIGS / f"{name}.cfg"),
-                         "--out", str(out)]) == 0
-        written[name] = (hashlib.sha256(out.read_bytes()).hexdigest(),
-                         hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-    assert written == FROZEN_RECONSTRUCT
 
 
 def test_figures_io_failure():

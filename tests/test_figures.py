@@ -6,8 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton_cascade import figures
-from biphoton_cascade.figures import _hundredths_text, _write_polyline
+from biphoton_cascade import textout
+from biphoton_cascade.textout import _hundredths_text, write_polyline
 
 
 def printf(points) -> str:
@@ -15,12 +15,12 @@ def printf(points) -> str:
 
 
 def printf_polyline(xs, ys, x0, x1, y0, y1, width, height, pad) -> str:
-    """``_write_polyline`` as it was: every block through printf."""
+    """``write_polyline`` as it was: every block through printf."""
     sx = (width - 2 * pad) / (x1 - x0)
     sy = (height - 2 * pad) / (y1 - y0)
     blocks = []
-    for first in range(0, len(xs), figures._SVG_BLOCK):
-        last = min(first + figures._SVG_BLOCK, len(xs))
+    for first in range(0, len(xs), textout._SVG_BLOCK):
+        last = min(first + textout._SVG_BLOCK, len(xs))
         px = pad + (xs[first:last] - x0) * sx
         py = height - pad - (ys[first:last] - y0) * sy
         blocks.append(printf(np.column_stack((px, py)).ravel()))
@@ -89,7 +89,7 @@ def test_near_halves_match_printf(k, ulps, n):
     check([v, 1.0] * n)
 
 
-@given(st.integers(1, 2 * figures._SVG_BLOCK + 3), st.floats(-1e3, 1e3), st.data())
+@given(st.integers(1, 2 * textout._SVG_BLOCK + 3), st.floats(-1e3, 1e3), st.data())
 @settings(max_examples=25, deadline=None)
 def test_polyline_matches_printf(n, offset, data):
     """Whole polylines, fast and printf blocks mixed, odd lengths included."""
@@ -99,5 +99,5 @@ def test_polyline_matches_printf(n, offset, data):
     y0, y1 = float(ys.min()) - data.draw(st.sampled_from([0.0, 0.5, 1e-3])), float(ys.max()) + 0.5
     args = (xs, ys, float(xs[0]), float(xs[-1]) + 1.0, y0, y1, 720, 360, 40.0)
     fh = io.StringIO()
-    _write_polyline(fh, *args)
+    write_polyline(fh, *args)
     assert fh.getvalue() == printf_polyline(*args)

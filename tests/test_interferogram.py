@@ -1,6 +1,7 @@
 """Sweeps, envelopes, reconstruction, and structure detection."""
 
 import io
+import sys
 import tracemalloc
 import warnings
 
@@ -10,11 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
-from biphoton_cascade import interferogram
+from biphoton_cascade import textout
 from biphoton_cascade.analytic import CHUNK, expand
 from biphoton_cascade.cascade import compose
 from biphoton_cascade.interferogram import (
-    CSV_BLOCK,
     AnalyticBackend,
     EnvelopePair,
     NonFiniteTraceError,
@@ -26,17 +26,15 @@ from biphoton_cascade.interferogram import (
     envelopes_analytic,
     envelopes_numeric,
     fit_gaussian_sigma,
-    read_trace_csv,
     reconstruct_spectra,
     sweep,
-    write_csv_columns,
-    write_trace_csv,
 )
 from biphoton_cascade.presets import CLASS_SIGMAS, make_spectrum, preset_cascade
 from biphoton_cascade.quadrature import suggested_grid
+from biphoton_cascade.textout import CSV_BLOCK, write_csv_columns, write_polyline, write_trace_csv
 
 JS = make_spectrum(1.0, 1.0)
-_g17_text = interferogram._g17_text  # the fast CSV path, uncounted
+_g17_text = textout._g17_text  # the fast CSV path, uncounted
 
 
 def backend_for(preset, js=JS):
@@ -281,6 +279,21 @@ def test_detect_structures_flags_overlap():
     assert found[0].overlapped
 
 
+def read_trace_csv(path):
+    """Read a trace CSV; returns (Trace, EnvelopePair or None)."""
+    data = np.genfromtxt(path, delimiter=",", names=True)
+    taus = np.atleast_1d(data["tau"])
+    trace = Trace(taus, np.atleast_1d(data["value"]))
+    names = data.dtype.names
+    if "upper" in names and "lower" in names:
+        env = EnvelopePair(
+            upper=Trace(taus, np.atleast_1d(data["upper"])),
+            lower=Trace(taus, np.atleast_1d(data["lower"])),
+        )
+        return trace, env
+    return trace, None
+
+
 def test_csv_round_trip_plain():
     taus = np.linspace(-1.0, 1.0, 7)
     values = np.sqrt(np.abs(taus) + 0.1)  # irrational values exercise %.17g
@@ -299,7 +312,7 @@ def test_csv_round_trip_with_envelopes(tmp_path):
     trace = Trace(taus, np.cos(taus))
     env = EnvelopePair(Trace(taus, np.full(9, 1.0)), Trace(taus, -np.ones(9)))
     path = tmp_path / "trace.csv"
-    write_trace_csv(str(path), trace, env)
+    write_trace_csv(path, trace, env)
     header = path.read_text().splitlines()[0]
     assert header == "tau,value,upper,lower"
     loaded, loaded_env = read_trace_csv(str(path))
@@ -317,14 +330,14 @@ def per_row_csv(columns):
 def csv_blocks(monkeypatch):
     """Counts of the CSV blocks formatted fast and through printf."""
     counts = {"fast": 0, "printf": 0}
-    fast = interferogram._g17_text
+    fast = textout._g17_text
 
     def counted(values, seps):
         text = fast(values, seps)
         counts["printf" if text is None else "fast"] += 1
         return text
 
-    monkeypatch.setattr(interferogram, "_g17_text", counted)
+    monkeypatch.setattr(textout, "_g17_text", counted)
     return counts
 
 
@@ -417,6 +430,27 @@ def test_fast_csv_edge_cases_match_printf(csv_blocks):
     buffer = io.StringIO()
     write_csv_columns(buffer, [integers, integers.tolist()])
     assert buffer.getvalue() == per_row_csv([integers, integers])
+
+
+def test_a_big_endian_host_writes_every_block_through_printf(monkeypatch, csv_blocks):
+    """The word tables hold little-endian text, so on any other host every
+    CSV and SVG block goes to printf, with the same bytes."""
+    rows = 2 * max(CSV_BLOCK, textout._SVG_BLOCK) + 1
+    xs = np.linspace(-80.0, 80.0, rows)
+    columns = [xs, np.cos(xs), 1.0 + np.exp(-xs**2)]
+    polyline = (xs, columns[1], -80.0, 80.0, -1.0, 1.0, 720, 360, 40.0)
+    writes = []
+    for order in ("little", "big"):
+        monkeypatch.setattr(sys, "byteorder", order)
+        csv, svg = io.StringIO(), io.StringIO()
+        write_csv_columns(csv, columns)
+        write_polyline(svg, *polyline)
+        writes.append((csv.getvalue(), svg.getvalue()))
+    assert writes[0] == writes[1]
+    assert writes[0][0] == per_row_csv(columns)
+    blocks = -(-rows // CSV_BLOCK)
+    assert csv_blocks == {"fast": blocks, "printf": blocks}
+    assert textout._hundredths_text(np.array([1.0, 2.0])) is None
 
 
 @given(st.lists(st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from biphoton_cascade.analytic import evaluate, expand
-from biphoton_cascade.cascade import coincidence_density, compose
+from biphoton_cascade.cascade import compose
 from biphoton_cascade.interferogram import SweepSpec, envelopes_analytic
 from biphoton_cascade.presets import preset_cascade
 from biphoton_cascade.spectra import (
@@ -27,6 +27,7 @@ from biphoton_cascade.spectra import (
     SpectralProfile,
     correlation_class,
 )
+from test_cascade import reference_density
 
 
 def fourier_corr_oracle(profile: SpectralProfile, tau: float) -> float:
@@ -213,7 +214,7 @@ def test_jsa_factorizes():
     wi = (js.pump_frequency + wp - wm) / 2.0
     f = np.exp(-(wp**2) / (4.0 * 0.7**2)) * np.exp(-(wm**2) / (4.0 * 1.3**2))
     tm = compose(preset_cascade("homi"))
-    assert coincidence_density(tm, js, ws, wi, [tau]) == pytest.approx(
+    assert reference_density(tm, js, ws, wi, [tau]) == pytest.approx(
         f**2 * (2.0 - 2.0 * np.cos(wm * tau)), abs=1e-14
     )
 
