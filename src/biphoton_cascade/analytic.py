@@ -74,19 +74,22 @@ class AnalyticModel:
     arg_scale: int = 1
 
     @staticmethod
-    def from_rows(coeffs, plus, minus, n_delays: int, symmetry: ExchangeSymmetry,
+    def from_rows(coeffs, rows, index, n_delays: int, symmetry: ExchangeSymmetry,
                   coeff_scale: int = 1, arg_scale: int = 1) -> "AnalyticModel":
         """The model of integer terms in the order given, over the least scales.
 
-        Numerators and rows are sequences or arrays, int64 or ``object``.
+        Term k has numerator ``coeffs[k]``, plus argument ``rows[index[0][k]]``
+        and minus argument ``rows[index[1][k]]``.  Numerators are a sequence
+        or an array, int64 or ``object``; ``rows`` is an int64 array of
+        ``(rows, n_delays)`` or a sequence of such rows.  Each row becomes
+        one tuple, which every term that reads it shares.
         """
-        coeffs, rows = _int_array(coeffs), _int_array((plus, minus))
+        coeffs, rows = _int_array(coeffs), np.asarray(rows, dtype=np.int64)
         # Reducing by the common divisor leaves each scale the least one.
         coeff_gcd = math.gcd(coeff_scale, int(np.gcd.reduce(coeffs)))
         arg_gcd = math.gcd(arg_scale, int(np.gcd.reduce(rows, axis=None)))
-        rows //= arg_gcd  # a new (2, K, n_delays) array, never the caller's
-        plus, minus = (tuple(map(tuple, side)) for side in
-                       rows.reshape(2, len(coeffs), n_delays).tolist())
+        rows = list(map(tuple, (rows // arg_gcd).tolist()))
+        plus, minus = (tuple(map(rows.__getitem__, side)) for side in np.asarray(index).tolist())
         return AnalyticModel(tuple((coeffs // coeff_gcd).tolist()), plus, minus,
                              n_delays, symmetry, coeff_scale // coeff_gcd,
                              arg_scale // arg_gcd)
@@ -164,7 +167,9 @@ class ExpansionTooLargeError(InputError):
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 #: Bytes ``expand`` is charged per int64 column of each correlation pair and
-#: each (dx, dy) cell it builds; a 7-delay chain traced at about 27.
+#: each (dx, dy) cell.  Neither is built as a row of delays, only keyed, so
+#: the charge is generous: a 7-delay chain traces at about 3.3, its model's
+#: tuples included.
 _BYTES_PER_COLUMN = 32
 #: Memory budget of one ``expand`` (2 GiB): an 8-delay chain, one delay per
 #: splitter, is charged 1.2 GiB, a 9-delay one 9.9 GiB, refused before any
@@ -184,8 +189,8 @@ def _check_budget(n_delays: int, rows: int, columns: int) -> None:
 def check_delay_count(n_delays: int) -> None:
     """Refuse, before ``compose``, a delay count that no expansion fits.
 
-    However few its terms, ``expand`` builds at least one cell of
-    2 n_delays int64 columns, charged as it charges every cell; a count
+    However few its terms, ``expand`` is charged for at least one cell of
+    2 n_delays int64 columns, as it is charged for every cell; a count
     past the budget at that one cell is refused before the cascade's rows
     of n_delays entries are composed.
     """
@@ -193,12 +198,17 @@ def check_delay_count(n_delays: int) -> None:
 
 
 class _Lattice:
-    """Mixed-radix packing of integer rows whose columns lie in lo..hi.
+    """Mixed-radix keys of integer rows whose columns lie in lo..hi.
 
-    Each row packs into one key of non-negative digits, its first column
-    most significant, so keys sort in the rows' lexicographic order.  Keys
-    are int64 while the lattice size fits, Python integers past that; a
-    cascade with each delay on one splitter fits int64 up to 13 delays.
+    A row's key is the sum over its columns of (x_c - lo_c) place_c: one
+    non-negative digit per column, the first most significant, so keys
+    sort in the rows' lexicographic order.  The key is linear in the row,
+    so on a lattice symmetric about zero (lo = -hi) the key of a sum or a
+    difference of rows, less the zero row's key ``size // 2``, is the sum
+    or difference of theirs; ``expand`` keys its correlation pairs and
+    its cells that way, without building their rows.  Keys are int64
+    while the lattice size fits, Python integers past that; a cascade
+    with each delay on one splitter fits int64 up to 13 delays.
     """
 
     def __init__(self, lo, hi):
@@ -208,13 +218,14 @@ class _Lattice:
         for base in reversed(self.radix.tolist()):  # one running product
             place.append(size)
             size *= base
+        self.size = size
         self.dtype = np.int64 if size - 1 <= _INT64_MAX else object
         self.place = np.array(place[::-1], dtype=self.dtype)
 
     def pack(self, rows):
-        digits = (rows - self.lo).astype(self.dtype, copy=False)
-        digits *= self.place  # in place: one (rows, columns) array at a time
-        return digits.sum(axis=1)
+        """The keys of ``(rows, columns)`` integer rows: their digits
+        summed over the columns, each partial sum within the key's range."""
+        return (rows - self.lo).astype(self.dtype, copy=False) @ self.place
 
     def unpack(self, keys):
         # Column-major digits: each column divides the keys by one scalar.
@@ -235,40 +246,75 @@ def _sum_by_key(keys, values):
     return keys[starts], np.add.reduceat(values, starts)
 
 
-def _canonical_rows(x):
-    """Each row with its first nonzero entry made positive.
+def _correlations(sides, half, dtype):
+    """The four cross-correlations [E_u * E_v](lag) of each side's two
+    entries, merged in one sort.
 
-    Valid because every factor of a term is even in its own argument.
+    Each side is its two entries' (amps, rows) arrays.  Row k of entry u
+    and row l of entry v add amp_k * amp_l at lag row_l - row_k to group
+    g = 4 side + 2u + v, whose key is g ``half.size`` plus the lag's key
+    in ``half`` (a lattice symmetric about zero that holds every lag): by
+    linearity, the pair's key is one sum of a term of k and a term of l.
+    Returns each side's four groups as (signed lag keys, nonzero sums),
+    the lags ascending; the lag keys are ``dtype`` and hold each lag's key
+    in ``half`` less the zero lag's.  Refused past the budget before the
+    pairs are built.
     """
-    if x.shape[1] == 0:  # rows of no delays have nothing to fold
-        return x
-    first = x[np.arange(len(x)), np.argmax(x != 0, axis=1)]
-    return x * np.sign(first)[:, None]
-
-
-def _correlations(first, second):
-    """The four cross-correlations [E_u * E_v](lag) of one side's two entries.
-
-    Entries are (amps, rows) arrays; row k of entry u and row l of entry v
-    add amp_k * amp_l at lag row_l - row_k to group 2u + v, which packs as
-    the key's top digit.  Returns the rows' span per column, which bounds
-    every lag, the group boundaries, and the nonzero sums with their lag
-    rows, sorted by (group, lag).  Refused past the budget before the pairs
-    are built.
-    """
-    amps = np.concatenate([first[0], second[0]])
-    rows = np.concatenate([first[1], second[1]])
-    _check_budget(rows.shape[1], len(amps) ** 2, rows.shape[1] + 1)
-    group = np.repeat([0, 1], [len(first[0]), len(second[0])])
-    span = rows.max(axis=0, initial=0) - rows.min(axis=0, initial=0)
-    lattice = _Lattice(np.concatenate(([0], -span)), np.concatenate(([3], span)))
-    k, l = np.divmod(np.arange(len(amps) ** 2), len(amps))
-    keys, sums = _sum_by_key(
-        lattice.pack(np.column_stack([2 * group[k] + group[l], rows[l] - rows[k]])),
-        amps[k] * amps[l])
+    n_pairs = sum(len(amps) ** 2 for amps, _ in sides)
+    _check_budget(len(half.lo), n_pairs, len(half.lo) + 1)
+    size, zero = half.size, half.size // 2
+    keys, sums = [], []
+    for side, (amps, rows) in enumerate(sides):
+        group = np.repeat(np.array([0, 1], dtype=dtype), [len(e) for e in amps])
+        amps = np.concatenate(amps)
+        # Each row's key less the zero row's: pair (k, l) keys its lag as
+        # zero - row_k + row_l.
+        row = half.pack(np.concatenate(rows)).astype(dtype, copy=False) - zero
+        keys.append(np.add.outer((4 * side + 2 * group) * size + zero - row,
+                                 group * size + row).ravel())
+        sums.append(np.multiply.outer(amps, amps).ravel())
+    keys, sums = _sum_by_key(np.concatenate(keys), np.concatenate(sums))
     nonzero = sums != 0
-    lags = lattice.unpack(keys[nonzero])
-    return span, np.searchsorted(lags[:, 0], range(5)), lags[:, 1:], sums[nonzero]
+    keys, sums = keys[nonzero], sums[nonzero]
+    at = np.searchsorted(keys, [g * size for g in range(9)]).tolist()
+    groups = [(keys[at[g]:at[g + 1]] - (g * size + zero), sums[at[g]:at[g + 1]])
+              for g in range(8)]
+    return groups[:4], groups[4:]
+
+
+def _cells(left, right, half, exact):
+    """Every (dx, dy) cell of the four outer products, keyed by its
+    canonical (plus, minus) rows, and its sum c_k c_l, in group order.
+
+    ``left`` and ``right`` are ``_correlations``' groups of each side:
+    signed lag keys on the lattice ``half``, symmetric about zero, and
+    sums.  The cells are counted, and refused past the budget, before any
+    is built.  A cell's doubled arguments are dx + dy and dx - dy, whose
+    signed keys are the sum and the difference of its lags' keys.  On such
+    a lattice a signed key takes the sign of the row's first nonzero
+    column, as every later column weighs less than one unit of it; so
+    making that column positive, which is valid because every factor of a
+    term is even in its own argument, is the key's absolute value.  The
+    key is then |plus| ``half.size`` + |minus|: the pair lattice's key
+    less its zero row's, which sorts the cells by their (plus, minus) rows.
+    """
+    counts = [len(x) * len(y) for (x, _), (y, _) in zip(left, right)]
+    _check_budget(len(half.lo), sum(counts), 2 * len(half.lo))
+    keys = np.empty(sum(counts), dtype=left[0][0].dtype)
+    minus = np.empty(len(keys), dtype=keys.dtype)
+    sums = np.empty(len(keys), dtype=exact)
+    start = 0
+    for ((x, l), (y, r)), count in zip(zip(left, right), counts):
+        block = slice(start, start + count)
+        shape = len(x), len(y)
+        np.add(x[:, None], y, out=keys[block].reshape(shape))
+        np.subtract(x[:, None], y, out=minus[block].reshape(shape))
+        np.multiply(l[:, None], r, out=sums[block].reshape(shape))
+        start += count
+    np.abs(keys, out=keys)
+    keys *= half.size
+    keys += np.abs(minus, out=minus)
+    return keys, sums
 
 
 def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
@@ -287,12 +333,17 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
 
     All of this runs on an integer lattice: the entries' amplitudes and
     delay rows are integers, and arguments are kept doubled, so that the
-    halves stay integral.  Each term's canonical (plus, minus) arguments
-    pack into one key (int64 unless the lattice is very wide) that sorts in
-    their lexicographic order.  The model keeps the merged integers over
-    the least scales.  The correlation pairs and the cells are counted
-    before they are built, and a cascade that would take more than
-    ``EXPAND_MEMORY_BUDGET`` is refused with ``ExpansionTooLargeError``.
+    halves stay integral.  Each lag and each argument packs into one key
+    of a lattice symmetric about zero that holds every argument (int64
+    unless the (plus, minus) pair lattice is very wide).  Keys are linear
+    in the rows, so both sides' correlations take one sort of keys summed
+    from their entries' rows (``_correlations``), and each cell's key is
+    summed from its two lags' keys (``_cells``): no lag or cell is built
+    as a row of delays; only the merged terms' distinct argument rows are
+    unpacked.  The model keeps the merged integers over the least scales.  The correlation
+    pairs and the cells are counted before they are built, and a cascade
+    that would take more than ``EXPAND_MEMORY_BUDGET`` is refused with
+    ``ExpansionTooLargeError``.
     """
     n = tm.n_delays
     entries = (tm.A, tm.B, tm.C, tm.D)
@@ -312,32 +363,28 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
             >= _INT64_MAX:
         raise OverflowError("delay combinations exceed the int64 range of expand")
     combos = [np.array(e, dtype=np.int64).reshape(len(e), n) for e in combos]
-    x_span, x_at, dx, left = _correlations((amps[0], combos[0]), (amps[1], combos[1]))
-    y_span, y_at, dy, right = _correlations((amps[3], combos[3]), (amps[2], combos[2]))
-
-    # Every (dx, dy) cell of the four outer products, group by group: cell
-    # o of group g pairs left lag x_at[g] + o // ny[g] with right lag
-    # y_at[g] + o % ny[g].  Counted, and refused past the budget, first.
-    nx, ny = np.diff(x_at), np.diff(y_at)
-    _check_budget(n, int(nx @ ny), 2 * n)
-    g = np.repeat(np.arange(4), nx * ny)
-    o = np.arange(len(g)) - np.repeat(np.cumsum(nx * ny) - nx * ny, nx * ny)
-    i = x_at[g] + o // ny[g]
-    j = y_at[g] + o % ny[g]
-    x, y = dx[i], dy[j]
-    rows = np.concatenate([_canonical_rows(x + y), _canonical_rows(x - y)], axis=1)
-    pair = _Lattice(np.tile(-(x_span + y_span), 2), np.tile(x_span + y_span, 2))
-    keys, sums = _sum_by_key(pair.pack(rows), left[i] * right[j])
+    sides = ((amps[0], amps[1]), (combos[0], combos[1])), \
+        ((amps[3], amps[2]), (combos[3], combos[2]))
+    # Each side's lags lie within its rows' span per column, so a doubled
+    # argument dx +- dy lies within the sum of the two spans.
+    span = sum(rows.max(axis=0, initial=0) - rows.min(axis=0, initial=0)
+               for rows in (np.concatenate(combos[:2]), np.concatenate(combos[2:])))
+    half = _Lattice(-span, span)
+    size = half.size
+    dtype = np.int64 if size * size - 1 <= _INT64_MAX else object
+    left, right = _correlations(sides, half, dtype)
+    keys, sums = _sum_by_key(*_cells(left, right, half, exact))
     nonzero = sums != 0
     if not nonzero.any():
         raise ZeroBaselineError("cascade has zero asymptotic coincidence baseline")
     # The zero row sorts first among canonical rows, and its sum is the
     # constant r(0, 0) = sum c_k^2; every other sum already counts both
-    # (dx, dy) and (-dx, -dy).
-    rows = pair.unpack(keys[nonzero])
-    sums = sums[nonzero]
-    return AnalyticModel.from_rows(sums, rows[:, :n], rows[:, n:], n, symmetry,
-                                   int(sums[0]), 2)
+    # (dx, dy) and (-dx, -dy).  Terms share argument rows, so only the
+    # distinct ones are unpacked.
+    keys, sums = keys[nonzero], sums[nonzero]
+    rows, index = np.unique(np.concatenate([keys // size, keys % size]), return_inverse=True)
+    return AnalyticModel.from_rows(sums, half.unpack(rows + size // 2), index.reshape(2, -1),
+                                   n, symmetry, int(sums[0]), 2)
 
 
 #: Samples per block of the broadcast delays in ``_walk``, which evaluates
@@ -665,6 +712,10 @@ def _corr_product_peaks(js: JointSpectrum, fix, slope):
     (degree <= 5).  The candidates are the real parts of all roots, plus
     t = 0, which alone serves when both slopes vanish: every candidate is
     a real point and the maximiser is among them, so no root is filtered.
+    The roots of degree d are the eigenvalues of the rows' d x d companion
+    matrices, one batched LAPACK call per degree above 1.  A degree-1 row,
+    such as every row of two Gaussians, has the one root -s_0 / s_1, its
+    companion matrix's one entry, which is taken as it is.
 
     The summed q is at least q_min = |alpha|^2 everywhere.  From 2 *
     ``_HERMITE_CAP`` on, one factor has q >= the cap at every t and is
@@ -697,10 +748,13 @@ def _corr_product_peaks(js: JointSpectrum, fix, slope):
     candidates = np.zeros((len(fix), 6))
     for d in set(degree.tolist()) - {0}:
         rows = degree == d
-        companion = np.zeros((rows.sum(), d, d))
-        companion[:, 1:, :-1] = np.eye(d - 1)
-        companion[:, :, -1] = -stationary[rows, :d] / stationary[rows, d:d + 1]
-        roots = np.linalg.eigvals(companion).real
+        # The companion matrix's last column; at degree 1 it is the root.
+        roots = -stationary[rows, :d] / stationary[rows, d:d + 1]
+        if d > 1:
+            companion = np.zeros((len(roots), d, d))
+            companion[:, 1:, :-1] = np.eye(d - 1)
+            companion[:, :, -1] = roots
+            roots = np.linalg.eigvals(companion).real
         candidates[rows, 1:d + 1] = t0[rows, None] + roots / scale[rows, None]
     x = fix[:, :, None] + slope[:, :, None] * candidates[:, None, :]
     peaks = np.abs(js.plus.corr(x[:, 0]) * js.minus.corr(x[:, 1])).max(axis=1)
@@ -738,9 +792,18 @@ def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
     peaks = np.abs(coeffs) * _corr_product_peaks(
         js, combo_dot(args, at_origin), args[:, :, swept])
     kept = np.flatnonzero(~(peaks < threshold) | (index < 0).all(axis=1)).tolist()
-    return AnalyticModel.from_rows(
-        *([rows[k] for k in kept] for rows in (model.coeffs, model.plus, model.minus)),
-        model.n_delays, model.symmetry, model.coeff_scale, model.arg_scale)
+    coeffs, plus, minus = ([rows[k] for k in kept]
+                           for rows in (model.coeffs, model.plus, model.minus))
+    # Fewer terms may share a larger divisor with a scale; the constant
+    # term is always kept, so none of the gcds is taken over nothing.
+    coeff_gcd = math.gcd(model.coeff_scale, *coeffs)
+    arg_gcd = math.gcd(model.arg_scale, *set(chain.from_iterable(plus + minus)))
+    if arg_gcd > 1:
+        rows = {row: tuple(v // arg_gcd for v in row) for row in set(plus + minus)}
+        plus, minus = [rows[p] for p in plus], [rows[m] for m in minus]
+    return AnalyticModel(tuple(c // coeff_gcd for c in coeffs), tuple(plus), tuple(minus),
+                         model.n_delays, model.symmetry, model.coeff_scale // coeff_gcd,
+                         model.arg_scale // arg_gcd)
 
 
 def _render(model: AnalyticModel, latex: bool) -> str:

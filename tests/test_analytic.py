@@ -330,6 +330,104 @@ def test_term_peaks_match_a_dense_sample(cascade, symmetry, spectrum, data):
         assert peak == pytest.approx(sampled, rel=1e-6, abs=1e-300)
 
 
+def companion_peaks(js, fix, slope):
+    """``_corr_product_peaks`` as it was before degree-1 rows took their
+    root directly: every degree's roots from ``np.linalg.eigvals`` of the
+    rows' companion matrices, 1 x 1 ones included."""
+    sigma = np.array([js.plus.sigma, js.minus.sigma])
+    rate = sigma * slope
+    curvature = (rate ** 2).sum(axis=1)
+    scale = np.sqrt(np.where(curvature > 0, curvature, 1.0))
+    t0 = -(rate * sigma * fix).sum(axis=1) / scale ** 2
+    alpha = sigma * fix + rate * t0[:, None]
+    beta = rate / scale[:, None]
+    vanishing = np.isfinite(alpha).all(axis=1) & \
+        (np.hypot(alpha[:, 0], alpha[:, 1]) >= math.sqrt(2 * analytic._HERMITE_CAP))
+    alpha[vanishing] = 0.0
+    poly = np.zeros((len(fix), 6))
+    poly[:, 0] = 1.0
+    for col, profile in enumerate((js.plus, js.minus)):
+        if profile.is_odd:
+            a, b = alpha[:, col:col + 1], beta[:, col:col + 1]
+            poly = poly * (1 - a * a) - 2 * a * b * np.roll(poly, 1, axis=1) \
+                - b * b * np.roll(poly, 2, axis=1)
+    stationary = np.roll(poly * np.arange(6), -1, axis=1) - np.roll(poly, 1, axis=1)
+    nonzero = stationary != 0
+    finite = np.isfinite(stationary).all(axis=1)
+    degree = np.where(finite & nonzero.any(axis=1),
+                      5 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    candidates = np.zeros((len(fix), 6))
+    for d in set(degree.tolist()) - {0}:
+        rows = degree == d
+        companion = np.zeros((rows.sum(), d, d))
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        companion[:, :, -1] = -stationary[rows, :d] / stationary[rows, d:d + 1]
+        roots = np.linalg.eigvals(companion).real
+        candidates[rows, 1:d + 1] = t0[rows, None] + roots / scale[rows, None]
+    x = fix[:, :, None] + slope[:, :, None] * candidates[:, None, :]
+    peaks = np.abs(js.plus.corr(x[:, 0]) * js.minus.corr(x[:, 1])).max(axis=1)
+    return np.where(vanishing, 0.0, np.where(finite, peaks, np.nan))
+
+
+def spectrum_named(name, symmetry):
+    if name in CLASS_SIGMAS:
+        return make_spectrum(*CLASS_SIGMAS[name], symmetry)
+    return dataclasses.replace(make_spectrum(1.0, 0.1, symmetry),
+                               plus=SpectralProfile(ProfileKind.HERMITE_GAUSSIAN1, 1.0))
+
+
+#: Fixes of every kind a row can take: zero, ordinary, far past
+#: ``_HERMITE_CAP`` and overflowing; and slopes as a model's arguments
+#: hold them, multiples of 1/2 (zero among them), or any of a like size.
+FIXES = st.one_of(
+    st.just(0.0), st.floats(-40.0, 40.0), st.floats(-1e200, 1e200),
+    st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan]))
+SLOPES = st.one_of(st.integers(-16, 16).map(lambda k: k / 2),
+                   st.floats(1e-3, 8.0).flatmap(lambda s: st.sampled_from([s, -s])))
+
+
+@given(symmetry=st.sampled_from(ExchangeSymmetry), spectrum=st.sampled_from(SPECTRA),
+       rows=st.lists(st.tuples(FIXES, FIXES, SLOPES, SLOPES), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_degree_one_peaks_are_the_companion_peaks(symmetry, spectrum, rows):
+    # Two Gaussians give every row degree 1; an odd factor gives degrees 3
+    # and 5, and degree 1 where its slope is 0.
+    js = spectrum_named(spectrum, symmetry)
+    rows = np.array(rows).reshape(len(rows), 2, 2)
+    fix, slope = rows[:, 0], rows[:, 1]
+    with np.errstate(all="ignore"):
+        expected = companion_peaks(js, fix, slope)
+        assert _corr_product_peaks(js, fix, slope).tobytes() == expected.tobytes()
+
+
+@given(cascade=expand_cascades(), symmetry=st.sampled_from(ExchangeSymmetry),
+       spectrum=st.sampled_from(SPECTRA), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_prune_keeps_the_companion_peaks_terms(cascade, symmetry, spectrum, data):
+    # The kept terms are those of the companion-matrix peaks, in model
+    # order, over the least scales.
+    try:
+        model = expand(compose(cascade), symmetry)
+    except ZeroBaselineError:
+        assume(False)  # nothing to normalize by
+    js = spectrum_named(spectrum, symmetry)
+    n = cascade.n_delays
+    swept = data.draw(st.integers(0, n - 1))
+    fixed = {i: data.draw(st.floats(-15.0, 15.0)) for i in range(n) if i != swept}
+    threshold = data.draw(st.sampled_from([0.0, 1e-6, 1e-2, 0.3]))
+    coeffs, plus, minus, index = model.arrays
+    args = np.stack([plus[index[:, 0]], minus[index[:, 1]]], axis=1)
+    at_origin = [0.0 if i == swept else fixed[i] for i in range(n)]
+    peaks = np.abs(coeffs) * companion_peaks(js, combo_dot(args, at_origin),
+                                             args[:, :, swept])
+    kept = np.flatnonzero(~(peaks < threshold) | (index < 0).all(axis=1)).tolist()
+    pruned = asymptotic_prune(model, fixed, swept, js, threshold)
+    assert pruned.terms == tuple(model.terms[k] for k in kept)
+    assert pruned.coeff_scale == math.lcm(*(c.denominator for c, _, _ in pruned.terms))
+    assert pruned.arg_scale == math.lcm(*(v.denominator for _, p, q in pruned.terms
+                                          for v in p + q))
+
+
 # Frozen pruned models of the shipped configs at their sweep's fixed
 # delays, made by the scan-and-polish search that preceded the closed-form
 # peaks: config -> ((term count, SHA-256 of render_text)
@@ -560,8 +658,9 @@ def test_antisymmetric_homi_is_a_peak():
 
 def test_model_scales_are_in_lowest_terms():
     symmetric = ExchangeSymmetry.SYMMETRIC
+    # terms (16, (0, 0), (0, 0)), (-4, (2, 0), (4, 6)) and (6, (4, 4), (0, 0))
     model = AnalyticModel.from_rows(
-        (16, -4, 6), ((0, 0), (2, 0), (4, 4)), ((0, 0), (4, 6), (0, 0)), 2,
+        (16, -4, 6), ((0, 0), (2, 0), (4, 4), (4, 6)), ((0, 1, 2), (0, 3, 0)), 2,
         symmetric, coeff_scale=16, arg_scale=4)
     assert (model.coeffs, model.coeff_scale) == ((8, -2, 3), 8)
     assert (model.plus, model.minus, model.arg_scale) == \
@@ -570,7 +669,8 @@ def test_model_scales_are_in_lowest_terms():
     assert model.terms == (term(1, (0, 0), (0, 0)),
                            term("-1/4", ("1/2", 0), (1, "3/2")),
                            term("3/8", (1, 1), (0, 0)))
-    whole = AnalyticModel.from_rows((8, -2), ((0,), (2,)), ((0,), (4,)), 1,
+    assert model.plus[0] is model.minus[0] is model.minus[2]  # one tuple per row
+    whole = AnalyticModel.from_rows((8, -2), ((0,), (2,), (4,)), ((0, 1), (0, 2)), 1,
                                     symmetric, coeff_scale=8, arg_scale=2)
     assert (whole.coeffs, whole.coeff_scale, whole.plus, whole.minus,
             whole.arg_scale) == ((4, -1), 4, ((0,), (1,)), ((0,), (2,)), 1)

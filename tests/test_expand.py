@@ -22,6 +22,7 @@ from biphoton_cascade import analytic
 from biphoton_cascade.analytic import (
     ExpansionTooLargeError,
     ZeroBaselineError,
+    _cells,
     _Lattice,
     _sum_by_key,
     asymptotic_prune,
@@ -222,10 +223,25 @@ def test_expand_refuses_delay_combinations_beyond_int64():
 # The packing itself: one key per row, sorting in the rows' lexicographic order
 
 
+def reference_keys(lo, hi, rows):
+    """Each row's key as a Python integer, one row at a time: its digits
+    x - lo in mixed radix hi - lo + 1, the first column most significant."""
+    keys = []
+    for row in rows:
+        key = 0
+        for x, low, high in zip(row, lo, hi):
+            key = key * (high - low + 1) + (x - low)
+        keys.append(key)
+    return keys
+
+
 def assert_lattice_packs(lo, hi, rows, dtype):
+    if all(low <= 0 <= high for low, high in zip(lo, hi)):
+        rows = np.concatenate([rows, np.zeros((1, len(lo)), dtype=np.int64)])  # the zero row
     lattice = _Lattice(lo, hi)
     keys = lattice.pack(rows)
     assert keys.shape == (len(rows),) and keys.dtype == dtype
+    assert keys.tolist() == reference_keys(list(map(int, lo)), list(map(int, hi)), rows.tolist())
     unpacked = lattice.unpack(keys)
     assert unpacked.dtype == np.int64
     np.testing.assert_array_equal(unpacked, rows)
@@ -273,6 +289,137 @@ def test_lattice_round_trip_and_row_order_on_random_rows(lattice):
     size = math.prod(high - low + 1 for low, high in zip(lo, hi))
     dtype = np.int64 if size - 1 <= np.iinfo(np.int64).max else object
     assert_lattice_packs(lo, hi, rows, dtype)
+
+
+def test_lattice_of_no_columns_packs_zeros():
+    # a cascade of no delays: every row is the empty row, whose key is 0
+    lattice = _Lattice([], [])
+    keys = lattice.pack(np.zeros((3, 0), dtype=np.int64))
+    assert keys.dtype == np.int64 and keys.tolist() == [0, 0, 0]
+    assert lattice.unpack(keys).shape == (3, 0)
+    assert lattice.size == 1
+
+
+@st.composite
+def lag_groups(draw):
+    """Two sides' four groups of lag rows and their sums, as ``_cells``
+    reads them: each side's lags within its own span per column, zero rows
+    among them.  Spans up to 2^34 put some pair lattices past int64, and
+    sums up to 2^70 need Python integers."""
+    n = draw(st.integers(0, 3))
+    wide = draw(st.sampled_from([8, 1 << 34]))
+    spans = [[draw(st.integers(0, wide)) for _ in range(n)] for _ in range(2)]
+    exact = draw(st.sampled_from([np.int64, object]))
+    bound = (1 << 31) if exact is np.int64 else (1 << 70)
+    sides = []
+    for span in spans:
+        row = st.tuples(*(st.integers(-s, s) for s in span)).map(list)
+        groups = []
+        for _ in range(4):
+            rows = draw(st.lists(row, max_size=4))
+            if draw(st.booleans()):
+                rows.append([0] * n)
+            sums = [draw(st.integers(-bound, bound)) for _ in rows]
+            groups.append((rows, sums))
+        sides.append(groups)
+    return [a + b for a, b in zip(*spans)], sides, exact
+
+
+def signed_groups(groups, span, dtype, exact):
+    """Each group's lag rows as their keys on the lattice of +-``span``,
+    less the zero row's, computed one row at a time."""
+    zero = reference_keys([-s for s in span], span, [[0] * len(span)])[0]
+    return [(np.array([k - zero for k in reference_keys([-s for s in span], span, rows)],
+                      dtype=dtype), np.array(sums, dtype=exact))
+            for rows, sums in groups]
+
+
+def check_cells(span, sides, exact):
+    radix = math.prod(2 * s + 1 for s in span)
+    dtype = np.int64 if radix * radix - 1 <= np.iinfo(np.int64).max else object
+    left, right = (signed_groups(groups, span, dtype, exact) for groups in sides)
+    keys, sums = _cells(left, right, _Lattice([-s for s in span], span), exact)
+    assert keys.dtype == dtype and sums.dtype == exact
+    # One cell per (left lag, right lag) of each group, in that order: its
+    # canonical (x + y, x - y) rows' key on the pair lattice, less the zero
+    # row's, and the product of the two sums.
+    lo, hi = [-s for s in span] * 2, span * 2
+    zero = reference_keys(lo, hi, [[0] * len(lo)])[0]
+    expected_keys, expected_sums = [], []
+    for (xs, ls), (ys, rs) in zip(*sides):
+        for x, l in zip(xs, ls):
+            for y, r in zip(ys, rs):
+                row = canonical([a + b for a, b in zip(x, y)]) + \
+                    canonical([a - b for a, b in zip(x, y)])
+                expected_keys.append(reference_keys(lo, hi, [row])[0] - zero)
+                expected_sums.append(l * r)
+    assert keys.tolist() == expected_keys
+    assert sums.tolist() == expected_sums
+
+
+@given(lags=lag_groups())
+@settings(max_examples=100, deadline=None)
+def test_cells_key_each_canonical_pair_as_the_reference(lags):
+    check_cells(*lags)
+
+
+@pytest.mark.parametrize("span,dtype", [
+    # One column: pair lattice sizes 3037000499^2 <= 2^63 and 3037000501^2 > 2^63.
+    pytest.param(1518500249, np.int64, id="int64-edge"),
+    pytest.param(1518500250, object, id="past-int64-edge"),
+])
+def test_cells_at_the_int64_edge_of_the_pair_lattice(span, dtype):
+    a, b = span // 2, span - span // 2
+    left = [([[-a], [a], [0], [1], [-1]], [1, -2, 3, 4, 5])] * 4
+    right = [([[-b], [b], [0], [b - 1]], [1, 1, -1, 7])] * 4
+    check_cells([span], [left, right], np.int64)
+    radix = 2 * span + 1
+    assert (radix * radix - 1 <= np.iinfo(np.int64).max) == (dtype is np.int64)
+
+
+@st.composite
+def correlation_sides(draw):
+    """Two sides of two entries each, of 0-3 distinct rows and nonzero
+    amplitudes, over 0-3 delays."""
+    n = draw(st.integers(0, 3))
+    row = st.tuples(*[st.integers(-6, 6)] * n)
+    sides = []
+    for _ in range(2):
+        entries = []
+        for _ in range(2):
+            rows = draw(st.lists(row, max_size=3, unique=True))
+            amps = [draw(st.integers(-5, 5).filter(bool)) for _ in rows]
+            entries.append((amps, rows))
+        sides.append(entries)
+    return n, sides
+
+
+@given(data=correlation_sides())
+@settings(max_examples=100, deadline=None)
+def test_merged_correlations_match_each_pair(data):
+    n, sides = data
+    arrays = [tuple(zip(*((np.array(a, dtype=np.int64),
+                           np.array(r, dtype=np.int64).reshape(len(r), n))
+                          for a, r in side))) for side in sides]
+    # Each side's rows' span per column, taken with zero as expand takes it.
+    span = [sum(max(column) - min(column) for column in
+                ([0] + [row[c] for _, rows in side for row in rows] for side in sides))
+            for c in range(n)]
+    half = _Lattice([-s for s in span], span)
+    groups = analytic._correlations(arrays, half, np.int64)
+    for side, got in zip(sides, groups):
+        for g, (keys, sums) in enumerate(got):
+            (amps_u, rows_u), (amps_v, rows_v) = side[g // 2], side[g % 2]
+            merged = {}
+            for a, k in zip(amps_u, rows_u):
+                for b, l in zip(amps_v, rows_v):
+                    lag = tuple(y - x for x, y in zip(k, l))
+                    merged[lag] = merged.get(lag, 0) + a * b
+            lags = sorted(lag for lag, total in merged.items() if total)
+            zero = half.size // 2
+            assert keys.tolist() == [key - zero for key in
+                                     reference_keys(half.lo.tolist(), span, lags)]
+            assert sums.tolist() == [merged[lag] for lag in lags]
 
 
 def test_zero_baseline_has_its_own_error():

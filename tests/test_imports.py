@@ -75,14 +75,14 @@ def test_package_exports_are_in_their_modules_all():
 NUMPY_NAMES = [
     "abs", "add", "any", "arange", "argmax", "argsort", "array", "array_equal",
     "asarray", "bitwise_count", "broadcast_shapes", "broadcast_to",
-    "column_stack", "concatenate", "conjugate", "cos", "cumsum", "diff", "divmod",
+    "column_stack", "concatenate", "conjugate", "cos", "diff",
     "empty", "errstate", "exp", "eye", "fft", "finfo", "flatnonzero", "float64",
     "floor", "fmax", "frexp", "full", "gcd", "hanning", "hypot",
     "iinfo", "int64", "interp", "intp", "isfinite", "ldexp", "linalg", "linspace",
     "log10", "matmul", "max", "maximum", "median", "min", "minimum", "multiply",
     "nan", "ndarray", "not_equal", "pi", "random", "repeat", "rint", "roll",
-    "searchsorted", "sign", "signbit", "sin", "sqrt", "stack", "subtract", "sum",
-    "tensordot", "tile", "uint64", "vdot", "where", "zeros", "zeros_like",
+    "searchsorted", "signbit", "sin", "sqrt", "stack", "subtract", "sum",
+    "tensordot", "tile", "uint64", "unique", "vdot", "where", "zeros", "zeros_like",
 ]
 
 
