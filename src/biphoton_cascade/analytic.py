@@ -16,7 +16,7 @@ least denominator, and (p_k, m_k) argument rows over one least argument
 scale.  Rendering, the swap rule and ``==`` read those integers; pruning
 and evaluation read ``AnalyticModel.arrays``, the one float view, compiled
 once per model.
-One walk over the terms, ``_walk``, folds them into values (``evaluate``),
+One walk over the terms, ``walk``, folds them into values (``evaluate``),
 into carrier-free envelopes, or into both (``interferogram.analytic_sweep``).
 """
 
@@ -30,9 +30,9 @@ from itertools import chain
 
 import numpy as np
 
-from .cascade import (InputError, TransferMatrix, ZeroBaselineError, combo_dot, swept_dot,
-                      swept_fold)
-from .spectra import _EXP_ZERO, _HERMITE_CAP, _MASKED_LANES, ExchangeSymmetry, JointSpectrum
+from .cascade import (InputError, TransferMatrix, ZeroBaselineError, combo_dot, delay_vector,
+                      swept_dot, swept_fold)
+from .spectra import ExchangeSymmetry, JointSpectrum, corr_product_peaks
 
 __all__ = [
     "AnalyticModel",
@@ -117,12 +117,15 @@ class AnalyticModel:
 
     @cached_property
     def _plan(self):
-        """Each term's ``(coeff, plus, minus)`` for ``_walk``, built once per
-        model: the float coefficient and the term's rows of ``arrays``, which
-        index the lists ``_blocks`` yields, None for a zero argument."""
-        coeffs, _, _, index = self.arrays
-        return tuple((c, None if p < 0 else p, None if m < 0 else m)
-                     for c, (p, m) in zip(coeffs.tolist(), index.tolist()))
+        """``(terms, plus, minus)`` for ``walk``, built once per model: each
+        term's ``(coeff, plus, minus)``, the float coefficient and the term's
+        rows of ``arrays``, which index the lists ``_blocks`` yields, None
+        for a zero argument; and each side's rows of ``arrays`` but the zero
+        row."""
+        coeffs, plus, minus, index = self.arrays
+        terms = tuple((c, None if p < 0 else p, None if m < 0 else m)
+                      for c, (p, m) in zip(coeffs.tolist(), index.tolist()))
+        return terms, plus[:-1], minus[:-1]
 
     @property
     def constant(self) -> Fraction:
@@ -387,7 +390,7 @@ def expand(tm: TransferMatrix, symmetry: ExchangeSymmetry) -> AnalyticModel:
                                    n, symmetry, int(sums[0]), 2)
 
 
-#: Samples per block of the broadcast delays in ``_walk``, which evaluates
+#: Samples per block of the broadcast delays in ``walk``, which evaluates
 #: values and envelopes.  One block's argument rows stay in cache, and the
 #: memory held at once does not grow with the sweep.
 CHUNK = 8192
@@ -413,13 +416,6 @@ def _swept_arguments(args, columns):
     return rows
 
 
-def _far(profile) -> float:
-    """|x| from which ``profile.corr(x)`` is exactly +-0: (sigma x)^2 reaches
-    ``_EXP_ZERO``, with a margin of 1e-6 that covers the rounding of the
-    bound and of corr's clamp, scale and square."""
-    return math.sqrt(_EXP_ZERO) / profile.sigma * (1 + 1e-6)
-
-
 def _dead_rows(rows, far, scale, taus, column):
     """Which swept argument ``rows`` are exactly +-0 on every lane of a block
     whose one array delay is ``taus[column]``: a list of bools, all False
@@ -429,8 +425,9 @@ def _dead_rows(rows, far, scale, taus, column):
     ``combo_dot``'s stacked left fold, in delay order, which gives the bits
     of the lanes that hold those values.  Each fold step, fl(c t) or
     fl(u + v), is monotone in that delay, so every lane's argument lies
-    between the two ends.  A row whose ends lie on one side at its ``far``
-    or beyond therefore has (sigma x)^2 >= ``_EXP_ZERO`` on every lane.
+    between the two ends.  A row whose ends lie on one side at its ``far``,
+    its profile's ``zero_from``, or beyond is therefore exactly +-0 on
+    every lane.
     ``scale`` is the pump frequency for a row whose carrier is read, else
     1: finite ``scale * ends`` bound every lane's argument and carrier
     phase, so every other factor of a dead row's terms is finite, and each
@@ -453,7 +450,8 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
     ``CHUNK`` samples (fewer past ``_ROW_BUDGET``), ``block`` a slice of the
     flattened broadcast ``shape``.  Per distinct nonzero row of
     ``model.arrays``, the lists hold cos(pump_frequency * p) (None unless
-    ``carrier``; see ``_carrier``) and corr_plus(p), or corr_minus(m).
+    ``carrier``; see ``JointSpectrum.carrier``) and corr_plus(p), or
+    corr_minus(m).
     Every row is first a Python float, from one stacked ``combo_dot`` per
     side; the rows that read an array delay are then replaced in place each
     block, which drops the last block's.  Where exactly one delay is an
@@ -461,7 +459,7 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
     block by ``swept_dot``; the rows of each side come in slope order, so
     each distinct slope is multiplied by the block's delays once per side.
     Two or more array delays take ``combo_dot`` per row.  ``terms`` is
-    ``model._plan``, in its order, less the terms that read a dead row.
+    ``model._plan``'s terms, in order, less those that read a dead row.
 
     A row is dead on a block when it is exactly +-0 on every lane there
     (see ``_dead_rows``); it is then None, and neither its ``combo_dot``,
@@ -476,9 +474,7 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
         raise ValueError("joint spectrum symmetry does not match the model")
     if len(taus) != model.n_delays:
         raise ValueError(f"expected {model.n_delays} delays, got {len(taus)}")
-    _, plus_args, minus_args, _ = model.arrays
-    plus_args, minus_args = plus_args[:-1], minus_args[:-1]  # not the zero row
-    plan = model._plan
+    plan, plus_args, minus_args = model._plan
     arrays = [i for i, t in enumerate(taus) if t.ndim]
     plus_swept = _swept_arguments(plus_args, arrays)
     minus_swept = _swept_arguments(minus_args, arrays)
@@ -494,10 +490,11 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
     with np.errstate(over="ignore", invalid="ignore"):
         if len(plus_args):
             x = combo_dot(plus_args, scalars)
-            plus = js.plus.corr(x).tolist()
-            if carrier:
-                x = js.pump_frequency * x  # the phases
-                cos = np.cos(x).tolist()
+            plus = js.plus.corr(x)
+            if carrier:  # the cosines, finite where the phases are
+                x = js.carrier(x, plus)
+                cos = x.tolist()
+            plus = plus.tolist()
             skip = skip and np.isfinite(x).all()
     if len(minus_args):
         x = combo_dot(minus_args, scalars)
@@ -509,7 +506,7 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
     if skip:
         swept = np.array([arg for _, arg in plus_swept + minus_swept])
         counts = [len(plus_swept), len(minus_swept)]
-        far = np.repeat([_far(js.plus), _far(js.minus)], counts)
+        far = np.repeat([js.plus.zero_from, js.minus.zero_from], counts)
         scale = np.repeat([js.pump_frequency if carrier else 1.0, 1.0], counts)
     if one:
         plus_swept, minus_swept = ([(k, swept_fold(arg, taus, arrays[0])) for k, arg in rows]
@@ -542,9 +539,8 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
                     continue
                 x = row(arg)
                 plus[k] = js.plus.corr(x)
-                if carrier:  # the phases, in place once corr has read x
-                    x *= js.pump_frequency
-                    cos[k] = _carrier(x, plus[k])
+                if carrier:
+                    cos[k] = js.carrier(x, plus[k])
         for (k, arg), gone in zip(minus_swept, dead[len(plus_swept):]):
             minus[k] = None if gone else js.minus.corr(row(arg))
         terms = plan
@@ -554,21 +550,7 @@ def _blocks(model: AnalyticModel, js: JointSpectrum, taus, shape, carrier):
         yield block, terms, cos, plus, minus
 
 
-def _carrier(phase, plus):
-    """cos(phase), left 0.0 on blocks of ``_MASKED_LANES`` and more where
-    ``plus`` is 0 and the phase finite.
-
-    Such a lane's term is +-0 whatever its cosine.  The value fold starts
-    at +0.0 and, rounding to nearest, never reaches -0.0, so adding +-0
-    leaves every sum as it is; a non-finite phase keeps its NaN.
-    """
-    if phase.size < _MASKED_LANES or plus.all():
-        return np.cos(phase)
-    out = np.zeros_like(phase)
-    return np.cos(phase, out=out, where=(plus != 0) | ~np.isfinite(phase))
-
-
-def _walk(model: AnalyticModel, js: JointSpectrum, taus, values, envelopes):
+def walk(model: AnalyticModel, js: JointSpectrum, taus, values, envelopes):
     """``(values, upper, lower)`` in the delays' broadcast shape from one
     ``_blocks`` walk, None for a fold not run; only ``values`` reads a cosine.
 
@@ -576,12 +558,13 @@ def _walk(model: AnalyticModel, js: JointSpectrum, taus, values, envelopes):
     * plus * minus``; the envelopes are base +- swing, with base summing the
     carrier-free terms' ``coeff * minus`` and swing the others' magnitudes.
     Both folds skip the terms of a row that is dead on the block, which are
-    +-0 on every lane there.  That is exact: each fold starts at +0.0 and,
-    rounding to nearest, never reaches -0.0, so adding +-0 changes no sum.
-    At one sample the folds run on Python floats.  Over arrays they run in
-    place, values in ``out``, base in ``upper`` and swing in ``lower``,
-    each term's product in one scratch block (``_product``), with the same
-    operations in the same order as on floats.
+    +-0 on every lane there, and the value fold adds the +-0 of each lane
+    whose cosine ``JointSpectrum.carrier`` left 0.0.  That is exact: each
+    fold starts at +0.0 and, rounding to nearest, never reaches -0.0, so
+    adding +-0 changes no sum.  The folds run in place, values in ``out``,
+    base in ``upper`` and swing in ``lower``, each term's product in one
+    scratch block (``_product``); values at one sample run on Python
+    floats (``_fold_floats``), with the same operations in the same order.
     """
     taus = [np.asarray(t, dtype=float) for t in taus]
     # At one sample every delay is 0-d, and np.broadcast_shapes (about 2 µs
@@ -591,14 +574,12 @@ def _walk(model: AnalyticModel, js: JointSpectrum, taus, values, envelopes):
     size = math.prod(shape)
     out = np.empty(size) if values else None
     upper, lower = (np.empty(size), np.empty(size)) if envelopes else (None, None)
-    scratch = np.empty(min(size, CHUNK)) if shape else None
+    scratch = np.empty(min(size, CHUNK)) if shape or envelopes else None
     for block, terms, cos, plus, minus in _blocks(model, js, taus, shape, values):
-        if not shape:
-            _fold_floats(terms, cos, plus, minus, out, upper, lower)
-            continue
-        product = scratch[:block.stop - block.start]
-        if values:
-            total = out[block]
+        if values and not shape:
+            out[0] = _fold_floats(terms, cos, plus, minus)
+        elif values:
+            total, product = out[block], scratch[:block.stop - block.start]
             total.fill(0.0)
             for coeff, p, m in terms:
                 factors = () if p is None else (cos[p], plus[p])
@@ -607,6 +588,7 @@ def _walk(model: AnalyticModel, js: JointSpectrum, taus, values, envelopes):
                 total += _product(product, coeff, factors)
         if envelopes:
             base, swing = upper[block], lower[block]
+            product = scratch[:block.stop - block.start]
             base.fill(0.0)
             swing.fill(0.0)
             for coeff, p, m in terms:
@@ -636,31 +618,17 @@ def _product(buffer, value, factors):
     return value
 
 
-def _fold_floats(terms, cos, plus, minus, out, upper, lower):
-    """``_walk``'s folds at one sample, on Python floats, into the one
-    element of ``out`` or of ``upper`` and ``lower``."""
-    if out is not None:
-        total = 0.0
-        for coeff, p, m in terms:
-            value = coeff
-            if p is not None:
-                value = value * cos[p] * plus[p]
-            if m is not None:
-                value = value * minus[m]
-            total = total + value
-        out[0] = total
-    if upper is not None:
-        base = swing = 0.0
-        for coeff, p, m in terms:
-            value = coeff
-            if m is not None:
-                value = value * minus[m]
-            if p is None:
-                base = base + value
-            else:
-                swing = swing + abs(value * plus[p])
-        upper[0] = base + swing
-        lower[0] = base - swing
+def _fold_floats(terms, cos, plus, minus) -> float:
+    """``walk``'s value fold at one sample, on Python floats."""
+    total = 0.0
+    for coeff, p, m in terms:
+        value = coeff
+        if p is not None:
+            value = value * cos[p] * plus[p]
+        if m is not None:
+            value = value * minus[m]
+        total = total + value
+    return total
 
 
 def evaluate(model: AnalyticModel, js: JointSpectrum, taus):
@@ -669,7 +637,7 @@ def evaluate(model: AnalyticModel, js: JointSpectrum, taus):
     The result has the delays' broadcast shape; scalar delays give a
     scalar.
     """
-    return _walk(model, js, taus, True, False)[0][()]
+    return walk(model, js, taus, True, False)[0][()]
 
 
 def swap_rule(model: AnalyticModel) -> AnalyticModel:
@@ -699,80 +667,6 @@ def antisymmetric_equivalence_check(tm_a: TransferMatrix,
     return model_a == model_b
 
 
-def _corr_product_peaks(js: JointSpectrum, fix, slope):
-    """max over t of |corr_plus(fix_+ + slope_+ t) * corr_minus(fix_- + slope_- t)|.
-
-    ``fix`` and ``slope`` are ``(K, 2)`` arrays, plus then minus argument;
-    one peak per row.  Each factor is poly(q) exp(-q/2) with q = (sigma x)^2
-    and poly = 1 (Gaussian) or 1 - q (first Hermite-Gaussian).  With t
-    shifted to the minimum of the summed q and scaled by its curvature, each
-    sigma x is alpha + beta v with beta_+^2 + beta_-^2 = 1, and the product
-    is P(v) exp(-(q_min + v^2)/2).  A nonzero slope makes that vanish at
-    both ends, so its largest magnitude is at a real root of P' - v P
-    (degree <= 5).  The candidates are the real parts of all roots, plus
-    t = 0, which alone serves when both slopes vanish: every candidate is
-    a real point and the maximiser is among them, so no root is filtered.
-    The roots of degree d are the eigenvalues of the rows' d x d companion
-    matrices, one batched LAPACK call per degree above 1.  A degree-1 row,
-    such as every row of two Gaussians, has the one root -s_0 / s_1, its
-    companion matrix's one entry, which is taken as it is.
-
-    The summed q is at least q_min = |alpha|^2 everywhere.  From 2 *
-    ``_HERMITE_CAP`` on, one factor has q >= the cap at every t and is
-    exactly 0 there, so such a row's peak is 0 without its polynomial.
-    """
-    sigma = np.array([js.plus.sigma, js.minus.sigma])
-    rate = sigma * slope
-    curvature = (rate ** 2).sum(axis=1)
-    scale = np.sqrt(np.where(curvature > 0, curvature, 1.0))
-    t0 = -(rate * sigma * fix).sum(axis=1) / scale ** 2
-    alpha = sigma * fix + rate * t0[:, None]
-    beta = rate / scale[:, None]
-    vanishing = np.isfinite(alpha).all(axis=1) & \
-        (np.hypot(alpha[:, 0], alpha[:, 1]) >= math.sqrt(2 * _HERMITE_CAP))
-    alpha[vanishing] = 0.0
-    # P(v) and then P' - v P as coefficient rows, lowest power first.
-    poly = np.zeros((len(fix), 6))
-    poly[:, 0] = 1.0
-    for col, profile in enumerate((js.plus, js.minus)):
-        if profile.is_odd:
-            a, b = alpha[:, col:col + 1], beta[:, col:col + 1]
-            poly = poly * (1 - a * a) - 2 * a * b * np.roll(poly, 1, axis=1) \
-                - b * b * np.roll(poly, 2, axis=1)
-    stationary = np.roll(poly * np.arange(6), -1, axis=1) - np.roll(poly, 1, axis=1)
-    nonzero = stationary != 0
-    # Overflowed rows get no roots and a NaN peak, so they are never dropped.
-    finite = np.isfinite(stationary).all(axis=1)
-    degree = np.where(finite & nonzero.any(axis=1),
-                      5 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    candidates = np.zeros((len(fix), 6))
-    for d in set(degree.tolist()) - {0}:
-        rows = degree == d
-        # The companion matrix's last column; at degree 1 it is the root.
-        roots = -stationary[rows, :d] / stationary[rows, d:d + 1]
-        if d > 1:
-            companion = np.zeros((len(roots), d, d))
-            companion[:, 1:, :-1] = np.eye(d - 1)
-            companion[:, :, -1] = roots
-            roots = np.linalg.eigvals(companion).real
-        candidates[rows, 1:d + 1] = t0[rows, None] + roots / scale[rows, None]
-    x = fix[:, :, None] + slope[:, :, None] * candidates[:, None, :]
-    peaks = np.abs(js.plus.corr(x[:, 0]) * js.minus.corr(x[:, 1])).max(axis=1)
-    return np.where(vanishing, 0.0, np.where(finite, peaks, np.nan))
-
-
-def _delay_vector(n_delays: int, fixed: dict, swept: int, value):
-    """Each delay of a sweep: ``value`` at index ``swept``, ``fixed[i]`` at
-    every other index i; refused if ``swept`` is out of range or ``fixed``
-    misses an index."""
-    if not 0 <= swept < n_delays:
-        raise ValueError(f"swept delay {swept} out of range for {n_delays} delays")
-    missing = set(range(n_delays)) - {swept} - set(fixed)
-    if missing:
-        raise ValueError(f"fixed delays missing indices {sorted(missing)}")
-    return [value if i == swept else fixed[i] for i in range(n_delays)]
-
-
 def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
                      js: JointSpectrum, threshold: float) -> AnalyticModel:
     """Drop terms whose peak magnitude along the swept delay is below threshold.
@@ -786,10 +680,10 @@ def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     # The swept delay at 0.0 adds an exact zero, leaving the fixed part.
-    at_origin = _delay_vector(model.n_delays, fixed, swept, 0.0)
+    at_origin = delay_vector(model.n_delays, fixed, swept, 0.0)
     coeffs, plus, minus, index = model.arrays
     args = np.stack([plus[index[:, 0]], minus[index[:, 1]]], axis=1)
-    peaks = np.abs(coeffs) * _corr_product_peaks(
+    peaks = np.abs(coeffs) * corr_product_peaks(
         js, combo_dot(args, at_origin), args[:, :, swept])
     kept = np.flatnonzero(~(peaks < threshold) | (index < 0).all(axis=1)).tolist()
     coeffs, plus, minus = ([rows[k] for k in kept]
@@ -807,7 +701,8 @@ def asymptotic_prune(model: AnalyticModel, fixed: dict, swept: int,
 
 
 def _render(model: AnalyticModel, latex: bool) -> str:
-    """Each distinct magnitude and argument row is formatted once."""
+    """Each distinct coefficient, argument entry magnitude and argument row
+    is formatted once."""
     names = [rf"\tau_{{{i + 1}}}" if latex else f"t{i + 1}"
              for i in range(model.n_delays)]
 
@@ -817,6 +712,9 @@ def _render(model: AnalyticModel, latex: bool) -> str:
             return rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
         return str(mag)
 
+    rows = set(model.plus).union(model.minus)
+    scaled = {v: str(Fraction(v, model.arg_scale)) for v in set(map(abs, set().union(*rows)))}
+
     def combo(row) -> str:
         parts = []
         for name, c in zip(names, row):
@@ -825,7 +723,7 @@ def _render(model: AnalyticModel, latex: bool) -> str:
             if abs(c) == model.arg_scale:
                 piece = name
             else:
-                mag = str(Fraction(abs(c), model.arg_scale))
+                mag = scaled[abs(c)]
                 piece = rf"{mag}\,{name}" if latex else f"{mag} {name}"
             if not parts:
                 parts.append(piece if c > 0 else f"-{piece}")

@@ -64,6 +64,18 @@ def combo_dot(combo, taus):
                for c, t in zip(combo, taus, strict=True) if c)
 
 
+def delay_vector(n_delays: int, fixed: dict, swept: int, value):
+    """Each delay of a sweep: ``value`` at index ``swept``, ``fixed[i]`` at
+    every other index i; refused if ``swept`` is out of range or ``fixed``
+    misses an index."""
+    if not 0 <= swept < n_delays:
+        raise ValueError(f"swept delay {swept} out of range for {n_delays} delays")
+    missing = set(range(n_delays)) - {swept} - set(fixed)
+    if missing:
+        raise ValueError(f"fixed delays missing indices {sorted(missing)}")
+    return [value if i == swept else fixed[i] for i in range(n_delays)]
+
+
 def swept_fold(row, taus, column):
     """``combo_dot``'s sequence fold of ``row`` (floats) at ``taus``, split
     where the one array delay ``taus[column]`` enters; the row's

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import AnalyticModel
-from .cascade import InputError, TransferMatrix
+from .cascade import InputError, TransferMatrix, delay_vector
 from .quadrature import GridSpec, integrate_R_with_error, suggested_grid
 from .spectra import JointSpectrum
 
@@ -106,7 +106,7 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.samples)
 
     def delay_vectors(self, n_delays: int):
-        return analytic._delay_vector(n_delays, self.fixed, self.swept, self.grid())
+        return delay_vector(n_delays, self.fixed, self.swept, self.grid())
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def sweep(backend, spec: SweepSpec) -> Trace:
     taus = spec.grid()
     rows = []
     for tau in taus:
-        point = analytic._delay_vector(tm.n_delays, spec.fixed, spec.swept, tau)
+        point = delay_vector(tm.n_delays, spec.fixed, spec.swept, tau)
         point_grid = backend.grid or suggested_grid(tm, js, point)
         rows.append((*integrate_R_with_error(tm, js, point, point_grid),
                      *point_grid.nodes))
@@ -207,11 +207,12 @@ def analytic_sweep(model: AnalyticModel, js: JointSpectrum, spec: SweepSpec):
 
 def _analytic_sweep(model: AnalyticModel, js: JointSpectrum, spec: SweepSpec,
                     values: bool, envelopes: bool):
-    """``(Trace, EnvelopePair)`` from one ``_walk`` with its two flags, None
-    for a fold not run: every analytic trace and envelope pair is built here."""
+    """``(Trace, EnvelopePair)`` from one ``analytic.walk`` with its two
+    flags, None for a fold not run: every analytic trace and envelope pair
+    is built here."""
     taus = spec.delay_vectors(model.n_delays)
     grid = taus[spec.swept]
-    sampled, upper, lower = analytic._walk(model, js, taus, values, envelopes)
+    sampled, upper, lower = analytic.walk(model, js, taus, values, envelopes)
     return (None if sampled is None else Trace(grid, sampled),
             None if upper is None else EnvelopePair(Trace(grid, upper), Trace(grid, lower)))
 

@@ -13,8 +13,13 @@ functions of the marginal intensities:
 * ``g_minus(tau) = minus.corr(tau)`` -- slow envelope set by the
   difference-frequency linewidth,
 * ``g_plus(tau) = cos(pump_frequency * tau) * plus.corr(tau)`` -- the same
-  for the sum frequency, carrying the pump oscillation (the carrier is
-  applied by ``analytic.evaluate``).
+  for the sum frequency, carrying the pump oscillation
+  (``JointSpectrum.carrier``).
+
+This module alone states what the two functions are: their values
+(``SpectralProfile.corr`` and ``JointSpectrum.carrier``), the |tau| from
+which a factor is exactly 0 (``SpectralProfile.zero_from``) and the peak of
+a product of the two along a line (``corr_product_peaks``).
 """
 
 from __future__ import annotations
@@ -41,14 +46,13 @@ __all__ = [
 #: gave NaN, changes.
 _HERMITE_CAP = 1500.0
 #: exp(-x/2) is exactly 0.0 from this x on, and subnormal from about 1417;
-#: corr does not call exp on the lanes that give 0.0, and the analytic walk
-#: (``analytic._dead_rows``) skips an argument row over a block of a sweep
-#: where x reaches this on every lane.
+#: corr does not call exp on the lanes that give 0.0, and
+#: ``SpectralProfile.zero_from`` is the |tau| where x reaches it.
 _EXP_ZERO = 1491.0
 #: Array size from which corr looks for underflowed lanes: skipping their
 #: exp repays the look from about here (at 512 lanes it did not, whether
-#: half of them underflowed or none).  ``analytic`` skips their carrier
-#: from the same size.
+#: half of them underflowed or none).  ``JointSpectrum.carrier`` skips
+#: the cosine of lanes whose corr is 0 from the same size.
 _MASKED_LANES = 1024
 
 
@@ -90,6 +94,13 @@ class SpectralProfile:
     @property
     def is_odd(self) -> bool:
         return self.kind is ProfileKind.HERMITE_GAUSSIAN1
+
+    @property
+    def zero_from(self) -> float:
+        """|tau| from which ``corr(tau)`` is exactly +-0: (sigma tau)^2
+        reaches ``_EXP_ZERO``, with a margin of 1e-6 that covers the
+        rounding of this bound and of corr's clamp, scale and square."""
+        return math.sqrt(_EXP_ZERO) / self.sigma * (1 + 1e-6)
 
     def amplitude(self, omega):
         """Amplitude f(W), peak-normalized for the Gaussian case."""
@@ -159,6 +170,83 @@ class JointSpectrum:
                 f"linewidths (needs >= {guard}); full-line integrals would "
                 "pick up negative-frequency contamination"
             )
+
+    def carrier(self, x, corr_plus):
+        """cos(pump_frequency * x), the carrier of g_plus at the arguments
+        ``x``, an array whose ``plus.corr`` is ``corr_plus``: finite where,
+        and only where, the phase is.
+
+        On arrays of ``_MASKED_LANES`` and more, a lane where ``corr_plus``
+        is 0 and the phase finite is left 0.0: its g_plus is +-0 whatever
+        its cosine, and only the sign of that zero may differ.
+        """
+        phase = self.pump_frequency * x
+        if phase.size < _MASKED_LANES or corr_plus.all():
+            return np.cos(phase)
+        return np.cos(phase, out=np.zeros_like(phase),
+                      where=(corr_plus != 0) | ~np.isfinite(phase))
+
+
+def corr_product_peaks(js: JointSpectrum, fix, slope):
+    """max over t of |corr_plus(fix_+ + slope_+ t) * corr_minus(fix_- + slope_- t)|.
+
+    ``fix`` and ``slope`` are ``(K, 2)`` arrays, plus then minus argument;
+    one peak per row.  Each factor is poly(q) exp(-q/2) with q = (sigma x)^2
+    and poly = 1 (Gaussian) or 1 - q (first Hermite-Gaussian).  With t
+    shifted to the minimum of the summed q and scaled by its curvature, each
+    sigma x is alpha + beta v with beta_+^2 + beta_-^2 = 1, and the product
+    is P(v) exp(-(q_min + v^2)/2).  A nonzero slope makes that vanish at
+    both ends, so its largest magnitude is at a real root of P' - v P
+    (degree <= 5).  The candidates are the real parts of all roots, plus
+    t = 0, which alone serves when both slopes vanish: every candidate is
+    a real point and the maximiser is among them, so no root is filtered.
+    The roots of degree d are the eigenvalues of the rows' d x d companion
+    matrices, one batched LAPACK call per degree above 1.  A degree-1 row,
+    such as every row of two Gaussians, has the one root -s_0 / s_1, its
+    companion matrix's one entry, which is taken as it is.
+
+    The summed q is at least q_min = |alpha|^2 everywhere.  From 2 *
+    ``_HERMITE_CAP`` on, one factor has q >= the cap at every t and is
+    exactly 0 there, so such a row's peak is 0 without its polynomial.
+    """
+    sigma = np.array([js.plus.sigma, js.minus.sigma])
+    rate = sigma * slope
+    curvature = (rate ** 2).sum(axis=1)
+    scale = np.sqrt(np.where(curvature > 0, curvature, 1.0))
+    t0 = -(rate * sigma * fix).sum(axis=1) / scale ** 2
+    alpha = sigma * fix + rate * t0[:, None]
+    beta = rate / scale[:, None]
+    vanishing = np.isfinite(alpha).all(axis=1) & \
+        (np.hypot(alpha[:, 0], alpha[:, 1]) >= math.sqrt(2 * _HERMITE_CAP))
+    alpha[vanishing] = 0.0
+    # P(v) and then P' - v P as coefficient rows, lowest power first.
+    poly = np.zeros((len(fix), 6))
+    poly[:, 0] = 1.0
+    for col, profile in enumerate((js.plus, js.minus)):
+        if profile.is_odd:
+            a, b = alpha[:, col:col + 1], beta[:, col:col + 1]
+            poly = poly * (1 - a * a) - 2 * a * b * np.roll(poly, 1, axis=1) \
+                - b * b * np.roll(poly, 2, axis=1)
+    stationary = np.roll(poly * np.arange(6), -1, axis=1) - np.roll(poly, 1, axis=1)
+    nonzero = stationary != 0
+    # Overflowed rows get no roots and a NaN peak, so they are never dropped.
+    finite = np.isfinite(stationary).all(axis=1)
+    degree = np.where(finite & nonzero.any(axis=1),
+                      5 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    candidates = np.zeros((len(fix), 6))
+    for d in set(degree.tolist()) - {0}:
+        rows = degree == d
+        # The companion matrix's last column; at degree 1 it is the root.
+        roots = -stationary[rows, :d] / stationary[rows, d:d + 1]
+        if d > 1:
+            companion = np.zeros((len(roots), d, d))
+            companion[:, 1:, :-1] = np.eye(d - 1)
+            companion[:, :, -1] = roots
+            roots = np.linalg.eigvals(companion).real
+        candidates[rows, 1:d + 1] = t0[rows, None] + roots / scale[rows, None]
+    x = fix[:, :, None] + slope[:, :, None] * candidates[:, None, :]
+    peaks = np.abs(js.plus.corr(x[:, 0]) * js.minus.corr(x[:, 1])).max(axis=1)
+    return np.where(vanishing, 0.0, np.where(finite, peaks, np.nan))
 
 
 _RATIO_TOL = 1e-9

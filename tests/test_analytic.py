@@ -28,7 +28,6 @@ from biphoton_cascade.analytic import (
     CHUNK,
     AnalyticModel,
     ZeroBaselineError,
-    _corr_product_peaks,
     antisymmetric_equivalence_check,
     asymptotic_prune,
     evaluate,
@@ -47,7 +46,8 @@ from biphoton_cascade.interferogram import (
     sweep,
 )
 from biphoton_cascade.presets import CLASS_SIGMAS, PRESETS, make_spectrum, preset_cascade
-from biphoton_cascade.spectra import ExchangeSymmetry, ProfileKind, SpectralProfile
+from biphoton_cascade.spectra import (_HERMITE_CAP, ExchangeSymmetry, ProfileKind, SpectralProfile,
+                                      corr_product_peaks)
 from test_expand import cascades as expand_cascades
 from test_spectra import plain_corr
 
@@ -321,7 +321,7 @@ def test_term_peaks_match_a_dense_sample(cascade, symmetry, spectrum, data):
     terms = [(p, m) for _, p, m in model.terms if any(p) or any(m)]
     args = np.array(terms, dtype=float).reshape(len(terms), 2, n)
     fix, slope = args @ np.array(at_origin), args[:, :, swept]
-    peaks = _corr_product_peaks(js, fix, slope)
+    peaks = corr_product_peaks(js, fix, slope)
     for peak, f, s in zip(peaks, fix, slope):
         sampled = sampled_peak(js, f, s)
         # Never below the sample, up to rounding in evaluating the factors,
@@ -331,7 +331,7 @@ def test_term_peaks_match_a_dense_sample(cascade, symmetry, spectrum, data):
 
 
 def companion_peaks(js, fix, slope):
-    """``_corr_product_peaks`` as it was before degree-1 rows took their
+    """``corr_product_peaks`` as it was before degree-1 rows took their
     root directly: every degree's roots from ``np.linalg.eigvals`` of the
     rows' companion matrices, 1 x 1 ones included."""
     sigma = np.array([js.plus.sigma, js.minus.sigma])
@@ -342,7 +342,7 @@ def companion_peaks(js, fix, slope):
     alpha = sigma * fix + rate * t0[:, None]
     beta = rate / scale[:, None]
     vanishing = np.isfinite(alpha).all(axis=1) & \
-        (np.hypot(alpha[:, 0], alpha[:, 1]) >= math.sqrt(2 * analytic._HERMITE_CAP))
+        (np.hypot(alpha[:, 0], alpha[:, 1]) >= math.sqrt(2 * _HERMITE_CAP))
     alpha[vanishing] = 0.0
     poly = np.zeros((len(fix), 6))
     poly[:, 0] = 1.0
@@ -397,7 +397,7 @@ def test_degree_one_peaks_are_the_companion_peaks(symmetry, spectrum, rows):
     fix, slope = rows[:, 0], rows[:, 1]
     with np.errstate(all="ignore"):
         expected = companion_peaks(js, fix, slope)
-        assert _corr_product_peaks(js, fix, slope).tobytes() == expected.tobytes()
+        assert corr_product_peaks(js, fix, slope).tobytes() == expected.tobytes()
 
 
 @given(cascade=expand_cascades(), symmetry=st.sampled_from(ExchangeSymmetry),
@@ -1024,10 +1024,11 @@ def test_dead_blocks_change_no_bit(cascade, symmetry, data):
 
     The ascending grid through every caller; through evaluate and the
     envelope walk, the grid reversed, a 2-D column of it, NaN and the
-    infinities planted in blocks that are otherwise dead, and two array
-    delays, where nothing is skipped.  Every fold is lane by lane, so the
-    reference over the ascending grid, reversed or reshaped, is the
-    reference over the other two.
+    infinities planted in blocks that are otherwise dead, two array
+    delays, where nothing is skipped, and one sample, which takes the same
+    envelope fold.  Every fold is lane by lane, so the reference over the
+    ascending grid, reversed or reshaped, is the reference over the other
+    two.
     """
     try:
         model = expand(compose(cascade), symmetry)
@@ -1045,7 +1046,7 @@ def test_dead_blocks_change_no_bit(cascade, symmetry, data):
         return [value if i == swept else t for i, t in enumerate(delays)]
 
     def walked(taus):
-        return evaluate(model, js, taus), *analytic._walk(model, js, taus, False, True)[1:]
+        return evaluate(model, js, taus), *analytic.walk(model, js, taus, False, True)[1:]
 
     cases = []
     for bad in (np.nan, np.inf, -np.inf):
@@ -1055,6 +1056,7 @@ def test_dead_blocks_change_no_bit(cascade, symmetry, data):
     if n > 1:  # a second array delay: no row is skipped
         cases.append(list(delays))
         cases[-1][(swept + 1) % n] = grid[::-1] / 3
+    cases.append(with_swept(taus[swept]))
     for sigmas in CLASS_SIGMAS.values():
         js = make_spectrum(*sigmas, symmetry)
         expected = reference_evaluate(model, js, delays)
@@ -1187,7 +1189,7 @@ def test_blocked_evaluation_memory_is_bounded():
     mib = 2**20
 
     def envelope_walk(model, js, spec):
-        return analytic._walk(model, js, spec.delay_vectors(4), False, True)
+        return analytic.walk(model, js, spec.delay_vectors(4), False, True)
 
     peaks = {}
     for call, args, outputs in ((evaluate, (model, js, taus), 1),

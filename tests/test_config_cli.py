@@ -27,6 +27,7 @@ from biphoton_cascade.cascade import compose
 from biphoton_cascade.config import ConfigError, parse_config
 from biphoton_cascade.interferogram import QuadratureBackend, sweep
 from biphoton_cascade.presets import preset_cascade
+from test_golden_cli import TABLE
 from test_interferogram import read_trace_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -708,7 +709,7 @@ def test_validate_negative_control(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", validation.CHECK_NAMES)
-def test_parity_check_fails_its_negative_control(name):
+def test_every_check_fails_its_negative_control(name):
     # Every check passes clean and fails corrupted, on the same draws.
     check = validation._CHECKS[name]
     passed, detail = check(np.random.default_rng(0), False)
@@ -742,53 +743,43 @@ def test_figures_determinism(tmp_path):
         assert path.read_bytes() == (tmp_path / "two" / path.name).read_bytes()
 
 
-#: SHA-256 of every file ``figures`` writes, generated with the per-term
-#: evaluate and the per-row CSV and SVG writers they replaced.
+#: SHA-256 of every SVG ``figures`` writes, generated with the per-term
+#: evaluate and the per-row SVG writer they replaced.  The CSVs are pinned
+#: in ``golden_cli.json``.
 FROZEN_FIGURES = {
-    "homi_anticorrelated.csv": "56da947f978202ea47ff959e5db8d3a01b6e1e7a934a24a84ee207e6b697c74e",
     "homi_anticorrelated.svg": "dd94a930bd3146f80b8d05d0e2ec56af8ace519d3b3d978dfe5dce42a26d1961",
-    "homi_correlated.csv": "a4730a87cab3b933742bc3b2c8207daaaf2499b2e24b81bdfce476e71ebfe0b8",
     "homi_correlated.svg": "8a33e84bc17c6fad495e0cae28ba288c71585e76cd818bf8f79090532789cc98",
-    "homi_uncorrelated.csv": "56da947f978202ea47ff959e5db8d3a01b6e1e7a934a24a84ee207e6b697c74e",
     "homi_uncorrelated.svg": "964a1ced320f0664c20ff553f1d1c79361c13fecd579d845c1acc31b90e9bb6b",
-    "noon_anticorrelated.csv": "d8cc4540552338cc2f382df766b265a1f3d97fc313c0d2d22af1925967d8f219",
     "noon_anticorrelated.svg": "360423addffafc7c44fdb9e460307c1d9c8f1950fe7acd44926a3ef4d35c1702",
-    "noon_correlated.csv": "b0292478c827659de848426ddf7e74d955cc4b96a7230c1cb6b7b633ecf64089",
     "noon_correlated.svg": "102b5985e2bea22d8d3bda986bda2362650fb12bad3ec65b60ea9ffff217da7f",
-    "noon_uncorrelated.csv": "b0292478c827659de848426ddf7e74d955cc4b96a7230c1cb6b7b633ecf64089",
     "noon_uncorrelated.svg": "b8cd24c24f9cc1d05e72af6d0151c23e285a975e8b55acb7bc682e6961c8d37f",
-    "three_param_11_anticorrelated.csv": "3be77d633278dd3cecc4a826abab34c510dda71defef72a694a0ec633a0d5aeb",
     "three_param_11_anticorrelated.svg": "635eec502c8f9101655345f1d02c6cb42e46ca0959e01e2c94fea0bb4f5a719f",
-    "three_param_11_correlated.csv": "66f0e9a593590e2eb806dd7a758b5ad23752614f27998cd17595bba90043943c",
     "three_param_11_correlated.svg": "3b3e8fbc95d2f8f8a652e0bfd264c3f5bfc197165617bd509b93f4751fb4ee52",
-    "three_param_11_uncorrelated.csv": "9f9fb7ab3a907226900c3b5cb87654aec23f958e75470ba276e2120aac239277",
     "three_param_11_uncorrelated.svg": "71d6dc0b3bf13f10711f7923fa28be697760bfbd62cffa2ba35068992fc1e6d0",
-    "three_param_2002_anticorrelated.csv": "3eaa0e75bbfd174d7858bdb49de5a1f630c583d4bd72707f67b88c6a55d9ef43",
     "three_param_2002_anticorrelated.svg": "095b92c84f519d29cddd7a0b352ff49b8e05f7e3d47f5487c811e08a1c9e5ba3",
-    "three_param_2002_correlated.csv": "ad0370bd5ac2577cd23fc547151a7d0fcedbcc87be60d4aaa9d274c778758d8b",
     "three_param_2002_correlated.svg": "1fda8eeda663cd10a01afa91664f60d0b69d80ec7d6ca8d9a79b8d5de06cd8e2",
-    "three_param_2002_uncorrelated.csv": "1484136063c1f05abd452a99d0d46a75638f06d6cb5607e3ffb9b55f58277f23",
     "three_param_2002_uncorrelated.svg": "0e66110610e61c0541acad6b8c6525fa824e736a7e905ba9d458151267ba8dc8",
-    "two_param_11_anticorrelated.csv": "e109c763df0c4c131050f72b7a8e42f26b748c0f51ec0e3609ea237386d71a60",
     "two_param_11_anticorrelated.svg": "0abbb1d765c54bc0b8c40ba7d5a005d6bda8cd8ecd1c3ac6078af536a0ceee78",
-    "two_param_11_correlated.csv": "ba2e570d0e7e615811b6e7df160538e3c80f65b735d27164012c41dd8232cd8b",
     "two_param_11_correlated.svg": "5254457b9d8c92c0eea49c3cc397c2a1713ea06792242f7ccc0ca1b59f4e300d",
-    "two_param_11_uncorrelated.csv": "ba36ed341dfbe80c1d7ca86e8695c4dfd179743d9a4ff83c44eff5d2f0ac3bca",
     "two_param_11_uncorrelated.svg": "7ca924bffa2f5b3c43e94e768c9723fc4bd13817edaa7a524479557b028d358f",
-    "two_param_2002_anticorrelated.csv": "bfaa55977edcb9337a27caccdaed0d23852245384594b0c23458229e0f89bdbf",
     "two_param_2002_anticorrelated.svg": "666f8ce16e5037e901d00c44bb05b42d1ff9181336477b7190f4f57ab5b0e696",
-    "two_param_2002_correlated.csv": "5160ab94174ba13deb6e03b2e7193ea10355b47f79dc90c93fc03d8e573422b1",
     "two_param_2002_correlated.svg": "4e23475242d3022c39b930883fe982720cd5f8c6f6c28a111359b2c129169c05",
-    "two_param_2002_uncorrelated.csv": "bf5606436ae51f9ec95c14d5c4f25851deafc43e15ea9262f5e474c293afb9a4",
     "two_param_2002_uncorrelated.svg": "9463efcf1779e4bc53be138252fcf5b9a3adf46f5fafbb162783328e39b0f19f",
 }
 
 
 def test_frozen_figure_bytes(tmp_path):
+    # Each figure's CSV is the file its config in configs/ writes under
+    # ``envelope``, or under ``sweep`` for homi, which has no carrier.
+    golden = json.loads(TABLE.read_text())
+    expected = dict(FROZEN_FIGURES)
+    for config in SHIPPED_CONFIGS:
+        command = "sweep" if config.stem.startswith("homi") else "envelope"
+        expected[f"{config.stem}.csv"] = golden[f"{config.stem} {command}"][1]
     assert cli.main(["figures", "--out", str(tmp_path)]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
-    assert written == FROZEN_FIGURES
+    assert written == expected
 
 
 def test_figures_io_failure():

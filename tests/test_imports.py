@@ -1,5 +1,6 @@
-"""Every import in the package, the tests and the demos is used, and every
-name the package exports or reads from NumPy is declared."""
+"""Every import in the package, the tests and the demos is used, every
+name the package exports or reads from NumPy is declared, and no module of
+the package reads another's private name."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,46 @@ def test_src_reads_only_the_frozen_numpy_names():
     found = set().union(*(numpy_names(path.read_text())
                           for path in (ROOT / "src").rglob("*.py")))
     assert sorted(found) == NUMPY_NAMES
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source: str, package: str = "biphoton_cascade"):
+    """``(line, name)`` of each ``_``-prefixed name a module imports from a
+    module of ``package``, or reads as an attribute of a name it imports
+    from one (``analytic._walk`` after ``from . import analytic``)."""
+    tree = ast.parse(source)
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == package):
+            for alias in node.names:
+                if is_private(alias.name):
+                    found.append((node.lineno, alias.name))
+                imported.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                            if alias.name.split(".")[0] == package)
+    found += [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in imported and is_private(node.attr)]
+    return sorted(found)
+
+
+def test_private_reads_are_found():
+    source = ("from __future__ import annotations\nimport numpy as np\n"
+              "from . import analytic\nfrom .spectra import _CAP, JointSpectrum\n"
+              "import biphoton_cascade.cascade as cascade\n"
+              "x = analytic._walk, analytic.walk, np._NoValue, JointSpectrum._x\n"
+              "y = cascade._shift, analytic.__name__\n")
+    assert private_reads(source) == [(4, "_CAP"), (6, "JointSpectrum._x"),
+                                     (6, "analytic._walk"), (7, "cascade._shift")]
+
+
+def test_no_src_module_reads_a_private_name_of_another():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, name in private_reads(path.read_text())]
+    assert found == []

@@ -150,6 +150,24 @@ def test_corr_skips_no_bit_where_exp_underflows():
                     np.asarray(expected)[~nan].tobytes()
 
 
+def test_corr_is_zero_from_zero_from():
+    """``corr`` is exactly +-0 at and beyond ``zero_from`` for both kinds,
+    on short and masked arrays and on 0-d delays, and the bound is tight:
+    within 1e-6 of where (sigma tau)^2 reaches ``_EXP_ZERO``, and corr is
+    still nonzero where it is 1400."""
+    for kind in ProfileKind:
+        for sigma in (1e-3, 0.1, 0.37, 1.0, 3.0, 1e3):
+            profile = SpectralProfile(kind, sigma)
+            far = profile.zero_from
+            assert far == pytest.approx(np.sqrt(_EXP_ZERO) / sigma, rel=1e-6)
+            beyond = far * np.array([1.0, 1.0 + 1e-9, 1.5, 10.0, 1e200])
+            beyond = np.concatenate([beyond, [np.nextafter(far, np.inf), np.inf]])
+            beyond = np.concatenate([beyond, -beyond])
+            for tau in (beyond, np.resize(beyond, _MASKED_LANES + 1), *beyond):
+                assert (profile.corr(tau) == 0).all(), (kind, sigma, tau)
+            assert profile.corr(np.sqrt(1400.0) / sigma) != 0
+
+
 def test_hermite_gaussian_amplitude_is_odd():
     profile = SpectralProfile(ProfileKind.HERMITE_GAUSSIAN1, 0.8)
     assert profile.is_odd
