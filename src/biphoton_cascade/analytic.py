@@ -263,7 +263,8 @@ def _correlations(sides, half, dtype):
     in ``half`` less the zero lag's.  Refused past the budget before the
     pairs are built.
     """
-    n_pairs = sum(len(amps) ** 2 for amps, _ in sides)
+    # a side's pairs are all ordered pairs of its two entries' rows
+    n_pairs = sum((len(first) + len(second)) ** 2 for (first, second), _ in sides)
     _check_budget(len(half.lo), n_pairs, len(half.lo) + 1)
     size, zero = half.size, half.size // 2
     keys, sums = [], []

@@ -32,6 +32,15 @@ per distinct phase, in an (N+, D) and a (D, N-) table that the slots
 gather from (``_factors``); the entries share most of their rows, so D
 is 2-8 where 4 K is 4-32 on the presets.
 
+What does not depend on the delays is built once per grid, not once per
+point: each axis's nodes, the square roots of its weighted intensity j
+and the sums of j over all nodes and over those of even index, which are
+a function of the node count, the half-width and the profile alone
+(``_axis_data``).  They are kept in an LRU cache of ``_AXIS_CACHE_SIZE``
+(128) axes; an entry holds two read-only arrays of at most
+``MAX_NODES_PER_AXIS`` floats, so the cache holds at most 9.2 MiB.  Per
+point a call evaluates the phases and factors and contracts them.
+
 The oracle certifies itself.  On an axis of odd N nodes the M = (N+1)/2
 nodes of even index form the trapezoid grid of M nodes over the same
 window; on a grid odd on both axes they make the half grid.  Both orders
@@ -49,6 +58,7 @@ estimate is what says they were fine enough.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -189,6 +199,33 @@ def _axis(nodes: int, half_width: float):
     weights = np.full(nodes, step)
     weights[0] = weights[-1] = step / 2.0
     return points, weights
+
+
+#: Axes ``_axis_data`` keeps.  An entry holds two arrays of at most
+#: ``MAX_NODES_PER_AXIS`` floats, so at most 2 x 4729 x 8 B = 74 KiB, and the
+#: whole cache at most 9.2 MiB.
+_AXIS_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_AXIS_CACHE_SIZE, typed=True)
+def _axis_data(nodes: int, half_width: float, profile):
+    """One axis of the grid, as every call on it reads it: its trapezoid
+    nodes, sqrt(j), and the sums of j over all nodes and over the nodes of
+    even index, j being ``profile``'s intensity times the node weights.
+
+    None of it depends on the delays, so it is built once per (node count,
+    half-width, profile) and kept in a bounded LRU cache; the arrays are
+    read-only, as every caller shares them.  ``profile`` is hashable, such
+    as a frozen ``SpectralProfile``, and equal profiles have equal
+    intensities.  Keys of different types are kept apart, so a node count
+    that ``_axis`` refuses is refused on every call.
+    """
+    points, weights = _axis(nodes, half_width)
+    j = profile.intensity(points) * weights
+    root = np.sqrt(j)
+    for array in (points, root):
+        array.flags.writeable = False
+    return points, root, j.sum(), j[::2].sum()
 
 
 def _cis(phase):
@@ -369,9 +406,12 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
     """``integrate_R``'s value and its half-grid error estimate, as a pair.
 
     Each axis gets its own nodes, weights and factor stack at its own node
-    count.  On a grid odd on both axes the estimate is |R_N - R_half|,
-    R_half being the value on the nodes of even index of each axis, summed
-    in the same contraction.  The difference measures the error only once
+    count.  The nodes, the square roots of the weighted intensities and
+    their sums are read from ``_axis_data``'s bounded cache, built on the
+    first call on that axis; the phases, the factor stacks and their
+    contraction are formed per call.  On a grid odd on both axes the
+    estimate is |R_N - R_half|, R_half being the value on the nodes of even
+    index of each axis, summed in the same contraction.  The difference measures the error only once
     each axis samples the density's fastest fringe, 2 u_max, with its first
     alias past it: pi (N_a - 1) / E >= 2 sigma_a u_max on both axes, E the
     extent and sigma_a the axis's linewidth (``suggested_grid``'s bound for
@@ -391,14 +431,13 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
     if constant == 0.0:
         raise ZeroBaselineError("cascade has zero asymptotic coincidence baseline")
     sigmas = (js.plus.sigma, js.minus.sigma)
-    (wp_nodes, wp_weights), (wm_nodes, wm_weights) = (
-        _axis(nodes, grid.extent_sigmas * sigma)
-        for nodes, sigma in zip(grid.nodes, sigmas))
+    (wp_nodes, root_plus, plus_sum, plus_even), \
+        (wm_nodes, root_minus, minus_sum, minus_even) = (
+            _axis_data(nodes, grid.extent_sigmas * profile.sigma, profile)
+            for nodes, profile in zip(grid.nodes, (js.plus, js.minus)))
     pump = js.pump_frequency
 
-    j_plus = js.plus.intensity(wp_nodes) * wp_weights
-    j_minus = js.minus.intensity(wm_nodes) * wm_weights
-    weights = float(j_plus.sum() * j_minus.sum())
+    weights = float(plus_sum * minus_sum)
     if weights == 0.0:
         raise UnderflowedWeightsError(
             f"every quadrature weight underflows to 0 at sigma_plus "
@@ -406,10 +445,10 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
 
     amps, u, index = _phases(tm, taus)
     plus, minus = _factors(amps, u, index, pump, wp_nodes, wm_nodes)
-    root_plus = np.sqrt(j_plus)[:, None]
+    root_plus = root_plus[:, None]
     plus[0] *= root_plus
     plus[1] *= sym * root_plus
-    minus[:2] *= np.sqrt(j_minus)
+    minus[:2] *= root_minus
 
     numerator, half = _contract(plus, minus)
     # any non-finite density value makes the sum non-finite
@@ -426,7 +465,7 @@ def integrate_R_with_error(tm: TransferMatrix, js: JointSpectrum, taus,
     if any(math.pi * (nodes - 1) / grid.extent_sigmas < sigma * fastest
            for nodes, sigma in zip(grid.nodes, sigmas)):
         return value, math.inf
-    half_norm = constant * float(j_plus[::2].sum() * j_minus[::2].sum())
+    half_norm = constant * float(plus_even * minus_even)
     if half_norm == 0.0:
         return value, math.inf
     return value, abs(value - float(half) / half_norm)

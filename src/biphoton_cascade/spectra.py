@@ -203,7 +203,9 @@ def corr_product_peaks(js: JointSpectrum, fix, slope):
     The roots of degree d are the eigenvalues of the rows' d x d companion
     matrices, one batched LAPACK call per degree above 1.  A degree-1 row,
     such as every row of two Gaussians, has the one root -s_0 / s_1, its
-    companion matrix's one entry, which is taken as it is.
+    companion matrix's one entry, which is taken as it is.  A row whose
+    polynomial or companion column overflows the float range gets no
+    roots and a NaN peak, so that it is never dropped.
 
     The summed q is at least q_min = |alpha|^2 everywhere.  From 2 *
     ``_HERMITE_CAP`` on, one factor has q >= the cap at every t and is
@@ -236,9 +238,16 @@ def corr_product_peaks(js: JointSpectrum, fix, slope):
     candidates = np.zeros((len(fix), 6))
     for d in set(degree.tolist()) - {0}:
         rows = degree == d
-        # The companion matrix's last column; at degree 1 it is the root.
-        roots = -stationary[rows, :d] / stationary[rows, d:d + 1]
+        # The companion matrix's last column; at degree 1 it is the root,
+        # +-0 as s_0 is.
+        with np.errstate(over="ignore"):
+            roots = -stationary[rows, :d] / stationary[rows, d:d + 1]
         if d > 1:
+            bounded = np.isfinite(roots).all(axis=1)
+            if not bounded.all():  # no roots, as for an overflowed row
+                overflowed = np.flatnonzero(rows)[~bounded]
+                finite[overflowed] = rows[overflowed] = False
+                roots = roots[bounded]
             companion = np.zeros((len(roots), d, d))
             companion[:, 1:, :-1] = np.eye(d - 1)
             companion[:, :, -1] = roots

@@ -400,6 +400,21 @@ def test_degree_one_peaks_are_the_companion_peaks(symmetry, spectrum, rows):
         assert corr_product_peaks(js, fix, slope).tobytes() == expected.tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_companion_column_gives_a_nan_peak():
+    # The curvature underflows to 0, so the degree-3 row's leading
+    # coefficient is tiny and -s_k / s_3 overflows: no roots, a NaN peak
+    # and the row kept, as for an overflowing polynomial; the ordinary row
+    # beside it keeps its peak.
+    js = make_spectrum(*CLASS_SIGMAS["anticorrelated"], ExchangeSymmetry.ANTISYMMETRIC)
+    fix = np.array([[0.0, 1.18e-156], [0.3, 1.0]])
+    slope = np.array([[0.0, 1.49e-163], [1.0, 0.5]])
+    peaks = corr_product_peaks(js, fix, slope)
+    assert math.isnan(peaks[0])
+    assert peaks[1:].tobytes() == corr_product_peaks(js, fix[1:], slope[1:]).tobytes()
+    assert peaks[1] == pytest.approx(sampled_peak(js, fix[1], slope[1]), rel=1e-6)
+
+
 @given(cascade=expand_cascades(), symmetry=st.sampled_from(ExchangeSymmetry),
        spectrum=st.sampled_from(SPECTRA), data=st.data())
 @settings(max_examples=60, deadline=None)

@@ -497,15 +497,31 @@ def test_many_delay_lattice_is_built_in_linear_time():
 
 
 def test_expansion_past_the_budget_is_refused_before_its_cells(monkeypatch):
-    # a 7-delay chain's correlations hold 16 384 pairs (about 4 MiB charged),
-    # its cells 331 330 rows of 14 columns (0.138 GiB); each int64 cell
-    # array alone would take 37 MB
+    # a 7-delay chain's correlations hold 32 768 pairs (8 MiB charged), its
+    # cells 331 330 rows of 14 columns (0.138 GiB); each int64 cell array
+    # alone would take 37 MB
     tm = compose(CascadeConfig.from_labels(range(7), 7))
     monkeypatch.setattr(analytic, "EXPAND_MEMORY_BUDGET", 16 << 20)
     tracemalloc.start()
     try:
         with pytest.raises(ExpansionTooLargeError,
                            match=r"^expanding 7 delays would need 0\.138 GiB"):
+            expand(tm, ExchangeSymmetry.SYMMETRIC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+def test_eleven_delay_expansion_is_refused_before_its_pairs():
+    # each side of an 11-delay chain has 2 x 1024 rows, so its correlations
+    # would hold 2 x 2048^2 pairs of 12 columns, charged 3 GiB: the refusal
+    # comes before any pair is built (they would take 448 MiB)
+    tm = compose(CascadeConfig.from_labels(range(11), 11))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpansionTooLargeError,
+                           match=r"^expanding 11 delays would need 3 GiB of integer rows"):
             expand(tm, ExchangeSymmetry.SYMMETRIC)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +33,7 @@ from biphoton_cascade.quadrature import (
     suggested_grid,
 )
 from biphoton_cascade.analytic import evaluate, expand
-from biphoton_cascade.spectra import ExchangeSymmetry
+from biphoton_cascade.spectra import ExchangeSymmetry, ProfileKind, SpectralProfile
 
 from test_expand import cascades
 
@@ -782,16 +783,125 @@ def test_zero_baseline_is_refused_as_in_the_closed_form(labels, n_delays):
             integrate(tm, js, taus, suggested_grid(tm, js, taus))
 
 
-def test_estimate_is_inf_when_only_the_half_grid_underflows():
-    def odd_nodes_only(omega):
+@dataclass(frozen=True)
+class OddNodesOnly:
+    """A Gaussian minus profile whose intensity is 0 at every node of even
+    index; hashable, as the oracle's axis cache keys its axes by profile."""
+
+    sigma: float = 1.0
+
+    def intensity(self, omega):
         out = np.exp(-omega**2 / 2.0)
         out[::2] = 0.0
         return out
 
+
+def test_estimate_is_inf_when_only_the_half_grid_underflows():
     js = make_spectrum(1.0, 1.0)
-    # a Gaussian minus profile whose intensity is 0 at every node of even index
     odd_only = SimpleNamespace(
-        plus=js.plus, minus=SimpleNamespace(sigma=1.0, intensity=odd_nodes_only),
+        plus=js.plus, minus=OddNodesOnly(),
         pump_frequency=js.pump_frequency, symmetry=js.symmetry)
     value, estimate = integrate_R_with_error(HOMI, odd_only, [0.5], GridSpec(65))
     assert math.isfinite(value) and estimate == math.inf
+
+
+# ---------------------------------------------------------------------------
+# The axis cache: each grid axis built once, every call on it the same bits
+
+
+def uncached_integrate_R_with_error(tm, js, taus, grid):
+    """``integrate_R_with_error`` with both axes built afresh on each call.
+
+    For odd grids whose half grid resolves the density, such as the
+    suggested grids, and for even grids, whose estimate is None.
+    """
+    sym = int(js.symmetry)
+    constant = tm.large_delay_constant(sym)
+    (wp, wp_weights), (wm, wm_weights) = (
+        _axis(nodes, grid.extent_sigmas * sigma)
+        for nodes, sigma in zip(grid.nodes, (js.plus.sigma, js.minus.sigma)))
+    j_plus = js.plus.intensity(wp) * wp_weights
+    j_minus = js.minus.intensity(wm) * wm_weights
+    weights = float(j_plus.sum() * j_minus.sum())
+    plus, minus = quadrature._factors(*quadrature._phases(tm, taus), js.pump_frequency,
+                                      wp, wm)
+    root_plus = np.sqrt(j_plus)[:, None]
+    plus[0] *= root_plus
+    plus[1] *= sym * root_plus
+    minus[:2] *= np.sqrt(j_minus)
+    numerator, half = quadrature._contract(plus, minus)
+    value = float(numerator) / (constant * weights)
+    if any(nodes % 2 == 0 for nodes in grid.nodes):
+        return value, None
+    half_norm = constant * float(j_plus[::2].sum() * j_minus[::2].sum())
+    return value, abs(value - float(half) / half_norm)
+
+
+def bits(pair):
+    return tuple(None if x is None else float(x).hex() for x in pair)
+
+
+def test_cached_axes_give_the_uncached_bits_on_every_preset():
+    # the symmetries alternate innermost, so Gaussian and Hermite-Gaussian
+    # minus axes of one linewidth and node count take turns in the cache
+    rng = np.random.default_rng(20261022)
+    quadrature._axis_data.cache_clear()
+    for preset in PRESETS:
+        tm = compose(preset_cascade(preset))
+        for sigmas in CLASS_SIGMAS.values():
+            for taus in rng.uniform(-8.0, 8.0, (2, tm.n_delays)):
+                for grid in (None, GridSpec(256)):
+                    for symmetry in ExchangeSymmetry:
+                        js = make_spectrum(*sigmas, symmetry)
+                        spec = grid or suggested_grid(tm, js, taus)
+                        expected = uncached_integrate_R_with_error(tm, js, taus, spec)
+                        got = integrate_R_with_error(tm, js, taus, spec)
+                        assert bits(got) == bits(expected)
+                        assert (got[1] is None) == (grid is not None)
+    assert quadrature._axis_data.cache_info().hits > 0
+
+
+def test_a_grid_misses_once_then_hits():
+    js, grid = make_spectrum(1.0, 0.1), GridSpec((129, 65))
+    quadrature._axis_data.cache_clear()
+    first = integrate_R_with_error(HOMI, js, [0.5], grid)
+    info = quadrature._axis_data.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
+    second = integrate_R_with_error(HOMI, js, [0.5], grid)
+    info = quadrature._axis_data.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+    assert bits(first) == bits(second) == bits(
+        uncached_integrate_R_with_error(HOMI, js, [0.5], grid))
+
+
+def test_profiles_of_one_linewidth_and_two_kinds_keep_their_own_axes():
+    gauss = SpectralProfile(ProfileKind.GAUSSIAN, 1.0)
+    odd = SpectralProfile(ProfileKind.HERMITE_GAUSSIAN1, 1.0)
+    quadrature._axis_data.cache_clear()
+    for _ in range(3):
+        for profile in (gauss, odd):
+            points, root, total, even = quadrature._axis_data(65, 8.0, profile)
+            nodes, weights = _axis(65, 8.0)
+            j = profile.intensity(nodes) * weights
+            assert np.array_equal(points, nodes)
+            assert np.array_equal(root, np.sqrt(j))
+            assert total == j.sum() and even == j[::2].sum()
+    assert quadrature._axis_data.cache_info().currsize == 2
+
+
+def test_cached_axes_are_read_only():
+    points, root, _, _ = quadrature._axis_data(65, 8.0, JS.plus)
+    for array in (points, root):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_axis_cache_is_bounded():
+    maxsize = quadrature._axis_data.cache_info().maxsize
+    quadrature._axis_data.cache_clear()
+    for nodes in range(33, 33 + maxsize + 16):
+        quadrature._axis_data(nodes, 8.0, JS.plus)
+    info = quadrature._axis_data.cache_info()
+    assert maxsize is not None and info.currsize <= maxsize
+    assert info.misses == maxsize + 16
